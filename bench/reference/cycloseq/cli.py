@@ -1,0 +1,399 @@
+"""Command-line front end.
+
+Subcommands: generate, autocorr, adic, verify, sweep. Exit codes: 0 success,
+1 usage/parameter error, 2 at least one theorem check failed. Data files are
+byte-identical across reruns of the same invocation: rows are emitted in
+sorted order and no timestamps or environment details are written.
+"""
+
+import argparse
+import csv
+import io
+import json
+import sys
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import adic
+from . import autocorr as ac
+from . import groupring as gr
+from .numtheory import OddPrimePair, odd_prime_pairs
+from .sequence import SequenceParams, as_json_dict, bitstring, generate
+
+CHECK_NAMES = ("theorem1", "lemma1", "theorem2", "correlation_identity")
+
+ALL_TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+SWEEP_COLUMNS = ("p", "q", "a", "b", "c", "n", "family", "ac_P", "ac_Q",
+                 "ac_unit_plus", "ac_unit_minus", "max_abs", "d", "d_p", "d_q",
+                 "d_star", "best_value", "checks_passed")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on bad usage by default; the contract wants 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _pair_args(parser):
+    parser.add_argument("--p", type=int, required=True, help="first odd prime")
+    parser.add_argument("--q", type=int, required=True, help="second odd prime")
+
+
+def _bit_args(parser):
+    parser.add_argument("--abc", help="fill bits as a compact string, e.g. 100")
+    parser.add_argument("--a", type=int, help="fill bit on nonzero multiples of p")
+    parser.add_argument("--b", type=int, help="fill bit on nonzero multiples of q")
+    parser.add_argument("--c", type=int, help="fill bit at position 0")
+
+
+def _params_from(args) -> SequenceParams:
+    if args.abc is not None:
+        if args.a is not None or args.b is not None or args.c is not None:
+            raise ValueError("use either --abc or --a/--b/--c, not both")
+        if len(args.abc) != 3 or set(args.abc) - {"0", "1"}:
+            raise ValueError("--abc must be exactly three characters, each 0 or 1")
+        a, b, c = (int(ch) for ch in args.abc)
+    elif args.a is not None and args.b is not None and args.c is not None:
+        a, b, c = args.a, args.b, args.c
+    else:
+        raise ValueError("fill bits required: pass --abc or all of --a/--b/--c")
+    return SequenceParams.of(args.p, args.q, a, b, c)
+
+
+def _write_out(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def cmd_generate(args) -> int:
+    params = _params_from(args)
+    seq = generate(params)
+    if args.format == "bits":
+        text = bitstring(seq) + "\n"
+    else:
+        text = json.dumps(as_json_dict(seq)) + "\n"
+    _write_out(text, args.out)
+    return 0
+
+
+def _class_names(params: SequenceParams) -> np.ndarray:
+    names = np.full(params.n, "unit", dtype=object)
+    names[params.p::params.p] = "p"
+    names[params.q::params.q] = "q"
+    names[0] = "zero"
+    return names
+
+
+def cmd_autocorr(args) -> int:
+    params = _params_from(args)
+    mode = "both" if args.both else ("empirical" if args.empirical else "closed")
+    classes = _class_names(params)
+    profile = ac.distribution(params, method="empirical" if mode == "empirical" else "closed")
+
+    emp = closed = None
+    if mode in ("empirical", "both"):
+        emp = ac.empirical_profile(generate(params))
+    if mode in ("closed", "both"):
+        closed = ac.closed_form_profile(params)
+    all_match = bool(np.array_equal(emp, closed)) if mode == "both" else True
+    single = emp if mode == "empirical" else closed
+
+    if args.format == "json":
+        obj = ac.profile_as_json_dict(profile)
+        if mode == "both":
+            obj["empirical_matches_closed"] = all_match
+        text = json.dumps(obj) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if args.aggregate:
+            writer.writerow(["value", "count"])
+            for value, count in sorted(profile.distribution.items()):
+                writer.writerow([value, count])
+        elif mode == "both":
+            writer.writerow(["tau", "class", "empirical", "closed", "match"])
+            for tau in range(params.n):
+                e, cv = int(emp[tau]), int(closed[tau])
+                writer.writerow([tau, classes[tau], e, cv, str(e == cv).lower()])
+        else:
+            writer.writerow(["tau", "class", "c_s"])
+            for tau in range(params.n):
+                writer.writerow([tau, classes[tau], int(single[tau])])
+        dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
+        buf.write(f"# distribution: {dist}\n")
+        buf.write(f"# family: {profile.family.value}\n")
+        buf.write(f"# max_nontrivial_abs: {profile.max_nontrivial_abs}\n")
+        if mode == "both":
+            buf.write(f"# empirical_matches_closed: {str(all_match).lower()}\n")
+        text = buf.getvalue()
+
+    _write_out(text, args.out)
+    return 0 if all_match else 2
+
+
+def cmd_adic(args) -> int:
+    params = _params_from(args)
+    report = adic.complexity_report(params)
+    if args.format == "json":
+        text = json.dumps(report.as_json_dict()) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        header = ["p", "q", "a", "b", "c", "n", "d", "d_p", "d_q", "d_star",
+                  "best_value", "complexity_float"]
+        writer.writerow(header)
+        writer.writerow([params.p, params.q, params.a, params.b, params.c,
+                         report.n, report.d_exact, report.d_p, report.d_q,
+                         report.d_star, str(report.best_value).lower(),
+                         f"{report.complexity_float:.6f}"])
+        text = buf.getvalue()
+    _write_out(text, args.out)
+    return 0
+
+
+def _check_pair(name: str, primes: OddPrimePair):
+    """Run one named check over a pair (all 8 fill-bit triples where relevant).
+
+    Returns (ok, detail); detail names the first failing instance.
+    """
+    if name == "lemma1":
+        report = gr.verify_lemma1(primes)
+        if report.ok:
+            return True, ""
+        failed = report.failed()[0]
+        return False, f"{failed.name} first differs at exponent {failed.first_diff[0]}"
+    for a, b, c in ALL_TRIPLES:
+        params = SequenceParams(primes, a, b, c)
+        if name == "theorem1":
+            check = ac.verify_theorem1(params)
+            if not check.ok:
+                tau, emp, closed = check.first_mismatch
+                return False, f"abc={a}{b}{c} tau={tau} empirical={emp} closed={closed}"
+        elif name == "theorem2":
+            report = adic.complexity_report(params)
+            if not report.closed_form_consistent:
+                return False, f"abc={a}{b}{c} " + "; ".join(report.deviations)
+        elif name == "correlation_identity":
+            check = gr.verify_correlation_identity(params)
+            if not check.ok:
+                return False, f"abc={a}{b}{c} " + "; ".join(check.failures)
+        else:
+            raise ValueError(f"unknown check: {name}")
+    return True, ""
+
+
+def _parse_checks(values) -> tuple:
+    if not values:
+        return CHECK_NAMES
+    names = []
+    for value in values:
+        names.extend(part.strip() for part in value.split(",") if part.strip())
+    bad = [n for n in names if n not in CHECK_NAMES]
+    if bad:
+        raise ValueError(f"unknown checks: {', '.join(bad)}; "
+                         f"choose from {', '.join(CHECK_NAMES)}")
+    if not names:
+        raise ValueError("at least one check must be selected")
+    return tuple(n for n in CHECK_NAMES if n in names)
+
+
+def cmd_verify(args) -> int:
+    primes = OddPrimePair(args.p, args.q)
+    if args.all or not args.check:
+        checks = CHECK_NAMES
+    else:
+        checks = _parse_checks(args.check)
+    passed = 0
+    for name in checks:
+        ok, detail = _check_pair(name, primes)
+        passed += ok
+        line = f"{name} (p={primes.p}, q={primes.q}): " + ("PASS" if ok else f"FAIL ({detail})")
+        print(line)
+    print(f"{passed}/{len(checks)} checks pass")
+    return 0 if passed == len(checks) else 2
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Deterministic batch run: which pairs, triples, checks, and output."""
+
+    pairs: tuple
+    triples: tuple
+    checks: tuple
+    fmt: str = "csv"
+    out: "str | None" = None
+
+
+def build_sweep_spec(args) -> SweepSpec:
+    pairs = []
+    if args.max_n is not None:
+        pairs.extend(odd_prime_pairs(args.max_n))
+    for text in args.pairs or ():
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"--pairs expects 'p,q', got {text!r}")
+        pairs.append(OddPrimePair(int(parts[0]), int(parts[1])))
+    pairs = sorted(set(pairs), key=lambda pr: (pr.p, pr.q))
+    if not pairs:
+        raise ValueError("no prime pairs selected: pass --max-n and/or --pairs")
+
+    if args.triples in (None, "all"):
+        triples = ALL_TRIPLES
+    else:
+        seen = []
+        for text in args.triples.split(","):
+            text = text.strip()
+            if len(text) != 3 or set(text) - {"0", "1"}:
+                raise ValueError(f"--triples entries must be three bits, got {text!r}")
+            trip = tuple(int(ch) for ch in text)
+            if trip not in seen:
+                seen.append(trip)
+        triples = tuple(sorted(seen, key=lambda t: 4 * t[0] + 2 * t[1] + t[2]))
+    checks = _parse_checks([args.checks] if args.checks and args.checks != "all" else None)
+    return SweepSpec(pairs, triples, checks, args.format, args.out)
+
+
+def run_sweep(spec: SweepSpec):
+    """Rows sorted by (p, q, abc-as-integer); returns (rows, failing_row_count)."""
+    rows = []
+    failing = 0
+    for primes in spec.pairs:
+        lemma1_ok = gr.verify_lemma1(primes).ok if "lemma1" in spec.checks else None
+        for a, b, c in spec.triples:
+            params = SequenceParams(primes, a, b, c)
+            profile = ac.distribution(params)
+            report = adic.complexity_report(params)
+            passed = 0
+            for name in spec.checks:
+                if name == "theorem1":
+                    ok = ac.verify_theorem1(params).ok
+                elif name == "lemma1":
+                    ok = lemma1_ok
+                elif name == "theorem2":
+                    ok = report.closed_form_consistent
+                else:
+                    ok = gr.verify_correlation_identity(params).ok
+                passed += ok
+            if passed < len(spec.checks):
+                failing += 1
+            rows.append({
+                "p": primes.p, "q": primes.q, "a": a, "b": b, "c": c,
+                "n": primes.n, "family": profile.family.value,
+                "ac_P": profile.value_class_p, "ac_Q": profile.value_class_q,
+                "ac_unit_plus": profile.value_unit_plus,
+                "ac_unit_minus": profile.value_unit_minus,
+                "max_abs": profile.max_nontrivial_abs,
+                "d": report.d_exact, "d_p": report.d_p, "d_q": report.d_q,
+                "d_star": report.d_star,
+                "best_value": report.best_value,
+                "checks_passed": f"{passed}/{len(spec.checks)}",
+            })
+    return rows, failing
+
+
+def render_sweep(rows, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(rows) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow([str(row[col]).lower() if col == "best_value" else row[col]
+                         for col in SWEEP_COLUMNS])
+    return buf.getvalue()
+
+
+def cmd_sweep(args) -> int:
+    spec = build_sweep_spec(args)
+    rows, failing = run_sweep(spec)
+    _write_out(render_sweep(rows, spec.fmt), spec.out)
+    summary = (f"sweep: {len(rows)} rows ({len(spec.pairs)} pairs x "
+               f"{len(spec.triples)} triples), {failing} rows with failing checks\n")
+    stream = sys.stdout if spec.out else sys.stderr
+    stream.write(summary)
+    return 0 if failing == 0 else 2
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="cycloseq",
+                     description="Two-prime cyclotomic binary sequences: "
+                                 "generation, autocorrelation, 2-adic complexity.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_gen = sub.add_parser("generate", help="emit one period of S(a, b, c)")
+    _pair_args(p_gen)
+    _bit_args(p_gen)
+    p_gen.add_argument("--format", choices=("bits", "json"), default="bits")
+    p_gen.add_argument("--out", help="output path (default: stdout)")
+    p_gen.set_defaults(func=cmd_generate)
+
+    p_ac = sub.add_parser("autocorr", help="autocorrelation values and distribution")
+    _pair_args(p_ac)
+    _bit_args(p_ac)
+    route = p_ac.add_mutually_exclusive_group()
+    route.add_argument("--empirical", action="store_true",
+                       help="recompute every shift from the sequence")
+    route.add_argument("--closed", action="store_true",
+                       help="evaluate the per-class closed form (default)")
+    route.add_argument("--both", action="store_true",
+                       help="compute both routes and compare; mismatch exits 2")
+    p_ac.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_ac.add_argument("--aggregate", action="store_true",
+                      help="CSV as (value, count) rows instead of per-shift rows")
+    p_ac.add_argument("--out", help="output path (default: stdout)")
+    p_ac.set_defaults(func=cmd_autocorr)
+
+    p_adic = sub.add_parser("adic", help="exact 2-adic complexity report")
+    _pair_args(p_adic)
+    _bit_args(p_adic)
+    p_adic.add_argument("--format", choices=("json", "csv"), default="json")
+    p_adic.add_argument("--out", help="output path (default: stdout)")
+    p_adic.set_defaults(func=cmd_adic)
+
+    p_ver = sub.add_parser("verify", help="run theorem checks for one prime pair")
+    _pair_args(p_ver)
+    p_ver.add_argument("--all", action="store_true", help="run every check (default)")
+    p_ver.add_argument("--check", action="append",
+                       help="check name (repeatable or comma-separated): "
+                            + ", ".join(CHECK_NAMES))
+    p_ver.set_defaults(func=cmd_verify)
+
+    p_sweep = sub.add_parser("sweep", help="batch table over pairs and fill bits")
+    p_sweep.add_argument("--max-n", type=int, help="include all pairs with p*q <= this")
+    p_sweep.add_argument("--pairs", action="append", help="explicit pair 'p,q' (repeatable)")
+    p_sweep.add_argument("--triples", help="comma-separated bit triples, or 'all' (default)")
+    p_sweep.add_argument("--checks", help="comma-separated subset of: "
+                                          + ", ".join(CHECK_NAMES) + " (default all)")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--out", help="output path (default: stdout; summary goes "
+                                       "to the other stream)")
+    p_sweep.set_defaults(func=cmd_sweep)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def entry() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

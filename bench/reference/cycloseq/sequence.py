@@ -1,0 +1,164 @@
+"""Generalized cyclotomic binary sequences of order two with period n = p*q.
+
+For distinct odd primes p, q the residues mod n split into four classes:
+
+    {0},  P = {p, 2p, ..., (q-1)p},  Q = {q, 2q, ..., (p-1)q},  U = units mod pq.
+
+A sequence S(a, b, c) with fill bits a, b, c in {0, 1} is defined per period by
+
+    s[0] = c,   s[lam] = a on P,   s[lam] = b on Q,
+    s[lam] = (1 - (lam/p)(lam/q)) / 2 on U,
+
+where (./p) denotes the Legendre symbol, so a unit position carries 0 exactly
+when the two quadratic characters agree.
+"""
+
+import json
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from .numtheory import OddPrimePair, legendre
+
+
+class ResidueClass(Enum):
+    ZERO = "zero"
+    CLASS_P = "p"
+    CLASS_Q = "q"
+    UNIT = "unit"
+
+
+@dataclass(frozen=True)
+class SequenceParams:
+    """Prime pair plus the three fill bits (a, b, c)."""
+
+    primes: OddPrimePair
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            bit = getattr(self, name)
+            if bit not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1")
+
+    @classmethod
+    def of(cls, p: int, q: int, a: int, b: int, c: int) -> "SequenceParams":
+        return cls(OddPrimePair(p, q), a, b, c)
+
+    @property
+    def p(self) -> int:
+        return self.primes.p
+
+    @property
+    def q(self) -> int:
+        return self.primes.q
+
+    @property
+    def n(self) -> int:
+        return self.primes.n
+
+    @property
+    def abc(self) -> str:
+        return f"{self.a}{self.b}{self.c}"
+
+
+def classify(lam: int, primes: OddPrimePair) -> ResidueClass:
+    """Residue class of lam in Z_n; lam must lie in [0, n)."""
+    if not 0 <= lam < primes.n:
+        raise ValueError(f"position must lie in [0, {primes.n})")
+    if lam == 0:
+        return ResidueClass.ZERO
+    if lam % primes.p == 0:
+        return ResidueClass.CLASS_P
+    if lam % primes.q == 0:
+        return ResidueClass.CLASS_Q
+    return ResidueClass.UNIT
+
+
+def residue_table(r: int) -> np.ndarray:
+    """Legendre symbols (k/r) for k in [0, r) as an int8 array."""
+    table = np.empty(r, dtype=np.int8)
+    for k in range(r):
+        table[k] = legendre(k, r)
+    return table
+
+
+def unit_character(primes: OddPrimePair) -> np.ndarray:
+    """chi(lam) = (lam/p)(lam/q) for lam in [0, n); zero off the unit class."""
+    lam = np.arange(primes.n)
+    return (residue_table(primes.p)[lam % primes.p]
+            * residue_table(primes.q)[lam % primes.q])
+
+
+class BinarySequence:
+    """One period of S(a, b, c) as a uint8 bit array."""
+
+    def __init__(self, params: SequenceParams, bits: np.ndarray):
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.shape != (params.n,):
+            raise ValueError(f"expected {params.n} bits, got {bits.shape}")
+        bits.flags.writeable = False
+        self.params = params
+        self.bits = bits
+
+    @property
+    def n(self) -> int:
+        return self.params.n
+
+    @property
+    def weight(self) -> int:
+        return int(self.bits.sum())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinarySequence):
+            return NotImplemented
+        return self.params == other.params and np.array_equal(self.bits, other.bits)
+
+    def __repr__(self) -> str:
+        return (f"BinarySequence(p={self.params.p}, q={self.params.q}, "
+                f"abc={self.params.abc}, n={self.n}, weight={self.weight})")
+
+
+def generate(params: SequenceParams) -> BinarySequence:
+    """Build one period of S(a, b, c)."""
+    p, q = params.p, params.q
+    chi = unit_character(params.primes)
+    bits = ((1 - chi) // 2).astype(np.uint8)  # unit positions; 0 elsewhere for now
+    bits[p::p] = params.a
+    bits[q::q] = params.b
+    bits[0] = params.c
+    return BinarySequence(params, bits)
+
+
+def sign_view(seq: BinarySequence) -> np.ndarray:
+    """(-1)**s[lam] per position, as an int64 array of +1/-1."""
+    return 1 - 2 * seq.bits.astype(np.int64)
+
+
+def bitstring(seq: BinarySequence) -> str:
+    """ASCII '0'/'1' serialization, position 0 first."""
+    return "".join("1" if b else "0" for b in seq.bits)
+
+
+def from_bitstring(params: SequenceParams, text: str) -> BinarySequence:
+    if set(text) - {"0", "1"}:
+        raise ValueError("bit string may contain only '0' and '1'")
+    return BinarySequence(params, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
+
+
+def as_json_dict(seq: BinarySequence) -> dict:
+    p = seq.params
+    return {"p": p.p, "q": p.q, "a": p.a, "b": p.b, "c": p.c, "bits": bitstring(seq)}
+
+
+def to_json(seq: BinarySequence) -> str:
+    return json.dumps(as_json_dict(seq), sort_keys=True)
+
+
+def from_json(text: str) -> BinarySequence:
+    obj = json.loads(text)
+    params = SequenceParams.of(obj["p"], obj["q"], obj["a"], obj["b"], obj["c"])
+    return from_bitstring(params, obj["bits"])
