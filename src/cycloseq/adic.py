@@ -49,7 +49,7 @@ def _bits_of(seq_or_bits) -> np.ndarray:
 def bits_to_int(seq_or_bits) -> int:
     """sum of bits[lam] * 2**lam as one big integer."""
     bits = _bits_of(seq_or_bits)
-    return int("".join("1" if b else "0" for b in bits[::-1]), 2)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def t2(seq_or_bits) -> int:
@@ -58,21 +58,23 @@ def t2(seq_or_bits) -> int:
 
 
 def s2(seq_or_bits) -> int:
-    """S(2) = sum of (-1)**s[lam] * 2**lam, reduced into [0, 2**n - 1)."""
+    """S(2) = sum of (-1)**s[lam] * 2**lam, reduced into [0, 2**n - 1).
+
+    Since (-1)**s = 1 - 2*s, S(2) = (2**n - 1) - 2*T(2), congruent to -2*T(2).
+    """
     bits = _bits_of(seq_or_bits)
-    ones = bits_to_int(bits)
-    zeros = bits_to_int(1 - bits)
-    return (zeros - ones) % mersenne(len(bits))
+    return (-2 * bits_to_int(bits)) % mersenne(len(bits))
 
 
 def d_exact(seq_or_bits) -> int:
-    """d = gcd(T(2), 2**n - 1), cross-checked against gcd(S(2), 2**n - 1)."""
+    """d = gcd(T(2), 2**n - 1), with S(2) checked against 2*T(2) + S(2) == 0
+    mod 2**n - 1; 2 is a unit there, so gcd(S(2), 2**n - 1) is the same d."""
     bits = _bits_of(seq_or_bits)
     m = mersenne(len(bits))
-    d = gcd_big(t2(bits), m)
-    # 2*T(2) + S(2) == 0 mod 2**n - 1 and 2 is a unit, so the two gcds agree.
-    assert d == gcd_big(s2(bits), m)
-    return d
+    t = t2(bits)
+    if (2 * t + s2(bits)) % m != 0:
+        raise RuntimeError("2*T(2) + S(2) is not divisible by 2**n - 1")
+    return gcd_big(t, m)
 
 
 def dp_closed(params: SequenceParams) -> int:

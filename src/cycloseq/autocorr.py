@@ -206,9 +206,15 @@ class Theorem1Check:
         return self.ok
 
 
-def verify_theorem1(params: SequenceParams) -> Theorem1Check:
-    """Compare autocorrelation routes at every shift of one period."""
-    emp = empirical_profile(generate(params))
+def verify_theorem1(params: SequenceParams,
+                    emp: "np.ndarray | None" = None) -> Theorem1Check:
+    """Compare autocorrelation routes at every shift of one period.
+
+    A caller that already holds ``emp = empirical_profile(generate(params))``
+    passes it in, so it is not rebuilt.
+    """
+    if emp is None:
+        emp = empirical_profile(generate(params))
     closed = closed_form_profile(params)
     bad = np.nonzero(emp != closed)[0]
     if len(bad) == 0:

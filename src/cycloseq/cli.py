@@ -158,35 +158,45 @@ def cmd_adic(args) -> int:
     return 0
 
 
-def _check_pair(name: str, primes: OddPrimePair):
-    """Run one named check over a pair (all 8 fill-bit triples where relevant).
+def _lemma1_failure(primes: OddPrimePair) -> str:
+    """'' when the five Lemma-1 identities hold, else the first failure."""
+    report = gr.verify_lemma1(primes)
+    if report.ok:
+        return ""
+    failed = report.failed()[0]
+    return f"{failed.name} first differs at exponent {failed.first_diff[0]}"
 
-    Returns (ok, detail); detail names the first failing instance.
+
+def _instance_failures(params: SequenceParams, checks, report=None) -> dict:
+    """Run the named per-triple checks on one instance; name -> failure detail.
+
+    The sequence and its empirical profile are built once and handed to both
+    theorem1 and correlation_identity. ``report`` is the instance's
+    complexity report when the caller already has it.
     """
-    if name == "lemma1":
-        report = gr.verify_lemma1(primes)
-        if report.ok:
-            return True, ""
-        failed = report.failed()[0]
-        return False, f"{failed.name} first differs at exponent {failed.first_diff[0]}"
-    for a, b, c in ALL_TRIPLES:
-        params = SequenceParams(primes, a, b, c)
+    seq = emp = None
+    if "theorem1" in checks or "correlation_identity" in checks:
+        seq = generate(params)
+        emp = ac.empirical_profile(seq)
+    failures = {}
+    for name in checks:
         if name == "theorem1":
-            check = ac.verify_theorem1(params)
+            check = ac.verify_theorem1(params, emp)
             if not check.ok:
-                tau, emp, closed = check.first_mismatch
-                return False, f"abc={a}{b}{c} tau={tau} empirical={emp} closed={closed}"
+                tau, empirical, closed = check.first_mismatch
+                failures[name] = f"tau={tau} empirical={empirical} closed={closed}"
         elif name == "theorem2":
-            report = adic.complexity_report(params)
+            if report is None:
+                report = adic.complexity_report(params)
             if not report.closed_form_consistent:
-                return False, f"abc={a}{b}{c} " + "; ".join(report.deviations)
+                failures[name] = "; ".join(report.deviations)
         elif name == "correlation_identity":
-            check = gr.verify_correlation_identity(params)
+            check = gr.verify_correlation_identity(params, seq, emp)
             if not check.ok:
-                return False, f"abc={a}{b}{c} " + "; ".join(check.failures)
+                failures[name] = "; ".join(check.failures)
         else:
             raise ValueError(f"unknown check: {name}")
-    return True, ""
+    return failures
 
 
 def _parse_checks(values) -> tuple:
@@ -210,14 +220,22 @@ def cmd_verify(args) -> int:
         checks = CHECK_NAMES
     else:
         checks = _parse_checks(args.check)
-    passed = 0
+    failures = {}
+    if "lemma1" in checks and (detail := _lemma1_failure(primes)):
+        failures["lemma1"] = detail
+    for a, b, c in ALL_TRIPLES:
+        # Each check reports its first failing triple and is then dropped.
+        pending = [name for name in checks if name != "lemma1" and name not in failures]
+        if not pending:
+            break
+        found = _instance_failures(SequenceParams(primes, a, b, c), pending)
+        failures.update((name, f"abc={a}{b}{c} {detail}") for name, detail in found.items())
     for name in checks:
-        ok, detail = _check_pair(name, primes)
-        passed += ok
-        line = f"{name} (p={primes.p}, q={primes.q}): " + ("PASS" if ok else f"FAIL ({detail})")
-        print(line)
+        verdict = f"FAIL ({failures[name]})" if name in failures else "PASS"
+        print(f"{name} (p={primes.p}, q={primes.q}): {verdict}")
+    passed = len(checks) - len(failures)
     print(f"{passed}/{len(checks)} checks pass")
-    return 0 if passed == len(checks) else 2
+    return 0 if not failures else 2
 
 
 @dataclass(frozen=True)
@@ -264,24 +282,16 @@ def run_sweep(spec: SweepSpec):
     """Rows sorted by (p, q, abc-as-integer); returns (rows, failing_row_count)."""
     rows = []
     failing = 0
+    triple_checks = [name for name in spec.checks if name != "lemma1"]
     for primes in spec.pairs:
-        lemma1_ok = gr.verify_lemma1(primes).ok if "lemma1" in spec.checks else None
+        lemma1_failed = "lemma1" in spec.checks and bool(_lemma1_failure(primes))
         for a, b, c in spec.triples:
             params = SequenceParams(primes, a, b, c)
             profile = ac.distribution(params)
             report = adic.complexity_report(params)
-            passed = 0
-            for name in spec.checks:
-                if name == "theorem1":
-                    ok = ac.verify_theorem1(params).ok
-                elif name == "lemma1":
-                    ok = lemma1_ok
-                elif name == "theorem2":
-                    ok = report.closed_form_consistent
-                else:
-                    ok = gr.verify_correlation_identity(params).ok
-                passed += ok
-            if passed < len(spec.checks):
+            failed = lemma1_failed + len(_instance_failures(params, triple_checks, report))
+            passed = len(spec.checks) - failed
+            if failed:
                 failing += 1
             rows.append({
                 "p": primes.p, "q": primes.q, "a": a, "b": b, "c": c,

@@ -1,9 +1,19 @@
 """Exact arithmetic in the integer group ring Z[Gamma], Gamma cyclic of order n.
 
-Elements are dense coefficient vectors indexed by exponent; multiplication is
-cyclic convolution (reduction mod x**n - 1) and sigma is the support-inverting
-map x**k -> x**(n-k). Coefficients are arbitrary-precision Python ints; a
-64-bit fast path is used only when a proven bound rules out overflow.
+Two representations of the same ring:
+
+* Dense (``GroupRingElement``, ``mul``): the algebra API. Elements are
+  coefficient vectors indexed by exponent; multiplication is cyclic
+  convolution (reduction mod x**n - 1) and sigma is the support-inverting map
+  x**k -> x**(n-k). Coefficients are arbitrary-precision Python ints; a
+  64-bit fast path is used only when a proven bound rules out overflow. A
+  product costs O(n**2). The tests use this route as the oracle.
+* CRT tensor form (``CrtElement``): Z[Z_pq] is isomorphic to
+  Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q). Every
+  object of the correlation theorem is a sum of at most four rank-1 terms
+  c * (u (x) v) there, so a product is a handful of cyclic convolutions of
+  length p and q. ``verify_lemma1`` and ``verify_correlation_identity`` run
+  through this form and densify each result once for the comparisons.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -14,11 +24,13 @@ This matches the algebraic role of each object: gauss_gp squares to
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import SequenceParams, generate, sign_view
+from .sequence import (BinarySequence, SequenceParams, generate, residue_table,
+                       sign_view)
 from . import autocorr as _autocorr
 
 _INT64_SAFE = 1 << 62
@@ -182,6 +194,147 @@ def gauss_gq(primes: OddPrimePair) -> GroupRingElement:
     return GroupRingElement(primes.n, coeffs)
 
 
+def _cyclic_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cyclic convolution of two int64 vectors of one length r."""
+    r = len(u)
+    full = np.convolve(u, v)
+    out = full[:r].copy()
+    out[: r - 1] += full[r:]
+    return out
+
+
+def _reverse(u: np.ndarray) -> np.ndarray:
+    """u[-i mod r]: sigma on one tensor factor."""
+    return np.roll(u[::-1], 1)
+
+
+class CrtElement:
+    """Element of Z[Z_p] (x) Z[Z_q] as a sum of rank-1 terms c * (u (x) v).
+
+    ``terms`` holds (c, u, v): c a Python int, u an int64 vector over Z_p,
+    v one over Z_q. Every element built in this module has coefficients
+    bounded by a small multiple of n, so int64 arithmetic is exact.
+    """
+
+    __slots__ = ("primes", "terms")
+
+    def __init__(self, primes: OddPrimePair, terms=()):
+        self.primes = primes
+        self.terms = tuple(terms)
+
+    def __add__(self, other: "CrtElement") -> "CrtElement":
+        return CrtElement(self.primes, self.terms + other.terms)
+
+    def __sub__(self, other: "CrtElement") -> "CrtElement":
+        return self + -1 * other
+
+    def __rmul__(self, k: int) -> "CrtElement":
+        return CrtElement(self.primes, [(k * c, u, v) for c, u, v in self.terms])
+
+    def __mul__(self, other: "CrtElement") -> "CrtElement":
+        """Ring product: (u (x) v)(x (x) y) = (u*x) (x) (v*y), termwise."""
+        return CrtElement(self.primes, [(c * d, _cyclic_mul(u, x), _cyclic_mul(v, y))
+                                        for c, u, v in self.terms
+                                        for d, x, y in other.terms])
+
+    def sigma(self) -> "CrtElement":
+        """x**k -> x**(-k), which reverses each factor."""
+        return CrtElement(self.primes, [(c, _reverse(u), _reverse(v))
+                                        for c, u, v in self.terms])
+
+    def dense(self) -> np.ndarray:
+        """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q)."""
+        p, q = self.primes.p, self.primes.q
+        grid = np.zeros((p, q), dtype=np.int64)
+        for c, u, v in self.terms:
+            grid += np.multiply.outer(c * u, v)
+        # k mod p and k mod q for k in [0, n), as flat indices into the grid
+        return grid.ravel()[np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)]
+
+
+class CrtBlocks(NamedTuple):
+    """The building blocks of the correlation theorem in CRT tensor form."""
+
+    one: CrtElement       # delta_0 (x) delta_0
+    gamma_p: CrtElement   # delta_0 (x) J_q
+    gamma_q: CrtElement   # J_p (x) delta_0
+    total: CrtElement     # J_p (x) J_q, the sum over the whole group
+    gauss_gp: CrtElement  # chi_p (x) delta_0
+    gauss_gq: CrtElement  # delta_0 (x) chi_q
+
+
+def crt_blocks(primes: OddPrimePair) -> CrtBlocks:
+    """The six blocks for one pair; chi_r is ``residue_table(r)``."""
+    p, q = primes.p, primes.q
+    delta_p, delta_q = np.zeros(p, dtype=np.int64), np.zeros(q, dtype=np.int64)
+    delta_p[0] = delta_q[0] = 1
+    ones_p, ones_q = np.ones(p, dtype=np.int64), np.ones(q, dtype=np.int64)
+    chi_p = residue_table(p).astype(np.int64)
+    chi_q = residue_table(q).astype(np.int64)
+
+    def rank1(u, v):
+        return CrtElement(primes, [(1, u, v)])
+
+    return CrtBlocks(rank1(delta_p, delta_q), rank1(delta_p, ones_q),
+                     rank1(ones_p, delta_q), rank1(ones_p, ones_q),
+                     rank1(chi_p, delta_q), rank1(delta_p, chi_q))
+
+
+def crt_lemma1(primes: OddPrimePair) -> tuple:
+    """(name, left side, right side) of each of the five Lemma-1 identities:
+
+    gauss_gp**2 == (-1/p) * (p*one - gamma_q)
+    gauss_gq**2 == (-1/q) * (q*one - gamma_p)
+    gamma_p * gauss_gq == 0,  gamma_q * gauss_gp == 0
+    gamma_p * gamma_q == sum over the whole group
+    """
+    p, q = primes.p, primes.q
+    b = crt_blocks(primes)
+    zero_ = CrtElement(primes)
+    return (
+        ("gauss_gp_squared", b.gauss_gp * b.gauss_gp,
+         legendre(-1, p) * (p * b.one - b.gamma_q)),
+        ("gauss_gq_squared", b.gauss_gq * b.gauss_gq,
+         legendre(-1, q) * (q * b.one - b.gamma_p)),
+        ("gamma_p_times_gauss_gq", b.gamma_p * b.gauss_gq, zero_),
+        ("gamma_q_times_gauss_gp", b.gamma_q * b.gauss_gp, zero_),
+        ("gamma_p_times_gamma_q", b.gamma_p * b.gamma_q, b.total),
+    )
+
+
+def _e(params: SequenceParams) -> int:
+    return (-1) ** params.c - (-1) ** params.a - (-1) ** params.b
+
+
+def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> tuple:
+    """(h, S) with h = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q and
+    S = h + gauss_gp * gauss_gq, the sign polynomial of S(a, b, c)."""
+    h = (_e(params) * blocks.one
+         + (-1) ** params.a * blocks.gamma_p
+         + (-1) ** params.b * blocks.gamma_q)
+    return h, h + blocks.gauss_gp * blocks.gauss_gq
+
+
+def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
+    """The expanded form of sigma(S)*S."""
+    p, q = params.p, params.q
+    e = _e(params)
+    chi_minus1 = legendre(-1, p) * legendre(-1, q)
+    return ((p * q + e * e) * blocks.one
+            + (q - p + 2 * e * (-1) ** params.a) * blocks.gamma_p
+            + (p - q + 2 * e * (-1) ** params.b) * blocks.gamma_q
+            + (1 + 2 * (-1) ** (params.a + params.b)) * blocks.total
+            + (e * (1 + chi_minus1)) * (blocks.gauss_gp * blocks.gauss_gq))
+
+
+def _checked_signs(s: CrtElement, seq: BinarySequence) -> np.ndarray:
+    """S densified, cross-checked coefficientwise against the sequence."""
+    dense = s.dense()
+    if not np.array_equal(dense, sign_view(seq)):
+        raise RuntimeError("sign polynomial decomposition does not match the sequence")
+    return dense
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
@@ -192,12 +345,12 @@ class IdentityCheck:
         return self.ok
 
 
-def _compare(name: str, got: GroupRingElement, want: GroupRingElement) -> IdentityCheck:
-    diff = np.nonzero(got.coeffs != want.coeffs)[0]
+def _compare(name: str, got: np.ndarray, want: np.ndarray) -> IdentityCheck:
+    diff = np.flatnonzero(got != want)
     if len(diff) == 0:
         return IdentityCheck(name, True)
     k = int(diff[0])
-    return IdentityCheck(name, False, (k, int(got.coeffs[k]), int(want.coeffs[k])))
+    return IdentityCheck(name, False, (k, int(got[k]), int(want[k])))
 
 
 @dataclass(frozen=True)
@@ -216,25 +369,10 @@ class Lemma1Report:
 
 
 def verify_lemma1(primes: OddPrimePair) -> Lemma1Report:
-    """Coefficient-exact check of the five structural product identities:
-
-    gauss_gp**2 == (-1/p) * (p*one - gamma_q)
-    gauss_gq**2 == (-1/q) * (q*one - gamma_p)
-    gamma_p * gauss_gq == 0,  gamma_q * gauss_gp == 0
-    gamma_p * gamma_q == sum over the whole group
-    """
-    p, q, n = primes.p, primes.q, primes.n
-    gp, gq = gauss_gp(primes), gauss_gq(primes)
-    cp, cq = gamma_p(primes), gamma_q(primes)
-    e1 = one(n)
-    checks = (
-        _compare("gauss_gp_squared", mul(gp, gp), legendre(-1, p) * (p * e1 - cq)),
-        _compare("gauss_gq_squared", mul(gq, gq), legendre(-1, q) * (q * e1 - cp)),
-        _compare("gamma_p_times_gauss_gq", mul(cp, gq), zero(n)),
-        _compare("gamma_q_times_gauss_gp", mul(cq, gp), zero(n)),
-        _compare("gamma_p_times_gamma_q", mul(cp, cq), gamma_total(n)),
-    )
-    return Lemma1Report(checks)
+    """Coefficient-exact check of the five structural product identities of
+    ``crt_lemma1``."""
+    return Lemma1Report(tuple(_compare(name, lhs.dense(), rhs.dense())
+                              for name, lhs, rhs in crt_lemma1(primes)))
 
 
 @dataclass(frozen=True)
@@ -252,17 +390,13 @@ class Decomposition:
 def build_decomposition(params: SequenceParams) -> Decomposition:
     """Assemble the structured form of the sign polynomial and cross-check it
     coefficientwise against the generated sequence."""
-    primes = params.primes
-    e = (-1) ** params.c - (-1) ** params.a - (-1) ** params.b
-    gp, gq = gauss_gp(primes), gauss_gq(primes)
-    h = (e * one(primes.n)
-         + (-1) ** params.a * gamma_p(primes)
-         + (-1) ** params.b * gamma_q(primes))
-    s = h + mul(gp, gq)
-    signs = sign_view(generate(params))
-    if not np.array_equal(s.coeffs.astype(np.int64), signs):
-        raise RuntimeError("sign polynomial decomposition does not match the sequence")
-    return Decomposition(params, e, h, gp, gq, s)
+    blocks = crt_blocks(params.primes)
+    h, s = crt_sign_form(params, blocks)
+    signs = _checked_signs(s, generate(params))
+    n = params.n
+    return Decomposition(params, _e(params), element(n, h.dense()),
+                         element(n, blocks.gauss_gp.dense()),
+                         element(n, blocks.gauss_gq.dense()), element(n, signs))
 
 
 @dataclass(frozen=True)
@@ -280,32 +414,37 @@ class CorrelationIdentityCheck:
 
 def expanded_product_form(params: SequenceParams) -> GroupRingElement:
     """The expanded form of sigma(S)*S as an explicit ring element."""
-    primes = params.primes
-    p, q, n = primes.p, primes.q, primes.n
-    e = (-1) ** params.c - (-1) ** params.a - (-1) ** params.b
-    chi_minus1 = legendre(-1, p) * legendre(-1, q)
-    return ((p * q + e * e) * one(n)
-            + (q - p + 2 * e * (-1) ** params.a) * gamma_p(primes)
-            + (p - q + 2 * e * (-1) ** params.b) * gamma_q(primes)
-            + (1 + 2 * (-1) ** (params.a + params.b)) * gamma_total(n)
-            + (e * (1 + chi_minus1)) * mul(gauss_gp(primes), gauss_gq(primes)))
+    expanded = crt_expanded_form(params, crt_blocks(params.primes))
+    return element(params.n, expanded.dense())
 
 
-def verify_correlation_identity(params: SequenceParams) -> CorrelationIdentityCheck:
+def verify_correlation_identity(params: SequenceParams,
+                                seq: "BinarySequence | None" = None,
+                                emp: "np.ndarray | None" = None) -> CorrelationIdentityCheck:
     """Check that the group-ring product, its expanded form, the empirical
-    autocorrelation, and the per-class closed form all agree at every shift."""
-    dec = build_decomposition(params)
-    product = mul(invert_support(dec.s), dec.s)
-    expanded = expanded_product_form(params)
-    emp = _autocorr.empirical_profile(generate(params))
+    autocorrelation, and the per-class closed form all agree at every shift.
+
+    A caller that already holds ``seq = generate(params)`` and
+    ``emp = empirical_profile(seq)`` passes them in, so neither is rebuilt.
+    """
+    if seq is None:
+        seq = generate(params)
+    elif seq.params != params:
+        raise ValueError("the sequence was built from other parameters")
+    blocks = crt_blocks(params.primes)
+    _, s = crt_sign_form(params, blocks)
+    _checked_signs(s, seq)
+    product = (s.sigma() * s).dense()
+    expanded = crt_expanded_form(params, blocks).dense()
+    if emp is None:
+        emp = _autocorr.empirical_profile(seq)
     closed = _autocorr.closed_form_profile(params)
 
     failures = []
-    prod64 = product.coeffs.astype(np.int64)
-    if product != expanded:
+    if not np.array_equal(product, expanded):
         failures.append("product_vs_expanded")
-    if not np.array_equal(prod64, emp):
+    if not np.array_equal(product, emp):
         failures.append("product_vs_empirical")
-    if not np.array_equal(prod64, closed):
+    if not np.array_equal(product, closed):
         failures.append("product_vs_closed_form")
     return CorrelationIdentityCheck(not failures, tuple(failures))

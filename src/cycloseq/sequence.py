@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numtheory import OddPrimePair, legendre
+from .numtheory import OddPrimePair, is_odd_prime
 
 
 class ResidueClass(Enum):
@@ -79,10 +79,17 @@ def classify(lam: int, primes: OddPrimePair) -> ResidueClass:
 
 
 def residue_table(r: int) -> np.ndarray:
-    """Legendre symbols (k/r) for k in [0, r) as an int8 array."""
-    table = np.empty(r, dtype=np.int8)
-    for k in range(r):
-        table[k] = legendre(k, r)
+    """Legendre symbols (k/r) for k in [0, r) as an int8 array.
+
+    Built from the set of nonzero squares mod r, so it costs O(r) with no
+    per-element symbol evaluation. r must be an odd prime.
+    """
+    if not is_odd_prime(r):
+        raise ValueError("modulus of a Legendre symbol must be an odd prime")
+    table = np.full(r, -1, dtype=np.int8)
+    k = np.arange(1, r, dtype=np.int64)
+    table[k * k % r] = 1
+    table[0] = 0
     return table
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,12 @@ def test_bits_to_int():
     assert bits_to_int([1, 0, 1]) == 5
     assert bits_to_int([0, 0, 0, 1]) == 8
     assert bits_to_int(np.ones(15, dtype=np.uint8)) == 32767
+    rng = np.random.default_rng(20261018)
+    for length in (1, 7, 9, 15, 63, 1001, 4099):
+        bits = rng.integers(0, 2, size=length, dtype=np.uint8)
+        want = sum(int(b) << i for i, b in enumerate(bits))
+        assert bits_to_int(bits) == want, length
+        assert s2(bits) == (mersenne(length) - 2 * want) % mersenne(length), length
 
 
 def test_bit_vector_validation():
@@ -46,6 +57,20 @@ def test_degenerate_bit_vectors():
     assert d_exact(ones) == 32767
     assert t2(zeros) == 0
     assert d_exact(zeros) == 32767
+
+
+def test_d_exact_check_survives_optimisation():
+    # Under python -O an assert would vanish; the S(2) check must still raise.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import cycloseq.adic as adic\n"
+            "adic.s2 = lambda bits: 1\n"
+            "adic.d_exact([1, 0, 1, 1, 0, 0, 0])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "RuntimeError: 2*T(2) + S(2) is not divisible by 2**n - 1" in proc.stderr
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7), (3, 13)])

@@ -276,3 +276,21 @@ def test_sweep_deterministic_output(tmp_path, capsys):
     # file content matches the stdout rendering of the same invocation
     rc3, out3, _ = run(capsys, "sweep", "--max-n", "60")
     assert first.read_text() == out3
+
+
+def test_verify_frozen_stdout(capsys):
+    rc, out, _ = run(capsys, "verify", "--p", "3", "--q", "17")
+    assert rc == 2
+    assert out == ("theorem1 (p=3, q=17): PASS\n"
+                   "lemma1 (p=3, q=17): PASS\n"
+                   "theorem2 (p=3, q=17): FAIL (abc=001 d != max(d_p, d_q); "
+                   "min(d_p, d_q) != 1)\n"
+                   "correlation_identity (p=3, q=17): PASS\n"
+                   "3/4 checks pass\n")
+    rc, out, _ = run(capsys, "verify", "--p", "3", "--q", "17",
+                     "--check", "theorem2,correlation_identity")
+    assert rc == 2
+    assert out == ("theorem2 (p=3, q=17): FAIL (abc=001 d != max(d_p, d_q); "
+                   "min(d_p, d_q) != 1)\n"
+                   "correlation_identity (p=3, q=17): PASS\n"
+                   "1/2 checks pass\n")

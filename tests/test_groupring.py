@@ -3,15 +3,18 @@ import random
 import numpy as np
 import pytest
 
+import cycloseq.autocorr as _autocorr
+import cycloseq.groupring as gr
 from cycloseq.groupring import (CorrelationIdentityCheck, GroupRingElement,
-                                build_decomposition, dump, element,
-                                expanded_product_form, gamma_p, gamma_q,
-                                gamma_total, gauss_gp, gauss_gq,
+                                build_decomposition, crt_blocks,
+                                crt_expanded_form, crt_lemma1, crt_sign_form,
+                                dump, element, expanded_product_form, gamma_p,
+                                gamma_q, gamma_total, gauss_gp, gauss_gq,
                                 invert_support, monomial, mul, one,
                                 verify_correlation_identity, verify_lemma1,
                                 zero)
-from cycloseq.numtheory import OddPrimePair, legendre
-from cycloseq.sequence import SequenceParams
+from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
+from cycloseq.sequence import SequenceParams, generate, residue_table, sign_view
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -29,6 +32,32 @@ def _oracle_mul(u, v):
             k = (i + j) % n
             acc[k] = acc.get(k, 0) + ci * cj
     return element(n, [acc.get(k, 0) for k in range(n)])
+
+
+def _dense_lemma1(primes, gp, gq):
+    # (name, product, right side) of each Lemma-1 identity in the dense ring
+    p, q, n = primes.p, primes.q, primes.n
+    cp, cq = gamma_p(primes), gamma_q(primes)
+    return [
+        ("gauss_gp_squared", mul(gp, gp), legendre(-1, p) * (p * one(n) - cq)),
+        ("gauss_gq_squared", mul(gq, gq), legendre(-1, q) * (q * one(n) - cp)),
+        ("gamma_p_times_gauss_gq", mul(cp, gq), zero(n)),
+        ("gamma_q_times_gauss_gp", mul(cq, gp), zero(n)),
+        ("gamma_p_times_gamma_q", mul(cp, cq), gamma_total(n)),
+    ]
+
+
+def _dense_verdicts(primes, gp, gq):
+    # (name, ok, first_diff) per identity, as verify_lemma1 reports them
+    verdicts = []
+    for name, got, want in _dense_lemma1(primes, gp, gq):
+        diff = np.flatnonzero(got.coeffs != want.coeffs)
+        if len(diff) == 0:
+            verdicts.append((name, True, None))
+        else:
+            k = int(diff[0])
+            verdicts.append((name, False, (k, int(got.coeffs[k]), int(want.coeffs[k]))))
+    return verdicts
 
 
 def _random_element(rng, n, lo, hi):
@@ -219,3 +248,54 @@ def test_correlation_identity_samples(p, q):
         check = verify_correlation_identity(SequenceParams.of(p, q, a, b, c))
         assert isinstance(check, CorrelationIdentityCheck)
         assert bool(check), (p, q, a, b, c, check.failures)
+
+
+def test_crt_route_matches_dense_ring_on_every_pair():
+    # Differential test: every tensor-form product the checks use equals the
+    # dense O(n**2) product, coefficient by coefficient, for all pq <= 1000.
+    for primes in odd_prime_pairs(1000):
+        n = primes.n
+        dense = {name: (got, want) for name, got, want
+                 in _dense_lemma1(primes, gauss_gp(primes), gauss_gq(primes))}
+        for name, lhs, rhs in crt_lemma1(primes):
+            got, want = dense[name]
+            assert lhs.dense().tolist() == got.coeffs.tolist(), (primes, name)
+            assert rhs.dense().tolist() == want.coeffs.tolist(), (primes, name)
+        blocks = crt_blocks(primes)
+        for a, b, c in ALL_TRIPLES:
+            params = SequenceParams(primes, a, b, c)
+            _, s = crt_sign_form(params, blocks)
+            s_dense = element(n, sign_view(generate(params)))
+            assert s.dense().tolist() == s_dense.coeffs.tolist(), (primes, a, b, c)
+            want = mul(invert_support(s_dense), s_dense).coeffs.tolist()
+            assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
+            assert crt_expanded_form(params, blocks).dense().tolist() == want
+
+
+def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
+    primes, k0 = OddPrimePair(5, 7), 2
+
+    def flipped(r):
+        table = residue_table(r)
+        if r == primes.p:
+            table[k0] = -table[k0]
+        return table
+
+    monkeypatch.setattr(gr, "residue_table", flipped)
+    report = verify_lemma1(primes)
+    gp = gauss_gp(primes).coeffs.copy()
+    exp = next(j * primes.q for j in range(1, primes.p) if j * primes.q % primes.p == k0)
+    gp[exp] = -gp[exp]
+    want = _dense_verdicts(primes, element(primes.n, gp), gauss_gq(primes))
+    assert [(c.name, c.ok, c.first_diff) for c in report.checks] == want
+    assert not report.ok
+    assert report.failed()[0].name == "gauss_gp_squared"
+
+
+def test_correlation_identity_takes_the_callers_sequence():
+    params = SequenceParams.of(5, 7, 0, 1, 1)
+    seq = generate(params)
+    emp = _autocorr.empirical_profile(seq)
+    assert verify_correlation_identity(params, seq, emp).ok
+    with pytest.raises(ValueError, match="other parameters"):
+        verify_correlation_identity(SequenceParams.of(5, 7, 1, 1, 1), seq, emp)

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
+from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
+                                odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, ResidueClass, SequenceParams,
                                as_json_dict, bitstring, classify, from_bitstring,
-                               from_json, generate, sign_view, to_json,
-                               unit_character)
+                               from_json, generate, residue_table, sign_view,
+                               to_json, unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -83,6 +84,16 @@ def test_partition_sizes_large_pair():
     assert int((on_p & ~on_q).sum()) == pair.q - 1
     assert int((~on_p & on_q).sum()) == pair.p - 1
     assert int((~on_p & ~on_q).sum()) == (pair.p - 1) * (pair.q - 1)
+
+
+def test_residue_table_matches_legendre():
+    for r in odd_primes_up_to(999):
+        table = residue_table(r)
+        assert table.dtype == np.int8
+        assert table.tolist() == [legendre(k, r) for k in range(r)], r
+    for bad in (1, 2, 9, 15):
+        with pytest.raises(ValueError, match="odd prime"):
+            residue_table(bad)
 
 
 def test_unit_character_balance():
