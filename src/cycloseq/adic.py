@@ -67,8 +67,11 @@ def s2(seq_or_bits) -> int:
 
 
 def d_exact(seq_or_bits) -> int:
-    """d = gcd(T(2), 2**n - 1), with S(2) checked against 2*T(2) + S(2) == 0
-    mod 2**n - 1; 2 is a unit there, so gcd(S(2), 2**n - 1) is the same d."""
+    """d = gcd(T(2), 2**n - 1).
+
+    Raises RuntimeError unless 2*T(2) + S(2) == 0 mod 2**n - 1, the
+    congruence that makes gcd(S(2), 2**n - 1) the same d (2 is a unit).
+    """
     bits = _bits_of(seq_or_bits)
     m = mersenne(len(bits))
     t = t2(bits)

@@ -198,14 +198,13 @@ def _cyclic_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cyclic convolution of two int64 vectors of one length r."""
     r = len(u)
     full = np.convolve(u, v)
-    out = full[:r].copy()
-    out[: r - 1] += full[r:]
-    return out
+    full[: r - 1] += full[r:]
+    return full[:r]
 
 
 def _reverse(u: np.ndarray) -> np.ndarray:
     """u[-i mod r]: sigma on one tensor factor."""
-    return np.roll(u[::-1], 1)
+    return np.concatenate((u[:1], u[:0:-1]))
 
 
 class CrtElement:
@@ -245,9 +244,10 @@ class CrtElement:
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q)."""
         p, q = self.primes.p, self.primes.q
-        grid = np.zeros((p, q), dtype=np.int64)
-        for c, u, v in self.terms:
-            grid += np.multiply.outer(c * u, v)
+        coeffs = np.array([c for c, _, _ in self.terms], dtype=np.int64)
+        us = np.array([u for _, u, _ in self.terms], dtype=np.int64).reshape(-1, p)
+        vs = np.array([v for _, _, v in self.terms], dtype=np.int64).reshape(-1, q)
+        grid = (coeffs[:, None] * us).T @ vs  # sum of c * outer(u, v)
         # k mod p and k mod q for k in [0, n), as flat indices into the grid
         return grid.ravel()[np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)]
 
