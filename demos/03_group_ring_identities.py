@@ -10,8 +10,8 @@ the coefficients of sigma(S) * S where sigma maps x**k to x**(-k).
 
 from cycloseq import (SequenceParams, build_decomposition, dump,
                       expanded_product_form, gamma_p, gamma_q, gauss_gp,
-                      gauss_gq, invert_support, mul, verify_correlation_identity,
-                      verify_lemma1)
+                      gauss_gq, invert_support, mul, verify_correlation_identity)
+from cycloseq.groupring import crt_lemma1
 from cycloseq.numtheory import OddPrimePair
 
 primes = OddPrimePair(3, 5)
@@ -27,10 +27,11 @@ print("gauss_gq =", dump(gauss_gq(primes)).replace("\n", ", "))
 square = mul(gauss_gp(primes), gauss_gp(primes))
 print("gauss_gp squared =", dump(square).replace("\n", ", "))
 
-# the five structural identities, checked coefficient by coefficient
-report = verify_lemma1(primes)
-for check in report.checks:
-    print(f"  {check.name:24s} {'ok' if check.ok else 'FAILED'}")
+# the five structural identities, checked coefficient by coefficient in
+# the CRT tensor form (verify_lemma1 runs the same comparison)
+for name, lhs, rhs in crt_lemma1(primes):
+    ok = not (lhs - rhs).dense().any()
+    print(f"  {name:24s} {'ok' if ok else 'FAILED'}")
 
 # the sign polynomial of S(a, b, c) decomposes over these blocks:
 # S = e + (-1)**a gamma_p + (-1)**b gamma_q + gauss_gp * gauss_gq

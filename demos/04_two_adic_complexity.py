@@ -9,14 +9,15 @@ the stream. The gcd factors through the two primes: d = gcd with 2**p - 1
 times gcd with 2**q - 1, and both factors have tiny closed forms.
 """
 
-from cycloseq import (SequenceParams, best_value_predicate, complexity_report,
-                      d_exact, dp_closed, dq_closed, generate, mersenne, s2, t2)
+from cycloseq import (SequenceParams, best_value_predicate, bits_to_int,
+                      complexity_report, d_exact, dp_closed, dq_closed, generate,
+                      mersenne, s2)
 from cycloseq.numtheory import OddPrimePair
 
 # the flagship case: d = 1, so the complexity is the maximum possible
 params = SequenceParams.of(3, 5, 1, 0, 0)
 seq = generate(params)
-print("T(2)  =", t2(seq))
+print("T(2)  =", bits_to_int(seq))
 print("S(2)  =", s2(seq))
 print("2^n-1 =", mersenne(seq.n))
 print("d     =", d_exact(seq))

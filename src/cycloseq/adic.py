@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import OddPrimePair, gcd_big
-from .sequence import BinarySequence, SequenceParams, generate
+from .numtheory import OddPrimePair
+from .sequence import BinarySequence, CheckResult, SequenceParams, generate
 
 
 def mersenne(n: int) -> int:
@@ -47,14 +47,9 @@ def _bits_of(seq_or_bits) -> np.ndarray:
 
 
 def bits_to_int(seq_or_bits) -> int:
-    """sum of bits[lam] * 2**lam as one big integer."""
+    """T(2) = sum of bits[lam] * 2**lam: the period word as one big integer."""
     bits = _bits_of(seq_or_bits)
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def t2(seq_or_bits) -> int:
-    """T(2): the period word read as a base-2 integer, position lam at weight 2**lam."""
-    return bits_to_int(seq_or_bits)
 
 
 def s2(seq_or_bits) -> int:
@@ -74,22 +69,22 @@ def d_exact(seq_or_bits) -> int:
     """
     bits = _bits_of(seq_or_bits)
     m = mersenne(len(bits))
-    t = t2(bits)
+    t = bits_to_int(bits)
     if (2 * t + s2(bits)) % m != 0:
         raise RuntimeError("2*T(2) + S(2) is not divisible by 2**n - 1")
-    return gcd_big(t, m)
+    return math.gcd(t, m)
 
 
 def dp_closed(params: SequenceParams) -> int:
     """Closed form for gcd(S(2), 2**p - 1)."""
     arg = params.q - 1 + (-1) ** (params.a + params.c) - (-1) ** (params.a + params.b)
-    return gcd_big(arg, mersenne(params.p))
+    return math.gcd(arg, mersenne(params.p))
 
 
 def dq_closed(params: SequenceParams) -> int:
     """Closed form for gcd(S(2), 2**q - 1); see the module caution on p = 3."""
     arg = params.p - 1 + (-1) ** (params.b + params.c) - (-1) ** (params.a + params.b)
-    return gcd_big(arg, mersenne(params.q))
+    return math.gcd(arg, mersenne(params.q))
 
 
 def d_star(seq: BinarySequence) -> int:
@@ -97,10 +92,13 @@ def d_star(seq: BinarySequence) -> int:
 
     Equals 1 for every valid parameter set; the smallest admissible period is
     n = 15, which is exactly the edge the cofactor argument needs.
+    ``complexity_report`` gets the same value from d; this is its oracle.
     """
-    primes = seq.params.primes
-    cofactor = mersenne(primes.n) // (mersenne(primes.p) * mersenne(primes.q))
-    return gcd_big(s2(seq), cofactor)
+    return math.gcd(s2(seq), _cofactor(seq.params.primes))
+
+
+def _cofactor(primes: OddPrimePair) -> int:
+    return mersenne(primes.n) // (mersenne(primes.p) * mersenne(primes.q))
 
 
 def best_value_predicate(primes: OddPrimePair) -> bool:
@@ -172,15 +170,24 @@ class AdicComplexityReport:
         }
 
 
-def complexity_report(params: SequenceParams) -> AdicComplexityReport:
-    """Compute every quantity exactly and flag closed-form departures."""
-    seq = generate(params)
+def complexity_report(params: SequenceParams,
+                      seq: "BinarySequence | None" = None) -> AdicComplexityReport:
+    """Compute every quantity exactly and flag closed-form departures.
+
+    A caller that already holds ``seq = generate(params)`` passes it in, so
+    it is not rebuilt. The cofactor divides 2**n - 1, so d_star is
+    gcd(d, cofactor): no second n-bit gcd.
+    """
+    if seq is None:
+        seq = generate(params)
+    elif seq.params != params:
+        raise ValueError("the sequence was built from other parameters")
     m = mersenne(params.n)
-    t = t2(seq)
+    t = bits_to_int(seq)
     s = s2(seq)
-    d = gcd_big(t, m)
+    d = math.gcd(t, m)
     dp, dq = dp_closed(params), dq_closed(params)
-    dst = d_star(seq)
+    dst = math.gcd(d, _cofactor(params.primes))
     best = best_value_predicate(params.primes)
 
     deviations = []
@@ -199,22 +206,19 @@ def complexity_report(params: SequenceParams) -> AdicComplexityReport:
                                 best, tuple(deviations))
 
 
-@dataclass(frozen=True)
-class Theorem2Check:
-    """Closed-form oracle-equivalence verdict for one parameter set.
+def verify_theorem2(params: SequenceParams,
+                    report: "AdicComplexityReport | None" = None) -> CheckResult:
+    """Closed-form oracle equivalence: d == max(d_p, d_q), min(d_p, d_q) == 1
+    and d_star == 1. A failed best-value prediction alone does not fail it,
+    but is listed in the detail of a failure with every other deviation.
 
-    ``ok`` covers d == max(d_p, d_q), min(d_p, d_q) == 1 and d_star == 1;
-    the report's ``deviations`` additionally records a failed best-value
-    prediction, which does not gate ``ok``.
+    A caller that already holds ``report = complexity_report(params)``
+    passes it in, so it is not rebuilt.
     """
-
-    ok: bool
-    report: AdicComplexityReport
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_theorem2(params: SequenceParams) -> Theorem2Check:
-    report = complexity_report(params)
-    return Theorem2Check(report.closed_form_consistent, report)
+    if report is None:
+        report = complexity_report(params)
+    elif report.params != params:
+        raise ValueError("the report was built from other parameters")
+    if report.closed_form_consistent:
+        return CheckResult("theorem2", True)
+    return CheckResult("theorem2", False, "; ".join(report.deviations))

@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, ResidueClass, SequenceParams, classify,
-                       generate, sign_view, unit_character)
+from .sequence import (BinarySequence, CheckResult, ResidueClass, SequenceParams,
+                       classify, generate, sign_view, unit_character)
 
 
 class AutocorrelationFamily(Enum):
@@ -79,36 +79,15 @@ def empirical_profile(seq: BinarySequence) -> np.ndarray:
     return np.correlate(doubled, s, mode="valid")
 
 
-def _unit_term(params: SequenceParams) -> tuple[int, int]:
-    # (base, term): unit-shift value is base + term * chi(tau)
-    e = (-1) ** params.c - (-1) ** params.a - (-1) ** params.b
-    base = 1 + 2 * (-1) ** (params.a + params.b)
-    term = e * (1 + legendre(-1, params.p) * legendre(-1, params.q))
-    return base, term
-
-
 def class_values(params: SequenceParams) -> tuple[int, int, int, int]:
     """(P value, Q value, unit value at chi=+1, unit value at chi=-1)."""
     p, q = params.p, params.q
     vp = (q - p) + 2 * (-1) ** (params.a + params.c) - 1
     vq = (p - q) + 2 * (-1) ** (params.b + params.c) - 1
-    base, term = _unit_term(params)
+    # unit-shift value is base + term * chi(tau)
+    base = 1 + 2 * (-1) ** (params.a + params.b)
+    term = params.e * (1 + legendre(-1, p) * legendre(-1, q))
     return vp, vq, base + term, base - term
-
-
-def autocorr_closed_form(params: SequenceParams, tau: int) -> int:
-    """C(tau) from the per-class closed form."""
-    tau %= params.n
-    cls = classify(tau, params.primes)
-    vp, vq, vplus, vminus = class_values(params)
-    if cls is ResidueClass.ZERO:
-        return params.n
-    if cls is ResidueClass.CLASS_P:
-        return vp
-    if cls is ResidueClass.CLASS_Q:
-        return vq
-    chi = legendre(tau, params.p) * legendre(tau, params.q)
-    return vplus if chi == 1 else vminus
 
 
 def closed_form_profile(params: SequenceParams) -> np.ndarray:
@@ -137,26 +116,23 @@ def _classify_family(nontrivial_values: set) -> AutocorrelationFamily:
     return AutocorrelationFamily.OTHER
 
 
-def distribution(params: SequenceParams, method: str = "closed") -> AutocorrelationProfile:
+def distribution(params: SequenceParams,
+                 emp: "np.ndarray | None" = None) -> AutocorrelationProfile:
     """Full autocorrelation profile.
 
-    method="closed" evaluates the per-class closed form in O(1) per class;
-    method="empirical" recomputes every shift from the sequence itself and
-    serves as the oracle path.
+    By default the class values come from the per-class closed form in O(1)
+    per class. A caller that holds ``emp = empirical_profile(generate(params))``
+    passes it in, and the values are read from it instead: the oracle path.
     """
-    if method not in ("closed", "empirical"):
-        raise ValueError("method must be 'closed' or 'empirical'")
     p, q, n = params.p, params.q, params.n
-
-    if method == "empirical":
-        prof = empirical_profile(generate(params))
-        chi = unit_character(params.primes)
-        vp = _constant_over(prof, _p_mask(params))
-        vq = _constant_over(prof, _q_mask(params))
-        vplus = _constant_over(prof, chi == 1)
-        vminus = _constant_over(prof, chi == -1)
-    else:
+    if emp is None:
         vp, vq, vplus, vminus = class_values(params)
+    elif emp.shape != (n,):
+        raise ValueError(f"expected {n} autocorrelation values, got {emp.shape}")
+    else:
+        chi = unit_character(params.primes)
+        vp, vq = _constant_over(emp[p::p]), _constant_over(emp[q::q])
+        vplus, vminus = _constant_over(emp[chi == 1]), _constant_over(emp[chi == -1])
 
     counts: dict = {n: 1}
     _tally(counts, vp, q - 1)
@@ -174,40 +150,15 @@ def _tally(counts: dict, value: int, k: int) -> None:
     counts[value] = counts.get(value, 0) + k
 
 
-def _p_mask(params: SequenceParams) -> np.ndarray:
-    lam = np.arange(params.n)
-    mask = lam % params.p == 0
-    mask[0] = False
-    return mask
-
-
-def _q_mask(params: SequenceParams) -> np.ndarray:
-    lam = np.arange(params.n)
-    mask = lam % params.q == 0
-    mask[0] = False
-    return mask
-
-
-def _constant_over(prof: np.ndarray, mask: np.ndarray) -> int:
-    vals = np.unique(prof[mask])
+def _constant_over(values: np.ndarray) -> int:
+    vals = np.unique(values)
     if len(vals) != 1:
         raise ValueError(f"class carries several autocorrelation values: {vals.tolist()}")
     return int(vals[0])
 
 
-@dataclass(frozen=True)
-class Theorem1Check:
-    """Result of comparing empirical against closed-form values at all shifts."""
-
-    ok: bool
-    first_mismatch: "tuple | None" = None  # (tau, empirical, closed)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def verify_theorem1(params: SequenceParams,
-                    emp: "np.ndarray | None" = None) -> Theorem1Check:
+                    emp: "np.ndarray | None" = None) -> CheckResult:
     """Compare autocorrelation routes at every shift of one period.
 
     A caller that already holds ``emp = empirical_profile(generate(params))``
@@ -218,9 +169,10 @@ def verify_theorem1(params: SequenceParams,
     closed = closed_form_profile(params)
     bad = np.nonzero(emp != closed)[0]
     if len(bad) == 0:
-        return Theorem1Check(True)
+        return CheckResult("theorem1", True)
     tau = int(bad[0])
-    return Theorem1Check(False, (tau, int(emp[tau]), int(closed[tau])))
+    return CheckResult("theorem1", False,
+                       f"tau={tau} empirical={int(emp[tau])} closed={int(closed[tau])}")
 
 
 def profile_as_json_dict(profile: AutocorrelationProfile) -> dict:

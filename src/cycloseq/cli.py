@@ -4,6 +4,13 @@ Subcommands: generate, autocorr, adic, verify, sweep. Exit codes: 0 success,
 1 usage/parameter error, 2 at least one theorem check failed. Data files are
 byte-identical across reruns of the same invocation: rows are emitted in
 sorted order and no timestamps or environment details are written.
+
+``verify`` and ``sweep`` run the same checks, those of the ``CHECKS``
+registry: each maps a check name to a function of one ``_Instance`` that
+returns a ``CheckResult``. An instance builds its sequence, empirical
+profile and complexity report on first use, at most once each, and only
+one instance is alive at a time. ``lemma1`` depends on the prime pair
+alone, so it runs once per pair.
 """
 
 import argparse
@@ -12,6 +19,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +28,6 @@ from . import autocorr as ac
 from . import groupring as gr
 from .numtheory import OddPrimePair, odd_prime_pairs
 from .sequence import SequenceParams, as_json_dict, bitstring, generate
-
-CHECK_NAMES = ("theorem1", "lemma1", "theorem2", "correlation_identity")
 
 ALL_TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
 
@@ -95,11 +101,10 @@ def cmd_autocorr(args) -> int:
     params = _params_from(args)
     mode = "both" if args.both else ("empirical" if args.empirical else "closed")
     classes = _class_names(params)
-    profile = ac.distribution(params, method="empirical" if mode == "empirical" else "closed")
-
     emp = closed = None
     if mode in ("empirical", "both"):
         emp = ac.empirical_profile(generate(params))
+    profile = ac.distribution(params, emp if mode == "empirical" else None)
     if mode in ("closed", "both"):
         closed = ac.closed_form_profile(params)
     all_match = bool(np.array_equal(emp, closed)) if mode == "both" else True
@@ -158,45 +163,51 @@ def cmd_adic(args) -> int:
     return 0
 
 
-def _lemma1_failure(primes: OddPrimePair) -> str:
-    """'' when the five Lemma-1 identities hold, else the first failure."""
-    report = gr.verify_lemma1(primes)
-    if report.ok:
-        return ""
-    failed = report.failed()[0]
-    return f"{failed.name} first differs at exponent {failed.first_diff[0]}"
+class _Instance:
+    """One (pair, triple) instance; each piece is built on first use only."""
+
+    def __init__(self, params: SequenceParams):
+        self.params = params
+
+    @cached_property
+    def seq(self):
+        return generate(self.params)
+
+    @cached_property
+    def emp(self):
+        return ac.empirical_profile(self.seq)
+
+    @cached_property
+    def report(self):
+        return adic.complexity_report(self.params, self.seq)
 
 
-def _instance_failures(params: SequenceParams, checks, report=None) -> dict:
-    """Run the named per-triple checks on one instance; name -> failure detail.
+CHECKS = {
+    "theorem1": lambda inst: ac.verify_theorem1(inst.params, inst.emp),
+    "lemma1": lambda inst: gr.verify_lemma1(inst.params.primes),
+    "theorem2": lambda inst: adic.verify_theorem2(inst.params, inst.report),
+    "correlation_identity": lambda inst: gr.verify_correlation_identity(
+        inst.params, inst.seq, inst.emp),
+}
 
-    The sequence and its empirical profile are built once and handed to both
-    theorem1 and correlation_identity. ``report`` is the instance's
-    complexity report when the caller already has it.
+CHECK_NAMES = tuple(CHECKS)
+
+
+def _run_checks(inst: _Instance, checks, pair: dict) -> dict:
+    """name -> CheckResult of the named checks on one instance.
+
+    lemma1 depends on the pair alone: ``pair`` keeps its result from the
+    pair's first triple for the others.
     """
-    seq = emp = None
-    if "theorem1" in checks or "correlation_identity" in checks:
-        seq = generate(params)
-        emp = ac.empirical_profile(seq)
-    failures = {}
+    results = {}
     for name in checks:
-        if name == "theorem1":
-            check = ac.verify_theorem1(params, emp)
-            if not check.ok:
-                tau, empirical, closed = check.first_mismatch
-                failures[name] = f"tau={tau} empirical={empirical} closed={closed}"
-        elif name == "theorem2":
-            if report is None:
-                report = adic.complexity_report(params)
-            if not report.closed_form_consistent:
-                failures[name] = "; ".join(report.deviations)
-        elif name == "correlation_identity":
-            check = gr.verify_correlation_identity(params, seq, emp)
-            if not check.ok:
-                failures[name] = "; ".join(check.failures)
+        if name != "lemma1":
+            results[name] = CHECKS[name](inst)
+        elif name not in pair:
+            results[name] = pair[name] = CHECKS[name](inst)
         else:
-            raise ValueError(f"unknown check: {name}")
-    return failures
+            results[name] = pair[name]
+    return results
 
 
 def _parse_checks(values) -> tuple:
@@ -220,16 +231,14 @@ def cmd_verify(args) -> int:
         checks = CHECK_NAMES
     else:
         checks = _parse_checks(args.check)
-    failures = {}
-    if "lemma1" in checks and (detail := _lemma1_failure(primes)):
-        failures["lemma1"] = detail
+    failures, pair = {}, {}
     for a, b, c in ALL_TRIPLES:
-        # Each check reports its first failing triple and is then dropped.
-        pending = [name for name in checks if name != "lemma1" and name not in failures]
-        if not pending:
-            break
-        found = _instance_failures(SequenceParams(primes, a, b, c), pending)
-        failures.update((name, f"abc={a}{b}{c} {detail}") for name, detail in found.items())
+        inst = _Instance(SequenceParams(primes, a, b, c))
+        # Each check reports its first failing triple; lemma1 has none.
+        for name, result in _run_checks(inst, checks, pair).items():
+            if not result and name not in failures:
+                where = "" if name == "lemma1" else f"abc={a}{b}{c} "
+                failures[name] = where + result.detail
     for name in checks:
         verdict = f"FAIL ({failures[name]})" if name in failures else "PASS"
         print(f"{name} (p={primes.p}, q={primes.q}): {verdict}")
@@ -282,17 +291,14 @@ def run_sweep(spec: SweepSpec):
     """Rows sorted by (p, q, abc-as-integer); returns (rows, failing_row_count)."""
     rows = []
     failing = 0
-    triple_checks = [name for name in spec.checks if name != "lemma1"]
     for primes in spec.pairs:
-        lemma1_failed = "lemma1" in spec.checks and bool(_lemma1_failure(primes))
+        pair = {}
         for a, b, c in spec.triples:
-            params = SequenceParams(primes, a, b, c)
-            profile = ac.distribution(params)
-            report = adic.complexity_report(params)
-            failed = lemma1_failed + len(_instance_failures(params, triple_checks, report))
-            passed = len(spec.checks) - failed
-            if failed:
+            inst = _Instance(SequenceParams(primes, a, b, c))
+            passed = sum(map(bool, _run_checks(inst, spec.checks, pair).values()))
+            if passed < len(spec.checks):
                 failing += 1
+            profile, report = ac.distribution(inst.params), inst.report
             rows.append({
                 "p": primes.p, "q": primes.q, "a": a, "b": b, "c": c,
                 "n": primes.n, "family": profile.family.value,

@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, SequenceParams, generate, residue_table,
-                       sign_view)
+from .sequence import (BinarySequence, CheckResult, SequenceParams, generate,
+                       residue_table, sign_view)
 from . import autocorr as _autocorr
 
 _INT64_SAFE = 1 << 62
@@ -302,14 +302,10 @@ def crt_lemma1(primes: OddPrimePair) -> tuple:
     )
 
 
-def _e(params: SequenceParams) -> int:
-    return (-1) ** params.c - (-1) ** params.a - (-1) ** params.b
-
-
 def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> tuple:
     """(h, S) with h = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q and
     S = h + gauss_gp * gauss_gq, the sign polynomial of S(a, b, c)."""
-    h = (_e(params) * blocks.one
+    h = (params.e * blocks.one
          + (-1) ** params.a * blocks.gamma_p
          + (-1) ** params.b * blocks.gamma_q)
     return h, h + blocks.gauss_gp * blocks.gauss_gq
@@ -318,7 +314,7 @@ def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> tuple:
 def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
     """The expanded form of sigma(S)*S."""
     p, q = params.p, params.q
-    e = _e(params)
+    e = params.e
     chi_minus1 = legendre(-1, p) * legendre(-1, q)
     return ((p * q + e * e) * blocks.one
             + (q - p + 2 * e * (-1) ** params.a) * blocks.gamma_p
@@ -335,44 +331,15 @@ def _checked_signs(s: CrtElement, seq: BinarySequence) -> np.ndarray:
     return dense
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    ok: bool
-    first_diff: "tuple | None" = None  # (exponent, got, want)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _compare(name: str, got: np.ndarray, want: np.ndarray) -> IdentityCheck:
-    diff = np.flatnonzero(got != want)
-    if len(diff) == 0:
-        return IdentityCheck(name, True)
-    k = int(diff[0])
-    return IdentityCheck(name, False, (k, int(got[k]), int(want[k])))
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def failed(self) -> tuple:
-        return tuple(c for c in self.checks if not c.ok)
-
-
-def verify_lemma1(primes: OddPrimePair) -> Lemma1Report:
+def verify_lemma1(primes: OddPrimePair) -> CheckResult:
     """Coefficient-exact check of the five structural product identities of
-    ``crt_lemma1``."""
-    return Lemma1Report(tuple(_compare(name, lhs.dense(), rhs.dense())
-                              for name, lhs, rhs in crt_lemma1(primes)))
+    ``crt_lemma1``; the detail names the first one that fails."""
+    for name, lhs, rhs in crt_lemma1(primes):
+        diff = np.flatnonzero(lhs.dense() != rhs.dense())
+        if len(diff):
+            return CheckResult("lemma1", False,
+                               f"{name} first differs at exponent {diff[0]}")
+    return CheckResult("lemma1", True)
 
 
 @dataclass(frozen=True)
@@ -394,22 +361,9 @@ def build_decomposition(params: SequenceParams) -> Decomposition:
     h, s = crt_sign_form(params, blocks)
     signs = _checked_signs(s, generate(params))
     n = params.n
-    return Decomposition(params, _e(params), element(n, h.dense()),
+    return Decomposition(params, params.e, element(n, h.dense()),
                          element(n, blocks.gauss_gp.dense()),
                          element(n, blocks.gauss_gq.dense()), element(n, signs))
-
-
-@dataclass(frozen=True)
-class CorrelationIdentityCheck:
-    """Agreement of four routes to the autocorrelation vector: the symbolic
-    product sigma(S)*S, its expanded closed form in the ring, the empirical
-    shift-and-sum values, and the per-class closed form."""
-
-    ok: bool
-    failures: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def expanded_product_form(params: SequenceParams) -> GroupRingElement:
@@ -420,9 +374,10 @@ def expanded_product_form(params: SequenceParams) -> GroupRingElement:
 
 def verify_correlation_identity(params: SequenceParams,
                                 seq: "BinarySequence | None" = None,
-                                emp: "np.ndarray | None" = None) -> CorrelationIdentityCheck:
+                                emp: "np.ndarray | None" = None) -> CheckResult:
     """Check that the group-ring product, its expanded form, the empirical
-    autocorrelation, and the per-class closed form all agree at every shift.
+    autocorrelation, and the per-class closed form all agree at every shift;
+    the detail lists each route that differs from the product.
 
     A caller that already holds ``seq = generate(params)`` and
     ``emp = empirical_profile(seq)`` passes them in, so neither is rebuilt.
@@ -447,4 +402,4 @@ def verify_correlation_identity(params: SequenceParams,
         failures.append("product_vs_empirical")
     if not np.array_equal(product, closed):
         failures.append("product_vs_closed_form")
-    return CorrelationIdentityCheck(not failures, tuple(failures))
+    return CheckResult("correlation_identity", not failures, "; ".join(failures))

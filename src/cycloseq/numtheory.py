@@ -1,6 +1,5 @@
-"""Number-theoretic primitives: primality, Legendre symbols, big-integer gcd."""
+"""Number-theoretic primitives: primality, Legendre symbols, prime pairs."""
 
-import math
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set, valid for all 64-bit inputs.
@@ -64,11 +63,6 @@ def legendre(a: int, r: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (r - 1) // 2, r) == 1 else -1
-
-
-def gcd_big(x: int, y: int) -> int:
-    """gcd of absolute values; gcd_big(0, 0) == 0."""
-    return math.gcd(x, y)
 
 
 def odd_primes_up_to(limit: int) -> list:

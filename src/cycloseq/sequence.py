@@ -30,6 +30,22 @@ class ResidueClass(Enum):
 
 
 @dataclass(frozen=True)
+class CheckResult:
+    """Verdict of one named check; truthy iff ``ok``.
+
+    ``detail`` says where the check first failed, in the words the CLI
+    prints, and is empty when it passed.
+    """
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True)
 class SequenceParams:
     """Prime pair plus the three fill bits (a, b, c)."""
 
@@ -63,6 +79,11 @@ class SequenceParams:
     @property
     def abc(self) -> str:
         return f"{self.a}{self.b}{self.c}"
+
+    @property
+    def e(self) -> int:
+        """(-1)**c - (-1)**a - (-1)**b, the constant of the sign polynomial."""
+        return (-1) ** self.c - (-1) ** self.a - (-1) ** self.b
 
 
 def classify(lam: int, primes: OddPrimePair) -> ResidueClass:

@@ -9,17 +9,18 @@ exceptional instances are derived from that rule, not listed, so a new
 failure anywhere else and a vanished exception both fail the criterion.
 """
 
+import math
 import time
 
 import numpy as np
 
 from cycloseq.adic import (best_value_predicate, complexity_report, d_exact,
-                           dp_closed, dq_closed, mersenne, s2, t2)
+                           bits_to_int, dp_closed, dq_closed, mersenne, s2)
 from cycloseq.autocorr import (AutocorrelationFamily, distribution,
                                nontrivial_bound, verify_theorem1)
 from cycloseq.cli import main as cli_main
 from cycloseq.groupring import verify_correlation_identity, verify_lemma1
-from cycloseq.numtheory import gcd_big, odd_prime_pairs
+from cycloseq.numtheory import odd_prime_pairs
 from cycloseq.sequence import SequenceParams, generate
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -78,7 +79,7 @@ def test_criterion_01_autocorrelation_oracle_equivalence():
         for a, b, c in ALL_TRIPLES:
             check = verify_theorem1(SequenceParams(pair, a, b, c))
             if not check.ok:
-                mismatches.append((pair.p, pair.q, a, b, c, check.first_mismatch))
+                mismatches.append((pair.p, pair.q, a, b, c, check.detail))
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 120.0
     line = _report(1, ok, f"empirical equals closed form at every shift for "
@@ -136,7 +137,7 @@ def test_criterion_05_group_ring_identities():
     for pair in pairs:
         report = verify_lemma1(pair)
         if not report.ok:
-            bad.append((pair.p, pair.q, [c.name for c in report.failed()]))
+            bad.append((pair.p, pair.q, report.detail))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60.0
     line = _report(5, ok, f"five product identities coefficient-exact on "
@@ -151,7 +152,7 @@ def test_criterion_06_correlation_identity():
         for a, b, c in ALL_TRIPLES:
             check = verify_correlation_identity(SequenceParams(pair, a, b, c))
             if not check.ok:
-                bad.append((pair.p, pair.q, a, b, c, check.failures))
+                bad.append((pair.p, pair.q, a, b, c, check.detail))
     line = _report(6, not bad, f"sigma(S)*S matches the expanded form, the "
                                f"empirical values and the closed form on "
                                f"{len(pairs)} pairs x 8 triples")
@@ -170,9 +171,9 @@ def test_criterion_07_adic_closed_form_equivalence():
             report = complexity_report(params)
             d, dp, dq = report.d_exact, report.d_p, report.d_q
             failed = []
-            if dp != gcd_big(report.s2_mod, m_p):
+            if dp != math.gcd(report.s2_mod, m_p):
                 failed.append("d_p != gcd(S(2), 2^p - 1)")
-            if dq != gcd_big(report.s2_mod, m_q):
+            if dq != math.gcd(report.s2_mod, m_q):
                 failed.append("d_q != gcd(S(2), 2^q - 1)")
             if d != dp * dq:
                 failed.append("d != d_p * d_q")
@@ -268,8 +269,8 @@ def test_criterion_10_reduction_identity():
         m = mersenne(pair.n)
         for a, b, c in ALL_TRIPLES:
             seq = generate(SequenceParams(pair, a, b, c))
-            t_val, s_val = t2(seq), s2(seq)
-            if (2 * t_val + s_val) % m != 0 or gcd_big(t_val, m) != gcd_big(s_val, m):
+            t_val, s_val = bits_to_int(seq), s2(seq)
+            if (2 * t_val + s_val) % m != 0 or math.gcd(t_val, m) != math.gcd(s_val, m):
                 bad.append((pair.p, pair.q, a, b, c))
     line = _report(10, not bad, f"2T(2) + S(2) == 0 mod 2^n - 1 and the two "
                                 f"gcds agree on {len(pairs)} pairs x 8 triples")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,9 @@ import pytest
 
 from cycloseq.adic import (AdicComplexityReport, best_value_predicate,
                            bits_to_int, complexity_report, d_exact, d_star,
-                           dp_closed, dq_closed, mersenne, s2, t2,
-                           verify_theorem2)
-from cycloseq.numtheory import OddPrimePair, gcd_big
-from cycloseq.sequence import SequenceParams, generate
+                           dp_closed, dq_closed, mersenne, s2, verify_theorem2)
+from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
+from cycloseq.sequence import CheckResult, SequenceParams, generate
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -37,25 +37,25 @@ def test_bits_to_int():
 
 def test_bit_vector_validation():
     with pytest.raises(ValueError, match="0 or 1"):
-        t2([0, 2, 1])
+        bits_to_int([0, 2, 1])
     with pytest.raises(ValueError, match="one-dimensional"):
-        t2([])
+        bits_to_int([])
     with pytest.raises(ValueError, match="one-dimensional"):
-        t2(np.zeros((3, 5), dtype=np.uint8))
+        bits_to_int(np.zeros((3, 5), dtype=np.uint8))
 
 
 def test_t2_s2_frozen():
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
-    assert t2(seq) == 31432
+    assert bits_to_int(seq) == 31432
     assert s2(seq) == 2670
 
 
 def test_degenerate_bit_vectors():
     ones = np.ones(15, dtype=np.uint8)
     zeros = np.zeros(15, dtype=np.uint8)
-    assert t2(ones) == 32767
+    assert bits_to_int(ones) == 32767
     assert d_exact(ones) == 32767
-    assert t2(zeros) == 0
+    assert bits_to_int(zeros) == 0
     assert d_exact(zeros) == 32767
 
 
@@ -79,8 +79,8 @@ def test_word_congruence(p, q):
     m = mersenne(p * q)
     for a, b, c in ALL_TRIPLES:
         seq = generate(SequenceParams.of(p, q, a, b, c))
-        assert (2 * t2(seq) + s2(seq)) % m == 0
-        assert gcd_big(t2(seq), m) == gcd_big(s2(seq), m)
+        assert (2 * bits_to_int(seq) + s2(seq)) % m == 0
+        assert math.gcd(bits_to_int(seq), m) == math.gcd(s2(seq), m)
 
 
 def test_d_exact_frozen():
@@ -92,11 +92,11 @@ def test_d_exact_frozen():
 
 def test_closed_forms_frozen():
     params = SequenceParams.of(3, 5, 1, 0, 0)
-    assert dp_closed(params) == gcd_big(4, 7) == 1
-    assert dq_closed(params) == gcd_big(4, 31) == 1
+    assert dp_closed(params) == math.gcd(4, 7) == 1
+    assert dq_closed(params) == math.gcd(4, 31) == 1
     params = SequenceParams.of(3, 13, 0, 1, 0)
-    assert dp_closed(params) == gcd_big(14, 7) == 7
-    assert dq_closed(params) == gcd_big(2, 8191) == 1
+    assert dp_closed(params) == math.gcd(14, 7) == 7
+    assert dq_closed(params) == math.gcd(2, 8191) == 1
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 13), (5, 7), (3, 17), (5, 11)])
@@ -105,8 +105,8 @@ def test_closed_forms_match_sign_based_arguments(p, q):
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(p, q, a, b, c)
         e = (-1) ** c - (-1) ** a - (-1) ** b
-        assert dp_closed(params) == gcd_big(e + (-1) ** a * q, mersenne(p))
-        assert dq_closed(params) == gcd_big(e + (-1) ** b * p, mersenne(q))
+        assert dp_closed(params) == math.gcd(e + (-1) ** a * q, mersenne(p))
+        assert dq_closed(params) == math.gcd(e + (-1) ** b * p, mersenne(q))
 
 
 def test_d_star_is_one():
@@ -116,7 +116,7 @@ def test_d_star_is_one():
         assert d_star(generate(SequenceParams.of(p, q, a, b, c))) == 1
     # the (3, 5) cofactor is the prime 151 and the frozen S(2) word is coprime to it
     assert mersenne(15) // (mersenne(3) * mersenne(5)) == 151
-    assert gcd_big(2670, 151) == 1
+    assert math.gcd(2670, 151) == 1
 
 
 def test_best_value_predicate_edges():
@@ -195,11 +195,36 @@ def test_report_json_dict():
 
 
 def test_verify_theorem2_semantics():
-    good = verify_theorem2(SequenceParams.of(3, 5, 0, 0, 1))
-    assert good.ok and bool(good)
-    assert good.report.deviations == ("best_value predicted but d != 1",)
+    params = SequenceParams.of(3, 5, 0, 0, 1)
+    good = verify_theorem2(params)
+    assert good == CheckResult("theorem2", True) and bool(good)
+    # a failed best-value prediction alone does not fail the check
+    assert complexity_report(params).deviations == ("best_value predicted but d != 1",)
     bad = verify_theorem2(SequenceParams.of(3, 17, 0, 0, 1))
     assert not bad.ok and not bool(bad)
+    assert bad.detail == "d != max(d_p, d_q); min(d_p, d_q) != 1"
+
+
+def test_checks_take_the_callers_pieces():
+    params = SequenceParams.of(3, 17, 0, 0, 1)
+    seq = generate(params)
+    report = complexity_report(params, seq)
+    assert report == complexity_report(params)
+    assert verify_theorem2(params, report) == verify_theorem2(params)
+    other = SequenceParams.of(3, 17, 1, 0, 1)
+    with pytest.raises(ValueError, match="other parameters"):
+        complexity_report(other, seq)
+    with pytest.raises(ValueError, match="other parameters"):
+        verify_theorem2(other, report)
+
+
+def test_report_d_star_matches_the_cofactor_gcd():
+    # Differential test: the report takes d_star = gcd(d, cofactor); the
+    # oracle d_star(seq) takes gcd(S(2), cofactor) with a second n-bit gcd.
+    for primes in odd_prime_pairs(1000):
+        for a, b, c in ALL_TRIPLES:
+            seq = generate(SequenceParams(primes, a, b, c))
+            assert complexity_report(seq.params, seq).d_star == d_star(seq), seq
 
 
 def test_large_period_complexity():

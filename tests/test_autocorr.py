@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from cycloseq.autocorr import (AutocorrelationFamily, autocorr_closed_form,
-                               autocorr_empirical, class_values,
+from cycloseq.autocorr import (AutocorrelationFamily, autocorr_empirical,
+                               class_values,
                                closed_form_profile, distribution,
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
@@ -50,15 +50,16 @@ def test_empirical_matches_oracle_every_shift(p, q, a, b, c):
 def test_theorem1_check_passes(p, q):
     for a, b, c in ALL_TRIPLES:
         check = verify_theorem1(SequenceParams.of(p, q, a, b, c))
-        assert check.ok and bool(check), (p, q, a, b, c, check.first_mismatch)
+        assert check.ok and bool(check), (p, q, a, b, c, check.detail)
 
 
 def test_closed_form_profile_matches_pointwise_form():
     params = SequenceParams.of(5, 7, 0, 1, 0)
     prof = closed_form_profile(params)
+    pointwise = distribution(params)
     for tau in range(params.n):
-        assert int(prof[tau]) == autocorr_closed_form(params, tau)
-    assert autocorr_closed_form(params, params.n + 3) == autocorr_closed_form(params, 3)
+        assert int(prof[tau]) == pointwise.value_at(tau)
+    assert pointwise.value_at(params.n + 3) == pointwise.value_at(3)
 
 
 def test_distribution_frozen_ideal():
@@ -95,8 +96,8 @@ def test_distribution_methods_agree():
     for p, q in [(3, 5), (3, 7), (5, 7), (3, 13)]:
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams.of(p, q, a, b, c)
-            closed = distribution(params, method="closed")
-            emp = distribution(params, method="empirical")
+            closed = distribution(params)
+            emp = distribution(params, empirical_profile(generate(params)))
             assert closed.distribution == emp.distribution
             assert closed.family is emp.family
             assert (closed.value_class_p, closed.value_class_q,
@@ -105,9 +106,15 @@ def test_distribution_methods_agree():
                     emp.value_unit_plus, emp.value_unit_minus)
 
 
-def test_distribution_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        distribution(SequenceParams.of(3, 5, 0, 0, 0), method="fft")
+def test_distribution_from_profile_checks_it():
+    params = SequenceParams.of(3, 5, 0, 0, 0)
+    emp = empirical_profile(generate(params))
+    with pytest.raises(ValueError, match="expected 15 autocorrelation values"):
+        distribution(params, emp[:-1])
+    emp = emp.copy()
+    emp[3] += 2  # a second value in the class of nonzero multiples of p
+    with pytest.raises(ValueError, match="several autocorrelation values"):
+        distribution(params, emp)
 
 
 def test_twin_prime_families():

@@ -1,0 +1,100 @@
+"""The CHECKS registry that verify and sweep share, and the work it does."""
+
+import csv
+import io
+import sys
+from collections import Counter
+
+import pytest
+
+import cycloseq.autocorr
+import cycloseq.cli as cli
+import cycloseq.sequence
+from cycloseq.numtheory import OddPrimePair
+from cycloseq.sequence import CheckResult, SequenceParams
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls of generate and empirical_profile under every name the
+    package binds them to."""
+    counts = Counter()
+    for module, name in ((cycloseq.sequence, "generate"),
+                         (cycloseq.autocorr, "empirical_profile")):
+        original = getattr(module, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("cycloseq")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
+                                  ["sweep", "--pairs", "5,7"]])
+def test_each_instance_is_built_once(calls, capsys, argv):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"generate": 8, "empirical_profile": 8}
+
+
+def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
+    assert cli.main(["sweep", "--pairs", "5,7", "--checks", "theorem2"]) == 0
+    capsys.readouterr()
+    assert calls == {"generate": 8}
+
+
+def test_autocorr_empirical_builds_one_profile(calls, capsys):
+    assert cli.main(["autocorr", "--p", "5", "--q", "7", "--abc", "100",
+                     "--empirical", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {"generate": 1, "empirical_profile": 1}
+
+
+def test_registry_names_and_results():
+    assert cli.CHECK_NAMES == tuple(cli.CHECKS) == (
+        "theorem1", "lemma1", "theorem2", "correlation_identity")
+    inst = cli._Instance(SequenceParams.of(3, 17, 0, 0, 1))
+    assert [cli.CHECKS[name](inst) for name in cli.CHECK_NAMES] == [
+        CheckResult("theorem1", True),
+        CheckResult("lemma1", True),
+        CheckResult("theorem2", False, "d != max(d_p, d_q); min(d_p, d_q) != 1"),
+        CheckResult("correlation_identity", True),
+    ]
+
+
+def test_sweep_rows_count_passing_check_results(capsys):
+    assert cli.main(["sweep", "--pairs", "3,17", "--pairs", "5,7"]) == 2
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 16
+    for row in rows:
+        params = SequenceParams(OddPrimePair(int(row["p"]), int(row["q"])),
+                                int(row["a"]), int(row["b"]), int(row["c"]))
+        inst = cli._Instance(params)
+        passed = sum(bool(check(inst)) for check in cli.CHECKS.values())
+        assert row["checks_passed"] == f"{passed}/{len(cli.CHECKS)}", row
+    assert {row["checks_passed"] for row in rows} == {"3/4", "4/4"}
+
+
+def test_lemma1_failure_is_reported_once_per_pair(monkeypatch, capsys):
+    failed = CheckResult("lemma1", False, "gauss_gp_squared first differs at exponent 5")
+    runs = Counter()
+
+    def lemma1(primes):
+        runs[primes] += 1
+        return failed
+
+    monkeypatch.setattr(cli.gr, "verify_lemma1", lemma1)
+    assert cli.main(["verify", "--p", "5", "--q", "7", "--check", "lemma1"]) == 2
+    assert capsys.readouterr().out == (
+        "lemma1 (p=5, q=7): FAIL (gauss_gp_squared first differs at exponent 5)\n"
+        "0/1 checks pass\n")
+    assert cli.main(["sweep", "--pairs", "5,7", "--pairs", "3,5",
+                     "--checks", "lemma1,theorem2"]) == 2
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert {row["checks_passed"] for row in rows} == {"1/2"}
+    assert runs == {OddPrimePair(5, 7): 2, OddPrimePair(3, 5): 1}

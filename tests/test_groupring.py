@@ -5,8 +5,7 @@ import pytest
 
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
-from cycloseq.groupring import (CorrelationIdentityCheck, GroupRingElement,
-                                build_decomposition, crt_blocks,
+from cycloseq.groupring import (GroupRingElement, build_decomposition, crt_blocks,
                                 crt_expanded_form, crt_lemma1, crt_sign_form,
                                 dump, element, expanded_product_form, gamma_p,
                                 gamma_q, gamma_total, gauss_gp, gauss_gq,
@@ -14,7 +13,8 @@ from cycloseq.groupring import (CorrelationIdentityCheck, GroupRingElement,
                                 verify_correlation_identity, verify_lemma1,
                                 zero)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import SequenceParams, generate, residue_table, sign_view
+from cycloseq.sequence import (CheckResult, SequenceParams, generate, residue_table,
+                               sign_view)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -47,17 +47,13 @@ def _dense_lemma1(primes, gp, gq):
     ]
 
 
-def _dense_verdicts(primes, gp, gq):
-    # (name, ok, first_diff) per identity, as verify_lemma1 reports them
-    verdicts = []
-    for name, got, want in _dense_lemma1(primes, gp, gq):
-        diff = np.flatnonzero(got.coeffs != want.coeffs)
-        if len(diff) == 0:
-            verdicts.append((name, True, None))
-        else:
-            k = int(diff[0])
-            verdicts.append((name, False, (k, int(got.coeffs[k]), int(want.coeffs[k]))))
-    return verdicts
+def _first_diff(got, want):
+    # (exponent, got, want) at the first differing coefficient, or None
+    diff = np.flatnonzero(np.asarray(got) != np.asarray(want))
+    if len(diff) == 0:
+        return None
+    k = int(diff[0])
+    return k, int(got[k]), int(want[k])
 
 
 def _random_element(rng, n, lo, hi):
@@ -193,10 +189,9 @@ def test_gauss_gp_square_frozen():
 
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (3, 13), (7, 11)])
 def test_lemma1_identities(p, q):
-    report = verify_lemma1(OddPrimePair(p, q))
-    assert report.ok and bool(report)
-    assert report.failed() == ()
-    assert [c.name for c in report.checks] == [
+    primes = OddPrimePair(p, q)
+    assert verify_lemma1(primes) == CheckResult("lemma1", True)
+    assert [name for name, _, _ in crt_lemma1(primes)] == [
         "gauss_gp_squared", "gauss_gq_squared",
         "gamma_p_times_gauss_gq", "gamma_q_times_gauss_gp",
         "gamma_p_times_gamma_q",
@@ -236,7 +231,7 @@ def test_expanded_product_form_matches_direct_product():
 def test_correlation_identity_ideal_case():
     params = SequenceParams.of(3, 5, 1, 0, 0)
     check = verify_correlation_identity(params)
-    assert check.ok and check.failures == ()
+    assert check == CheckResult("correlation_identity", True)
     dec = build_decomposition(params)
     product = mul(invert_support(dec.s), dec.s)
     assert product.coeffs.tolist() == [15] + [-1] * 14
@@ -246,8 +241,8 @@ def test_correlation_identity_ideal_case():
 def test_correlation_identity_samples(p, q):
     for a, b, c in ALL_TRIPLES:
         check = verify_correlation_identity(SequenceParams.of(p, q, a, b, c))
-        assert isinstance(check, CorrelationIdentityCheck)
-        assert bool(check), (p, q, a, b, c, check.failures)
+        assert isinstance(check, CheckResult)
+        assert bool(check), (p, q, a, b, c, check.detail)
 
 
 def test_crt_route_matches_dense_ring_on_every_pair():
@@ -282,14 +277,19 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
         return table
 
     monkeypatch.setattr(gr, "residue_table", flipped)
-    report = verify_lemma1(primes)
     gp = gauss_gp(primes).coeffs.copy()
     exp = next(j * primes.q for j in range(1, primes.p) if j * primes.q % primes.p == k0)
     gp[exp] = -gp[exp]
-    want = _dense_verdicts(primes, element(primes.n, gp), gauss_gq(primes))
-    assert [(c.name, c.ok, c.first_diff) for c in report.checks] == want
-    assert not report.ok
-    assert report.failed()[0].name == "gauss_gp_squared"
+    dense = _dense_lemma1(primes, element(primes.n, gp), gauss_gq(primes))
+    crt = [(name, _first_diff(lhs.dense(), rhs.dense()))
+           for name, lhs, rhs in crt_lemma1(primes)]
+    want = [(name, _first_diff(got.coeffs, want.coeffs)) for name, got, want in dense]
+    assert crt == want
+    failing = [name for name, diff in want if diff is not None]
+    assert failing and failing[0] == "gauss_gp_squared"
+    k = want[0][1][0]
+    assert verify_lemma1(primes) == CheckResult(
+        "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
 
 
 def test_correlation_identity_takes_the_callers_sequence():
