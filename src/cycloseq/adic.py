@@ -67,10 +67,10 @@ def d_exact(seq_or_bits) -> int:
     Raises RuntimeError unless 2*T(2) + S(2) == 0 mod 2**n - 1, the
     congruence that makes gcd(S(2), 2**n - 1) the same d (2 is a unit).
     """
-    bits = _bits_of(seq_or_bits)
-    m = mersenne(len(bits))
-    t = bits_to_int(bits)
-    if (2 * t + s2(bits)) % m != 0:
+    m = mersenne(len(_bits_of(seq_or_bits)))
+    # Passed on as given, so a BinarySequence's bits are not validated again.
+    t = bits_to_int(seq_or_bits)
+    if (2 * t + s2(seq_or_bits)) % m != 0:
         raise RuntimeError("2*T(2) + S(2) is not divisible by 2**n - 1")
     return math.gcd(t, m)
 
@@ -110,18 +110,11 @@ def best_value_predicate(primes: OddPrimePair) -> bool:
 _ORACLE_CLAUSES = ("d != max(d_p, d_q)", "min(d_p, d_q) != 1", "d_star != 1")
 
 
-def _log2_big(x: int) -> float:
-    bl = x.bit_length()
-    if bl <= 512:
-        return math.log2(x)
-    shift = bl - 64
-    return shift + math.log2(x >> shift)
-
-
 @dataclass(frozen=True)
 class AdicComplexityReport:
     """Exact 2-adic complexity data for one parameter set.
 
+    ``d_exact`` is ``d_exact(seq)``, past that function's congruence check.
     ``complexity_exact`` is the pair (n, d) denoting log2((2**n - 1) / d);
     the float field approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates
@@ -130,8 +123,6 @@ class AdicComplexityReport:
 
     params: SequenceParams
     n: int
-    t2_mod: int
-    s2_mod: int
     d_exact: int
     d_p: int
     d_q: int
@@ -156,7 +147,7 @@ class AdicComplexityReport:
 
     @property
     def complexity_float(self) -> float:
-        return float(self.n) + math.log2(1.0 - 2.0 ** -self.n) - _log2_big(self.d_exact)
+        return float(self.n) + math.log2(1.0 - 2.0 ** -self.n) - math.log2(self.d_exact)
 
     def as_json_dict(self) -> dict:
         p = self.params
@@ -175,17 +166,14 @@ def complexity_report(params: SequenceParams,
     """Compute every quantity exactly and flag closed-form departures.
 
     A caller that already holds ``seq = generate(params)`` passes it in, so
-    it is not rebuilt. The cofactor divides 2**n - 1, so d_star is
-    gcd(d, cofactor): no second n-bit gcd.
+    it is not rebuilt. d comes from ``d_exact``, the one n-bit gcd; the
+    cofactor divides 2**n - 1, so d_star is gcd(d, cofactor).
     """
     if seq is None:
         seq = generate(params)
     elif seq.params != params:
         raise ValueError("the sequence was built from other parameters")
-    m = mersenne(params.n)
-    t = bits_to_int(seq)
-    s = s2(seq)
-    d = math.gcd(t, m)
+    d = d_exact(seq)
     dp, dq = dp_closed(params), dq_closed(params)
     dst = math.gcd(d, _cofactor(params.primes))
     best = best_value_predicate(params.primes)
@@ -202,8 +190,8 @@ def complexity_report(params: SequenceParams,
     if best and d != 1:
         deviations.append("best_value predicted but d != 1")
 
-    return AdicComplexityReport(params, params.n, t % m, s, d, dp, dq, dst,
-                                best, tuple(deviations))
+    return AdicComplexityReport(params, params.n, d, dp, dq, dst, best,
+                                tuple(deviations))
 
 
 def verify_theorem2(params: SequenceParams,

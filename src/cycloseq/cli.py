@@ -5,12 +5,12 @@ Subcommands: generate, autocorr, adic, verify, sweep. Exit codes: 0 success,
 byte-identical across reruns of the same invocation: rows are emitted in
 sorted order and no timestamps or environment details are written.
 
-``verify`` and ``sweep`` run the same checks, those of the ``CHECKS``
-registry: each maps a check name to a function of one ``_Instance`` that
-returns a ``CheckResult``. An instance builds its sequence, empirical
-profile and complexity report on first use, at most once each, and only
-one instance is alive at a time. ``lemma1`` depends on the prime pair
-alone, so it runs once per pair.
+``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
+through one pair x triple loop, ``_checked``. Each check is a function of
+one ``_Instance`` that returns a ``CheckResult``; an instance builds its
+sequence, empirical profile and complexity report on first use, at most once
+each. Its ``_Pair`` holds what depends on the prime pair alone, so ``lemma1``
+runs once per pair and every triple of the pair reads that one result.
 """
 
 import argparse
@@ -163,11 +163,23 @@ def cmd_adic(args) -> int:
     return 0
 
 
+class _Pair:
+    """One prime pair; its pair-only check is built on first use only."""
+
+    def __init__(self, primes: OddPrimePair):
+        self.primes = primes
+
+    @cached_property
+    def lemma1(self):
+        return gr.verify_lemma1(self.primes)
+
+
 class _Instance:
     """One (pair, triple) instance; each piece is built on first use only."""
 
-    def __init__(self, params: SequenceParams):
-        self.params = params
+    def __init__(self, pair: _Pair, a: int, b: int, c: int):
+        self.pair = pair
+        self.params = SequenceParams(pair.primes, a, b, c)
 
     @cached_property
     def seq(self):
@@ -184,7 +196,7 @@ class _Instance:
 
 CHECKS = {
     "theorem1": lambda inst: ac.verify_theorem1(inst.params, inst.emp),
-    "lemma1": lambda inst: gr.verify_lemma1(inst.params.primes),
+    "lemma1": lambda inst: inst.pair.lemma1,
     "theorem2": lambda inst: adic.verify_theorem2(inst.params, inst.report),
     "correlation_identity": lambda inst: gr.verify_correlation_identity(
         inst.params, inst.seq, inst.emp),
@@ -193,21 +205,13 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _run_checks(inst: _Instance, checks, pair: dict) -> dict:
-    """name -> CheckResult of the named checks on one instance.
-
-    lemma1 depends on the pair alone: ``pair`` keeps its result from the
-    pair's first triple for the others.
-    """
-    results = {}
-    for name in checks:
-        if name != "lemma1":
-            results[name] = CHECKS[name](inst)
-        elif name not in pair:
-            results[name] = pair[name] = CHECKS[name](inst)
-        else:
-            results[name] = pair[name]
-    return results
+def _checked(pairs, triples, checks):
+    """Yield (instance, {name: CheckResult}) per pair x triple, built in turn."""
+    for primes in pairs:
+        pair = _Pair(primes)
+        for a, b, c in triples:
+            inst = _Instance(pair, a, b, c)
+            yield inst, {name: CHECKS[name](inst) for name in checks}
 
 
 def _parse_checks(values) -> tuple:
@@ -227,17 +231,13 @@ def _parse_checks(values) -> tuple:
 
 def cmd_verify(args) -> int:
     primes = OddPrimePair(args.p, args.q)
-    if args.all or not args.check:
-        checks = CHECK_NAMES
-    else:
-        checks = _parse_checks(args.check)
-    failures, pair = {}, {}
-    for a, b, c in ALL_TRIPLES:
-        inst = _Instance(SequenceParams(primes, a, b, c))
+    checks = CHECK_NAMES if args.all else _parse_checks(args.check)
+    failures = {}
+    for inst, results in _checked((primes,), ALL_TRIPLES, checks):
         # Each check reports its first failing triple; lemma1 has none.
-        for name, result in _run_checks(inst, checks, pair).items():
+        for name, result in results.items():
             if not result and name not in failures:
-                where = "" if name == "lemma1" else f"abc={a}{b}{c} "
+                where = "" if name == "lemma1" else f"abc={inst.params.abc} "
                 failures[name] = where + result.detail
     for name in checks:
         verdict = f"FAIL ({failures[name]})" if name in failures else "PASS"
@@ -291,26 +291,24 @@ def run_sweep(spec: SweepSpec):
     """Rows sorted by (p, q, abc-as-integer); returns (rows, failing_row_count)."""
     rows = []
     failing = 0
-    for primes in spec.pairs:
-        pair = {}
-        for a, b, c in spec.triples:
-            inst = _Instance(SequenceParams(primes, a, b, c))
-            passed = sum(map(bool, _run_checks(inst, spec.checks, pair).values()))
-            if passed < len(spec.checks):
-                failing += 1
-            profile, report = ac.distribution(inst.params), inst.report
-            rows.append({
-                "p": primes.p, "q": primes.q, "a": a, "b": b, "c": c,
-                "n": primes.n, "family": profile.family.value,
-                "ac_P": profile.value_class_p, "ac_Q": profile.value_class_q,
-                "ac_unit_plus": profile.value_unit_plus,
-                "ac_unit_minus": profile.value_unit_minus,
-                "max_abs": profile.max_nontrivial_abs,
-                "d": report.d_exact, "d_p": report.d_p, "d_q": report.d_q,
-                "d_star": report.d_star,
-                "best_value": report.best_value,
-                "checks_passed": f"{passed}/{len(spec.checks)}",
-            })
+    for inst, results in _checked(spec.pairs, spec.triples, spec.checks):
+        passed = sum(map(bool, results.values()))
+        if passed < len(spec.checks):
+            failing += 1
+        params = inst.params
+        profile, report = ac.distribution(params), inst.report
+        rows.append({
+            "p": params.p, "q": params.q, "a": params.a, "b": params.b,
+            "c": params.c, "n": params.n, "family": profile.family.value,
+            "ac_P": profile.value_class_p, "ac_Q": profile.value_class_q,
+            "ac_unit_plus": profile.value_unit_plus,
+            "ac_unit_minus": profile.value_unit_minus,
+            "max_abs": profile.max_nontrivial_abs,
+            "d": report.d_exact, "d_p": report.d_p, "d_q": report.d_q,
+            "d_star": report.d_star,
+            "best_value": report.best_value,
+            "checks_passed": f"{passed}/{len(spec.checks)}",
+        })
     return rows, failing
 
 

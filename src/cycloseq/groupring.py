@@ -63,25 +63,25 @@ class GroupRingElement:
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         _check_orders(self, other)
-        return _wrap(self.order, self.coeffs + other.coeffs)
+        return GroupRingElement(self.order, (self.coeffs + other.coeffs).tolist())
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         _check_orders(self, other)
-        return _wrap(self.order, self.coeffs - other.coeffs)
+        return GroupRingElement(self.order, (self.coeffs - other.coeffs).tolist())
 
     def __neg__(self) -> "GroupRingElement":
-        return _wrap(self.order, -self.coeffs)
+        return GroupRingElement(self.order, (-self.coeffs).tolist())
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _wrap(self.order, self.coeffs * other)
+            return GroupRingElement(self.order, (self.coeffs * other).tolist())
         if isinstance(other, GroupRingElement):
             return mul(self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return _wrap(self.order, self.coeffs * other)
+            return GroupRingElement(self.order, (self.coeffs * other).tolist())
         return NotImplemented
 
     def max_abs(self) -> int:
@@ -93,18 +93,6 @@ class GroupRingElement:
     def __repr__(self) -> str:
         nz = len(self.support())
         return f"GroupRingElement(order={self.order}, nonzero={nz})"
-
-
-def _wrap(order: int, arr: np.ndarray) -> GroupRingElement:
-    # Normalize every coefficient back to a Python int so that no fixed-width
-    # numpy scalar can leak into later arbitrary-precision arithmetic.
-    elem = GroupRingElement.__new__(GroupRingElement)
-    out = np.empty(order, dtype=object)
-    out[:] = [int(c) for c in arr.tolist()]
-    out.flags.writeable = False
-    elem.order = order
-    elem.coeffs = out
-    return elem
 
 
 def _check_orders(u: GroupRingElement, v: GroupRingElement) -> None:
@@ -142,12 +130,12 @@ def mul(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
         full = np.convolve(u.coeffs, v.coeffs)
     folded = full[:n].copy()
     folded[: n - 1] += full[n:]
-    return _wrap(n, folded)
+    return GroupRingElement(n, folded.tolist())
 
 
 def invert_support(u: GroupRingElement) -> GroupRingElement:
     """sigma: x**k -> x**(-k). A ring automorphism of Z[Gamma]."""
-    return _wrap(u.order, np.roll(u.coeffs[::-1], 1))
+    return GroupRingElement(u.order, np.roll(u.coeffs[::-1], 1).tolist())
 
 
 def dump(u: GroupRingElement) -> str:

@@ -7,6 +7,9 @@ they cannot: p = 3 with fill bits 001 or 110, where the closed-form d_q
 argument p - 1 + (-1)**(b+c) - (-1)**(a+b) is 0 and d_q = 2**q - 1. The
 exceptional instances are derived from that rule, not listed, so a new
 failure anywhere else and a vanished exception both fail the criterion.
+Criteria 01, 05 and 06 run their checks through ``cycloseq.cli._checked``,
+the one loop that ``verify`` and ``sweep`` use, so the gate checks exactly
+what the CLI runs.
 """
 
 import math
@@ -17,9 +20,8 @@ import numpy as np
 from cycloseq.adic import (best_value_predicate, complexity_report, d_exact,
                            bits_to_int, dp_closed, dq_closed, mersenne, s2)
 from cycloseq.autocorr import (AutocorrelationFamily, distribution,
-                               nontrivial_bound, verify_theorem1)
-from cycloseq.cli import main as cli_main
-from cycloseq.groupring import verify_correlation_identity, verify_lemma1
+                               nontrivial_bound)
+from cycloseq.cli import _checked, main as cli_main
 from cycloseq.numtheory import odd_prime_pairs
 from cycloseq.sequence import SequenceParams, generate
 
@@ -75,11 +77,10 @@ def test_criterion_01_autocorrelation_oracle_equivalence():
     start = time.perf_counter()
     pairs = odd_prime_pairs(3000)
     mismatches = []
-    for pair in pairs:
-        for a, b, c in ALL_TRIPLES:
-            check = verify_theorem1(SequenceParams(pair, a, b, c))
-            if not check.ok:
-                mismatches.append((pair.p, pair.q, a, b, c, check.detail))
+    for inst, results in _checked(pairs, ALL_TRIPLES, ("theorem1",)):
+        check, par = results["theorem1"], inst.params
+        if not check.ok:
+            mismatches.append((par.p, par.q, par.a, par.b, par.c, check.detail))
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 120.0
     line = _report(1, ok, f"empirical equals closed form at every shift for "
@@ -134,10 +135,11 @@ def test_criterion_05_group_ring_identities():
     start = time.perf_counter()
     pairs = odd_prime_pairs(1000)
     bad = []
-    for pair in pairs:
-        report = verify_lemma1(pair)
+    # lemma1 depends on the pair alone: one triple per pair suffices
+    for inst, results in _checked(pairs, ALL_TRIPLES[:1], ("lemma1",)):
+        report = results["lemma1"]
         if not report.ok:
-            bad.append((pair.p, pair.q, report.detail))
+            bad.append((inst.params.p, inst.params.q, report.detail))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60.0
     line = _report(5, ok, f"five product identities coefficient-exact on "
@@ -148,11 +150,10 @@ def test_criterion_05_group_ring_identities():
 def test_criterion_06_correlation_identity():
     pairs = odd_prime_pairs(500)
     bad = []
-    for pair in pairs:
-        for a, b, c in ALL_TRIPLES:
-            check = verify_correlation_identity(SequenceParams(pair, a, b, c))
-            if not check.ok:
-                bad.append((pair.p, pair.q, a, b, c, check.detail))
+    for inst, results in _checked(pairs, ALL_TRIPLES, ("correlation_identity",)):
+        check, par = results["correlation_identity"], inst.params
+        if not check.ok:
+            bad.append((par.p, par.q, par.a, par.b, par.c, check.detail))
     line = _report(6, not bad, f"sigma(S)*S matches the expanded form, the "
                                f"empirical values and the closed form on "
                                f"{len(pairs)} pairs x 8 triples")
@@ -168,12 +169,14 @@ def test_criterion_07_adic_closed_form_equivalence():
         m_p, m_q = mersenne(pair.p), mersenne(pair.q)
         for abc in ALL_TRIPLES:
             params = SequenceParams(pair, *abc)
-            report = complexity_report(params)
+            seq = generate(params)
+            report = complexity_report(params, seq)
             d, dp, dq = report.d_exact, report.d_p, report.d_q
+            s = s2(seq)
             failed = []
-            if dp != math.gcd(report.s2_mod, m_p):
+            if dp != math.gcd(s, m_p):
                 failed.append("d_p != gcd(S(2), 2^p - 1)")
-            if dq != math.gcd(report.s2_mod, m_q):
+            if dq != math.gcd(s, m_q):
                 failed.append("d_q != gcd(S(2), 2^q - 1)")
             if d != dp * dq:
                 failed.append("d != d_p * d_q")

@@ -60,17 +60,22 @@ def test_degenerate_bit_vectors():
 
 
 def test_d_exact_check_survives_optimisation():
-    # Under python -O an assert would vanish; the S(2) check must still raise.
+    # Under python -O an assert would vanish; the S(2) check must still raise,
+    # on the report's path as well as in d_exact itself.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import cycloseq.adic as adic\n"
-            "adic.s2 = lambda bits: 1\n"
-            "adic.d_exact([1, 0, 1, 1, 0, 0, 0])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode != 0
-    assert "RuntimeError: 2*T(2) + S(2) is not divisible by 2**n - 1" in proc.stderr
+    for call in ("adic.d_exact([1, 0, 1, 1, 0, 0, 0])",
+                 "adic.complexity_report(SequenceParams.of(3, 5, 1, 0, 0))"):
+        code = ("import cycloseq.adic as adic\n"
+                "from cycloseq.sequence import SequenceParams\n"
+                "adic.s2 = lambda bits: 1\n"
+                f"{call}\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0, call
+        assert ("RuntimeError: 2*T(2) + S(2) is not divisible by 2**n - 1"
+                in proc.stderr), (call, proc.stderr)
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7), (3, 13)])
@@ -136,7 +141,8 @@ def test_complexity_report_clean_instance():
     assert report.theorem_consistent and report.closed_form_consistent
     assert report.complexity_exact == (15, 1)
     assert report.complexity_float == pytest.approx(14.99996, abs=1e-4)
-    assert report.t2_mod == 31432 and report.s2_mod == 2670
+    seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
+    assert bits_to_int(seq) == 31432 and s2(seq) == 2670
 
 
 def test_complexity_report_witness_instance():

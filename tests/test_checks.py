@@ -9,18 +9,20 @@ import pytest
 
 import cycloseq.autocorr
 import cycloseq.cli as cli
+import cycloseq.groupring
 import cycloseq.sequence
 from cycloseq.numtheory import OddPrimePair
-from cycloseq.sequence import CheckResult, SequenceParams
+from cycloseq.sequence import CheckResult
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the calls of generate and empirical_profile under every name the
-    package binds them to."""
+    """Count the calls of generate, empirical_profile and verify_lemma1 under
+    every name the package binds them to."""
     counts = Counter()
     for module, name in ((cycloseq.sequence, "generate"),
-                         (cycloseq.autocorr, "empirical_profile")):
+                         (cycloseq.autocorr, "empirical_profile"),
+                         (cycloseq.groupring, "verify_lemma1")):
         original = getattr(module, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
@@ -39,7 +41,19 @@ def calls(monkeypatch):
 def test_each_instance_is_built_once(calls, capsys, argv):
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8, "empirical_profile": 8}
+    assert calls == {"generate": 8, "empirical_profile": 8, "verify_lemma1": 1}
+
+
+@pytest.mark.parametrize("argv,code,runs", [
+    (["sweep", "--pairs", "5,7", "--pairs", "3,17"], 2, 2),
+    (["verify", "--p", "5", "--q", "7"], 0, 1),
+    (["verify", "--p", "5", "--q", "7", "--check", "theorem1"], 0, 0),
+])
+def test_lemma1_runs_once_per_pair_and_only_when_selected(calls, capsys, argv,
+                                                         code, runs):
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert calls["verify_lemma1"] == runs
 
 
 def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
@@ -58,7 +72,7 @@ def test_autocorr_empirical_builds_one_profile(calls, capsys):
 def test_registry_names_and_results():
     assert cli.CHECK_NAMES == tuple(cli.CHECKS) == (
         "theorem1", "lemma1", "theorem2", "correlation_identity")
-    inst = cli._Instance(SequenceParams.of(3, 17, 0, 0, 1))
+    inst = cli._Instance(cli._Pair(OddPrimePair(3, 17)), 0, 0, 1)
     assert [cli.CHECKS[name](inst) for name in cli.CHECK_NAMES] == [
         CheckResult("theorem1", True),
         CheckResult("lemma1", True),
@@ -72,9 +86,8 @@ def test_sweep_rows_count_passing_check_results(capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 16
     for row in rows:
-        params = SequenceParams(OddPrimePair(int(row["p"]), int(row["q"])),
-                                int(row["a"]), int(row["b"]), int(row["c"]))
-        inst = cli._Instance(params)
+        inst = cli._Instance(cli._Pair(OddPrimePair(int(row["p"]), int(row["q"]))),
+                             int(row["a"]), int(row["b"]), int(row["c"]))
         passed = sum(bool(check(inst)) for check in cli.CHECKS.values())
         assert row["checks_passed"] == f"{passed}/{len(cli.CHECKS)}", row
     assert {row["checks_passed"] for row in rows} == {"3/4", "4/4"}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cycloseq.cli import main as cli_main
 from cycloseq.numtheory import (OddPrimePair, is_odd_prime, is_prime,
                                 legendre, odd_prime_pairs, odd_primes_up_to)
 
@@ -110,6 +111,22 @@ def test_is_prime_miller_rabin_region():
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert not is_prime(193707721 * 761838257287)
+
+
+def test_is_prime_refuses_beyond_its_witnesses(capsys):
+    # The smallest odd composite that passes the witnesses 2..37 (OEIS
+    # A014233, n = 12); at and above it Miller-Rabin with them decides nothing.
+    strong_liar = 399165290221 * 798330580441
+    assert strong_liar == 318665857834031151167461
+    with pytest.raises(ValueError, match="primality is only decided below"):
+        is_prime(strong_liar)
+    with pytest.raises(ValueError, match="primality is only decided below"):
+        OddPrimePair(3, strong_liar)
+    assert cli_main(["adic", "--p", "3", "--q", str(strong_liar),
+                     "--abc", "000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: primality is only decided below {strong_liar}\n"
 
 
 def test_is_odd_prime():
