@@ -2,16 +2,18 @@
 Group-ring algebra behind the autocorrelation theorem
 =====================================================
 
-Work in Z[Gamma] with Gamma cyclic of order n = p*q: elements are integer
-coefficient vectors, multiplication is cyclic convolution. The sequence sign
-vector becomes the element S, and the autocorrelation values are literally
-the coefficients of sigma(S) * S where sigma maps x**k to x**(-k).
+Work in Z[Gamma] with Gamma cyclic of order n = p*q, held in the CRT tensor
+form Z[Z_p] (x) Z[Z_q]: an element is a short sum of rank-1 terms, and
+``dense()`` reads out its coefficient vector indexed by exponent. The
+sequence sign vector becomes the element S, and the autocorrelation values
+are literally the coefficients of sigma(S) * S where sigma maps x**k to
+x**(-k).
 """
 
-from cycloseq import (SequenceParams, build_decomposition, dump,
-                      expanded_product_form, gamma_p, gamma_q, gauss_gp,
-                      gauss_gq, invert_support, mul, verify_correlation_identity)
-from cycloseq.groupring import crt_lemma1
+from cycloseq import (SequenceParams, dump, gamma_p, gamma_q, gauss_gp, gauss_gq,
+                      mul, verify_correlation_identity)
+from cycloseq.groupring import (crt_blocks, crt_expanded_form, crt_lemma1,
+                                crt_sign_form)
 from cycloseq.numtheory import OddPrimePair
 
 primes = OddPrimePair(3, 5)
@@ -30,20 +32,21 @@ print("gauss_gp squared =", dump(square).replace("\n", ", "))
 # the five structural identities, checked coefficient by coefficient in
 # the CRT tensor form (verify_lemma1 runs the same comparison)
 for name, lhs, rhs in crt_lemma1(primes):
-    ok = not (lhs - rhs).dense().any()
-    print(f"  {name:24s} {'ok' if ok else 'FAILED'}")
+    print(f"  {name:24s} {'ok' if lhs == rhs else 'FAILED'}")
 
 # the sign polynomial of S(a, b, c) decomposes over these blocks:
 # S = e + (-1)**a gamma_p + (-1)**b gamma_q + gauss_gp * gauss_gq
-dec = build_decomposition(SequenceParams.of(3, 5, 1, 0, 0))
-print("e =", dec.e)
-print("sign coefficients:", dec.s.coeffs.tolist())
+params = SequenceParams.of(3, 5, 1, 0, 0)
+blocks = crt_blocks(primes)
+_, s = crt_sign_form(params, blocks)
+print("e =", params.e)
+print("sign coefficients:", s.dense().tolist())
 
 # multiply sigma(S) by S: the coefficient at exponent tau IS C_S(tau),
 # and expanding the product symbolically gives the closed form
-product = mul(invert_support(dec.s), dec.s)
-print("sigma(S) * S =", product.coeffs.tolist())
-expanded = expanded_product_form(dec.params)
+product = mul(s.sigma(), s)
+print("sigma(S) * S =", product.dense().tolist())
+expanded = crt_expanded_form(params, blocks)
 print("expanded form equals the product:", product == expanded)
 
 # one call checks all four routes at once: product, expanded form,

@@ -12,8 +12,7 @@ public name is imported from its submodule.
 from .sequence import (ResidueClass, SequenceParams, bitstring, classify, generate,
                        to_json, unit_character)
 from .autocorr import autocorr_empirical, distribution, nontrivial_bound, verify_theorem1
-from .groupring import (build_decomposition, dump, expanded_product_form, gamma_p,
-                        gamma_q, gauss_gp, gauss_gq, invert_support, mul,
+from .groupring import (dump, gamma_p, gamma_q, gauss_gp, gauss_gq, mul,
                         verify_correlation_identity, verify_lemma1)
 from .adic import (best_value_predicate, bits_to_int, complexity_report, d_exact,
                    dp_closed, dq_closed, mersenne, s2)
@@ -24,8 +23,7 @@ __all__ = [
     "ResidueClass", "SequenceParams", "bitstring", "classify", "generate",
     "to_json", "unit_character",
     "autocorr_empirical", "distribution", "nontrivial_bound", "verify_theorem1",
-    "build_decomposition", "dump", "expanded_product_form", "gamma_p", "gamma_q",
-    "gauss_gp", "gauss_gq", "invert_support", "mul",
+    "dump", "gamma_p", "gamma_q", "gauss_gp", "gauss_gq", "mul",
     "verify_correlation_identity", "verify_lemma1",
     "best_value_predicate", "bits_to_int", "complexity_report", "d_exact",
     "dp_closed", "dq_closed", "mersenne", "s2",

@@ -131,10 +131,6 @@ class AdicComplexityReport:
     deviations: tuple
 
     @property
-    def theorem_consistent(self) -> bool:
-        return not self.deviations
-
-    @property
     def closed_form_consistent(self) -> bool:
         """The closed-form oracle equivalence alone: d == max(d_p, d_q),
         min(d_p, d_q) == 1 and d_star == 1. The best-value prediction is

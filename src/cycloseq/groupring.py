@@ -1,19 +1,15 @@
-"""Exact arithmetic in the integer group ring Z[Gamma], Gamma cyclic of order n.
+"""Exact arithmetic in the integer group ring Z[Gamma], Gamma cyclic of order n = p*q.
 
-Two representations of the same ring:
-
-* Dense (``GroupRingElement``, ``mul``): the algebra API. Elements are
-  coefficient vectors indexed by exponent; multiplication is cyclic
-  convolution (reduction mod x**n - 1) and sigma is the support-inverting map
-  x**k -> x**(n-k). Coefficients are arbitrary-precision Python ints; a
-  64-bit fast path is used only when a proven bound rules out overflow. A
-  product costs O(n**2). The tests use this route as the oracle.
-* CRT tensor form (``CrtElement``): Z[Z_pq] is isomorphic to
-  Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q). Every
-  object of the correlation theorem is a sum of at most four rank-1 terms
-  c * (u (x) v) there, so a product is a handful of cyclic convolutions of
-  length p and q. ``verify_lemma1`` and ``verify_correlation_identity`` run
-  through this form and densify each result once for the comparisons.
+One representation, the CRT tensor form: Z[Z_pq] is isomorphic to
+Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q) (the
+Good-Thomas index map). A ``CrtElement`` is a sum of rank-1 terms
+c * (u (x) v), and every object of the correlation theorem needs at most four
+of them, so a product (``mul``) is a handful of cyclic convolutions of length
+p and q, and sigma, the automorphism x**k -> x**(-k), reverses each factor.
+``CrtElement.dense()`` reads the coefficient vector indexed by exponent back
+out; the checks densify each result once for their comparisons. The dense
+O(n**2) ring survives only as the oracle of the differential tests in
+``tests/test_groupring.py``.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -23,7 +19,6 @@ This matches the algebraic role of each object: gauss_gp squares to
 (-1/p) * (p*one - gamma_q).
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,153 +28,7 @@ from .sequence import (BinarySequence, CheckResult, SequenceParams, generate,
                        residue_table, sign_view)
 from . import autocorr as _autocorr
 
-_INT64_SAFE = 1 << 62
-
-
-class GroupRingElement:
-    """Dense element of Z[Gamma]; immutable; exact integer coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise ValueError("group order must be positive")
-        values = [int(c) for c in coeffs]
-        if len(values) != order:
-            raise ValueError(f"expected {order} coefficients, got {len(values)}")
-        arr = np.empty(order, dtype=object)
-        arr[:] = values
-        arr.flags.writeable = False
-        self.order = order
-        self.coeffs = arr
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self.order == other.order and bool(np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs.tolist())))
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        _check_orders(self, other)
-        return GroupRingElement(self.order, (self.coeffs + other.coeffs).tolist())
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        _check_orders(self, other)
-        return GroupRingElement(self.order, (self.coeffs - other.coeffs).tolist())
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.order, (-self.coeffs).tolist())
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(self.order, (self.coeffs * other).tolist())
-        if isinstance(other, GroupRingElement):
-            return mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(self.order, (self.coeffs * other).tolist())
-        return NotImplemented
-
-    def max_abs(self) -> int:
-        return max((abs(c) for c in self.coeffs.tolist()), default=0)
-
-    def support(self) -> tuple:
-        return tuple(int(k) for k in np.nonzero(self.coeffs)[0])
-
-    def __repr__(self) -> str:
-        nz = len(self.support())
-        return f"GroupRingElement(order={self.order}, nonzero={nz})"
-
-
-def _check_orders(u: GroupRingElement, v: GroupRingElement) -> None:
-    if u.order != v.order:
-        raise ValueError("elements live in different group rings")
-
-
-def element(order: int, coeffs) -> GroupRingElement:
-    return GroupRingElement(order, coeffs)
-
-
-def zero(order: int) -> GroupRingElement:
-    return GroupRingElement(order, [0] * order)
-
-
-def one(order: int) -> GroupRingElement:
-    """The multiplicative identity 1_Gamma = x**0."""
-    return monomial(order, 0)
-
-
-def monomial(order: int, k: int, coeff: int = 1) -> GroupRingElement:
-    coeffs = [0] * order
-    coeffs[k % order] = coeff
-    return GroupRingElement(order, coeffs)
-
-
-def mul(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
-    """Product in Z[Gamma]: full convolution folded mod x**n - 1."""
-    _check_orders(u, v)
-    n = u.order
-    bound = n * u.max_abs() * v.max_abs()
-    if bound < _INT64_SAFE:
-        full = np.convolve(u.coeffs.astype(np.int64), v.coeffs.astype(np.int64))
-    else:
-        full = np.convolve(u.coeffs, v.coeffs)
-    folded = full[:n].copy()
-    folded[: n - 1] += full[n:]
-    return GroupRingElement(n, folded.tolist())
-
-
-def invert_support(u: GroupRingElement) -> GroupRingElement:
-    """sigma: x**k -> x**(-k). A ring automorphism of Z[Gamma]."""
-    return GroupRingElement(u.order, np.roll(u.coeffs[::-1], 1).tolist())
-
-
-def dump(u: GroupRingElement) -> str:
-    """One 'exponent: coefficient' line per nonzero term, sorted by exponent."""
-    return "\n".join(f"{k}: {u.coeffs[k]}" for k in u.support())
-
-
-def gamma_p(primes: OddPrimePair) -> GroupRingElement:
-    """Subgroup sum over multiples of p: q terms 1 + x**p + ... + x**((q-1)p)."""
-    coeffs = [0] * primes.n
-    for i in range(primes.q):
-        coeffs[i * primes.p] = 1
-    return GroupRingElement(primes.n, coeffs)
-
-
-def gamma_q(primes: OddPrimePair) -> GroupRingElement:
-    """Subgroup sum over multiples of q: p terms 1 + x**q + ... + x**((p-1)q)."""
-    coeffs = [0] * primes.n
-    for j in range(primes.p):
-        coeffs[j * primes.q] = 1
-    return GroupRingElement(primes.n, coeffs)
-
-
-def gamma_total(order: int) -> GroupRingElement:
-    """Sum of all group elements; satisfies g * Gamma = Gamma."""
-    return GroupRingElement(order, [1] * order)
-
-
-def gauss_gp(primes: OddPrimePair) -> GroupRingElement:
-    """Quadratic character sum mod p, supported on multiples of q."""
-    coeffs = [0] * primes.n
-    for j in range(1, primes.p):
-        exp = j * primes.q
-        coeffs[exp] = legendre(exp, primes.p)
-    return GroupRingElement(primes.n, coeffs)
-
-
-def gauss_gq(primes: OddPrimePair) -> GroupRingElement:
-    """Quadratic character sum mod q, supported on multiples of p."""
-    coeffs = [0] * primes.n
-    for i in range(1, primes.q):
-        exp = i * primes.p
-        coeffs[exp] = legendre(exp, primes.q)
-    return GroupRingElement(primes.n, coeffs)
+_INT64_LIMIT = 1 << 63
 
 
 def _cyclic_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -198,9 +47,15 @@ def _reverse(u: np.ndarray) -> np.ndarray:
 class CrtElement:
     """Element of Z[Z_p] (x) Z[Z_q] as a sum of rank-1 terms c * (u (x) v).
 
-    ``terms`` holds (c, u, v): c a Python int, u an int64 vector over Z_p,
-    v one over Z_q. Every element built in this module has coefficients
-    bounded by a small multiple of n, so int64 arithmetic is exact.
+    ``terms`` holds (c, u, v, bound_u, bound_v): c a Python int, u an int64
+    vector over Z_p, v one over Z_q, and two Python ints that bound the
+    absolute entries of u and of v. The builders start both bounds at 1;
+    ``mul`` multiplies the two bounds of a term pair and then by p (for u)
+    or q (for v), since a cyclic convolution of length r grows entries at
+    most r-fold. The sum of |c| * bound_u * bound_v over the terms bounds
+    every dense coefficient. Rather than let int64 wrap, ``mul`` raises
+    OverflowError once a factor bound reaches 2**63, and ``dense()`` once that
+    sum does. Two elements are equal when their dense coefficients are.
     """
 
     __slots__ = ("primes", "terms")
@@ -209,6 +64,16 @@ class CrtElement:
         self.primes = primes
         self.terms = tuple(terms)
 
+    @property
+    def order(self) -> int:
+        return self.primes.n
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CrtElement):
+            return NotImplemented
+        return (self.primes == other.primes
+                and bool(np.array_equal(self.dense(), other.dense())))
+
     def __add__(self, other: "CrtElement") -> "CrtElement":
         return CrtElement(self.primes, self.terms + other.terms)
 
@@ -216,28 +81,86 @@ class CrtElement:
         return self + -1 * other
 
     def __rmul__(self, k: int) -> "CrtElement":
-        return CrtElement(self.primes, [(k * c, u, v) for c, u, v in self.terms])
+        return CrtElement(self.primes, [(k * c, u, v, bu, bv)
+                                        for c, u, v, bu, bv in self.terms])
 
     def __mul__(self, other: "CrtElement") -> "CrtElement":
-        """Ring product: (u (x) v)(x (x) y) = (u*x) (x) (v*y), termwise."""
-        return CrtElement(self.primes, [(c * d, _cyclic_mul(u, x), _cyclic_mul(v, y))
-                                        for c, u, v in self.terms
-                                        for d, x, y in other.terms])
+        return mul(self, other)
 
     def sigma(self) -> "CrtElement":
         """x**k -> x**(-k), which reverses each factor."""
-        return CrtElement(self.primes, [(c, _reverse(u), _reverse(v))
-                                        for c, u, v in self.terms])
+        return CrtElement(self.primes, [(c, _reverse(u), _reverse(v), bu, bv)
+                                        for c, u, v, bu, bv in self.terms])
 
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q)."""
+        if sum(abs(c) * bu * bv for c, _, _, bu, bv in self.terms) >= _INT64_LIMIT:
+            raise OverflowError("dense coefficients could exceed int64")
         p, q = self.primes.p, self.primes.q
-        coeffs = np.array([c for c, _, _ in self.terms], dtype=np.int64)
-        us = np.array([u for _, u, _ in self.terms], dtype=np.int64).reshape(-1, p)
-        vs = np.array([v for _, _, v in self.terms], dtype=np.int64).reshape(-1, q)
+        coeffs = np.array([t[0] for t in self.terms], dtype=np.int64)
+        us = np.array([t[1] for t in self.terms], dtype=np.int64).reshape(-1, p)
+        vs = np.array([t[2] for t in self.terms], dtype=np.int64).reshape(-1, q)
         grid = (coeffs[:, None] * us).T @ vs  # sum of c * outer(u, v)
         # k mod p and k mod q for k in [0, n), as flat indices into the grid
         return grid.ravel()[np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)]
+
+
+def mul(x: CrtElement, y: CrtElement) -> CrtElement:
+    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise."""
+    if x.primes != y.primes:
+        raise ValueError("elements live in different group rings")
+    p, q = x.primes.p, x.primes.q
+    terms = []
+    for c, u, v, bu, bv in x.terms:
+        for d, s, t, bs, bt in y.terms:
+            bound_u, bound_v = p * bu * bs, q * bv * bt
+            if bound_u >= _INT64_LIMIT or bound_v >= _INT64_LIMIT:
+                raise OverflowError("product factors could exceed int64")
+            terms.append((c * d, _cyclic_mul(u, s), _cyclic_mul(v, t), bound_u, bound_v))
+    return CrtElement(x.primes, terms)
+
+
+def dump(u: CrtElement) -> str:
+    """One 'exponent: coefficient' line per nonzero term, sorted by exponent."""
+    coeffs = u.dense()
+    return "\n".join(f"{k}: {coeffs[k]}" for k in np.flatnonzero(coeffs))
+
+
+def _rank1(primes: OddPrimePair, u: np.ndarray, v: np.ndarray) -> CrtElement:
+    """1 * (u (x) v) for int64 factors with entries in {-1, 0, 1}."""
+    return CrtElement(primes, [(1, u, v, 1, 1)])
+
+
+def _delta(r: int) -> np.ndarray:
+    """x**0 on one factor."""
+    u = np.zeros(r, dtype=np.int64)
+    u[0] = 1
+    return u
+
+
+def _chi(r: int) -> np.ndarray:
+    """The quadratic character mod r on one factor."""
+    return residue_table(r).astype(np.int64)
+
+
+def gamma_p(primes: OddPrimePair) -> CrtElement:
+    """Subgroup sum over multiples of p: q terms 1 + x**p + ... + x**((q-1)p)."""
+    return _rank1(primes, _delta(primes.p), np.ones(primes.q, dtype=np.int64))
+
+
+def gamma_q(primes: OddPrimePair) -> CrtElement:
+    """Subgroup sum over multiples of q: p terms 1 + x**q + ... + x**((p-1)q)."""
+    return _rank1(primes, np.ones(primes.p, dtype=np.int64), _delta(primes.q))
+
+
+def gauss_gp(primes: OddPrimePair) -> CrtElement:
+    """Quadratic character sum mod p, supported on multiples of q."""
+    return _rank1(primes, _chi(primes.p), _delta(primes.q))
+
+
+def gauss_gq(primes: OddPrimePair) -> CrtElement:
+    """Quadratic character sum mod q, supported on multiples of p."""
+    return _rank1(primes, _delta(primes.p), _chi(primes.q))
 
 
 class CrtBlocks(NamedTuple):
@@ -254,18 +177,9 @@ class CrtBlocks(NamedTuple):
 def crt_blocks(primes: OddPrimePair) -> CrtBlocks:
     """The six blocks for one pair; chi_r is ``residue_table(r)``."""
     p, q = primes.p, primes.q
-    delta_p, delta_q = np.zeros(p, dtype=np.int64), np.zeros(q, dtype=np.int64)
-    delta_p[0] = delta_q[0] = 1
-    ones_p, ones_q = np.ones(p, dtype=np.int64), np.ones(q, dtype=np.int64)
-    chi_p = residue_table(p).astype(np.int64)
-    chi_q = residue_table(q).astype(np.int64)
-
-    def rank1(u, v):
-        return CrtElement(primes, [(1, u, v)])
-
-    return CrtBlocks(rank1(delta_p, delta_q), rank1(delta_p, ones_q),
-                     rank1(ones_p, delta_q), rank1(ones_p, ones_q),
-                     rank1(chi_p, delta_q), rank1(delta_p, chi_q))
+    total = _rank1(primes, np.ones(p, dtype=np.int64), np.ones(q, dtype=np.int64))
+    return CrtBlocks(_rank1(primes, _delta(p), _delta(q)), gamma_p(primes),
+                     gamma_q(primes), total, gauss_gp(primes), gauss_gq(primes))
 
 
 def crt_lemma1(primes: OddPrimePair) -> tuple:
@@ -311,14 +225,6 @@ def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
             + (e * (1 + chi_minus1)) * (blocks.gauss_gp * blocks.gauss_gq))
 
 
-def _checked_signs(s: CrtElement, seq: BinarySequence) -> np.ndarray:
-    """S densified, cross-checked coefficientwise against the sequence."""
-    dense = s.dense()
-    if not np.array_equal(dense, sign_view(seq)):
-        raise RuntimeError("sign polynomial decomposition does not match the sequence")
-    return dense
-
-
 def verify_lemma1(primes: OddPrimePair) -> CheckResult:
     """Coefficient-exact check of the five structural product identities of
     ``crt_lemma1``; the detail names the first one that fails."""
@@ -328,36 +234,6 @@ def verify_lemma1(primes: OddPrimePair) -> CheckResult:
             return CheckResult("lemma1", False,
                                f"{name} first differs at exponent {diff[0]}")
     return CheckResult("lemma1", True)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """S = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q + gauss_gp * gauss_gq."""
-
-    params: SequenceParams
-    e: int
-    h: GroupRingElement
-    gp: GroupRingElement
-    gq: GroupRingElement
-    s: GroupRingElement
-
-
-def build_decomposition(params: SequenceParams) -> Decomposition:
-    """Assemble the structured form of the sign polynomial and cross-check it
-    coefficientwise against the generated sequence."""
-    blocks = crt_blocks(params.primes)
-    h, s = crt_sign_form(params, blocks)
-    signs = _checked_signs(s, generate(params))
-    n = params.n
-    return Decomposition(params, params.e, element(n, h.dense()),
-                         element(n, blocks.gauss_gp.dense()),
-                         element(n, blocks.gauss_gq.dense()), element(n, signs))
-
-
-def expanded_product_form(params: SequenceParams) -> GroupRingElement:
-    """The expanded form of sigma(S)*S as an explicit ring element."""
-    expanded = crt_expanded_form(params, crt_blocks(params.primes))
-    return element(params.n, expanded.dense())
 
 
 def verify_correlation_identity(params: SequenceParams,
@@ -376,7 +252,8 @@ def verify_correlation_identity(params: SequenceParams,
         raise ValueError("the sequence was built from other parameters")
     blocks = crt_blocks(params.primes)
     _, s = crt_sign_form(params, blocks)
-    _checked_signs(s, seq)
+    if not np.array_equal(s.dense(), sign_view(seq)):
+        raise RuntimeError("sign polynomial decomposition does not match the sequence")
     product = (s.sigma() * s).dense()
     expanded = crt_expanded_form(params, blocks).dense()
     if emp is None:

@@ -138,7 +138,7 @@ def test_complexity_report_clean_instance():
     assert (report.d_p, report.d_q, report.d_star) == (1, 1, 1)
     assert report.best_value is True
     assert report.deviations == ()
-    assert report.theorem_consistent and report.closed_form_consistent
+    assert report.closed_form_consistent
     assert report.complexity_exact == (15, 1)
     assert report.complexity_float == pytest.approx(14.99996, abs=1e-4)
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
@@ -163,7 +163,6 @@ def test_complexity_report_small_degenerate():
     assert report.best_value is True
     assert report.deviations == ("best_value predicted but d != 1",)
     assert report.closed_form_consistent
-    assert not report.theorem_consistent
 
 
 def test_complexity_report_large_degenerate():

@@ -5,45 +5,72 @@ import pytest
 
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
-from cycloseq.groupring import (GroupRingElement, build_decomposition, crt_blocks,
-                                crt_expanded_form, crt_lemma1, crt_sign_form,
-                                dump, element, expanded_product_form, gamma_p,
-                                gamma_q, gamma_total, gauss_gp, gauss_gq,
-                                invert_support, monomial, mul, one,
-                                verify_correlation_identity, verify_lemma1,
-                                zero)
+from cycloseq.groupring import (CrtElement, crt_blocks, crt_expanded_form, crt_lemma1,
+                                crt_sign_form, dump, gamma_p, gamma_q, gauss_gp,
+                                gauss_gq, mul, verify_correlation_identity,
+                                verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
 from cycloseq.sequence import (CheckResult, SequenceParams, generate, residue_table,
                                sign_view)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+RANDOM_PAIRS = [OddPrimePair(3, 5), OddPrimePair(5, 7), OddPrimePair(3, 13)]
 
+
+# Dense oracle: Z[Gamma] as int64 coefficient vectors indexed by exponent.
+# It shares no code with the CRT form, and its character sums evaluate one
+# Legendre symbol per exponent instead of reading residue_table.
 
 def _oracle_mul(u, v):
-    # cyclic convolution from the definition, dict of Python ints
-    n = u.order
-    acc = {}
-    for i, ci in enumerate(u.coeffs.tolist()):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(v.coeffs.tolist()):
-            if cj == 0:
-                continue
-            k = (i + j) % n
-            acc[k] = acc.get(k, 0) + ci * cj
-    return element(n, [acc.get(k, 0) for k in range(n)])
+    # cyclic convolution from the definition, in Python ints
+    n = len(u)
+    acc = [0] * n
+    for i, ci in enumerate(u.tolist()):
+        for j, cj in enumerate(v.tolist()):
+            acc[(i + j) % n] += ci * cj
+    return acc
+
+
+def _dense_mul(u, v):
+    # product in Z[Gamma]: full convolution folded mod x**n - 1
+    n = len(u)
+    full = np.convolve(u, v)
+    full[: n - 1] += full[n:]
+    return full[:n]
+
+
+def _dense_sigma(u):
+    # x**k -> x**(-k)
+    return np.roll(u[::-1], 1)
+
+
+def _dense_subgroup_sum(primes, step):
+    u = np.zeros(primes.n, dtype=np.int64)
+    u[::step] = 1
+    return u
+
+
+def _dense_gauss(primes, r):
+    # Legendre symbols mod r on the multiples of n // r, one symbol at a time
+    u = np.zeros(primes.n, dtype=np.int64)
+    for j in range(1, r):
+        exp = j * (primes.n // r)
+        u[exp] = legendre(exp, r)
+    return u
 
 
 def _dense_lemma1(primes, gp, gq):
     # (name, product, right side) of each Lemma-1 identity in the dense ring
     p, q, n = primes.p, primes.q, primes.n
-    cp, cq = gamma_p(primes), gamma_q(primes)
+    cp, cq = _dense_subgroup_sum(primes, p), _dense_subgroup_sum(primes, q)
+    one = np.eye(1, n, dtype=np.int64)[0]
+    zero = np.zeros(n, dtype=np.int64)
     return [
-        ("gauss_gp_squared", mul(gp, gp), legendre(-1, p) * (p * one(n) - cq)),
-        ("gauss_gq_squared", mul(gq, gq), legendre(-1, q) * (q * one(n) - cp)),
-        ("gamma_p_times_gauss_gq", mul(cp, gq), zero(n)),
-        ("gamma_q_times_gauss_gp", mul(cq, gp), zero(n)),
-        ("gamma_p_times_gamma_q", mul(cp, cq), gamma_total(n)),
+        ("gauss_gp_squared", _dense_mul(gp, gp), legendre(-1, p) * (p * one - cq)),
+        ("gauss_gq_squared", _dense_mul(gq, gq), legendre(-1, q) * (q * one - cp)),
+        ("gamma_p_times_gauss_gq", _dense_mul(cp, gq), zero),
+        ("gamma_q_times_gauss_gp", _dense_mul(cq, gp), zero),
+        ("gamma_p_times_gamma_q", _dense_mul(cp, cq), np.ones(n, dtype=np.int64)),
     ]
 
 
@@ -56,135 +83,155 @@ def _first_diff(got, want):
     return k, int(got[k]), int(want[k])
 
 
-def _random_element(rng, n, lo, hi):
-    return element(n, [rng.randint(lo, hi) for _ in range(n)])
+def _factor(values):
+    return np.array(values, dtype=np.int64)
+
+
+def _monomial(primes, k, coeff=1):
+    # x**k is delta at k mod p tensor delta at k mod q
+    u, v = np.zeros(primes.p, dtype=np.int64), np.zeros(primes.q, dtype=np.int64)
+    u[k % primes.p] = v[k % primes.q] = 1
+    return CrtElement(primes, [(coeff, u, v, 1, 1)])
+
+
+def _random_element(rng, primes):
+    # 1-4 rank-1 terms, small coefficients, factor entries in [-3, 3]
+    return CrtElement(primes, [
+        (rng.randint(-5, 5),
+         _factor([rng.randint(-3, 3) for _ in range(primes.p)]),
+         _factor([rng.randint(-3, 3) for _ in range(primes.q)]), 3, 3)
+        for _ in range(rng.randint(1, 4))])
+
+
+def _random_triples(seed, count=4):
+    rng = random.Random(seed)
+    return [(primes, *(_random_element(rng, primes) for _ in range(3)))
+            for primes in RANDOM_PAIRS for _ in range(count)]
 
 
 def test_construction_and_equality():
-    u = element(5, [1, -2, 0, 0, 3])
-    assert u.order == 5
-    assert u.coeffs.tolist() == [1, -2, 0, 0, 3]
-    assert u.support() == (0, 1, 4)
-    assert u.max_abs() == 3
-    assert u == element(5, [1, -2, 0, 0, 3])
-    assert u != element(5, [1, -2, 0, 0, 4])
-    assert len({u, element(5, [1, -2, 0, 0, 3])}) == 1
-    assert zero(4) == element(4, [0, 0, 0, 0])
-    assert one(4) == element(4, [1, 0, 0, 0])
-    assert monomial(6, 4, -7).coeffs.tolist() == [0, 0, 0, 0, -7, 0]
-    assert monomial(6, 8) == monomial(6, 2)
+    primes = OddPrimePair(3, 5)
+    u = gamma_p(primes)
+    assert u.order == 15
+    assert u.dense().tolist() == [1, 0, 0] * 5
+    ones_q = np.ones(5, dtype=np.int64)
+    delta_p = _factor([1, 0, 0])
+    split = CrtElement(primes, [(3, delta_p, ones_q, 1, 1), (-2, delta_p, ones_q, 1, 1)])
+    assert len(split.terms) == 2 and split == u
+    assert 2 * u != u
+    assert u != gamma_p(OddPrimePair(3, 7))
+    for _, x, y, _ in _random_triples(1414):
+        assert len((x + y - y).terms) > len(x.terms) and x + y - y == x
 
 
 def test_construction_errors():
-    with pytest.raises(ValueError, match="coefficients"):
-        element(5, [1, 2, 3])
-    with pytest.raises(ValueError, match="order"):
-        element(0, [])
     with pytest.raises(ValueError, match="different group rings"):
-        mul(one(5), one(6))
-
-
-def test_coeffs_are_immutable():
-    u = element(3, [1, 2, 3])
-    with pytest.raises(ValueError):
-        u.coeffs[0] = 9
+        mul(_monomial(OddPrimePair(3, 5), 0), _monomial(OddPrimePair(3, 7), 0))
 
 
 def test_monomial_products_wrap():
-    n = 15
-    assert mul(monomial(n, 10), monomial(n, 10)) == monomial(n, 5)
-    assert mul(one(n), monomial(n, 7)) == monomial(n, 7)
-    assert mul(monomial(n, 3, 2), monomial(n, 12, -5)) == monomial(n, 0, -10)
+    primes = OddPrimePair(3, 5)
+    for k in range(primes.n):
+        assert _monomial(primes, k).dense().tolist() == np.eye(1, 15, k, dtype=int)[0].tolist()
+    assert mul(_monomial(primes, 10), _monomial(primes, 10)) == _monomial(primes, 5)
+    assert mul(_monomial(primes, 0), _monomial(primes, 7)) == _monomial(primes, 7)
+    assert mul(_monomial(primes, 3, 2), _monomial(primes, 12, -5)) == _monomial(primes, 0, -10)
 
 
 def test_scalar_and_additive_operations():
-    u = element(4, [1, 0, -2, 5])
-    assert (3 * u).coeffs.tolist() == [3, 0, -6, 15]
-    assert (u * -1) == -u
-    assert (u + u).coeffs.tolist() == [2, 0, -4, 10]
-    assert (u - u) == zero(4)
+    for primes, u, _, _ in _random_triples(4242):
+        assert (3 * u).dense().tolist() == (3 * u.dense()).tolist()
+        assert (-1 * u).dense().tolist() == (-u.dense()).tolist()
+        assert (u + u).dense().tolist() == (2 * u.dense()).tolist()
+        assert u - u == CrtElement(primes)
 
 
 def test_mul_matches_convolution_oracle():
-    rng = random.Random(20260817)
-    for n in (7, 12, 15):
-        for _ in range(6):
-            u = _random_element(rng, n, -9, 9)
-            v = _random_element(rng, n, -9, 9)
-            assert mul(u, v) == _oracle_mul(u, v)
-    # wide coefficients force the arbitrary-precision path
-    for _ in range(3):
-        u = _random_element(rng, 10, -(10 ** 12), 10 ** 12)
-        v = _random_element(rng, 10, -(10 ** 12), 10 ** 12)
-        assert mul(u, v) == _oracle_mul(u, v)
+    for _, u, v, _ in _random_triples(20260817):
+        want = _oracle_mul(u.dense(), v.dense())
+        assert _dense_mul(u.dense(), v.dense()).tolist() == want
+        assert mul(u, v).dense().tolist() == want
+        assert (u * v).dense().tolist() == want
 
 
 def test_mul_paths_agree_under_scaling():
-    rng = random.Random(271828)
-    u = _random_element(rng, 15, -9, 9)
-    v = _random_element(rng, 15, -9, 9)
-    k = 10 ** 17  # scaled products overflow int64, so the paths must agree exactly
-    assert mul(k * u, v) == k * mul(u, v)
+    # scalars ride in the Python-int coefficients, so scaling an operand
+    # and scaling the product give one element
+    k = 10 ** 12
+    for _, u, v, _ in _random_triples(271828):
+        assert mul(k * u, v) == k * mul(u, v) == mul(u, k * v)
 
 
 def test_big_coefficient_exactness():
-    big = 10 ** 10
-    u = element(6, [big, 0, -big, 1, 0, 2])
-    sq = mul(u, u)
-    assert sq.coeffs.tolist() == [
-        big * big + 1, -4 * big, -2 * big * big + 4, 2 * big, big * big + 4, 2 * big,
-    ]
-    assert sq.coeffs[2] == -199999999999999999996
+    # exact right up to the int64 limit, checked against Python ints
+    primes = OddPrimePair(3, 5)
+    one = _monomial(primes, 0)
+    assert (2 ** 62 * one + (2 ** 62 - 1) * one).dense()[0] == 2 ** 63 - 1
+    k = 10 ** 12
+    for _, u, v, _ in _random_triples(8675309):
+        want = [k * c for c in _oracle_mul(u.dense(), v.dense())]
+        assert mul(k * u, v).dense().tolist() == want
+
+
+def test_int64_overflow_is_refused_not_wrapped():
+    primes = OddPrimePair(3, 5)
+    k = 3 * 2 ** 61
+    gp = gauss_gp(primes)
+    square = k * (gp * gp)  # -3 * 2**62 at exponent 0
+    with pytest.raises(OverflowError):
+        square.dense()
+    one = _monomial(primes, 0)
+    with pytest.raises(OverflowError):
+        (k * one + k * one).dense()  # 3 * 2**62 at exponent 0
+    big = CrtElement(primes, [(1, _factor([2 ** 61, 0, 0]), _factor([1, 0, 0, 0, 0]),
+                               2 ** 61, 1)])
+    with pytest.raises(OverflowError):
+        mul(big, big)  # 2**122 in the first factor
 
 
 def test_ring_axioms_on_random_elements():
-    rng = random.Random(161803)
-    n = 15
-    for _ in range(5):
-        u = _random_element(rng, n, -9, 9)
-        v = _random_element(rng, n, -9, 9)
-        w = _random_element(rng, n, -9, 9)
+    for primes, u, v, w in _random_triples(161803):
         assert mul(mul(u, v), w) == mul(u, mul(v, w))
         assert mul(u, v) == mul(v, u)
         assert mul(u, v + w) == mul(u, v) + mul(u, w)
-        assert mul(u, one(n)) == u
+        assert mul(u, _monomial(primes, 0)) == u
 
 
 def test_invert_support():
-    n = 15
-    for k in range(n):
-        assert invert_support(monomial(n, k)) == monomial(n, (n - k) % n)
-    rng = random.Random(573)
-    u = _random_element(rng, n, -9, 9)
-    v = _random_element(rng, n, -9, 9)
-    assert invert_support(invert_support(u)) == u
-    assert invert_support(mul(u, v)) == mul(invert_support(u), invert_support(v))
-    assert invert_support(one(n)) == one(n)
+    # sigma is an involutive ring automorphism and inverts exponents
+    primes = OddPrimePair(3, 5)
+    for k in range(primes.n):
+        assert _monomial(primes, k).sigma() == _monomial(primes, -k)
+    for _, u, v, _ in _random_triples(573):
+        assert u.sigma().dense().tolist() == _dense_sigma(u.dense()).tolist()
+        assert u.sigma().sigma() == u
+        assert mul(u, v).sigma() == mul(u.sigma(), v.sigma())
+        assert (u + v).sigma() == u.sigma() + v.sigma()
 
 
 def test_frozen_supports_for_3_5():
     primes = OddPrimePair(3, 5)
-    assert gamma_p(primes).support() == (0, 3, 6, 9, 12)
-    assert gamma_q(primes).support() == (0, 5, 10)
-    gp = gauss_gp(primes)
-    assert gp.coeffs.tolist() == [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
-    gq = gauss_gq(primes)
-    assert [int(gq.coeffs[k]) for k in (3, 6, 9, 12)] == [-1, 1, 1, -1]
-    assert gq.support() == (3, 6, 9, 12)
-    assert gamma_total(15).coeffs.tolist() == [1] * 15
+    assert np.flatnonzero(gamma_p(primes).dense()).tolist() == [0, 3, 6, 9, 12]
+    assert np.flatnonzero(gamma_q(primes).dense()).tolist() == [0, 5, 10]
+    gp = gauss_gp(primes).dense()
+    assert gp.tolist() == [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    gq = gauss_gq(primes).dense()
+    assert [int(gq[k]) for k in (3, 6, 9, 12)] == [-1, 1, 1, -1]
+    assert np.flatnonzero(gq).tolist() == [3, 6, 9, 12]
+    assert crt_blocks(primes).total.dense().tolist() == [1] * 15
 
 
 def test_dump_format():
-    gp = gauss_gp(OddPrimePair(3, 5))
-    assert dump(gp) == "5: -1\n10: 1"
-    assert dump(zero(4)) == ""
+    primes = OddPrimePair(3, 5)
+    assert dump(gauss_gp(primes)) == "5: -1\n10: 1"
+    assert dump(CrtElement(primes)) == ""
 
 
 def test_gauss_gp_square_frozen():
     primes = OddPrimePair(3, 5)
     sq = mul(gauss_gp(primes), gauss_gp(primes))
-    want = -2 * one(15) + monomial(15, 5) + monomial(15, 10)
-    assert sq == want
+    assert sq.dense().tolist() == [-2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert sq == -2 * _monomial(primes, 0) + _monomial(primes, 5) + _monomial(primes, 10)
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (3, 13), (7, 11)])
@@ -203,38 +250,42 @@ def test_decomposition_e_values():
         (0, 0, 0): -1, (0, 0, 1): -3, (0, 1, 0): 1, (0, 1, 1): -1,
         (1, 0, 0): 1, (1, 0, 1): -1, (1, 1, 0): 3, (1, 1, 1): 1,
     }
+    blocks = crt_blocks(OddPrimePair(3, 5))
     for (a, b, c), e in expected_e.items():
-        dec = build_decomposition(SequenceParams.of(3, 5, a, b, c))
-        assert dec.e == e, (a, b, c)
-    dec = build_decomposition(SequenceParams.of(3, 5, 0, 0, 0))
-    assert int(dec.h.coeffs[0]) == 1  # e + (-1)**a + (-1)**b
+        params = SequenceParams.of(3, 5, a, b, c)
+        assert params.e == e, (a, b, c)
+        h, _ = crt_sign_form(params, blocks)
+        assert int(h.dense()[0]) == e + (-1) ** a + (-1) ** b
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7)])
 def test_decomposition_consistency(p, q):
+    blocks = crt_blocks(OddPrimePair(p, q))
+    gg = blocks.gauss_gp * blocks.gauss_gq
     for a, b, c in ALL_TRIPLES:
-        dec = build_decomposition(SequenceParams.of(p, q, a, b, c))
-        assert dec.s == dec.h + mul(dec.gp, dec.gq)
+        params = SequenceParams.of(p, q, a, b, c)
+        h, s = crt_sign_form(params, blocks)
+        assert s.dense().tolist() == sign_view(generate(params)).tolist()
+        assert s == h + gg
         # applying sigma flips only the character product term
         chi_minus1 = legendre(-1, p) * legendre(-1, q)
-        assert invert_support(dec.s) == dec.h + chi_minus1 * mul(dec.gp, dec.gq)
+        assert s.sigma() == h + chi_minus1 * gg
 
 
 def test_expanded_product_form_matches_direct_product():
+    blocks = crt_blocks(OddPrimePair(5, 7))
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(5, 7, a, b, c)
-        dec = build_decomposition(params)
-        direct = mul(invert_support(dec.s), dec.s)
-        assert direct == expanded_product_form(params), (a, b, c)
+        _, s = crt_sign_form(params, blocks)
+        assert mul(s.sigma(), s) == crt_expanded_form(params, blocks), (a, b, c)
 
 
 def test_correlation_identity_ideal_case():
     params = SequenceParams.of(3, 5, 1, 0, 0)
     check = verify_correlation_identity(params)
     assert check == CheckResult("correlation_identity", True)
-    dec = build_decomposition(params)
-    product = mul(invert_support(dec.s), dec.s)
-    assert product.coeffs.tolist() == [15] + [-1] * 14
+    _, s = crt_sign_form(params, crt_blocks(params.primes))
+    assert mul(s.sigma(), s).dense().tolist() == [15] + [-1] * 14
 
 
 @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (3, 13)])
@@ -249,20 +300,19 @@ def test_crt_route_matches_dense_ring_on_every_pair():
     # Differential test: every tensor-form product the checks use equals the
     # dense O(n**2) product, coefficient by coefficient, for all pq <= 1000.
     for primes in odd_prime_pairs(1000):
-        n = primes.n
-        dense = {name: (got, want) for name, got, want
-                 in _dense_lemma1(primes, gauss_gp(primes), gauss_gq(primes))}
+        dense = {name: (got, want) for name, got, want in _dense_lemma1(
+            primes, _dense_gauss(primes, primes.p), _dense_gauss(primes, primes.q))}
         for name, lhs, rhs in crt_lemma1(primes):
             got, want = dense[name]
-            assert lhs.dense().tolist() == got.coeffs.tolist(), (primes, name)
-            assert rhs.dense().tolist() == want.coeffs.tolist(), (primes, name)
+            assert lhs.dense().tolist() == got.tolist(), (primes, name)
+            assert rhs.dense().tolist() == want.tolist(), (primes, name)
         blocks = crt_blocks(primes)
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams(primes, a, b, c)
             _, s = crt_sign_form(params, blocks)
-            s_dense = element(n, sign_view(generate(params)))
-            assert s.dense().tolist() == s_dense.coeffs.tolist(), (primes, a, b, c)
-            want = mul(invert_support(s_dense), s_dense).coeffs.tolist()
+            s_dense = sign_view(generate(params)).astype(np.int64)
+            assert s.dense().tolist() == s_dense.tolist(), (primes, a, b, c)
+            want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
             assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
             assert crt_expanded_form(params, blocks).dense().tolist() == want
 
@@ -277,13 +327,13 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
         return table
 
     monkeypatch.setattr(gr, "residue_table", flipped)
-    gp = gauss_gp(primes).coeffs.copy()
+    gp = _dense_gauss(primes, primes.p)
     exp = next(j * primes.q for j in range(1, primes.p) if j * primes.q % primes.p == k0)
     gp[exp] = -gp[exp]
-    dense = _dense_lemma1(primes, element(primes.n, gp), gauss_gq(primes))
+    dense = _dense_lemma1(primes, gp, _dense_gauss(primes, primes.q))
     crt = [(name, _first_diff(lhs.dense(), rhs.dense()))
            for name, lhs, rhs in crt_lemma1(primes)]
-    want = [(name, _first_diff(got.coeffs, want.coeffs)) for name, got, want in dense]
+    want = [(name, _first_diff(got, want)) for name, got, want in dense]
     assert crt == want
     failing = [name for name, diff in want if diff is not None]
     assert failing and failing[0] == "gauss_gp_squared"
