@@ -14,6 +14,7 @@ the trivial C_S(0) = n. Two parameter families stand out:
 
 from cycloseq import (SequenceParams, autocorr_empirical, distribution,
                       generate, nontrivial_bound, verify_theorem1)
+from cycloseq.autocorr import closed_form_profile, empirical_profile
 from cycloseq.numtheory import OddPrimePair
 
 # direct computation: shift, compare, sum signs
@@ -24,7 +25,7 @@ for tau in range(seq.n):
 
 # the per-class closed form gives the same numbers without touching the
 # sequence; verify_theorem1 compares the two routes at every shift
-check = verify_theorem1(SequenceParams.of(3, 7, 1, 0, 0))
+check = verify_theorem1(empirical_profile(seq), closed_form_profile(seq.params))
 print("closed form matches empirical:", check.ok)
 
 # the full profile as a value -> count table

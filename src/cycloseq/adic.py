@@ -115,8 +115,8 @@ class AdicComplexityReport:
     """Exact 2-adic complexity data for one parameter set.
 
     ``d_exact`` is ``d_exact(seq)``, past that function's congruence check.
-    ``complexity_exact`` is the pair (n, d) denoting log2((2**n - 1) / d);
-    the float field approximates it as n + log2(1 - 2**-n) - log2(d).
+    The complexity is log2((2**n - 1) / d); ``complexity_float``
+    approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates
     (empty for every instance with p >= 5).
     """
@@ -136,10 +136,6 @@ class AdicComplexityReport:
         min(d_p, d_q) == 1 and d_star == 1. The best-value prediction is
         excluded here; it is reported via ``deviations``."""
         return not any(dev in _ORACLE_CLAUSES for dev in self.deviations)
-
-    @property
-    def complexity_exact(self) -> tuple:
-        return (self.n, self.d_exact)
 
     @property
     def complexity_float(self) -> float:
@@ -190,19 +186,10 @@ def complexity_report(params: SequenceParams,
                                 tuple(deviations))
 
 
-def verify_theorem2(params: SequenceParams,
-                    report: "AdicComplexityReport | None" = None) -> CheckResult:
+def verify_theorem2(report: AdicComplexityReport) -> CheckResult:
     """Closed-form oracle equivalence: d == max(d_p, d_q), min(d_p, d_q) == 1
     and d_star == 1. A failed best-value prediction alone does not fail it,
-    but is listed in the detail of a failure with every other deviation.
-
-    A caller that already holds ``report = complexity_report(params)``
-    passes it in, so it is not rebuilt.
-    """
-    if report is None:
-        report = complexity_report(params)
-    elif report.params != params:
-        raise ValueError("the report was built from other parameters")
+    but is listed in the detail of a failure with every other deviation."""
     if report.closed_form_consistent:
         return CheckResult("theorem2", True)
     return CheckResult("theorem2", False, "; ".join(report.deviations))

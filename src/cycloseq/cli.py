@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: generate, autocorr, adic, verify, sweep. Exit codes: 0 success,
-1 usage/parameter error, 2 at least one theorem check failed. Data files are
+1 usage/parameter error or input too large for int64 group-ring arithmetic,
+2 at least one theorem check failed. Data files are
 byte-identical across reruns of the same invocation: rows are emitted in
 sorted order and no timestamps or environment details are written.
 
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
-through one pair x triple loop, ``_checked``. Each check is a function of
-one ``_Instance`` that returns a ``CheckResult``; an instance builds its
-sequence, empirical profile and complexity report on first use, at most once
-each. Its ``_Pair`` holds what depends on the prime pair alone, so ``lemma1``
-runs once per pair and every triple of the pair reads that one result.
+through one pair x triple loop, ``_checked``. ``_Pair`` and ``_Instance`` are
+the only builders, and this is the only module that composes the layers: a
+``_Pair`` builds the CRT blocks and the ``lemma1`` result, an ``_Instance``
+its sequence, empirical and closed-form profiles and complexity report, each
+on first use and at most once. Each check is a function of one ``_Instance``
+that hands those pieces to a library check, which compares them and returns a
+``CheckResult``.
 """
 
 import argparse
@@ -164,10 +167,14 @@ def cmd_adic(args) -> int:
 
 
 class _Pair:
-    """One prime pair; its pair-only check is built on first use only."""
+    """One prime pair; its CRT blocks and lemma1 are built on first use only."""
 
     def __init__(self, primes: OddPrimePair):
         self.primes = primes
+
+    @cached_property
+    def blocks(self):
+        return gr.crt_blocks(self.primes)
 
     @cached_property
     def lemma1(self):
@@ -190,16 +197,20 @@ class _Instance:
         return ac.empirical_profile(self.seq)
 
     @cached_property
+    def closed(self):
+        return ac.closed_form_profile(self.params)
+
+    @cached_property
     def report(self):
         return adic.complexity_report(self.params, self.seq)
 
 
 CHECKS = {
-    "theorem1": lambda inst: ac.verify_theorem1(inst.params, inst.emp),
+    "theorem1": lambda inst: ac.verify_theorem1(inst.emp, inst.closed),
     "lemma1": lambda inst: inst.pair.lemma1,
-    "theorem2": lambda inst: adic.verify_theorem2(inst.params, inst.report),
+    "theorem2": lambda inst: adic.verify_theorem2(inst.report),
     "correlation_identity": lambda inst: gr.verify_correlation_identity(
-        inst.params, inst.seq, inst.emp),
+        inst.pair.blocks, inst.seq, inst.emp, inst.closed),
 }
 
 CHECK_NAMES = tuple(CHECKS)
@@ -400,7 +411,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

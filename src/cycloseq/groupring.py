@@ -11,6 +11,10 @@ out; the checks densify each result once for their comparisons. The dense
 O(n**2) ring survives only as the oracle of the differential tests in
 ``tests/test_groupring.py``.
 
+The module builds no sequence and no autocorrelation profile:
+``verify_correlation_identity`` compares the blocks, sequence and profiles it
+is handed, which ``cycloseq.cli`` builds once per pair and per instance.
+
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
 ``gauss_gp`` is supported on the multiples of q, carrying the Legendre symbols
@@ -24,9 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, CheckResult, SequenceParams, generate,
-                       residue_table, sign_view)
-from . import autocorr as _autocorr
+from .sequence import (BinarySequence, CheckResult, SequenceParams, residue_table,
+                       sign_view)
 
 _INT64_LIMIT = 1 << 63
 
@@ -236,29 +239,19 @@ def verify_lemma1(primes: OddPrimePair) -> CheckResult:
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(params: SequenceParams,
-                                seq: "BinarySequence | None" = None,
-                                emp: "np.ndarray | None" = None) -> CheckResult:
-    """Check that the group-ring product, its expanded form, the empirical
-    autocorrelation, and the per-class closed form all agree at every shift;
-    the detail lists each route that differs from the product.
-
-    A caller that already holds ``seq = generate(params)`` and
-    ``emp = empirical_profile(seq)`` passes them in, so neither is rebuilt.
+def verify_correlation_identity(blocks: CrtBlocks, seq: BinarySequence,
+                                emp: np.ndarray, closed: np.ndarray) -> CheckResult:
+    """Check that the group-ring product sigma(S)*S, its expanded form, the
+    empirical autocorrelation ``emp`` and the per-class closed form ``closed``
+    of ``seq`` all agree at every shift; the detail lists each route that
+    differs from the product. ``blocks`` are the pair's ``crt_blocks``.
     """
-    if seq is None:
-        seq = generate(params)
-    elif seq.params != params:
-        raise ValueError("the sequence was built from other parameters")
-    blocks = crt_blocks(params.primes)
+    params = seq.params
     _, s = crt_sign_form(params, blocks)
     if not np.array_equal(s.dense(), sign_view(seq)):
         raise RuntimeError("sign polynomial decomposition does not match the sequence")
     product = (s.sigma() * s).dense()
     expanded = crt_expanded_form(params, blocks).dense()
-    if emp is None:
-        emp = _autocorr.empirical_profile(seq)
-    closed = _autocorr.closed_form_profile(params)
 
     failures = []
     if not np.array_equal(product, expanded):

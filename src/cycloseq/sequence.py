@@ -171,12 +171,6 @@ def bitstring(seq: BinarySequence) -> str:
     return "".join("1" if b else "0" for b in seq.bits)
 
 
-def from_bitstring(params: SequenceParams, text: str) -> BinarySequence:
-    if set(text) - {"0", "1"}:
-        raise ValueError("bit string may contain only '0' and '1'")
-    return BinarySequence(params, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
-
-
 def as_json_dict(seq: BinarySequence) -> dict:
     p = seq.params
     return {"p": p.p, "q": p.q, "a": p.a, "b": p.b, "c": p.c, "bits": bitstring(seq)}
@@ -184,9 +178,3 @@ def as_json_dict(seq: BinarySequence) -> dict:
 
 def to_json(seq: BinarySequence) -> str:
     return json.dumps(as_json_dict(seq), sort_keys=True)
-
-
-def from_json(text: str) -> BinarySequence:
-    obj = json.loads(text)
-    params = SequenceParams.of(obj["p"], obj["q"], obj["a"], obj["b"], obj["c"])
-    return from_bitstring(params, obj["bits"])

@@ -9,7 +9,7 @@ from cycloseq.autocorr import (AutocorrelationFamily, autocorr_empirical,
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
 from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
-from cycloseq.sequence import SequenceParams, generate
+from cycloseq.sequence import CheckResult, SequenceParams, generate
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -49,8 +49,19 @@ def test_empirical_matches_oracle_every_shift(p, q, a, b, c):
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7), (3, 11), (5, 11)])
 def test_theorem1_check_passes(p, q):
     for a, b, c in ALL_TRIPLES:
-        check = verify_theorem1(SequenceParams.of(p, q, a, b, c))
+        params = SequenceParams.of(p, q, a, b, c)
+        check = verify_theorem1(empirical_profile(generate(params)),
+                                closed_form_profile(params))
         assert check.ok and bool(check), (p, q, a, b, c, check.detail)
+
+
+def test_theorem1_names_the_first_differing_shift():
+    params = SequenceParams.of(3, 5, 1, 0, 0)
+    closed = closed_form_profile(params)
+    emp = empirical_profile(generate(params))
+    emp[[4, 9]] += 2
+    assert verify_theorem1(emp, closed) == CheckResult(
+        "theorem1", False, "tau=4 empirical=1 closed=-1")
 
 
 def test_closed_form_profile_matches_pointwise_form():

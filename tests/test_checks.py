@@ -17,11 +17,13 @@ from cycloseq.sequence import CheckResult
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the calls of generate, empirical_profile and verify_lemma1 under
-    every name the package binds them to."""
+    """Count the calls of generate, empirical_profile, closed_form_profile,
+    crt_blocks and verify_lemma1 under every name the package binds them to."""
     counts = Counter()
     for module, name in ((cycloseq.sequence, "generate"),
                          (cycloseq.autocorr, "empirical_profile"),
+                         (cycloseq.autocorr, "closed_form_profile"),
+                         (cycloseq.groupring, "crt_blocks"),
                          (cycloseq.groupring, "verify_lemma1")):
         original = getattr(module, name)
 
@@ -39,9 +41,11 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
+    # crt_blocks: once for the pair's blocks and once inside lemma1
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8, "empirical_profile": 8, "verify_lemma1": 1}
+    assert calls == {"generate": 8, "empirical_profile": 8,
+                     "closed_form_profile": 8, "crt_blocks": 2, "verify_lemma1": 1}
 
 
 @pytest.mark.parametrize("argv,code,runs", [
@@ -111,3 +115,11 @@ def test_lemma1_failure_is_reported_once_per_pair(monkeypatch, capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert {row["checks_passed"] for row in rows} == {"1/2"}
     assert runs == {OddPrimePair(5, 7): 2, OddPrimePair(3, 5): 1}
+
+
+def test_int64_overflow_is_refused_as_an_error(monkeypatch, capsys):
+    # A lowered limit makes the first lemma1 product refuse to densify.
+    monkeypatch.setattr(cycloseq.groupring, "_INT64_LIMIT", 8)
+    assert cli.main(["verify", "--p", "5", "--q", "7", "--check", "lemma1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: dense coefficients could exceed int64\n")

@@ -280,9 +280,16 @@ def test_expanded_product_form_matches_direct_product():
         assert mul(s.sigma(), s) == crt_expanded_form(params, blocks), (a, b, c)
 
 
+def _correlation_identity(params):
+    seq = generate(params)
+    return verify_correlation_identity(crt_blocks(params.primes), seq,
+                                       _autocorr.empirical_profile(seq),
+                                       _autocorr.closed_form_profile(params))
+
+
 def test_correlation_identity_ideal_case():
     params = SequenceParams.of(3, 5, 1, 0, 0)
-    check = verify_correlation_identity(params)
+    check = _correlation_identity(params)
     assert check == CheckResult("correlation_identity", True)
     _, s = crt_sign_form(params, crt_blocks(params.primes))
     assert mul(s.sigma(), s).dense().tolist() == [15] + [-1] * 14
@@ -291,7 +298,7 @@ def test_correlation_identity_ideal_case():
 @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (3, 13)])
 def test_correlation_identity_samples(p, q):
     for a, b, c in ALL_TRIPLES:
-        check = verify_correlation_identity(SequenceParams.of(p, q, a, b, c))
+        check = _correlation_identity(SequenceParams.of(p, q, a, b, c))
         assert isinstance(check, CheckResult)
         assert bool(check), (p, q, a, b, c, check.detail)
 
@@ -342,10 +349,16 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
         "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
 
 
-def test_correlation_identity_takes_the_callers_sequence():
+def test_correlation_identity_names_each_route_it_is_handed_wrong():
     params = SequenceParams.of(5, 7, 0, 1, 1)
     seq = generate(params)
+    blocks = crt_blocks(params.primes)
     emp = _autocorr.empirical_profile(seq)
-    assert verify_correlation_identity(params, seq, emp).ok
-    with pytest.raises(ValueError, match="other parameters"):
-        verify_correlation_identity(SequenceParams.of(5, 7, 1, 1, 1), seq, emp)
+    closed = _autocorr.closed_form_profile(params)
+    off = emp.copy()
+    off[3] += 1
+    assert verify_correlation_identity(blocks, seq, off, closed) == CheckResult(
+        "correlation_identity", False, "product_vs_empirical")
+    assert verify_correlation_identity(blocks, seq, off, off) == CheckResult(
+        "correlation_identity", False,
+        "product_vs_empirical; product_vs_closed_form")

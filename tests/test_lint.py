@@ -40,3 +40,28 @@ def test_all_covers_the_demos_and_the_readme():
     assert set(cycloseq.__all__) - {"__version__"} == used
     for name in cycloseq.__all__:
         assert hasattr(cycloseq, name), name
+
+
+def _package_modules_imported(source: str) -> set:
+    """Modules of the package a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("cycloseq"):
+                continue
+            module = (node.module or "").removeprefix("cycloseq").strip(".")
+            found |= ({module.split(".")[0]} if module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("cycloseq.")}
+    return found
+
+
+def test_check_layers_import_only_numtheory_and_sequence():
+    # Only cli composes layers: the modules whose checks compare pieces they
+    # are handed build nothing from each other.
+    for name in ("autocorr", "groupring", "adic"):
+        imported = _package_modules_imported((SRC / f"{name}.py").read_text())
+        assert imported <= {"numtheory", "sequence"}, (name, imported)
+        assert "sequence" in imported, name

@@ -6,9 +6,8 @@ import pytest
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, ResidueClass, SequenceParams,
-                               as_json_dict, bitstring, classify, from_bitstring,
-                               from_json, generate, residue_table, sign_view,
-                               to_json, unit_character)
+                               as_json_dict, bitstring, classify, generate,
+                               residue_table, sign_view, to_json, unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -160,18 +159,8 @@ def test_binary_sequence_length_check():
         BinarySequence(params, np.zeros(14, dtype=np.uint8))
 
 
-def test_bitstring_round_trip():
-    params = SequenceParams.of(3, 7, 0, 1, 1)
-    seq = generate(params)
-    again = from_bitstring(params, bitstring(seq))
-    assert again == seq
-    with pytest.raises(ValueError):
-        from_bitstring(params, "01x" + "0" * 18)
-
-
 def test_json_round_trip():
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
     obj = as_json_dict(seq)
     assert obj == {"p": 3, "q": 5, "a": 1, "b": 0, "c": 0, "bits": "000100110101111"}
-    assert from_json(to_json(seq)) == seq
     assert json.loads(to_json(seq)) == obj
