@@ -30,15 +30,16 @@ print("gauss_gq =", dump(gauss_gq(primes)).replace("\n", ", "))
 square = mul(gauss_gp(primes), gauss_gp(primes))
 print("gauss_gp squared =", dump(square).replace("\n", ", "))
 
-# the five structural identities, checked coefficient by coefficient in
-# the CRT tensor form (verify_lemma1 runs the same comparison)
-for name, lhs, rhs in crt_lemma1(primes):
+# the five structural identities over the pair's blocks, checked
+# coefficient by coefficient in the CRT tensor form (verify_lemma1 runs the
+# same comparison)
+blocks = crt_blocks(primes)
+for name, lhs, rhs in crt_lemma1(blocks):
     print(f"  {name:24s} {'ok' if lhs == rhs else 'FAILED'}")
 
 # the sign polynomial of S(a, b, c) decomposes over these blocks:
 # S = e + (-1)**a gamma_p + (-1)**b gamma_q + gauss_gp * gauss_gq
 params = SequenceParams.of(3, 5, 1, 0, 0)
-blocks = crt_blocks(primes)
 _, s = crt_sign_form(params, blocks)
 print("e =", params.e)
 print("sign coefficients:", s.dense().tolist())

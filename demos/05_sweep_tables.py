@@ -5,28 +5,24 @@ Batch sweeps over parameter ranges
 The sweep facility evaluates every (pair, fill-bit) combination in a range,
 runs the consistency checks, and renders a deterministic table. The same
 machinery backs the `cycloseq sweep` command line; two runs over the same
-spec are byte-identical, so the tables diff cleanly.
+selection are byte-identical, so the tables diff cleanly.
 """
 
 import collections
 import tempfile
 from pathlib import Path
 
-from cycloseq.cli import SweepSpec, main, render_sweep, run_sweep
+from cycloseq.cli import main, render_sweep, run_sweep
 from cycloseq.cli import CHECK_NAMES, ALL_TRIPLES
 from cycloseq.numtheory import odd_prime_pairs
 
 # every pair with p*q <= 100, all 8 fill-bit triples, all four checks
-spec = SweepSpec(pairs=tuple(odd_prime_pairs(100)), triples=ALL_TRIPLES,
-                 checks=CHECK_NAMES)
-rows, failing = run_sweep(spec)
+rows, failing = run_sweep(odd_prime_pairs(100), ALL_TRIPLES, CHECK_NAMES)
 print(f"{len(rows)} rows, {failing} with a failing check")
 print(render_sweep(rows[:9], "csv"))
 
 # how often does each autocorrelation family appear in a wider range?
-spec = SweepSpec(pairs=tuple(odd_prime_pairs(500)), triples=ALL_TRIPLES,
-                 checks=("theorem1",))
-rows, _ = run_sweep(spec)
+rows, _ = run_sweep(odd_prime_pairs(500), ALL_TRIPLES, ("theorem1",))
 families = collections.Counter(row["family"] for row in rows)
 print("family counts over p*q <= 500:", dict(families))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import BinarySequence, CheckResult, SequenceParams, generate
+from .sequence import BinarySequence, CheckResult, SequenceParams, as_bits, generate
 
 
 def mersenne(n: int) -> int:
@@ -38,12 +38,7 @@ def mersenne(n: int) -> int:
 def _bits_of(seq_or_bits) -> np.ndarray:
     if isinstance(seq_or_bits, BinarySequence):
         return seq_or_bits.bits
-    bits = np.asarray(seq_or_bits, dtype=np.uint8)
-    if bits.ndim != 1 or len(bits) == 0:
-        raise ValueError("expected a nonempty one-dimensional bit vector")
-    if np.any(bits > 1):
-        raise ValueError("bits must be 0 or 1")
-    return bits
+    return as_bits(seq_or_bits)
 
 
 def bits_to_int(seq_or_bits) -> int:

@@ -9,11 +9,11 @@ sorted order and no timestamps or environment details are written.
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
 through one pair x triple loop, ``_checked``. ``_Pair`` and ``_Instance`` are
 the only builders, and this is the only module that composes the layers: a
-``_Pair`` builds the CRT blocks and the ``lemma1`` result, an ``_Instance``
-its sequence, empirical and closed-form profiles and complexity report, each
-on first use and at most once. Each check is a function of one ``_Instance``
-that hands those pieces to a library check, which compares them and returns a
-``CheckResult``.
+``_Pair`` builds the CRT blocks (the package's one ``crt_blocks`` call) and
+the ``lemma1`` result over them, an ``_Instance`` its sequence, empirical and
+closed-form profiles and complexity report, each on first use and at most
+once. Each check is a function of one ``_Instance`` that hands those pieces
+to a library check, which compares them and returns a ``CheckResult``.
 """
 
 import argparse
@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -103,15 +102,14 @@ def _class_names(params: SequenceParams) -> np.ndarray:
 def cmd_autocorr(args) -> int:
     params = _params_from(args)
     mode = "both" if args.both else ("empirical" if args.empirical else "closed")
-    classes = _class_names(params)
+    per_shift = args.format == "csv" and not args.aggregate
     emp = closed = None
     if mode in ("empirical", "both"):
         emp = ac.empirical_profile(generate(params))
     profile = ac.distribution(params, emp if mode == "empirical" else None)
-    if mode in ("closed", "both"):
+    if mode == "both" or (mode == "closed" and per_shift):
         closed = ac.closed_form_profile(params)
     all_match = bool(np.array_equal(emp, closed)) if mode == "both" else True
-    single = emp if mode == "empirical" else closed
 
     if args.format == "json":
         obj = ac.profile_as_json_dict(profile)
@@ -123,17 +121,16 @@ def cmd_autocorr(args) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         if args.aggregate:
             writer.writerow(["value", "count"])
-            for value, count in sorted(profile.distribution.items()):
-                writer.writerow([value, count])
+            writer.writerows(sorted(profile.distribution.items()))
         elif mode == "both":
             writer.writerow(["tau", "class", "empirical", "closed", "match"])
-            for tau in range(params.n):
-                e, cv = int(emp[tau]), int(closed[tau])
-                writer.writerow([tau, classes[tau], e, cv, str(e == cv).lower()])
+            match = np.where(emp == closed, "true", "false").tolist()
+            writer.writerows(zip(range(params.n), _class_names(params),
+                                 emp.tolist(), closed.tolist(), match))
         else:
             writer.writerow(["tau", "class", "c_s"])
-            for tau in range(params.n):
-                writer.writerow([tau, classes[tau], int(single[tau])])
+            single = emp if mode == "empirical" else closed
+            writer.writerows(zip(range(params.n), _class_names(params), single.tolist()))
         dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
         buf.write(f"# distribution: {dist}\n")
         buf.write(f"# family: {profile.family.value}\n")
@@ -178,7 +175,7 @@ class _Pair:
 
     @cached_property
     def lemma1(self):
-        return gr.verify_lemma1(self.primes)
+        return gr.verify_lemma1(self.blocks)
 
 
 class _Instance:
@@ -258,18 +255,7 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 2
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Deterministic batch run: which pairs, triples, checks, and output."""
-
-    pairs: tuple
-    triples: tuple
-    checks: tuple
-    fmt: str = "csv"
-    out: "str | None" = None
-
-
-def build_sweep_spec(args) -> SweepSpec:
+def build_sweep_spec(args) -> tuple:
     pairs = []
     if args.max_n is not None:
         pairs.extend(odd_prime_pairs(args.max_n))
@@ -295,16 +281,16 @@ def build_sweep_spec(args) -> SweepSpec:
                 seen.append(trip)
         triples = tuple(sorted(seen, key=lambda t: 4 * t[0] + 2 * t[1] + t[2]))
     checks = _parse_checks([args.checks] if args.checks and args.checks != "all" else None)
-    return SweepSpec(pairs, triples, checks, args.format, args.out)
+    return pairs, triples, checks
 
 
-def run_sweep(spec: SweepSpec):
+def run_sweep(pairs, triples, checks):
     """Rows sorted by (p, q, abc-as-integer); returns (rows, failing_row_count)."""
     rows = []
     failing = 0
-    for inst, results in _checked(spec.pairs, spec.triples, spec.checks):
+    for inst, results in _checked(pairs, triples, checks):
         passed = sum(map(bool, results.values()))
-        if passed < len(spec.checks):
+        if passed < len(checks):
             failing += 1
         params = inst.params
         profile, report = ac.distribution(params), inst.report
@@ -318,7 +304,7 @@ def run_sweep(spec: SweepSpec):
             "d": report.d_exact, "d_p": report.d_p, "d_q": report.d_q,
             "d_star": report.d_star,
             "best_value": report.best_value,
-            "checks_passed": f"{passed}/{len(spec.checks)}",
+            "checks_passed": f"{passed}/{len(checks)}",
         })
     return rows, failing
 
@@ -336,12 +322,12 @@ def render_sweep(rows, fmt: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    spec = build_sweep_spec(args)
-    rows, failing = run_sweep(spec)
-    _write_out(render_sweep(rows, spec.fmt), spec.out)
-    summary = (f"sweep: {len(rows)} rows ({len(spec.pairs)} pairs x "
-               f"{len(spec.triples)} triples), {failing} rows with failing checks\n")
-    stream = sys.stdout if spec.out else sys.stderr
+    pairs, triples, checks = build_sweep_spec(args)
+    rows, failing = run_sweep(pairs, triples, checks)
+    _write_out(render_sweep(rows, args.format), args.out)
+    summary = (f"sweep: {len(rows)} rows ({len(pairs)} pairs x "
+               f"{len(triples)} triples), {failing} rows with failing checks\n")
+    stream = sys.stdout if args.out else sys.stderr
     stream.write(summary)
     return 0 if failing == 0 else 2
 

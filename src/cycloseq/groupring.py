@@ -2,18 +2,19 @@
 
 One representation, the CRT tensor form: Z[Z_pq] is isomorphic to
 Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q) (the
-Good-Thomas index map). A ``CrtElement`` is a sum of rank-1 terms
-c * (u (x) v), and every object of the correlation theorem needs at most four
-of them, so a product (``mul``) is a handful of cyclic convolutions of length
-p and q, and sigma, the automorphism x**k -> x**(-k), reverses each factor.
+Good-Thomas index map, ``sequence.crt_read``). A ``CrtElement`` is a sum of
+rank-1 terms c * (u (x) v), and every object of the correlation theorem needs
+at most four of them, so a product (``mul``) is a handful of cyclic
+convolutions of length p and q, and sigma, the automorphism x**k -> x**(-k),
+reverses each factor.
 ``CrtElement.dense()`` reads the coefficient vector indexed by exponent back
 out; the checks densify each result once for their comparisons. The dense
 O(n**2) ring survives only as the oracle of the differential tests in
 ``tests/test_groupring.py``.
 
-The module builds no sequence and no autocorrelation profile:
-``verify_correlation_identity`` compares the blocks, sequence and profiles it
-is handed, which ``cycloseq.cli`` builds once per pair and per instance.
+The module builds no sequence, no profile and no pair's blocks: its checks
+compare the ``crt_blocks``, sequence and profiles they are handed, which
+``cycloseq.cli`` builds once per pair and per instance.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -28,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, CheckResult, SequenceParams, residue_table,
-                       sign_view)
+from .sequence import (BinarySequence, CheckResult, SequenceParams, crt_read,
+                       residue_table, sign_view)
 
 _INT64_LIMIT = 1 << 63
 
@@ -104,8 +105,7 @@ class CrtElement:
         us = np.array([t[1] for t in self.terms], dtype=np.int64).reshape(-1, p)
         vs = np.array([t[2] for t in self.terms], dtype=np.int64).reshape(-1, q)
         grid = (coeffs[:, None] * us).T @ vs  # sum of c * outer(u, v)
-        # k mod p and k mod q for k in [0, n), as flat indices into the grid
-        return grid.ravel()[np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)]
+        return crt_read(self.primes, grid)
 
 
 def mul(x: CrtElement, y: CrtElement) -> CrtElement:
@@ -185,7 +185,7 @@ def crt_blocks(primes: OddPrimePair) -> CrtBlocks:
                      gamma_q(primes), total, gauss_gp(primes), gauss_gq(primes))
 
 
-def crt_lemma1(primes: OddPrimePair) -> tuple:
+def crt_lemma1(blocks: CrtBlocks) -> tuple:
     """(name, left side, right side) of each of the five Lemma-1 identities:
 
     gauss_gp**2 == (-1/p) * (p*one - gamma_q)
@@ -193,17 +193,16 @@ def crt_lemma1(primes: OddPrimePair) -> tuple:
     gamma_p * gauss_gq == 0,  gamma_q * gauss_gp == 0
     gamma_p * gamma_q == sum over the whole group
     """
-    p, q = primes.p, primes.q
-    b = crt_blocks(primes)
-    zero_ = CrtElement(primes)
+    p, q = blocks.one.primes.p, blocks.one.primes.q
+    zero_ = CrtElement(blocks.one.primes)
     return (
-        ("gauss_gp_squared", b.gauss_gp * b.gauss_gp,
-         legendre(-1, p) * (p * b.one - b.gamma_q)),
-        ("gauss_gq_squared", b.gauss_gq * b.gauss_gq,
-         legendre(-1, q) * (q * b.one - b.gamma_p)),
-        ("gamma_p_times_gauss_gq", b.gamma_p * b.gauss_gq, zero_),
-        ("gamma_q_times_gauss_gp", b.gamma_q * b.gauss_gp, zero_),
-        ("gamma_p_times_gamma_q", b.gamma_p * b.gamma_q, b.total),
+        ("gauss_gp_squared", blocks.gauss_gp * blocks.gauss_gp,
+         legendre(-1, p) * (p * blocks.one - blocks.gamma_q)),
+        ("gauss_gq_squared", blocks.gauss_gq * blocks.gauss_gq,
+         legendre(-1, q) * (q * blocks.one - blocks.gamma_p)),
+        ("gamma_p_times_gauss_gq", blocks.gamma_p * blocks.gauss_gq, zero_),
+        ("gamma_q_times_gauss_gp", blocks.gamma_q * blocks.gauss_gp, zero_),
+        ("gamma_p_times_gamma_q", blocks.gamma_p * blocks.gamma_q, blocks.total),
     )
 
 
@@ -228,10 +227,10 @@ def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
             + (e * (1 + chi_minus1)) * (blocks.gauss_gp * blocks.gauss_gq))
 
 
-def verify_lemma1(primes: OddPrimePair) -> CheckResult:
-    """Coefficient-exact check of the five structural product identities of
-    ``crt_lemma1``; the detail names the first one that fails."""
-    for name, lhs, rhs in crt_lemma1(primes):
+def verify_lemma1(blocks: CrtBlocks) -> CheckResult:
+    """Coefficient-exact check of the five identities of ``crt_lemma1`` over the
+    pair's ``crt_blocks``; the detail names the first one that fails."""
+    for name, lhs, rhs in crt_lemma1(blocks):
         diff = np.flatnonzero(lhs.dense() != rhs.dense())
         if len(diff):
             return CheckResult("lemma1", False,

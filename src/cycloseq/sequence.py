@@ -114,18 +114,34 @@ def residue_table(r: int) -> np.ndarray:
     return table
 
 
+def crt_read(primes: OddPrimePair, grid: np.ndarray) -> np.ndarray:
+    """Entry k of Z_n for k in [0, n), read at (k mod p, k mod q) of a p x q
+    grid: the Good-Thomas index map, the one place this package computes it."""
+    p, q = primes.p, primes.q
+    return grid.ravel()[np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)]
+
+
 def unit_character(primes: OddPrimePair) -> np.ndarray:
     """chi(lam) = (lam/p)(lam/q) for lam in [0, n); zero off the unit class."""
-    lam = np.arange(primes.n)
-    return (residue_table(primes.p)[lam % primes.p]
-            * residue_table(primes.q)[lam % primes.q])
+    return crt_read(primes, np.outer(residue_table(primes.p), residue_table(primes.q)))
+
+
+def as_bits(values) -> np.ndarray:
+    """A nonempty one-dimensional uint8 array of 0/1 bits; any other entry is
+    refused before the cast could wrap (256 -> 0) or truncate (0.5 -> 0) it."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or len(raw) == 0:
+        raise ValueError("expected a nonempty one-dimensional bit vector")
+    if np.any((raw != 0) & (raw != 1)):
+        raise ValueError("bits must be 0 or 1")
+    return np.asarray(raw, dtype=np.uint8)
 
 
 class BinarySequence:
-    """One period of S(a, b, c) as a uint8 bit array."""
+    """One period of S(a, b, c) as a uint8 array of 0/1 bits."""
 
     def __init__(self, params: SequenceParams, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = as_bits(bits)
         if bits.shape != (params.n,):
             raise ValueError(f"expected {params.n} bits, got {bits.shape}")
         bits.flags.writeable = False

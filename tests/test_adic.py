@@ -36,8 +36,9 @@ def test_bits_to_int():
 
 
 def test_bit_vector_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
-        bits_to_int([0, 2, 1])
+    for bad in ([0, 2, 1], np.array([256, 1, 0]), [0.5, 1, 1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            bits_to_int(bad)
     with pytest.raises(ValueError, match="one-dimensional"):
         bits_to_int([])
     with pytest.raises(ValueError, match="one-dimensional"):

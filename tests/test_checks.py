@@ -41,11 +41,11 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
-    # crt_blocks: once for the pair's blocks and once inside lemma1
+    # crt_blocks: once for the pair, and lemma1 reads the same blocks
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls == {"generate": 8, "empirical_profile": 8,
-                     "closed_form_profile": 8, "crt_blocks": 2, "verify_lemma1": 1}
+                     "closed_form_profile": 8, "crt_blocks": 1, "verify_lemma1": 1}
 
 
 @pytest.mark.parametrize("argv,code,runs", [
@@ -71,6 +71,14 @@ def test_autocorr_empirical_builds_one_profile(calls, capsys):
                      "--empirical", "--format", "json"]) == 0
     capsys.readouterr()
     assert calls == {"generate": 1, "empirical_profile": 1}
+
+
+def test_autocorr_json_builds_nothing_it_does_not_print(calls, capsys):
+    # The closed-route JSON reads the class values alone: no per-shift profile.
+    assert cli.main(["autocorr", "--p", "5", "--q", "7", "--abc", "100",
+                     "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {}
 
 
 def test_registry_names_and_results():
@@ -101,8 +109,8 @@ def test_lemma1_failure_is_reported_once_per_pair(monkeypatch, capsys):
     failed = CheckResult("lemma1", False, "gauss_gp_squared first differs at exponent 5")
     runs = Counter()
 
-    def lemma1(primes):
-        runs[primes] += 1
+    def lemma1(blocks):
+        runs[blocks.one.primes] += 1
         return failed
 
     monkeypatch.setattr(cli.gr, "verify_lemma1", lemma1)

@@ -236,9 +236,9 @@ def test_gauss_gp_square_frozen():
 
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (3, 13), (7, 11)])
 def test_lemma1_identities(p, q):
-    primes = OddPrimePair(p, q)
-    assert verify_lemma1(primes) == CheckResult("lemma1", True)
-    assert [name for name, _, _ in crt_lemma1(primes)] == [
+    blocks = crt_blocks(OddPrimePair(p, q))
+    assert verify_lemma1(blocks) == CheckResult("lemma1", True)
+    assert [name for name, _, _ in crt_lemma1(blocks)] == [
         "gauss_gp_squared", "gauss_gq_squared",
         "gamma_p_times_gauss_gq", "gamma_q_times_gauss_gp",
         "gamma_p_times_gamma_q",
@@ -309,11 +309,11 @@ def test_crt_route_matches_dense_ring_on_every_pair():
     for primes in odd_prime_pairs(1000):
         dense = {name: (got, want) for name, got, want in _dense_lemma1(
             primes, _dense_gauss(primes, primes.p), _dense_gauss(primes, primes.q))}
-        for name, lhs, rhs in crt_lemma1(primes):
+        blocks = crt_blocks(primes)
+        for name, lhs, rhs in crt_lemma1(blocks):
             got, want = dense[name]
             assert lhs.dense().tolist() == got.tolist(), (primes, name)
             assert rhs.dense().tolist() == want.tolist(), (primes, name)
-        blocks = crt_blocks(primes)
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams(primes, a, b, c)
             _, s = crt_sign_form(params, blocks)
@@ -338,14 +338,15 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
     exp = next(j * primes.q for j in range(1, primes.p) if j * primes.q % primes.p == k0)
     gp[exp] = -gp[exp]
     dense = _dense_lemma1(primes, gp, _dense_gauss(primes, primes.q))
+    blocks = crt_blocks(primes)
     crt = [(name, _first_diff(lhs.dense(), rhs.dense()))
-           for name, lhs, rhs in crt_lemma1(primes)]
+           for name, lhs, rhs in crt_lemma1(blocks)]
     want = [(name, _first_diff(got, want)) for name, got, want in dense]
     assert crt == want
     failing = [name for name, diff in want if diff is not None]
     assert failing and failing[0] == "gauss_gp_squared"
     k = want[0][1][0]
-    assert verify_lemma1(primes) == CheckResult(
+    assert verify_lemma1(blocks) == CheckResult(
         "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
 
 

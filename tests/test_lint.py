@@ -65,3 +65,15 @@ def test_check_layers_import_only_numtheory_and_sequence():
         imported = _package_modules_imported((SRC / f"{name}.py").read_text())
         assert imported <= {"numtheory", "sequence"}, (name, imported)
         assert "sequence" in imported, name
+
+
+def test_only_cli_builds_the_pairs_blocks():
+    # A pair's CRT blocks are built once, by cli._Pair; every library check
+    # takes them as an argument.
+    callers = {path.stem
+               for path in sorted(SRC.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Call)
+               and "crt_blocks" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))}
+    assert callers == {"cli"}

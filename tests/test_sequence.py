@@ -6,8 +6,9 @@ import pytest
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, ResidueClass, SequenceParams,
-                               as_json_dict, bitstring, classify, generate,
-                               residue_table, sign_view, to_json, unit_character)
+                               as_json_dict, bitstring, classify, crt_read,
+                               generate, residue_table, sign_view, to_json,
+                               unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -95,6 +96,15 @@ def test_residue_table_matches_legendre():
             residue_table(bad)
 
 
+def test_crt_read_is_the_good_thomas_index_map():
+    # entry k is the grid entry at (k mod p, k mod q), for every k in [0, n)
+    pairs = odd_prime_pairs(1000) + [OddPrimePair(3, 997), OddPrimePair(1009, 1013)]
+    for pair in pairs:
+        p, q, k = pair.p, pair.q, np.arange(pair.n)
+        grid = np.arange(pair.n).reshape(p, q)
+        assert np.array_equal(crt_read(pair, grid), grid[k % p, k % q]), (p, q)
+
+
 def test_unit_character_balance():
     for pair in odd_prime_pairs(800):
         chi = unit_character(pair)
@@ -157,6 +167,14 @@ def test_binary_sequence_length_check():
     params = SequenceParams.of(3, 5, 1, 0, 0)
     with pytest.raises(ValueError):
         BinarySequence(params, np.zeros(14, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bits", [[2] + [0] * 14, [0] * 14 + [-1],
+                                  np.array([256] + [1] * 14)])
+def test_binary_sequence_refuses_non_binary_bits(bits):
+    # 2 would read as 1 in T(2) but as -3 in the sign vector; 256 would wrap to 0
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BinarySequence(SequenceParams.of(3, 5, 1, 0, 0), bits)
 
 
 def test_json_round_trip():
