@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: generate, autocorr, adic, verify, sweep. Exit codes: 0 success,
-1 usage/parameter error or input too large for int64 group-ring arithmetic,
-2 at least one theorem check failed. Data files are
-byte-identical across reruns of the same invocation: rows are emitted in
-sorted order and no timestamps or environment details are written.
+1 usage/parameter error, input too large for int64 group-ring arithmetic or
+an allocation the machine refused (MemoryError), 2 at least one theorem
+check failed. Data files are byte-identical across reruns of the same
+invocation: rows are emitted in sorted order and no timestamps or
+environment details are written.
 
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
 through one pair x triple loop, ``_checked``. ``_Pair`` and ``_Instance`` are
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,55 +1,30 @@
-"""Number-theoretic primitives: primality, Legendre symbols, prime pairs."""
+"""Number-theoretic primitives: primality, Legendre symbols, prime pairs.
+
+Primality is trial division, decided below 2**32 only. A pair with a larger
+prime has period n >= 3 * 2**32, and one period of bits alone then takes
+more than 12 GB, so such pairs are refused up front.
+"""
 
 from dataclasses import dataclass
 
-# Miller-Rabin witnesses, deterministic below _MR_BOUND = 399165290221 *
-# 798330580441, the least odd composite passing all twelve (OEIS A014233).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
-
-_TRIAL_LIMIT = 1 << 20
-
-
-def _miller_rabin(m: int, base: int) -> bool:
-    # m odd, m > 2, base < m
-    d = m - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(base, d, m)
-    if x == 1 or x == m - 1:
-        return True
-    for _ in range(r - 1):
-        x = (x * x) % m
-        if x == m - 1:
-            return True
-    return False
+_PRIME_BOUND = 1 << 32
 
 
 def is_prime(m: int) -> bool:
-    """Primality by trial division, deterministic Miller-Rabin above 2**20.
-
-    Raises ValueError for odd m >= _MR_BOUND, where the witnesses prove nothing.
-    """
+    """Primality by trial division; raises ValueError for odd m >= 2**32."""
     if m < 2:
         return False
     if m < 4:
         return True
     if m % 2 == 0:
         return False
-    if m <= _TRIAL_LIMIT:
-        f = 3
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 2
-        return True
-    if m >= _MR_BOUND:
-        raise ValueError(f"primality is only decided below {_MR_BOUND}")
-    for base in _MR_WITNESSES:
-        if not _miller_rabin(m, base):
+    if m >= _PRIME_BOUND:
+        raise ValueError(f"primality is only decided below {_PRIME_BOUND}")
+    f = 3
+    while f * f <= m:
+        if m % f == 0:
             return False
+        f += 2
     return True
 
 

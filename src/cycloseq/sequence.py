@@ -59,6 +59,8 @@ class SequenceParams:
             bit = getattr(self, name)
             if bit not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1")
+            # True and 1.0 pass the check; store the int they equal.
+            object.__setattr__(self, name, int(bit))
 
     @classmethod
     def of(cls, p: int, q: int, a: int, b: int, c: int) -> "SequenceParams":
@@ -184,7 +186,7 @@ def sign_view(seq: BinarySequence) -> np.ndarray:
 
 def bitstring(seq: BinarySequence) -> str:
     """ASCII '0'/'1' serialization, position 0 first."""
-    return "".join("1" if b else "0" for b in seq.bits)
+    return (seq.bits + ord("0")).tobytes().decode("ascii")
 
 
 def as_json_dict(seq: BinarySequence) -> dict:

@@ -131,3 +131,14 @@ def test_int64_overflow_is_refused_as_an_error(monkeypatch, capsys):
     assert cli.main(["verify", "--p", "5", "--q", "7", "--check", "lemma1"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: dense coefficients could exceed int64\n")
+
+
+def test_refused_allocation_is_reported_as_an_error(monkeypatch, capsys):
+    # numpy raises MemoryError at once when the machine refuses a request.
+    def generate(params):
+        raise MemoryError("Unable to allocate 9.31 GiB")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    assert cli.main(["generate", "--p", "3", "--q", "5", "--abc", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: Unable to allocate 9.31 GiB\n")

@@ -1,6 +1,8 @@
 """Source rules that a unit test can enforce."""
 
 import ast
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -77,3 +79,18 @@ def test_only_cli_builds_the_pairs_blocks():
                and "crt_blocks" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None))}
     assert callers == {"cli"}
+
+
+def test_functions_the_benchmark_trace_names_stay_plain_functions():
+    # The benchmark reports per-layer metrics of these functions; one that is
+    # removed, renamed or wrapped would read as a silent "absent" entry.
+    spec = importlib.util.spec_from_file_location("layertrace",
+                                                  ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert "numtheory.is_prime" in layertrace.NAMED
+    for name in layertrace.NAMED:
+        layer, function = name.split(".")
+        module = importlib.import_module(f"cycloseq.{layer}")
+        obj = getattr(module, function, None)
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name

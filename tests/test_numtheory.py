@@ -103,30 +103,60 @@ def test_is_prime_small_exhaustive():
         assert is_prime(m) == slow(m), m
 
 
-def test_is_prime_miller_rabin_region():
-    # values above the 2**20 trial-division cutoff, checked independently
-    assert is_prime(1048583)
-    assert is_prime(1048589)
-    assert not is_prime(1048577)  # 2**20 + 1 = 17 * 61681
-    assert is_prime(2**61 - 1)  # Mersenne prime
-    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
-    assert not is_prime(193707721 * 761838257287)
+def _miller_rabin_oracle(m):
+    # Strong-probable-prime test to the bases 2, 7 and 61. It is deterministic
+    # for every odd m in (61, 4759123141) (Jaeschke 1993, "On strong
+    # pseudoprimes to several bases"), so it decides the range below 2**32.
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for base in (2, 7, 61):
+        x = pow(base, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def test_is_prime_refuses_beyond_its_witnesses(capsys):
-    # The smallest odd composite that passes the witnesses 2..37 (OEIS
-    # A014233, n = 12); at and above it Miller-Rabin with them decides nothing.
-    strong_liar = 399165290221 * 798330580441
-    assert strong_liar == 318665857834031151167461
-    with pytest.raises(ValueError, match="primality is only decided below"):
-        is_prime(strong_liar)
-    with pytest.raises(ValueError, match="primality is only decided below"):
-        OddPrimePair(3, strong_liar)
-    assert cli_main(["adic", "--p", "3", "--q", str(strong_liar),
+def test_is_prime_matches_the_oracle_below_its_bound():
+    named = {
+        1048577: False,  # 2**20 + 1 = 17 * 61681
+        1048583: True,
+        1048589: True,
+        2**31 - 1: True,  # Mersenne prime
+        3215031751: False,  # 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
+        4294967291: True,  # the largest prime below 2**32
+        4294967295: False,  # 2**32 - 1 = 3 * 5 * 17 * 257 * 65537
+    }
+    for m, prime in named.items():
+        assert is_prime(m) == prime == _miller_rabin_oracle(m), m
+    rng = random.Random(4759123141)
+    for _ in range(500):
+        m = rng.randrange(2**20 + 1, 2**32, 2)
+        assert is_prime(m) == _miller_rabin_oracle(m), m
+
+
+def test_is_prime_refuses_at_its_bound(capsys):
+    # Trial division decides only below 2**32; odd input at or above it is
+    # refused, even input is still decided.
+    message = "primality is only decided below 4294967296"
+    for m in (2**32 + 15, 2**61 - 1, 2**67 - 1, 193707721 * 761838257287):
+        with pytest.raises(ValueError, match=message):
+            is_prime(m)
+    with pytest.raises(ValueError, match=message):
+        OddPrimePair(3, 2**32 + 15)
+    assert not is_prime(2**32)
+    assert cli_main(["adic", "--p", "3", "--q", str(2**32 + 15),
                      "--abc", "000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: primality is only decided below {strong_liar}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_is_odd_prime():

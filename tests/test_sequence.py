@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cycloseq.adic import complexity_report
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, ResidueClass, SequenceParams,
@@ -157,6 +158,19 @@ def test_params_validation():
     assert (params.p, params.q, params.n, params.abc) == (3, 5, 15, "101")
 
 
+@pytest.mark.parametrize("one", [True, 1.0])
+def test_fill_bits_are_stored_as_ints(one):
+    # True and 1.0 equal 1, so they pass the 0/1 check; they must not leak
+    # into the abc label, the JSON or the 2-adic report.
+    params = SequenceParams.of(5, 7, one, 0, 0)
+    assert type(params.a) is int
+    assert params.abc == "100"
+    assert '"a": 1,' in to_json(generate(params))
+    ints = SequenceParams.of(5, 7, 1, 0, 0)
+    assert (json.dumps(complexity_report(params).as_json_dict())
+            == json.dumps(complexity_report(ints).as_json_dict()))
+
+
 def test_bits_are_immutable():
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
     with pytest.raises(ValueError):
@@ -182,3 +196,11 @@ def test_json_round_trip():
     obj = as_json_dict(seq)
     assert obj == {"p": 3, "q": 5, "a": 1, "b": 0, "c": 0, "bits": "000100110101111"}
     assert json.loads(to_json(seq)) == obj
+
+
+def test_bitstring_matches_per_character_oracle():
+    cases = [(pair, trip) for pair in odd_prime_pairs(200) for trip in ALL_TRIPLES]
+    cases.append((OddPrimePair(1009, 1013), (1, 0, 0)))
+    for pair, (a, b, c) in cases:
+        seq = generate(SequenceParams(pair, a, b, c))
+        assert bitstring(seq) == "".join("1" if bit else "0" for bit in seq.bits), pair
