@@ -22,7 +22,7 @@ import numpy as np
 
 from .numtheory import OddPrimePair, legendre
 from .sequence import (BinarySequence, CheckResult, ResidueClass, SequenceParams,
-                       classify, sign_view, unit_character)
+                       by_class, classify, sign_view)
 
 
 class AutocorrelationFamily(Enum):
@@ -92,15 +92,7 @@ def class_values(params: SequenceParams) -> tuple[int, int, int, int]:
 
 def closed_form_profile(params: SequenceParams) -> np.ndarray:
     """All n closed-form values as one int64 array."""
-    p, q, n = params.p, params.q, params.n
-    vp, vq, vplus, vminus = class_values(params)
-    base = (vplus + vminus) // 2
-    term = (vplus - vminus) // 2
-    prof = base + term * unit_character(params.primes).astype(np.int64)
-    prof[p::p] = vp
-    prof[q::q] = vq
-    prof[0] = n
-    return prof
+    return by_class(params.primes, params.n, *class_values(params), np.int64)
 
 
 def nontrivial_bound(primes: OddPrimePair) -> int:
@@ -130,24 +122,17 @@ def distribution(params: SequenceParams,
     elif emp.shape != (n,):
         raise ValueError(f"expected {n} autocorrelation values, got {emp.shape}")
     else:
-        chi = unit_character(params.primes)
-        vp, vq = _constant_over(emp[p::p]), _constant_over(emp[q::q])
-        vplus, vminus = _constant_over(emp[chi == 1]), _constant_over(emp[chi == -1])
+        codes = by_class(params.primes, 0, 1, 2, 3, 4, np.int8)
+        vp, vq, vplus, vminus = (_constant_over(emp[codes == k]) for k in (1, 2, 3, 4))
 
     counts: dict = {n: 1}
-    _tally(counts, vp, q - 1)
-    _tally(counts, vq, p - 1)
     half = (p - 1) * (q - 1) // 2
-    _tally(counts, vplus, half)
-    _tally(counts, vminus, half)
+    for value, k in ((vp, q - 1), (vq, p - 1), (vplus, half), (vminus, half)):
+        counts[value] = counts.get(value, 0) + k
     family = _classify_family({vp, vq, vplus, vminus})
     max_abs = max(abs(v) for v in (vp, vq, vplus, vminus))
     return AutocorrelationProfile(params, vp, vq, vplus, vminus,
                                   counts, max_abs, family)
-
-
-def _tally(counts: dict, value: int, k: int) -> None:
-    counts[value] = counts.get(value, 0) + k
 
 
 def _constant_over(values: np.ndarray) -> int:

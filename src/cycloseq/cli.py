@@ -30,7 +30,7 @@ from . import adic
 from . import autocorr as ac
 from . import groupring as gr
 from .numtheory import OddPrimePair, odd_prime_pairs
-from .sequence import SequenceParams, as_json_dict, bitstring, generate
+from .sequence import SequenceParams, as_json_dict, bitstring, by_class, generate
 
 ALL_TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
 
@@ -93,11 +93,7 @@ def cmd_generate(args) -> int:
 
 
 def _class_names(params: SequenceParams) -> np.ndarray:
-    names = np.full(params.n, "unit", dtype=object)
-    names[params.p::params.p] = "p"
-    names[params.q::params.q] = "q"
-    names[0] = "zero"
-    return names
+    return by_class(params.primes, "zero", "p", "q", "unit", "unit", object)
 
 
 def cmd_autocorr(args) -> int:
@@ -371,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run theorem checks for one prime pair")
     _pair_args(p_ver)
-    p_ver.add_argument("--all", action="store_true", help="run every check (default)")
-    p_ver.add_argument("--check", action="append",
+    which = p_ver.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every check (default)")
+    which.add_argument("--check", action="append",
                        help="check name (repeatable or comma-separated): "
                             + ", ".join(CHECK_NAMES))
     p_ver.set_defaults(func=cmd_verify)

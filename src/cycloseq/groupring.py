@@ -175,14 +175,16 @@ class CrtBlocks(NamedTuple):
     total: CrtElement     # J_p (x) J_q, the sum over the whole group
     gauss_gp: CrtElement  # chi_p (x) delta_0
     gauss_gq: CrtElement  # delta_0 (x) chi_q
+    unit: CrtElement      # chi_p (x) chi_q = gauss_gp * gauss_gq, entries bounded by 1
 
 
 def crt_blocks(primes: OddPrimePair) -> CrtBlocks:
-    """The six blocks for one pair; chi_r is ``residue_table(r)``."""
+    """The seven blocks for one pair; chi_r is ``residue_table(r)``."""
     p, q = primes.p, primes.q
     total = _rank1(primes, np.ones(p, dtype=np.int64), np.ones(q, dtype=np.int64))
     return CrtBlocks(_rank1(primes, _delta(p), _delta(q)), gamma_p(primes),
-                     gamma_q(primes), total, gauss_gp(primes), gauss_gq(primes))
+                     gamma_q(primes), total, gauss_gp(primes), gauss_gq(primes),
+                     _rank1(primes, _chi(p), _chi(q)))
 
 
 def crt_lemma1(blocks: CrtBlocks) -> tuple:
@@ -208,11 +210,11 @@ def crt_lemma1(blocks: CrtBlocks) -> tuple:
 
 def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> tuple:
     """(h, S) with h = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q and
-    S = h + gauss_gp * gauss_gq, the sign polynomial of S(a, b, c)."""
+    S = h + unit, the sign polynomial of S(a, b, c)."""
     h = (params.e * blocks.one
          + (-1) ** params.a * blocks.gamma_p
          + (-1) ** params.b * blocks.gamma_q)
-    return h, h + blocks.gauss_gp * blocks.gauss_gq
+    return h, h + blocks.unit
 
 
 def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
@@ -224,7 +226,7 @@ def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
             + (q - p + 2 * e * (-1) ** params.a) * blocks.gamma_p
             + (p - q + 2 * e * (-1) ** params.b) * blocks.gamma_q
             + (1 + 2 * (-1) ** (params.a + params.b)) * blocks.total
-            + (e * (1 + chi_minus1)) * (blocks.gauss_gp * blocks.gauss_gq))
+            + (e * (1 + chi_minus1)) * blocks.unit)
 
 
 def verify_lemma1(blocks: CrtBlocks) -> CheckResult:

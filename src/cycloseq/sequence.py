@@ -16,6 +16,7 @@ when the two quadratic characters agree.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,16 +117,36 @@ def residue_table(r: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)
+def _crt_index(p: int, q: int) -> np.ndarray:
+    """Flat grid index of each k in [0, n); callers read one pair at a time."""
+    return np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)
+
+
 def crt_read(primes: OddPrimePair, grid: np.ndarray) -> np.ndarray:
     """Entry k of Z_n for k in [0, n), read at (k mod p, k mod q) of a p x q
     grid: the Good-Thomas index map, the one place this package computes it."""
-    p, q = primes.p, primes.q
-    return grid.ravel()[np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)]
+    return grid.ravel()[_crt_index(primes.p, primes.q)]
+
+
+def by_class(primes: OddPrimePair, zero, on_p, on_q, unit_plus, unit_minus,
+             dtype) -> np.ndarray:
+    """A ``dtype`` vector over Z_n by residue class: ``zero`` at 0, ``on_p`` on
+    P, ``on_q`` on Q, ``unit_plus``/``unit_minus`` on the units with
+    (lam/p)(lam/q) = +1/-1. On the p x q grid of ``crt_read`` P is row 0, Q
+    column 0, {0} the corner and U the interior; the one class layout."""
+    agree = np.equal.outer(residue_table(primes.p), residue_table(primes.q))
+    codes = 4 - agree.view(np.int8)  # 3 where chi_p[i] * chi_q[j] = +1, else 4
+    codes[0, :] = 1
+    codes[:, 0] = 2
+    codes[0, 0] = 0
+    values = np.array([zero, on_p, on_q, unit_plus, unit_minus], dtype=dtype)
+    return np.take(values, crt_read(primes, codes))
 
 
 def unit_character(primes: OddPrimePair) -> np.ndarray:
     """chi(lam) = (lam/p)(lam/q) for lam in [0, n); zero off the unit class."""
-    return crt_read(primes, np.outer(residue_table(primes.p), residue_table(primes.q)))
+    return by_class(primes, 0, 0, 0, 1, -1, np.int8)
 
 
 def as_bits(values) -> np.ndarray:
@@ -170,13 +191,8 @@ class BinarySequence:
 
 def generate(params: SequenceParams) -> BinarySequence:
     """Build one period of S(a, b, c)."""
-    p, q = params.p, params.q
-    chi = unit_character(params.primes)
-    bits = ((1 - chi) // 2).astype(np.uint8)  # unit positions; 0 elsewhere for now
-    bits[p::p] = params.a
-    bits[q::q] = params.b
-    bits[0] = params.c
-    return BinarySequence(params, bits)
+    return BinarySequence(params, by_class(params.primes, params.c, params.a,
+                                           params.b, 0, 1, np.uint8))
 
 
 def sign_view(seq: BinarySequence) -> np.ndarray:

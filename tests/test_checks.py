@@ -81,6 +81,17 @@ def test_autocorr_json_builds_nothing_it_does_not_print(calls, capsys):
     assert calls == {}
 
 
+def test_verify_refuses_all_together_with_check(calls, capsys):
+    # --all used to run every check and drop --check silently; the two are
+    # exclusive, as autocorr's route flags are, and nothing is built.
+    assert cli.main(["verify", "--p", "3", "--q", "5", "--all",
+                     "--check", "theorem1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --check: not allowed with argument --all" in err
+    assert calls == {}
+
+
 def test_registry_names_and_results():
     assert cli.CHECK_NAMES == tuple(cli.CHECKS) == (
         "theorem1", "lemma1", "theorem2", "correlation_identity")

@@ -324,6 +324,20 @@ def test_crt_route_matches_dense_ring_on_every_pair():
             assert crt_expanded_form(params, blocks).dense().tolist() == want
 
 
+def test_correlation_identity_holds_past_the_old_int64_ceiling():
+    # S's character term is the rank-1 unit block chi_p (x) chi_q with entry
+    # bounds 1, so the dense bound of sigma(S) * S is at most 36n; built as
+    # gauss_gp * gauss_gq it was about n**3 and refused from n ~ 2.1e6. The
+    # empirical route is O(n**2), so only the closed and expanded forms run.
+    params = SequenceParams.of(1447, 1451, 0, 0, 1)
+    blocks = crt_blocks(params.primes)
+    _, s = crt_sign_form(params, blocks)
+    assert np.array_equal(s.dense(), sign_view(generate(params)))
+    product = (s.sigma() * s).dense()
+    assert np.array_equal(product, _autocorr.closed_form_profile(params))
+    assert np.array_equal(product, crt_expanded_form(params, blocks).dense())
+
+
 def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
     primes, k0 = OddPrimePair(5, 7), 2
 

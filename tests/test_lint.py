@@ -81,6 +81,16 @@ def test_only_cli_builds_the_pairs_blocks():
     assert callers == {"cli"}
 
 
+def test_only_by_class_lays_out_the_residue_classes():
+    # sequence.by_class places {0}, P, Q and the units for every per-shift
+    # vector; a strided fill such as bits[p::p] would be a second layout.
+    found = [f"{path.relative_to(SRC)}:{lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"::\s*(params\.)?[pq]\b", line)]
+    assert found == []
+
+
 def test_functions_the_benchmark_trace_names_stay_plain_functions():
     # The benchmark reports per-layer metrics of these functions; one that is
     # removed, renamed or wrapped would read as a silent "absent" entry.

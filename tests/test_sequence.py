@@ -7,9 +7,9 @@ from cycloseq.adic import complexity_report
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, ResidueClass, SequenceParams,
-                               as_json_dict, bitstring, classify, crt_read,
-                               generate, residue_table, sign_view, to_json,
-                               unit_character)
+                               as_json_dict, bitstring, by_class, classify,
+                               crt_read, generate, residue_table, sign_view,
+                               to_json, unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -98,12 +98,31 @@ def test_residue_table_matches_legendre():
 
 
 def test_crt_read_is_the_good_thomas_index_map():
-    # entry k is the grid entry at (k mod p, k mod q), for every k in [0, n)
-    pairs = odd_prime_pairs(1000) + [OddPrimePair(3, 997), OddPrimePair(1009, 1013)]
+    # entry k is the grid entry at (k mod p, k mod q), for every k in [0, n);
+    # the index is cached per pair, so (3, 5), (5, 3) and (3, 5) again, in that
+    # order, check that a swapped pair with the same n never reuses it
+    pairs = odd_prime_pairs(1000) + [OddPrimePair(3, 997), OddPrimePair(1009, 1013),
+                                     OddPrimePair(5, 3), OddPrimePair(3, 5)]
     for pair in pairs:
         p, q, k = pair.p, pair.q, np.arange(pair.n)
         grid = np.arange(pair.n).reshape(p, q)
         assert np.array_equal(crt_read(pair, grid), grid[k % p, k % q]), (p, q)
+
+
+def _class_code(lam, pair):
+    """0 at zero, 1 on P, 2 on Q, 3 / 4 on units with character +1 / -1."""
+    cls = classify(lam, pair)
+    if cls is ResidueClass.UNIT:
+        return 3 if legendre(lam, pair.p) * legendre(lam, pair.q) == 1 else 4
+    return {ResidueClass.ZERO: 0, ResidueClass.CLASS_P: 1, ResidueClass.CLASS_Q: 2}[cls]
+
+
+def test_by_class_matches_the_pointwise_classes():
+    # differential test against classify and the Legendre symbol per position
+    for pair in odd_prime_pairs(300) + [OddPrimePair(3, 997), OddPrimePair(7, 3)]:
+        codes = by_class(pair, 0, 1, 2, 3, 4, np.int8)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [_class_code(lam, pair) for lam in range(pair.n)], pair
 
 
 def test_unit_character_balance():
