@@ -102,9 +102,6 @@ def best_value_predicate(primes: OddPrimePair) -> bool:
     return 16 * p > 4 * q + 4 and 4 * q + 4 > p + 5
 
 
-_ORACLE_CLAUSES = ("d != max(d_p, d_q)", "min(d_p, d_q) != 1", "d_star != 1")
-
-
 @dataclass(frozen=True)
 class AdicComplexityReport:
     """Exact 2-adic complexity data for one parameter set.
@@ -117,20 +114,38 @@ class AdicComplexityReport:
     """
 
     params: SequenceParams
-    n: int
     d_exact: int
     d_p: int
     d_q: int
     d_star: int
-    best_value: bool
-    deviations: tuple
+
+    @property
+    def n(self) -> int:
+        return self.params.n
+
+    @property
+    def best_value(self) -> bool:
+        return best_value_predicate(self.params.primes)
+
+    def _clauses(self) -> tuple:
+        """(message, failed, gates theorem2) for each closed-form clause."""
+        d, dp, dq = self.d_exact, self.d_p, self.d_q
+        return (("d != max(d_p, d_q)", d != max(dp, dq), True),
+                ("min(d_p, d_q) != 1", min(dp, dq) != 1, True),
+                ("d != d_p * d_q", d != dp * dq, False),
+                ("d_star != 1", self.d_star != 1, True),
+                ("best_value predicted but d != 1", self.best_value and d != 1, False))
+
+    @property
+    def deviations(self) -> tuple:
+        return tuple(message for message, failed, _ in self._clauses() if failed)
 
     @property
     def closed_form_consistent(self) -> bool:
         """The closed-form oracle equivalence alone: d == max(d_p, d_q),
         min(d_p, d_q) == 1 and d_star == 1. The best-value prediction is
         excluded here; it is reported via ``deviations``."""
-        return not any(dev in _ORACLE_CLAUSES for dev in self.deviations)
+        return not any(failed and gates for _, failed, gates in self._clauses())
 
     @property
     def complexity_float(self) -> float:
@@ -150,7 +165,7 @@ class AdicComplexityReport:
 
 def complexity_report(params: SequenceParams,
                       seq: "BinarySequence | None" = None) -> AdicComplexityReport:
-    """Compute every quantity exactly and flag closed-form departures.
+    """Compute d, d_p, d_q and d_star exactly; the report derives the rest.
 
     A caller that already holds ``seq = generate(params)`` passes it in, so
     it is not rebuilt. d comes from ``d_exact``, the one n-bit gcd; the
@@ -161,24 +176,8 @@ def complexity_report(params: SequenceParams,
     elif seq.params != params:
         raise ValueError("the sequence was built from other parameters")
     d = d_exact(seq)
-    dp, dq = dp_closed(params), dq_closed(params)
-    dst = math.gcd(d, _cofactor(params.primes))
-    best = best_value_predicate(params.primes)
-
-    deviations = []
-    if d != max(dp, dq):
-        deviations.append("d != max(d_p, d_q)")
-    if min(dp, dq) != 1:
-        deviations.append("min(d_p, d_q) != 1")
-    if d != dp * dq:
-        deviations.append("d != d_p * d_q")
-    if dst != 1:
-        deviations.append("d_star != 1")
-    if best and d != 1:
-        deviations.append("best_value predicted but d != 1")
-
-    return AdicComplexityReport(params, params.n, d, dp, dq, dst, best,
-                                tuple(deviations))
+    return AdicComplexityReport(params, d, dp_closed(params), dq_closed(params),
+                                math.gcd(d, _cofactor(params.primes)))
 
 
 def verify_theorem2(report: AdicComplexityReport) -> CheckResult:

@@ -7,14 +7,17 @@ check failed. Data files are byte-identical across reruns of the same
 invocation: rows are emitted in sorted order and no timestamps or
 environment details are written.
 
+This is the only module that composes the layers. ``generate``,
+``autocorr`` and ``adic`` call the library builders directly, once each.
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
-through one pair x triple loop, ``_checked``. ``_Pair`` and ``_Instance`` are
-the only builders, and this is the only module that composes the layers: a
-``_Pair`` builds the CRT blocks (the package's one ``crt_blocks`` call) and
-the ``lemma1`` result over them, an ``_Instance`` its sequence, empirical and
-closed-form profiles and complexity report, each on first use and at most
-once. Each check is a function of one ``_Instance`` that hands those pieces
-to a library check, which compares them and returns a ``CheckResult``.
+through one pair x triple loop, ``_checked``, whose builders are ``_Pair``
+and ``_Instance``: a ``_Pair`` builds the CRT blocks (the package's one
+``crt_blocks`` call) and the ``lemma1`` result over them, an ``_Instance``
+its sequence, empirical and closed-form profiles and complexity report, each
+on first use and at most once. Each check is a function of one ``_Instance``
+that hands those pieces to a library check, which compares them and returns
+a ``CheckResult``. Every CSV table is written by ``_csv_text`` from rows
+read out of the result types' ``as_json_dict`` mappings.
 """
 
 import argparse
@@ -33,6 +36,9 @@ from .numtheory import OddPrimePair, odd_prime_pairs
 from .sequence import SequenceParams, as_json_dict, bitstring, by_class, generate
 
 ALL_TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+ADIC_COLUMNS = ("p", "q", "a", "b", "c", "n", "d", "d_p", "d_q", "d_star",
+                "best_value", "complexity_float")
 
 SWEEP_COLUMNS = ("p", "q", "a", "b", "c", "n", "family", "ac_P", "ac_Q",
                  "ac_unit_plus", "ac_unit_minus", "max_abs", "d", "d_p", "d_q",
@@ -81,6 +87,21 @@ def _write_out(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.6f}" if isinstance(value, float) else value
+
+
+def _csv_text(columns, rows) -> str:
+    """The one CSV writer: booleans print lower-case, floats to six decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
 def cmd_generate(args) -> int:
     params = _params_from(args)
     seq = generate(params)
@@ -106,7 +127,7 @@ def cmd_autocorr(args) -> int:
     profile = ac.distribution(params, emp if mode == "empirical" else None)
     if mode == "both" or (mode == "closed" and per_shift):
         closed = ac.closed_form_profile(params)
-    all_match = bool(np.array_equal(emp, closed)) if mode == "both" else True
+    all_match = ac.verify_theorem1(emp, closed).ok if mode == "both" else True
 
     if args.format == "json":
         obj = ac.profile_as_json_dict(profile)
@@ -114,48 +135,34 @@ def cmd_autocorr(args) -> int:
             obj["empirical_matches_closed"] = all_match
         text = json.dumps(obj) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         if args.aggregate:
-            writer.writerow(["value", "count"])
-            writer.writerows(sorted(profile.distribution.items()))
+            text = _csv_text(("value", "count"), sorted(profile.distribution.items()))
         elif mode == "both":
-            writer.writerow(["tau", "class", "empirical", "closed", "match"])
-            match = np.where(emp == closed, "true", "false").tolist()
-            writer.writerows(zip(range(params.n), _class_names(params),
-                                 emp.tolist(), closed.tolist(), match))
+            text = _csv_text(("tau", "class", "empirical", "closed", "match"),
+                             zip(range(params.n), _class_names(params), emp.tolist(),
+                                 closed.tolist(), (emp == closed).tolist()))
         else:
-            writer.writerow(["tau", "class", "c_s"])
             single = emp if mode == "empirical" else closed
-            writer.writerows(zip(range(params.n), _class_names(params), single.tolist()))
+            text = _csv_text(("tau", "class", "c_s"),
+                             zip(range(params.n), _class_names(params), single.tolist()))
         dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
-        buf.write(f"# distribution: {dist}\n")
-        buf.write(f"# family: {profile.family.value}\n")
-        buf.write(f"# max_nontrivial_abs: {profile.max_nontrivial_abs}\n")
+        text += (f"# distribution: {dist}\n"
+                 f"# family: {profile.family.value}\n"
+                 f"# max_nontrivial_abs: {profile.max_nontrivial_abs}\n")
         if mode == "both":
-            buf.write(f"# empirical_matches_closed: {str(all_match).lower()}\n")
-        text = buf.getvalue()
+            text += f"# empirical_matches_closed: {str(all_match).lower()}\n"
 
     _write_out(text, args.out)
     return 0 if all_match else 2
 
 
 def cmd_adic(args) -> int:
-    params = _params_from(args)
-    report = adic.complexity_report(params)
+    report = adic.complexity_report(_params_from(args))
+    obj = report.as_json_dict()
     if args.format == "json":
-        text = json.dumps(report.as_json_dict()) + "\n"
+        text = json.dumps(obj) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["p", "q", "a", "b", "c", "n", "d", "d_p", "d_q", "d_star",
-                  "best_value", "complexity_float"]
-        writer.writerow(header)
-        writer.writerow([params.p, params.q, params.a, params.b, params.c,
-                         report.n, report.d_exact, report.d_p, report.d_q,
-                         report.d_star, str(report.best_value).lower(),
-                         f"{report.complexity_float:.6f}"])
-        text = buf.getvalue()
+        text = _csv_text(ADIC_COLUMNS, [[obj[col] for col in ADIC_COLUMNS]])
     _write_out(text, args.out)
     return 0
 
@@ -289,33 +296,17 @@ def run_sweep(pairs, triples, checks):
         passed = sum(map(bool, results.values()))
         if passed < len(checks):
             failing += 1
-        params = inst.params
-        profile, report = ac.distribution(params), inst.report
-        rows.append({
-            "p": params.p, "q": params.q, "a": params.a, "b": params.b,
-            "c": params.c, "n": params.n, "family": profile.family.value,
-            "ac_P": profile.value_class_p, "ac_Q": profile.value_class_q,
-            "ac_unit_plus": profile.value_unit_plus,
-            "ac_unit_minus": profile.value_unit_minus,
-            "max_abs": profile.max_nontrivial_abs,
-            "d": report.d_exact, "d_p": report.d_p, "d_q": report.d_q,
-            "d_star": report.d_star,
-            "best_value": report.best_value,
-            "checks_passed": f"{passed}/{len(checks)}",
-        })
+        row = {**ac.profile_as_json_dict(ac.distribution(inst.params)),
+               **inst.report.as_json_dict(), "checks_passed": f"{passed}/{len(checks)}"}
+        row["max_abs"] = row["max_nontrivial_abs"]
+        rows.append({col: row[col] for col in SWEEP_COLUMNS})
     return rows, failing
 
 
 def render_sweep(rows, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([str(row[col]).lower() if col == "best_value" else row[col]
-                         for col in SWEEP_COLUMNS])
-    return buf.getvalue()
+    return _csv_text(SWEEP_COLUMNS, ([row[col] for col in SWEEP_COLUMNS] for row in rows))
 
 
 def cmd_sweep(args) -> int:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq.adic import (AdicComplexityReport, best_value_predicate,
                            bits_to_int, complexity_report, d_exact, d_star,
@@ -209,6 +211,41 @@ def test_verify_theorem2_semantics():
     bad = verify_theorem2(complexity_report(SequenceParams.of(3, 17, 0, 0, 1)))
     assert not bad.ok and not bool(bad)
     assert bad.detail == "d != max(d_p, d_q); min(d_p, d_q) != 1"
+
+
+GATING = ("d != max(d_p, d_q)", "min(d_p, d_q) != 1", "d_star != 1")
+
+
+def test_theorem2_reads_the_numbers_of_a_report():
+    # Reports built directly, so clauses no real instance reaches are covered.
+    params = SequenceParams.of(5, 7, 1, 0, 0)
+    cofactor_hit = AdicComplexityReport(params, 1, 1, 1, 3)
+    assert cofactor_hit.deviations == ("d_star != 1",)
+    assert verify_theorem2(cofactor_hit) == CheckResult("theorem2", False, "d_star != 1")
+
+    product = AdicComplexityReport(SequenceParams.of(3, 13, 0, 0, 1), 7 * 8191, 7, 8191, 1)
+    assert product.best_value is False
+    assert product.deviations == ("d != max(d_p, d_q)", "min(d_p, d_q) != 1")
+    assert verify_theorem2(product) == CheckResult(
+        "theorem2", False, "d != max(d_p, d_q); min(d_p, d_q) != 1")
+
+    best_value_only = AdicComplexityReport(params, 31, 1, 31, 1)
+    assert best_value_only.best_value is True
+    assert best_value_only.deviations == ("best_value predicted but d != 1",)
+    assert verify_theorem2(best_value_only) == CheckResult("theorem2", True)
+
+
+@settings(database=None, derandomize=True)
+@given(primes=st.sampled_from([(3, 5), (3, 13), (3, 17), (5, 7), (47, 61)]),
+       numbers=st.tuples(*[st.integers(1, 8) | st.integers(min_value=1)] * 4))
+def test_theorem2_fails_exactly_on_a_gating_deviation(primes, numbers):
+    report = AdicComplexityReport(SequenceParams.of(*primes, 0, 0, 1), *numbers)
+    gating = [dev for dev in report.deviations if dev in GATING]
+    assert report.closed_form_consistent == (not gating)
+    result = verify_theorem2(report)
+    assert result.ok is report.closed_form_consistent
+    if not result:
+        assert result.detail == "; ".join(report.deviations)
 
 
 def test_checks_take_the_callers_pieces():

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import cycloseq
+from cycloseq import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cycloseq"
@@ -104,3 +105,16 @@ def test_functions_the_benchmark_trace_names_stay_plain_functions():
         module = importlib.import_module(f"cycloseq.{layer}")
         obj = getattr(module, function, None)
         assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name
+
+
+def test_cli_csv_text_is_the_one_csv_writer():
+    # Every CSV table goes through cli._csv_text, so one cell rule holds.
+    calls = [(path.stem, node.lineno)
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "writer"
+             and getattr(node.func.value, "id", None) == "csv"]
+    lines, start = inspect.getsourcelines(cli._csv_text)
+    assert len(calls) == 1, calls
+    assert calls[0][0] == "cli" and start <= calls[0][1] < start + len(lines)
