@@ -1,23 +1,23 @@
 """Command-line front end.
 
 Subcommands: generate, autocorr, adic, verify, sweep. Exit codes: 0 success,
-1 usage/parameter error, input too large for int64 group-ring arithmetic or
-an allocation the machine refused (MemoryError), 2 at least one theorem
-check failed. Data files are byte-identical across reruns of the same
-invocation: rows are emitted in sorted order and no timestamps or
-environment details are written.
+1 usage/parameter error, input too large for int64 group-ring arithmetic, an
+allocation the machine refused (MemoryError) or an output file that cannot
+be written (OSError), 2 at least one theorem check failed. Data files are
+byte-identical across reruns of the same invocation: rows are emitted in
+sorted order and no timestamps or environment details are written.
 
-This is the only module that composes the layers. ``generate``,
-``autocorr`` and ``adic`` call the library builders directly, once each.
-``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
-through one pair x triple loop, ``_checked``, whose builders are ``_Pair``
-and ``_Instance``: a ``_Pair`` builds the CRT blocks (the package's one
-``crt_blocks`` call) and the ``lemma1`` result over them, an ``_Instance``
-its sequence, empirical and closed-form profiles and complexity report, each
-on first use and at most once. Each check is a function of one ``_Instance``
-that hands those pieces to a library check, which compares them and returns
-a ``CheckResult``. Every CSV table is written by ``_csv_text`` from rows
-read out of the result types' ``as_json_dict`` mappings.
+This is the only module that composes the layers, and all five commands
+build through ``_Pair`` and ``_Instance``: a ``_Pair`` builds the CRT blocks
+(the package's one ``crt_blocks`` call) and the ``lemma1`` result over them,
+an ``_Instance`` its sequence, empirical and closed-form profiles and
+complexity report, each on first use and at most once, so a command builds
+only the pieces it prints. ``verify``, ``sweep`` and the acceptance gate run
+the ``CHECKS`` registry through one pair x triple loop, ``_checked``. Each
+check is a function of one ``_Instance`` that hands its pieces to a library
+check, which compares them and returns a ``CheckResult``. Every CSV table is
+written by ``_csv_text`` from rows read out of the result types'
+``as_json_dict`` mappings.
 """
 
 import argparse
@@ -65,7 +65,7 @@ def _bit_args(parser):
     parser.add_argument("--c", type=int, help="fill bit at position 0")
 
 
-def _params_from(args) -> SequenceParams:
+def _instance_from(args) -> "_Instance":
     if args.abc is not None:
         if args.a is not None or args.b is not None or args.c is not None:
             raise ValueError("use either --abc or --a/--b/--c, not both")
@@ -76,7 +76,7 @@ def _params_from(args) -> SequenceParams:
         a, b, c = args.a, args.b, args.c
     else:
         raise ValueError("fill bits required: pass --abc or all of --a/--b/--c")
-    return SequenceParams.of(args.p, args.q, a, b, c)
+    return _Instance(_Pair(OddPrimePair(args.p, args.q)), a, b, c)
 
 
 def _write_out(text: str, out) -> None:
@@ -100,71 +100,6 @@ def _csv_text(columns, rows) -> str:
     writer.writerow(columns)
     writer.writerows([_csv_cell(value) for value in row] for row in rows)
     return buf.getvalue()
-
-
-def cmd_generate(args) -> int:
-    params = _params_from(args)
-    seq = generate(params)
-    if args.format == "bits":
-        text = bitstring(seq) + "\n"
-    else:
-        text = json.dumps(as_json_dict(seq)) + "\n"
-    _write_out(text, args.out)
-    return 0
-
-
-def _class_names(params: SequenceParams) -> np.ndarray:
-    return by_class(params.primes, "zero", "p", "q", "unit", "unit", object)
-
-
-def cmd_autocorr(args) -> int:
-    params = _params_from(args)
-    mode = "both" if args.both else ("empirical" if args.empirical else "closed")
-    per_shift = args.format == "csv" and not args.aggregate
-    emp = closed = None
-    if mode in ("empirical", "both"):
-        emp = ac.empirical_profile(generate(params))
-    profile = ac.distribution(params, emp if mode == "empirical" else None)
-    if mode == "both" or (mode == "closed" and per_shift):
-        closed = ac.closed_form_profile(params)
-    all_match = ac.verify_theorem1(emp, closed).ok if mode == "both" else True
-
-    if args.format == "json":
-        obj = ac.profile_as_json_dict(profile)
-        if mode == "both":
-            obj["empirical_matches_closed"] = all_match
-        text = json.dumps(obj) + "\n"
-    else:
-        if args.aggregate:
-            text = _csv_text(("value", "count"), sorted(profile.distribution.items()))
-        elif mode == "both":
-            text = _csv_text(("tau", "class", "empirical", "closed", "match"),
-                             zip(range(params.n), _class_names(params), emp.tolist(),
-                                 closed.tolist(), (emp == closed).tolist()))
-        else:
-            single = emp if mode == "empirical" else closed
-            text = _csv_text(("tau", "class", "c_s"),
-                             zip(range(params.n), _class_names(params), single.tolist()))
-        dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
-        text += (f"# distribution: {dist}\n"
-                 f"# family: {profile.family.value}\n"
-                 f"# max_nontrivial_abs: {profile.max_nontrivial_abs}\n")
-        if mode == "both":
-            text += f"# empirical_matches_closed: {str(all_match).lower()}\n"
-
-    _write_out(text, args.out)
-    return 0 if all_match else 2
-
-
-def cmd_adic(args) -> int:
-    report = adic.complexity_report(_params_from(args))
-    obj = report.as_json_dict()
-    if args.format == "json":
-        text = json.dumps(obj) + "\n"
-    else:
-        text = _csv_text(ADIC_COLUMNS, [[obj[col] for col in ADIC_COLUMNS]])
-    _write_out(text, args.out)
-    return 0
 
 
 class _Pair:
@@ -204,6 +139,64 @@ class _Instance:
     @cached_property
     def report(self):
         return adic.complexity_report(self.params, self.seq)
+
+
+def cmd_generate(args) -> int:
+    seq = _instance_from(args).seq
+    if args.format == "bits":
+        text = bitstring(seq) + "\n"
+    else:
+        text = json.dumps(as_json_dict(seq)) + "\n"
+    _write_out(text, args.out)
+    return 0
+
+
+def _class_names(params: SequenceParams) -> np.ndarray:
+    return by_class(params.primes, "zero", "p", "q", "unit", "unit", object)
+
+
+def cmd_autocorr(args) -> int:
+    inst = _instance_from(args)
+    params = inst.params
+    profile = ac.distribution(params, inst.emp if args.empirical else None)
+    all_match = ac.verify_theorem1(inst.emp, inst.closed).ok if args.both else True
+
+    if args.format == "json":
+        obj = ac.profile_as_json_dict(profile)
+        if args.both:
+            obj["empirical_matches_closed"] = all_match
+        text = json.dumps(obj) + "\n"
+    else:
+        if args.aggregate:
+            text = _csv_text(("value", "count"), sorted(profile.distribution.items()))
+        elif args.both:
+            emp, closed = inst.emp, inst.closed
+            text = _csv_text(("tau", "class", "empirical", "closed", "match"),
+                             zip(range(params.n), _class_names(params), emp.tolist(),
+                                 closed.tolist(), (emp == closed).tolist()))
+        else:
+            single = inst.emp if args.empirical else inst.closed
+            text = _csv_text(("tau", "class", "c_s"),
+                             zip(range(params.n), _class_names(params), single.tolist()))
+        dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
+        text += (f"# distribution: {dist}\n"
+                 f"# family: {profile.family.value}\n"
+                 f"# max_nontrivial_abs: {profile.max_nontrivial_abs}\n")
+        if args.both:
+            text += f"# empirical_matches_closed: {str(all_match).lower()}\n"
+
+    _write_out(text, args.out)
+    return 0 if all_match else 2
+
+
+def cmd_adic(args) -> int:
+    obj = _instance_from(args).report.as_json_dict()
+    if args.format == "json":
+        text = json.dumps(obj) + "\n"
+    else:
+        text = _csv_text(ADIC_COLUMNS, [[obj[col] for col in ADIC_COLUMNS]])
+    _write_out(text, args.out)
+    return 0
 
 
 CHECKS = {
@@ -275,16 +268,13 @@ def build_sweep_spec(args) -> tuple:
     if args.triples in (None, "all"):
         triples = ALL_TRIPLES
     else:
-        seen = []
-        for text in args.triples.split(","):
-            text = text.strip()
+        texts = [text.strip() for text in args.triples.split(",")]
+        for text in texts:
             if len(text) != 3 or set(text) - {"0", "1"}:
                 raise ValueError(f"--triples entries must be three bits, got {text!r}")
-            trip = tuple(int(ch) for ch in text)
-            if trip not in seen:
-                seen.append(trip)
-        triples = tuple(sorted(seen, key=lambda t: 4 * t[0] + 2 * t[1] + t[2]))
-    checks = _parse_checks([args.checks] if args.checks and args.checks != "all" else None)
+        # bit tuples sort as the integers abc they spell
+        triples = tuple(sorted({tuple(int(ch) for ch in text) for text in texts}))
+    checks = _parse_checks(None if args.checks in (None, "all") else [args.checks])
     return pairs, triples, checks
 
 
@@ -386,7 +376,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

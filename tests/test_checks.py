@@ -66,11 +66,23 @@ def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
     assert calls == {"generate": 8}
 
 
-def test_autocorr_empirical_builds_one_profile(calls, capsys):
-    assert cli.main(["autocorr", "--p", "5", "--q", "7", "--abc", "100",
-                     "--empirical", "--format", "json"]) == 0
+@pytest.mark.parametrize("argv,built", [
+    (["autocorr", "--empirical", "--format", "json"],
+     {"generate": 1, "empirical_profile": 1}),
+    (["generate"], {"generate": 1}),
+    (["adic"], {"generate": 1}),
+    (["autocorr", "--both"],
+     {"generate": 1, "empirical_profile": 1, "closed_form_profile": 1}),
+    (["autocorr"], {"closed_form_profile": 1}),
+], ids=["autocorr-empirical-json", "generate", "adic", "autocorr-both",
+        "autocorr-per-shift"])
+def test_each_command_builds_what_it_prints_once(calls, capsys, argv, built):
+    # Every command builds through one cli._Instance, which builds a piece on
+    # first use and at most once.
+    command, *flags = argv
+    assert cli.main([command, "--p", "5", "--q", "7", "--abc", "100", *flags]) == 0
     capsys.readouterr()
-    assert calls == {"generate": 1, "empirical_profile": 1}
+    assert calls == built
 
 
 def test_autocorr_json_builds_nothing_it_does_not_print(calls, capsys):

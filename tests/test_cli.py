@@ -258,6 +258,7 @@ def test_sweep_merges_and_sorts_pair_sources(capsys):
     (("sweep", "--pairs", "5"), "--pairs expects"),
     (("sweep", "--max-n", "60", "--triples", "10"), "three bits"),
     (("sweep", "--max-n", "60", "--checks", "nope"), "unknown checks"),
+    (("sweep", "--max-n", "60", "--checks", ""), "at least one check"),
 ])
 def test_sweep_usage_errors(capsys, argv, fragment):
     rc, _, err = run(capsys, *argv)
@@ -276,6 +277,16 @@ def test_sweep_deterministic_output(tmp_path, capsys):
     # file content matches the stdout rendering of the same invocation
     rc3, out3, _ = run(capsys, "sweep", "--max-n", "60")
     assert first.read_text() == out3
+
+
+@pytest.mark.parametrize("argv", [("generate", "--p", "3", "--q", "5", "--abc", "100"),
+                                  ("sweep", "--pairs", "3,5")])
+def test_unwritable_out_path_exits_1(tmp_path, capsys, argv):
+    # a directory, then a file in a directory that does not exist
+    for out in (tmp_path, tmp_path / "missing" / "out.txt"):
+        rc, _, err = run(capsys, *argv, "--out", str(out))
+        assert rc == 1
+        assert err.startswith("error: [Errno ")
 
 
 def test_verify_frozen_stdout(capsys):

@@ -70,16 +70,31 @@ def test_check_layers_import_only_numtheory_and_sequence():
         assert "sequence" in imported, name
 
 
+def _calls_of(tree, names) -> list:
+    """(name, line) of every call in tree of a function named in names."""
+    return sorted((name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for name in {getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)} & names)
+
+
 def test_only_cli_builds_the_pairs_blocks():
     # A pair's CRT blocks are built once, by cli._Pair; every library check
     # takes them as an argument.
     callers = {path.stem
                for path in sorted(SRC.rglob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(), str(path)))
-               if isinstance(node, ast.Call)
-               and "crt_blocks" in (getattr(node.func, "id", None),
-                                    getattr(node.func, "attr", None))}
+               if _calls_of(ast.parse(path.read_text(), str(path)), {"crt_blocks"})}
     assert callers == {"cli"}
+    # Every command builds through one path: in cli, the pair's pieces are
+    # built only inside _Pair and the instance's only inside _Instance.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for owner, names in (("_Pair", {"crt_blocks", "verify_lemma1"}),
+                         ("_Instance", {"generate", "empirical_profile",
+                                        "closed_form_profile", "complexity_report"})):
+        built = _calls_of(classes[owner], names)
+        assert {name for name, _ in built} == names, owner
+        assert _calls_of(tree, names) == built, owner
 
 
 def test_only_by_class_lays_out_the_residue_classes():
