@@ -156,6 +156,9 @@ def _class_names(params: SequenceParams) -> np.ndarray:
 
 
 def cmd_autocorr(args) -> int:
+    if args.aggregate and args.format == "json":
+        raise ValueError("--aggregate shapes CSV output only; "
+                         "JSON always carries the distribution")
     inst = _instance_from(args)
     params = inst.params
     profile = ac.distribution(params, inst.emp if args.empirical else None)

@@ -129,6 +129,14 @@ def crt_read(primes: OddPrimePair, grid: np.ndarray) -> np.ndarray:
     return grid.ravel()[_crt_index(primes.p, primes.q)]
 
 
+def crt_grid(primes: OddPrimePair, values: np.ndarray) -> np.ndarray:
+    """The p x q grid holding entry k of ``values`` at (k mod p, k mod q): the
+    inverse of ``crt_read``, through the same index."""
+    grid = np.empty(primes.n, dtype=values.dtype)
+    grid[_crt_index(primes.p, primes.q)] = values
+    return grid.reshape(primes.p, primes.q)
+
+
 def by_class(primes: OddPrimePair, zero, on_p, on_q, unit_plus, unit_minus,
              dtype) -> np.ndarray:
     """A ``dtype`` vector over Z_n by residue class: ``zero`` at 0, ``on_p`` on

@@ -2,14 +2,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycloseq.autocorr import (AutocorrelationFamily, autocorr_empirical,
-                               class_values,
+import cycloseq.autocorr
+from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile,
+                               autocorr_empirical, class_values,
                                closed_form_profile, distribution,
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
 from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
-from cycloseq.sequence import CheckResult, SequenceParams, generate
+from cycloseq.sequence import BinarySequence, CheckResult, SequenceParams, generate
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -21,6 +24,18 @@ def _oracle_autocorr(bits, tau):
     for lam in range(n):
         total += (-1) ** (int(bits[lam]) + int(bits[(lam + tau) % n]))
     return total
+
+
+def _direct_profile(bits):
+    # the O(n^2) oracle: every shift of the doubled sign vector by np.correlate
+    s = 1 - 2 * np.asarray(bits, dtype=np.int64)
+    return np.correlate(np.concatenate([s, s[:-1]]), s, mode="valid")
+
+
+def _from_grid(pair, grid):
+    # bits whose entry k is grid[k mod p, k mod q], indexed without crt_read
+    k = np.arange(pair.n)
+    return BinarySequence(SequenceParams(pair, 0, 0, 0), grid[k % pair.p, k % pair.q])
 
 
 def test_empirical_frozen_values():
@@ -210,3 +225,65 @@ def test_profile_json_dict():
         "max_nontrivial_abs": 3,
         "distribution": {"-3": 8, "1": 12, "21": 1},
     }
+
+
+def test_empirical_profile_equals_direct_correlation_on_every_small_family():
+    for pair in odd_prime_pairs(1000):
+        for a, b, c in ALL_TRIPLES:
+            seq = generate(SequenceParams(pair, a, b, c))
+            assert np.array_equal(empirical_profile(seq),
+                                  _direct_profile(seq.bits)), (pair, a, b, c)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(pair=st.sampled_from(odd_prime_pairs(3000)), data=st.data())
+def test_empirical_profile_equals_direct_correlation_on_pooled_rows(pair, data):
+    # m = None draws every bit at random; otherwise each grid row comes from a
+    # pool of m random rows, so the grid has at most m distinct rows
+    m = data.draw(st.none() | st.integers(1, pair.p), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if m is None:
+        seq = BinarySequence(SequenceParams(pair, 0, 0, 0),
+                             rng.integers(0, 2, size=pair.n, dtype=np.uint8))
+    else:
+        pool = rng.integers(0, 2, size=(m, pair.q), dtype=np.uint8)
+        seq = _from_grid(pair, pool[rng.integers(0, m, size=pair.p)])
+    assert np.array_equal(empirical_profile(seq), _direct_profile(seq.bits))
+
+
+@pytest.mark.parametrize("p,q,rows,crt", [
+    (11, 13, None, False),  # n^2 below the fixed overhead: no grid is laid out
+    (17, 19, None, False),  # 3 family rows: 9 (p^2 + q^2) + 10^5 >= n^2
+    (19, 23, None, True),   # the smallest family pair past the rule
+    (3, 1021, None, False),  # m = p = 3 rows: the grid saves nothing
+    (31, 37, 31, False),    # every row distinct
+    (31, 37, 2, True),
+    (101, 103, 1, True),    # one row repeated p times
+    (101, 103, 72, True),   # 72^2 (p^2 + q^2) + 10^5 < n^2 ...
+    (101, 103, 73, False),  # ... and 73^2 (p^2 + q^2) >= n^2
+])
+def test_kernel_choice_follows_the_operation_count(monkeypatch, p, q, rows, crt):
+    pair = OddPrimePair(p, q)
+    if rows is None:
+        seq = generate(SequenceParams(pair, 1, 0, 1))
+    else:
+        rng = np.random.default_rng(rows)
+        pool = rng.integers(0, 2, size=(rows, q), dtype=np.uint8)
+        assert len({row.tobytes() for row in pool}) == rows
+        seq = _from_grid(pair, pool[np.arange(p) % rows])
+    reads = []
+    original = cycloseq.autocorr.crt_read
+    monkeypatch.setattr(cycloseq.autocorr, "crt_read",
+                        lambda *args: reads.append(args) or original(*args))
+    assert np.array_equal(empirical_profile(seq), _direct_profile(seq.bits))
+    assert len(reads) == crt
+
+
+def test_profile_is_hashable_and_derives_its_summary():
+    params = SequenceParams.of(3, 7, 1, 0, 0)
+    prof = distribution(params)
+    same = AutocorrelationProfile(params, 1, -3, 1, -3)
+    assert prof == same and hash(prof) == hash(same)
+    assert len({prof, same, distribution(SequenceParams.of(3, 5, 1, 0, 0))}) == 2
+    assert (prof.distribution, prof.max_nontrivial_abs, prof.family) == \
+        ({21: 1, 1: 12, -3: 8}, 3, AutocorrelationFamily.THREE_VALUED_OPTIMAL)

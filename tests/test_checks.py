@@ -165,3 +165,22 @@ def test_refused_allocation_is_reported_as_an_error(monkeypatch, capsys):
     assert cli.main(["generate", "--p", "3", "--q", "5", "--abc", "100"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: Unable to allocate 9.31 GiB\n")
+
+
+def test_theorem1_holds_at_large_n_along_the_crt_grid(monkeypatch):
+    # A direct correlation would take seconds at (307, 311) and minutes at
+    # (1009, 1013), so every correlation here must run along one grid axis;
+    # one that spans the whole period fails at once instead of running on.
+    original = cycloseq.autocorr._circular_correlation
+
+    def along_one_axis(x, y):
+        assert len(x) <= 1013, f"a correlation of length {len(x)} spans the period"
+        return original(x, y)
+
+    monkeypatch.setattr(cycloseq.autocorr, "_circular_correlation", along_one_axis)
+    pairs = (OddPrimePair(307, 311), OddPrimePair(1009, 1013))
+    results = [(inst.params.abc, check["theorem1"])
+               for inst, check in cli._checked(pairs, ((1, 0, 0), (0, 1, 0)),
+                                                ("theorem1",))]
+    assert results == [(abc, CheckResult("theorem1", True))
+                       for abc in ("100", "010") * 2]

@@ -131,6 +131,15 @@ def test_autocorr_route_flags_exclusive(capsys):
     assert "not allowed" in err
 
 
+def test_autocorr_aggregate_is_refused_with_json(capsys):
+    # JSON always carries the distribution, so the flag would change nothing
+    rc, out, err = run(capsys, "autocorr", "--p", "3", "--q", "7", "--abc", "100",
+                       "--format", "json", "--aggregate")
+    assert (rc, out) == (1, "")
+    assert err == ("error: --aggregate shapes CSV output only; "
+                   "JSON always carries the distribution\n")
+
+
 def test_adic_json(capsys):
     rc, out, _ = run(capsys, "adic", "--p", "3", "--q", "13", "--abc", "010")
     assert rc == 0

@@ -133,3 +133,19 @@ def test_cli_csv_text_is_the_one_csv_writer():
     lines, start = inspect.getsourcelines(cli._csv_text)
     assert len(calls) == 1, calls
     assert calls[0][0] == "cli" and start <= calls[0][1] < start + len(lines)
+
+
+def test_crt_index_is_read_only_by_crt_read_and_crt_grid():
+    # The Good-Thomas map lives in one place in both directions: every use of
+    # sequence._crt_index sits inside crt_read (grid -> vector) or crt_grid
+    # (vector -> grid).
+    users = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            users |= {f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+                      for node in ast.walk(top)
+                      if node is not top and "_crt_index" in {
+                          getattr(node, "id", None), getattr(node, "attr", None),
+                          node.name if isinstance(node, ast.alias) else None}}
+    assert users == {"sequence.crt_read", "sequence.crt_grid"}
