@@ -8,8 +8,8 @@ every unit position lam carries (1 - (lam/p)(lam/q)) / 2, so a unit is 0
 exactly when the two Legendre symbols agree.
 """
 
-from cycloseq import (ResidueClass, SequenceParams, bitstring, classify,
-                      generate, to_json, unit_character)
+from cycloseq import SequenceParams, bitstring, generate, to_json, unit_character
+from cycloseq.sequence import by_class
 
 # the smallest admissible period: p = 3, q = 5, fill bits a=1, b=0, c=0
 params = SequenceParams.of(3, 5, 1, 0, 0)
@@ -19,11 +19,9 @@ print("bits           :", bitstring(seq))
 print("weight         :", seq.weight, "ones out of", seq.n)
 
 # where each position lives: {0}, multiples of p, multiples of q, units
+markers = by_class(params.primes, "zero", "p", "q", "unit", "unit", object)
 for lam in range(seq.n):
-    cls = classify(lam, params.primes)
-    marker = {ResidueClass.ZERO: "zero", ResidueClass.CLASS_P: "p",
-              ResidueClass.CLASS_Q: "q", ResidueClass.UNIT: "unit"}[cls]
-    print(f"  s[{lam:2d}] = {int(seq.bits[lam])}   class {marker}")
+    print(f"  s[{lam:2d}] = {int(seq.bits[lam])}   class {markers[lam]}")
 
 # the unit character chi(lam) = (lam/p)(lam/q) drives the unit bits;
 # it sums to zero over a period, so the unit class is perfectly balanced

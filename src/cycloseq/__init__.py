@@ -9,9 +9,8 @@ The names below are the ones the demos and the README use; every other
 public name is imported from its submodule.
 """
 
-from .sequence import (ResidueClass, SequenceParams, bitstring, classify, generate,
-                       to_json, unit_character)
-from .autocorr import autocorr_empirical, distribution, nontrivial_bound, verify_theorem1
+from .sequence import SequenceParams, bitstring, generate, to_json, unit_character
+from .autocorr import distribution, nontrivial_bound, verify_theorem1
 from .groupring import (dump, gamma_p, gamma_q, gauss_gp, gauss_gq, mul,
                         verify_correlation_identity, verify_lemma1)
 from .adic import (best_value_predicate, bits_to_int, complexity_report, d_exact,
@@ -20,9 +19,8 @@ from .adic import (best_value_predicate, bits_to_int, complexity_report, d_exact
 __version__ = "0.1.0"
 
 __all__ = [
-    "ResidueClass", "SequenceParams", "bitstring", "classify", "generate",
-    "to_json", "unit_character",
-    "autocorr_empirical", "distribution", "nontrivial_bound", "verify_theorem1",
+    "SequenceParams", "bitstring", "generate", "to_json", "unit_character",
+    "distribution", "nontrivial_bound", "verify_theorem1",
     "dump", "gamma_p", "gamma_q", "gauss_gp", "gauss_gq", "mul",
     "verify_correlation_identity", "verify_lemma1",
     "best_value_predicate", "bits_to_int", "complexity_report", "d_exact",

@@ -13,12 +13,14 @@ cofactor part d_star, which is always 1. Closed forms:
     d_p = gcd(q - 1 + (-1)**(a+c) - (-1)**(a+b), 2**p - 1)
     d_q = gcd(p - 1 + (-1)**(b+c) - (-1)**(a+b), 2**q - 1)
 
-Caution: the d_q argument vanishes for p = 3 with (a, b, c) in
+Caution: when the smaller prime is 3, one argument vanishes for (a, b, c) in
 {(0,0,1), (1,1,0)} (the cases where e = (-1)**c - (-1)**a - (-1)**b has
-absolute value p), and then d_q = 2**q - 1 exactly. On those instances d
-equals d_p * d_q but not max(d_p, d_q) whenever d_p > 1, and the best-value
-prediction d = 1 fails. ``AdicComplexityReport.deviations`` records every
-such departure instead of raising.
+absolute value 3): the d_q argument if p = 3, and then d_q = 2**q - 1
+exactly; the d_p argument if q = 3, and then d_p = 2**p - 1. On those
+instances d equals d_p * d_q but not max(d_p, d_q) whenever the other factor
+exceeds 1, and the best-value prediction d = 1 fails.
+``AdicComplexityReport.deviations`` records every such departure instead of
+raising.
 """
 
 import math
@@ -71,7 +73,7 @@ def d_exact(seq_or_bits) -> int:
 
 
 def dp_closed(params: SequenceParams) -> int:
-    """Closed form for gcd(S(2), 2**p - 1)."""
+    """Closed form for gcd(S(2), 2**p - 1); see the module caution on q = 3."""
     arg = params.q - 1 + (-1) ** (params.a + params.c) - (-1) ** (params.a + params.b)
     return math.gcd(arg, mersenne(params.p))
 
@@ -110,7 +112,7 @@ class AdicComplexityReport:
     The complexity is log2((2**n - 1) / d); ``complexity_float``
     approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates
-    (empty for every instance with p >= 5).
+    (empty for every instance whose smaller prime is at least 5).
     """
 
     params: SequenceParams

@@ -23,8 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, CheckResult, ResidueClass, SequenceParams,
-                       by_class, classify, crt_grid, crt_read, sign_view)
+from .sequence import (BinarySequence, CheckResult, SequenceParams, by_class,
+                       crt_grid, crt_read, sign_view)
 
 
 class AutocorrelationFamily(Enum):
@@ -80,23 +80,6 @@ class AutocorrelationProfile:
         if nontrivial <= {1, -3}:
             return AutocorrelationFamily.THREE_VALUED_OPTIMAL
         return AutocorrelationFamily.OTHER
-
-    def value_at(self, tau: int) -> int:
-        cls = classify(tau % self.n, self.params.primes)
-        if cls is ResidueClass.ZERO:
-            return self.n
-        if cls is ResidueClass.CLASS_P:
-            return self.value_class_p
-        if cls is ResidueClass.CLASS_Q:
-            return self.value_class_q
-        chi = legendre(tau, self.params.p) * legendre(tau, self.params.q)
-        return self.value_unit_plus if chi == 1 else self.value_unit_minus
-
-
-def autocorr_empirical(seq: BinarySequence, tau: int) -> int:
-    """C(tau) summed directly from the sign vector. Exact integer."""
-    s = sign_view(seq)
-    return int(np.dot(s, np.roll(s, -(tau % seq.n))))
 
 
 # A fixed cost of the CRT route, about 0.1 ms, as a count of multiply-adds.

@@ -79,6 +79,7 @@ class CrtElement:
                 and bool(np.array_equal(self.dense(), other.dense())))
 
     def __add__(self, other: "CrtElement") -> "CrtElement":
+        _same_ring(self, other)
         return CrtElement(self.primes, self.terms + other.terms)
 
     def __sub__(self, other: "CrtElement") -> "CrtElement":
@@ -108,10 +109,14 @@ class CrtElement:
         return crt_read(self.primes, grid)
 
 
-def mul(x: CrtElement, y: CrtElement) -> CrtElement:
-    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise."""
+def _same_ring(x: CrtElement, y: CrtElement) -> None:
     if x.primes != y.primes:
         raise ValueError("elements live in different group rings")
+
+
+def mul(x: CrtElement, y: CrtElement) -> CrtElement:
+    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise."""
+    _same_ring(x, y)
     p, q = x.primes.p, x.primes.q
     terms = []
     for c, u, v, bu, bv in x.terms:

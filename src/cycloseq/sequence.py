@@ -15,19 +15,11 @@ when the two quadratic characters agree.
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .numtheory import OddPrimePair, is_odd_prime
-
-
-class ResidueClass(Enum):
-    ZERO = "zero"
-    CLASS_P = "p"
-    CLASS_Q = "q"
-    UNIT = "unit"
 
 
 @dataclass(frozen=True)
@@ -87,19 +79,6 @@ class SequenceParams:
     def e(self) -> int:
         """(-1)**c - (-1)**a - (-1)**b, the constant of the sign polynomial."""
         return (-1) ** self.c - (-1) ** self.a - (-1) ** self.b
-
-
-def classify(lam: int, primes: OddPrimePair) -> ResidueClass:
-    """Residue class of lam in Z_n; lam must lie in [0, n)."""
-    if not 0 <= lam < primes.n:
-        raise ValueError(f"position must lie in [0, {primes.n})")
-    if lam == 0:
-        return ResidueClass.ZERO
-    if lam % primes.p == 0:
-        return ResidueClass.CLASS_P
-    if lam % primes.q == 0:
-        return ResidueClass.CLASS_Q
-    return ResidueClass.UNIT
 
 
 def residue_table(r: int) -> np.ndarray:

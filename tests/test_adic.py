@@ -180,6 +180,24 @@ def test_complexity_report_large_degenerate():
     assert not report.closed_form_consistent
 
 
+def test_mirror_pair_gives_the_mirrored_report():
+    # S(a, b, c) over (p, q) is S(b, a, c) over (q, p), so the same d comes out
+    # with d_p and d_q exchanged: the exceptions of p = 3 (criteria 07 and 09)
+    # recur exactly at their q = 3 mirrors
+    deviating = 0
+    for pair in odd_prime_pairs(1000):
+        for a, b, c in ALL_TRIPLES:
+            report = complexity_report(SequenceParams(pair, a, b, c))
+            mirror = complexity_report(SequenceParams.of(pair.q, pair.p, b, a, c))
+            where = (pair.p, pair.q, a, b, c)
+            assert (mirror.d_exact, mirror.d_star) == (report.d_exact, report.d_star), where
+            assert (mirror.d_p, mirror.d_q) == (report.d_q, report.d_p), where
+            assert mirror.deviations == report.deviations, where
+            assert verify_theorem2(mirror) == verify_theorem2(report), where
+            deviating += bool(report.deviations)
+    assert deviating > 0
+
+
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (3, 13), (3, 17), (3, 31), (5, 7)])
 def test_product_identity_holds_everywhere(p, q):
     # d == d_p * d_q on every instance, including the degenerate ones

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import cycloseq.autocorr
 from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile,
-                               autocorr_empirical, class_values,
-                               closed_form_profile, distribution,
+                               class_values, closed_form_profile, distribution,
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
-from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
+from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
 from cycloseq.sequence import BinarySequence, CheckResult, SequenceParams, generate
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -24,6 +23,18 @@ def _oracle_autocorr(bits, tau):
     for lam in range(n):
         total += (-1) ** (int(bits[lam]) + int(bits[(lam + tau) % n]))
     return total
+
+
+def _oracle_closed_form(params, tau):
+    # the per-class value of class_values at the class of tau, found per shift
+    vp, vq, vplus, vminus = class_values(params)
+    if tau == 0:
+        return params.n
+    if tau % params.p == 0:
+        return vp
+    if tau % params.q == 0:
+        return vq
+    return vplus if legendre(tau, params.p) * legendre(tau, params.q) == 1 else vminus
 
 
 def _direct_profile(bits):
@@ -39,15 +50,12 @@ def _from_grid(pair, grid):
 
 
 def test_empirical_frozen_values():
-    s35 = generate(SequenceParams.of(3, 5, 1, 0, 0))
-    assert autocorr_empirical(s35, 0) == 15
-    assert autocorr_empirical(s35, 1) == -1
-    s37 = generate(SequenceParams.of(3, 7, 1, 0, 0))
-    assert autocorr_empirical(s37, 3) == 1
-    assert autocorr_empirical(s37, 7) == -3
-    assert autocorr_empirical(s37, 5) == 1
-    s37000 = generate(SequenceParams.of(3, 7, 0, 0, 0))
-    assert autocorr_empirical(s37000, 1) == 1
+    s35 = empirical_profile(generate(SequenceParams.of(3, 5, 1, 0, 0)))
+    assert (int(s35[0]), int(s35[1])) == (15, -1)
+    s37 = empirical_profile(generate(SequenceParams.of(3, 7, 1, 0, 0)))
+    assert (int(s37[3]), int(s37[7]), int(s37[5])) == (1, -3, 1)
+    s37000 = empirical_profile(generate(SequenceParams.of(3, 7, 0, 0, 0)))
+    assert int(s37000[1]) == 1
 
 
 @pytest.mark.parametrize("p,q,a,b,c", [
@@ -58,7 +66,6 @@ def test_empirical_matches_oracle_every_shift(p, q, a, b, c):
     prof = empirical_profile(seq)
     for tau in range(seq.n):
         assert int(prof[tau]) == _oracle_autocorr(seq.bits, tau), tau
-        assert autocorr_empirical(seq, tau) == int(prof[tau])
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7), (3, 11), (5, 11)])
@@ -82,10 +89,8 @@ def test_theorem1_names_the_first_differing_shift():
 def test_closed_form_profile_matches_pointwise_form():
     params = SequenceParams.of(5, 7, 0, 1, 0)
     prof = closed_form_profile(params)
-    pointwise = distribution(params)
     for tau in range(params.n):
-        assert int(prof[tau]) == pointwise.value_at(tau)
-    assert pointwise.value_at(params.n + 3) == pointwise.value_at(3)
+        assert int(prof[tau]) == _oracle_closed_form(params, tau), tau
 
 
 def test_distribution_frozen_ideal():
@@ -165,15 +170,13 @@ def test_gap_four_families():
 
 
 def test_value_at():
-    prof = distribution(SequenceParams.of(3, 7, 1, 0, 0))
-    assert prof.value_at(0) == 21
-    assert prof.value_at(21) == 21
-    assert prof.value_at(3) == 1
-    assert prof.value_at(7) == -3
-    assert prof.value_at(5) == 1
-    seq = generate(prof.params)
-    for tau in range(prof.n):
-        assert prof.value_at(tau) == autocorr_empirical(seq, tau)
+    # frozen closed-form values at single shifts, each equal to the definition
+    params = SequenceParams.of(3, 7, 1, 0, 0)
+    closed = closed_form_profile(params)
+    assert [int(closed[tau]) for tau in (0, 3, 7, 5)] == [21, 1, -3, 1]
+    bits = generate(params).bits
+    for tau in range(params.n):
+        assert int(closed[tau]) == _oracle_autocorr(bits, tau), tau
 
 
 def test_imbalance_identity():

@@ -129,6 +129,15 @@ def test_construction_errors():
         mul(_monomial(OddPrimePair(3, 5), 0), _monomial(OddPrimePair(3, 7), 0))
 
 
+def test_sum_across_rings_is_refused():
+    # (3, 5) and (5, 3) share n = 15 but not the p x q grid, so their terms
+    # cannot be pooled
+    x, y = gamma_p(OddPrimePair(3, 5)), gamma_p(OddPrimePair(5, 3))
+    for combine in (lambda: x + y, lambda: x - y, lambda: y + x):
+        with pytest.raises(ValueError, match="different group rings"):
+            combine()
+
+
 def test_monomial_products_wrap():
     primes = OddPrimePair(3, 5)
     for k in range(primes.n):

@@ -99,11 +99,13 @@ def test_only_cli_builds_the_pairs_blocks():
 
 def test_only_by_class_lays_out_the_residue_classes():
     # sequence.by_class places {0}, P, Q and the units for every per-shift
-    # vector; a strided fill such as bits[p::p] would be a second layout.
+    # vector; a strided fill such as bits[p::p] or a pointwise class test such
+    # as lam % primes.p == 0 would be a second layout.
     found = [f"{path.relative_to(SRC)}:{lineno}"
              for path in sorted(SRC.rglob("*.py"))
              for lineno, line in enumerate(path.read_text().splitlines(), 1)
-             if re.search(r"::\s*(params\.)?[pq]\b", line)]
+             if re.search(r"::\s*(params\.)?[pq]\b", line)
+             or re.search(r"%\s*[a-z_.]*\b[pq]\b\s*==\s*0", line)]
     assert found == []
 
 

@@ -6,10 +6,9 @@ import pytest
 from cycloseq.adic import complexity_report
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
-from cycloseq.sequence import (BinarySequence, ResidueClass, SequenceParams,
-                               as_json_dict, bitstring, by_class, classify,
-                               crt_read, generate, residue_table, sign_view,
-                               to_json, unit_character)
+from cycloseq.sequence import (BinarySequence, SequenceParams, as_json_dict,
+                               bitstring, by_class, crt_read, generate,
+                               residue_table, sign_view, to_json, unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -50,29 +49,18 @@ def test_generate_matches_definition_oracle(p, q):
 
 
 def test_classify():
-    pair = OddPrimePair(3, 5)
-    assert classify(0, pair) is ResidueClass.ZERO
-    assert classify(6, pair) is ResidueClass.CLASS_P
-    assert classify(12, pair) is ResidueClass.CLASS_P
-    assert classify(5, pair) is ResidueClass.CLASS_Q
-    assert classify(10, pair) is ResidueClass.CLASS_Q
-    assert classify(7, pair) is ResidueClass.UNIT
-    assert classify(14, pair) is ResidueClass.UNIT
-    with pytest.raises(ValueError):
-        classify(-1, pair)
-    with pytest.raises(ValueError):
-        classify(15, pair)
+    names = by_class(OddPrimePair(3, 5), "zero", "p", "q", "unit", "unit", object)
+    assert names[0] == "zero"
+    assert names[6] == names[12] == "p"
+    assert names[5] == names[10] == "q"
+    assert names[7] == names[14] == "unit"
 
 
 def test_partition_sizes():
     for pair in odd_prime_pairs(2000):
-        counts = {cls: 0 for cls in ResidueClass}
-        for lam in range(pair.n):
-            counts[classify(lam, pair)] += 1
-        assert counts[ResidueClass.ZERO] == 1
-        assert counts[ResidueClass.CLASS_P] == pair.q - 1
-        assert counts[ResidueClass.CLASS_Q] == pair.p - 1
-        assert counts[ResidueClass.UNIT] == (pair.p - 1) * (pair.q - 1)
+        counts = np.bincount(by_class(pair, 0, 1, 2, 3, 3, np.int8))
+        assert counts.tolist() == [1, pair.q - 1, pair.p - 1,
+                                   (pair.p - 1) * (pair.q - 1)], pair
 
 
 def test_partition_sizes_large_pair():
@@ -111,14 +99,18 @@ def test_crt_read_is_the_good_thomas_index_map():
 
 def _class_code(lam, pair):
     """0 at zero, 1 on P, 2 on Q, 3 / 4 on units with character +1 / -1."""
-    cls = classify(lam, pair)
-    if cls is ResidueClass.UNIT:
-        return 3 if legendre(lam, pair.p) * legendre(lam, pair.q) == 1 else 4
-    return {ResidueClass.ZERO: 0, ResidueClass.CLASS_P: 1, ResidueClass.CLASS_Q: 2}[cls]
+    if lam == 0:
+        return 0
+    if lam % pair.p == 0:
+        return 1
+    if lam % pair.q == 0:
+        return 2
+    return 3 if legendre(lam, pair.p) * legendre(lam, pair.q) == 1 else 4
 
 
 def test_by_class_matches_the_pointwise_classes():
-    # differential test against classify and the Legendre symbol per position
+    # differential test against the class definition and the Legendre symbol
+    # per position
     for pair in odd_prime_pairs(300) + [OddPrimePair(3, 997), OddPrimePair(7, 3)]:
         codes = by_class(pair, 0, 1, 2, 3, 4, np.int8)
         assert codes.dtype == np.int8
