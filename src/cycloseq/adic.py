@@ -1,10 +1,11 @@
 """Exact 2-adic complexity of the two-prime cyclotomic sequences.
 
-For one period s[0..n-1] let T(2) = sum of s[lam] * 2**lam. The 2-adic
-complexity is log2((2**n - 1) / d) with d = gcd(T(2), 2**n - 1). Because
-2*T(2) is congruent to -S(2) mod 2**n - 1, where S(2) is the sign polynomial
-evaluated at 2, the same d is gcd(S(2), 2**n - 1); everything here is exact
-big-integer arithmetic.
+Every function here reads one period s[0..n-1] of a ``BinarySequence``,
+n = pq. Let T(2) = sum of s[lam] * 2**lam. The 2-adic complexity is
+log2((2**n - 1) / d) with d = gcd(T(2), 2**n - 1). Because 2*T(2) is
+congruent to -S(2) mod 2**n - 1, where S(2) is the sign polynomial evaluated
+at 2, and 2 is a unit mod 2**n - 1, the same d is gcd(S(2), 2**n - 1);
+everything here is exact big-integer arithmetic.
 
 The gcd d factors through the three pairwise-coprime-by-valuation parts of
 2**n - 1: d_p = gcd(S(2), 2**p - 1), d_q = gcd(S(2), 2**q - 1) and the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import BinarySequence, CheckResult, SequenceParams, as_bits, generate
+from .sequence import BinarySequence, CheckResult, SequenceParams, generate
 
 
 def mersenne(n: int) -> int:
@@ -37,39 +38,26 @@ def mersenne(n: int) -> int:
     return (1 << n) - 1
 
 
-def _bits_of(seq_or_bits) -> np.ndarray:
-    if isinstance(seq_or_bits, BinarySequence):
-        return seq_or_bits.bits
-    return as_bits(seq_or_bits)
+def bits_to_int(seq: BinarySequence) -> int:
+    """T(2) = sum of s[lam] * 2**lam: the period word as one big integer."""
+    return int.from_bytes(np.packbits(seq.bits, bitorder="little").tobytes(), "little")
 
 
-def bits_to_int(seq_or_bits) -> int:
-    """T(2) = sum of bits[lam] * 2**lam: the period word as one big integer."""
-    bits = _bits_of(seq_or_bits)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def s2(seq_or_bits) -> int:
+def s2(seq: BinarySequence) -> int:
     """S(2) = sum of (-1)**s[lam] * 2**lam, reduced into [0, 2**n - 1).
 
     Since (-1)**s = 1 - 2*s, S(2) = (2**n - 1) - 2*T(2), congruent to -2*T(2).
     """
-    bits = _bits_of(seq_or_bits)
-    return (-2 * bits_to_int(bits)) % mersenne(len(bits))
+    return (-2 * bits_to_int(seq)) % mersenne(seq.n)
 
 
-def d_exact(seq_or_bits) -> int:
+def d_exact(seq: BinarySequence) -> int:
     """d = gcd(T(2), 2**n - 1).
 
-    Raises RuntimeError unless 2*T(2) + S(2) == 0 mod 2**n - 1, the
-    congruence that makes gcd(S(2), 2**n - 1) the same d (2 is a unit).
+    This is also gcd(S(2), 2**n - 1): S(2) is congruent to -2*T(2) mod
+    2**n - 1, and 2 is a unit mod the odd 2**n - 1.
     """
-    m = mersenne(len(_bits_of(seq_or_bits)))
-    # Passed on as given, so a BinarySequence's bits are not validated again.
-    t = bits_to_int(seq_or_bits)
-    if (2 * t + s2(seq_or_bits)) % m != 0:
-        raise RuntimeError("2*T(2) + S(2) is not divisible by 2**n - 1")
-    return math.gcd(t, m)
+    return math.gcd(bits_to_int(seq), mersenne(seq.n))
 
 
 def dp_closed(params: SequenceParams) -> int:
@@ -108,7 +96,7 @@ def best_value_predicate(primes: OddPrimePair) -> bool:
 class AdicComplexityReport:
     """Exact 2-adic complexity data for one parameter set.
 
-    ``d_exact`` is ``d_exact(seq)``, past that function's congruence check.
+    ``d_exact`` is ``d_exact(seq)``.
     The complexity is log2((2**n - 1) / d); ``complexity_float``
     approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates

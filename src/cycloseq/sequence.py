@@ -136,24 +136,20 @@ def unit_character(primes: OddPrimePair) -> np.ndarray:
     return by_class(primes, 0, 0, 0, 1, -1, np.int8)
 
 
-def as_bits(values) -> np.ndarray:
-    """A nonempty one-dimensional uint8 array of 0/1 bits; any other entry is
-    refused before the cast could wrap (256 -> 0) or truncate (0.5 -> 0) it."""
-    raw = np.asarray(values)
-    if raw.ndim != 1 or len(raw) == 0:
-        raise ValueError("expected a nonempty one-dimensional bit vector")
-    if np.any((raw != 0) & (raw != 1)):
-        raise ValueError("bits must be 0 or 1")
-    return np.asarray(raw, dtype=np.uint8)
-
-
 class BinarySequence:
-    """One period of S(a, b, c) as a uint8 array of 0/1 bits."""
+    """One period of S(a, b, c) as a uint8 array of 0/1 bits.
+
+    The constructor holds the package's one 0/1 check: any other entry is
+    refused before the cast could wrap (256 -> 0) or truncate (0.5 -> 0) it.
+    """
 
     def __init__(self, params: SequenceParams, bits: np.ndarray):
-        bits = as_bits(bits)
-        if bits.shape != (params.n,):
-            raise ValueError(f"expected {params.n} bits, got {bits.shape}")
+        raw = np.asarray(bits)
+        if raw.shape != (params.n,):
+            raise ValueError(f"expected {params.n} bits, got {raw.shape}")
+        if np.any((raw != 0) & (raw != 1)):
+            raise ValueError("bits must be 0 or 1")
+        bits = np.asarray(raw, dtype=np.uint8)
         bits.flags.writeable = False
         self.params = params
         self.bits = bits

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +9,8 @@ from cycloseq.adic import (AdicComplexityReport, best_value_predicate,
                            bits_to_int, complexity_report, d_exact, d_star,
                            dp_closed, dq_closed, mersenne, s2, verify_theorem2)
 from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
-from cycloseq.sequence import CheckResult, SequenceParams, generate
+from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams,
+                               bitstring, generate)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -25,26 +22,34 @@ def test_mersenne():
     assert mersenne(61) == 2 ** 61 - 1
 
 
+def _word(p, q, bits) -> BinarySequence:
+    return BinarySequence(SequenceParams.of(p, q, 0, 0, 0), bits)
+
+
 def test_bits_to_int():
-    assert bits_to_int([1, 0, 1]) == 5
-    assert bits_to_int([0, 0, 0, 1]) == 8
-    assert bits_to_int(np.ones(15, dtype=np.uint8)) == 32767
+    assert bits_to_int(_word(3, 5, [1, 0, 1] + [0] * 12)) == 5
+    assert bits_to_int(_word(3, 5, [0, 0, 0, 1] + [0] * 11)) == 8
+    assert bits_to_int(_word(3, 5, np.ones(15, dtype=np.uint8))) == 32767
     rng = np.random.default_rng(20261018)
-    for length in (1, 7, 9, 15, 63, 1001, 4099):
-        bits = rng.integers(0, 2, size=length, dtype=np.uint8)
-        want = sum(int(b) << i for i, b in enumerate(bits))
-        assert bits_to_int(bits) == want, length
-        assert s2(bits) == (mersenne(length) - 2 * want) % mersenne(length), length
+    for p, q in ((3, 5), (3, 7), (5, 7), (3, 13), (7, 11), (11, 13), (61, 67)):
+        length = p * q
+        seq = _word(p, q, rng.integers(0, 2, size=length, dtype=np.uint8))
+        want = sum(int(b) << i for i, b in enumerate(seq.bits))
+        assert bits_to_int(seq) == want, length
+        assert s2(seq) == (mersenne(length) - 2 * want) % mersenne(length), length
 
 
 def test_bit_vector_validation():
-    for bad in ([0, 2, 1], np.array([256, 1, 0]), [0.5, 1, 1]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            bits_to_int(bad)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        bits_to_int([])
-    with pytest.raises(ValueError, match="one-dimensional"):
-        bits_to_int(np.zeros((3, 5), dtype=np.uint8))
+    # adic reads seq.bits as packed uint8 words, so a 0/1 vector of any dtype
+    # must come out of BinarySequence as the same word; the refusals of
+    # anything else are in tests/test_sequence.py.
+    bits = np.random.default_rng(7).integers(0, 2, size=35)
+    want = _word(5, 7, bits.astype(np.uint8))
+    for same in (bits, bits.astype(bool), bits.astype(float), bits.tolist()):
+        seq = _word(5, 7, same)
+        assert seq.bits.dtype == np.uint8
+        assert (bits_to_int(seq), s2(seq), d_exact(seq)) == (
+            bits_to_int(want), s2(want), d_exact(want))
 
 
 def test_t2_s2_frozen():
@@ -54,31 +59,27 @@ def test_t2_s2_frozen():
 
 
 def test_degenerate_bit_vectors():
-    ones = np.ones(15, dtype=np.uint8)
-    zeros = np.zeros(15, dtype=np.uint8)
+    ones = _word(3, 5, np.ones(15, dtype=np.uint8))
+    zeros = _word(3, 5, np.zeros(15, dtype=np.uint8))
     assert bits_to_int(ones) == 32767
     assert d_exact(ones) == 32767
     assert bits_to_int(zeros) == 0
     assert d_exact(zeros) == 32767
 
 
-def test_d_exact_check_survives_optimisation():
-    # Under python -O an assert would vanish; the S(2) check must still raise,
-    # on the report's path as well as in d_exact itself.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    for call in ("adic.d_exact([1, 0, 1, 1, 0, 0, 0])",
-                 "adic.complexity_report(SequenceParams.of(3, 5, 1, 0, 0))"):
-        code = ("import cycloseq.adic as adic\n"
-                "from cycloseq.sequence import SequenceParams\n"
-                "adic.s2 = lambda bits: 1\n"
-                f"{call}\n")
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode != 0, call
-        assert ("RuntimeError: 2*T(2) + S(2) is not divisible by 2**n - 1"
-                in proc.stderr), (call, proc.stderr)
+@settings(database=None, derandomize=True)
+@given(primes=st.sampled_from(odd_prime_pairs(3000)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_words_match_python_int_oracles(primes, seed):
+    # Oracles in plain Python ints, sharing no code with packbits.
+    n = primes.n
+    seq = _word(primes.p, primes.q,
+                np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8))
+    m = 2 ** n - 1
+    t = int(bitstring(seq)[::-1], 2)
+    assert bits_to_int(seq) == t
+    assert s2(seq) == sum((1 - 2 * int(b)) << i for i, b in enumerate(seq.bits)) % m
+    assert d_exact(seq) == math.gcd(t, m)
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7), (3, 13)])

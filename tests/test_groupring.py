@@ -5,6 +5,7 @@ import pytest
 
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
+from cycloseq import cli
 from cycloseq.groupring import (CrtElement, crt_blocks, crt_expanded_form, crt_lemma1,
                                 crt_sign_form, dump, gamma_p, gamma_q, gauss_gp,
                                 gauss_gq, mul, verify_correlation_identity,
@@ -347,16 +348,20 @@ def test_correlation_identity_holds_past_the_old_int64_ceiling():
     assert np.array_equal(product, crt_expanded_form(params, blocks).dense())
 
 
-def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
-    primes, k0 = OddPrimePair(5, 7), 2
-
-    def flipped(r):
-        table = residue_table(r)
-        if r == primes.p:
-            table[k0] = -table[k0]
+def _flip_character(monkeypatch, r, k):
+    """Make gr.residue_table give (k/r) the wrong sign."""
+    def flipped(modulus):
+        table = residue_table(modulus)
+        if modulus == r:
+            table[k] = -table[k]
         return table
 
     monkeypatch.setattr(gr, "residue_table", flipped)
+
+
+def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
+    primes, k0 = OddPrimePair(5, 7), 2
+    _flip_character(monkeypatch, primes.p, k0)
     gp = _dense_gauss(primes, primes.p)
     exp = next(j * primes.q for j in range(1, primes.p) if j * primes.q % primes.p == k0)
     gp[exp] = -gp[exp]
@@ -371,6 +376,18 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
     k = want[0][1][0]
     assert verify_lemma1(blocks) == CheckResult(
         "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
+
+
+def test_sign_form_off_the_sequence_is_a_failed_route(monkeypatch, capsys):
+    # The same fault puts crt_sign_form's S off the generated sequence: verify
+    # names the check, the triple and the route instead of raising.
+    _flip_character(monkeypatch, 5, 2)
+    rc = cli.main(["verify", "--p", "5", "--q", "7", "--check", "correlation_identity"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert lines[0].startswith("correlation_identity (p=5, q=7): FAIL "
+                               "(abc=000 sign_form_vs_sequence; ")
+    assert lines[-1] == "0/1 checks pass"
 
 
 def test_correlation_identity_names_each_route_it_is_handed_wrong():

@@ -24,6 +24,28 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _exception_name(node) -> str:
+    return getattr(node.func if isinstance(node, ast.Call) else node, "id", None)
+
+
+def test_src_raises_only_what_cli_main_catches():
+    # cli.main turns ValueError and OverflowError into "error: ..." and exit 1,
+    # so an exception raised in src/ never reaches the user as a traceback; a
+    # failed comparison is a CheckResult, not an exception.
+    raised = {f"{path.relative_to(SRC)}:{node.lineno}": _exception_name(node.exc)
+              for path in sorted(SRC.rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Raise)}
+    assert raised
+    assert {where: name for where, name in raised.items()
+            if name not in {"ValueError", "OverflowError"}} == {}
+    main = ast.parse(inspect.getsource(cli.main))
+    caught = {_exception_name(elt)
+              for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+              for elt in getattr(handler.type, "elts", [handler.type])}
+    assert {"ValueError", "OverflowError"} <= caught
+
+
 def _names_imported_from_package(source: str) -> set:
     return {alias.name
             for node in ast.walk(ast.parse(source))

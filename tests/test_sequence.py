@@ -188,16 +188,19 @@ def test_bits_are_immutable():
         seq.bits[0] = 1
 
 
-def test_binary_sequence_length_check():
+@pytest.mark.parametrize("bits", [np.zeros(14, dtype=np.uint8), [],
+                                  np.zeros((3, 5), dtype=np.uint8)])
+def test_binary_sequence_length_check(bits):
     params = SequenceParams.of(3, 5, 1, 0, 0)
-    with pytest.raises(ValueError):
-        BinarySequence(params, np.zeros(14, dtype=np.uint8))
+    with pytest.raises(ValueError, match="expected 15 bits, got"):
+        BinarySequence(params, bits)
 
 
 @pytest.mark.parametrize("bits", [[2] + [0] * 14, [0] * 14 + [-1],
-                                  np.array([256] + [1] * 14)])
+                                  np.array([256] + [1] * 14), [0.5] + [1] * 14])
 def test_binary_sequence_refuses_non_binary_bits(bits):
-    # 2 would read as 1 in T(2) but as -3 in the sign vector; 256 would wrap to 0
+    # 2 would read as 1 in T(2) but as -3 in the sign vector; 256 would wrap
+    # to 0 and 0.5 truncate to 0 in the uint8 cast
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
         BinarySequence(SequenceParams.of(3, 5, 1, 0, 0), bits)
 
