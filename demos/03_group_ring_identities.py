@@ -14,7 +14,7 @@ from cycloseq import (SequenceParams, dump, gamma_p, gamma_q, gauss_gp, gauss_gq
                       generate, mul, verify_correlation_identity)
 from cycloseq.autocorr import closed_form_profile, empirical_profile
 from cycloseq.groupring import (crt_blocks, crt_expanded_form, crt_lemma1,
-                                crt_sign_form)
+                                crt_sign_form, crt_sign_products)
 from cycloseq.numtheory import OddPrimePair
 
 primes = OddPrimePair(3, 5)
@@ -52,10 +52,13 @@ expanded = crt_expanded_form(params, blocks)
 print("expanded form equals the product:", product == expanded)
 
 # one call checks all four routes at once: product, expanded form,
-# empirical shifts, and the per-class closed form, each built by the caller
+# empirical shifts, and the per-class closed form, each built by the caller;
+# the product is the pair's sign products sigma(atom k) * atom l, reweighted
+# by the coefficients of S
 for p, q, a, b, c in [(3, 5, 1, 0, 0), (3, 7, 0, 1, 1), (5, 11, 1, 1, 0)]:
     seq = generate(SequenceParams.of(p, q, a, b, c))
-    check = verify_correlation_identity(crt_blocks(seq.params.primes), seq,
-                                        empirical_profile(seq),
+    pair_blocks = crt_blocks(seq.params.primes)
+    check = verify_correlation_identity(pair_blocks, crt_sign_products(pair_blocks),
+                                        seq, empirical_profile(seq),
                                         closed_form_profile(seq.params))
     print(f"p={p} q={q} abc={a}{b}{c}: all routes agree = {check.ok}")

@@ -14,7 +14,11 @@ O(n**2) ring survives only as the oracle of the differential tests in
 
 The module builds no sequence, no profile and no pair's blocks: its checks
 compare the ``crt_blocks``, sequence and profiles they are handed, which
-``cycloseq.cli`` builds once per pair and per instance.
+``cycloseq.cli`` builds once per pair and per instance. The same holds for
+``crt_sign_products``, the 16 products sigma(atom k) * atom l of the four
+atoms every sign form S is a combination of: ``cli`` builds them once per
+pair, and ``verify_correlation_identity`` reweights them by each triple's
+coefficients of S instead of multiplying sigma(S) by S again.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -213,13 +217,28 @@ def crt_lemma1(blocks: CrtBlocks) -> tuple:
     )
 
 
+def _sign_atoms(blocks: CrtBlocks) -> tuple:
+    """The four rank-1 atoms of every sign polynomial, in the order of S's
+    terms: one, gamma_p, gamma_q, unit."""
+    return blocks.one, blocks.gamma_p, blocks.gamma_q, blocks.unit
+
+
 def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> tuple:
     """(h, S) with h = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q and
     S = h + unit, the sign polynomial of S(a, b, c)."""
-    h = (params.e * blocks.one
-         + (-1) ** params.a * blocks.gamma_p
-         + (-1) ** params.b * blocks.gamma_q)
-    return h, h + blocks.unit
+    one, g_p, g_q, unit = _sign_atoms(blocks)
+    h = params.e * one + (-1) ** params.a * g_p + (-1) ** params.b * g_q
+    return h, h + unit
+
+
+def crt_sign_products(blocks: CrtBlocks) -> CrtElement:
+    """sigma(A) * A for A the sum of the four sign atoms: 16 rank-1 terms,
+    term 4k + l being sigma(atom k) * atom l. Only the coefficients c of a
+    sign form S = sum of c_k * atom k depend on the triple, so reweighting
+    term 4k + l by c_k * c_l gives sigma(S) * S, term for term as ``mul``
+    builds it."""
+    atoms = sum(_sign_atoms(blocks), CrtElement(blocks.one.primes))
+    return atoms.sigma() * atoms
 
 
 def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
@@ -245,18 +264,26 @@ def verify_lemma1(blocks: CrtBlocks) -> CheckResult:
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(blocks: CrtBlocks, seq: BinarySequence,
-                                emp: np.ndarray, closed: np.ndarray) -> CheckResult:
+def verify_correlation_identity(blocks: CrtBlocks, products: CrtElement,
+                                seq: BinarySequence, emp: np.ndarray,
+                                closed: np.ndarray) -> CheckResult:
     """Check that the group-ring product sigma(S)*S, its expanded form, the
     empirical autocorrelation ``emp`` and the per-class closed form ``closed``
     of ``seq`` all agree at every shift; the detail lists each route that
     differs from the product, after ``sign_form_vs_sequence`` when the sign
     form S built from ``blocks`` (the pair's ``crt_blocks``) is not the sign
-    vector of ``seq``.
+    vector of ``seq``. sigma(S)*S is read off ``products``, the pair's
+    ``crt_sign_products(blocks)``, reweighted by S's coefficients.
     """
     params = seq.params
     _, s = crt_sign_form(params, blocks)
-    product = (s.sigma() * s).dense()
+    _same_ring(s, products)
+    coeffs = [c for c, *_ in s.terms]
+    weights = [c_k * c_l for c_k in coeffs for c_l in coeffs]
+    product = CrtElement(s.primes, [
+        (w * c, u, v, bu, bv)
+        for w, (c, u, v, bu, bv) in zip(weights, products.terms, strict=True)
+    ]).dense()
     expanded = crt_expanded_form(params, blocks).dense()
 
     failures = []

@@ -98,8 +98,11 @@ def residue_table(r: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _crt_index(p: int, q: int) -> np.ndarray:
-    """Flat grid index of each k in [0, n); callers read one pair at a time."""
-    return np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)
+    """Flat grid index of each k in [0, n); callers read one pair at a time.
+    Read-only, since every later call for the pair returns this array."""
+    index = np.tile(np.arange(p) * q, q) + np.tile(np.arange(q), p)
+    index.flags.writeable = False
+    return index
 
 
 def crt_read(primes: OddPrimePair, grid: np.ndarray) -> np.ndarray:
@@ -122,13 +125,22 @@ def by_class(primes: OddPrimePair, zero, on_p, on_q, unit_plus, unit_minus,
     P, ``on_q`` on Q, ``unit_plus``/``unit_minus`` on the units with
     (lam/p)(lam/q) = +1/-1. On the p x q grid of ``crt_read`` P is row 0, Q
     column 0, {0} the corner and U the interior; the one class layout."""
+    values = np.array([zero, on_p, on_q, unit_plus, unit_minus], dtype=dtype)
+    return np.take(values, _class_codes(primes))
+
+
+@lru_cache(maxsize=1)
+def _class_codes(primes: OddPrimePair) -> np.ndarray:
+    """Class code 0-4 of each k in [0, n), in ``by_class``'s argument order;
+    read-only, and built once per pair as ``_crt_index`` is."""
     agree = np.equal.outer(residue_table(primes.p), residue_table(primes.q))
     codes = 4 - agree.view(np.int8)  # 3 where chi_p[i] * chi_q[j] = +1, else 4
     codes[0, :] = 1
     codes[:, 0] = 2
     codes[0, 0] = 0
-    values = np.array([zero, on_p, on_q, unit_plus, unit_minus], dtype=dtype)
-    return np.take(values, crt_read(primes, codes))
+    codes = crt_read(primes, codes)
+    codes.flags.writeable = False
+    return codes
 
 
 def unit_character(primes: OddPrimePair) -> np.ndarray:

@@ -7,9 +7,9 @@ import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
 from cycloseq import cli
 from cycloseq.groupring import (CrtElement, crt_blocks, crt_expanded_form, crt_lemma1,
-                                crt_sign_form, dump, gamma_p, gamma_q, gauss_gp,
-                                gauss_gq, mul, verify_correlation_identity,
-                                verify_lemma1)
+                                crt_sign_form, crt_sign_products, dump, gamma_p,
+                                gamma_q, gauss_gp, gauss_gq, mul,
+                                verify_correlation_identity, verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
 from cycloseq.sequence import (CheckResult, SequenceParams, generate, residue_table,
                                sign_view)
@@ -292,7 +292,8 @@ def test_expanded_product_form_matches_direct_product():
 
 def _correlation_identity(params):
     seq = generate(params)
-    return verify_correlation_identity(crt_blocks(params.primes), seq,
+    blocks = crt_blocks(params.primes)
+    return verify_correlation_identity(blocks, crt_sign_products(blocks), seq,
                                        _autocorr.empirical_profile(seq),
                                        _autocorr.closed_form_profile(params))
 
@@ -316,10 +317,13 @@ def test_correlation_identity_samples(p, q):
 def test_crt_route_matches_dense_ring_on_every_pair():
     # Differential test: every tensor-form product the checks use equals the
     # dense O(n**2) product, coefficient by coefficient, for all pq <= 1000.
+    # The pair-level sign products, reweighted by each triple's coefficients
+    # of S, equal both sigma(S) * S built by mul and the dense product.
     for primes in odd_prime_pairs(1000):
         dense = {name: (got, want) for name, got, want in _dense_lemma1(
             primes, _dense_gauss(primes, primes.p), _dense_gauss(primes, primes.q))}
         blocks = crt_blocks(primes)
+        products = crt_sign_products(blocks)
         for name, lhs, rhs in crt_lemma1(blocks):
             got, want = dense[name]
             assert lhs.dense().tolist() == got.tolist(), (primes, name)
@@ -331,6 +335,11 @@ def test_crt_route_matches_dense_ring_on_every_pair():
             assert s.dense().tolist() == s_dense.tolist(), (primes, a, b, c)
             want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
             assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
+            # handed the oracle as both profiles, the check passes only if its
+            # reweighted product (and the sign form and expanded form) equal it
+            check = verify_correlation_identity(blocks, products, generate(params),
+                                                np.array(want), np.array(want))
+            assert check == CheckResult("correlation_identity", True), (primes, a, b, c)
             assert crt_expanded_form(params, blocks).dense().tolist() == want
 
 
@@ -396,10 +405,12 @@ def test_correlation_identity_names_each_route_it_is_handed_wrong():
     blocks = crt_blocks(params.primes)
     emp = _autocorr.empirical_profile(seq)
     closed = _autocorr.closed_form_profile(params)
+    products = crt_sign_products(blocks)
     off = emp.copy()
     off[3] += 1
-    assert verify_correlation_identity(blocks, seq, off, closed) == CheckResult(
+    assert verify_correlation_identity(
+        blocks, products, seq, off, closed) == CheckResult(
         "correlation_identity", False, "product_vs_empirical")
-    assert verify_correlation_identity(blocks, seq, off, off) == CheckResult(
+    assert verify_correlation_identity(blocks, products, seq, off, off) == CheckResult(
         "correlation_identity", False,
         "product_vs_empirical; product_vs_closed_form")

@@ -101,17 +101,19 @@ def _calls_of(tree, names) -> list:
 
 
 def test_only_cli_builds_the_pairs_blocks():
-    # A pair's CRT blocks are built once, by cli._Pair; every library check
-    # takes them as an argument.
+    # A pair's CRT blocks and sign products are built once, by cli._Pair;
+    # every library check takes them as arguments.
     callers = {path.stem
                for path in sorted(SRC.rglob("*.py"))
-               if _calls_of(ast.parse(path.read_text(), str(path)), {"crt_blocks"})}
+               if _calls_of(ast.parse(path.read_text(), str(path)),
+                            {"crt_blocks", "crt_sign_products"})}
     assert callers == {"cli"}
     # Every command builds through one path: in cli, the pair's pieces are
     # built only inside _Pair and the instance's only inside _Instance.
     tree = ast.parse((SRC / "cli.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for owner, names in (("_Pair", {"crt_blocks", "verify_lemma1"}),
+    for owner, names in (("_Pair", {"crt_blocks", "verify_lemma1",
+                                    "crt_sign_products"}),
                          ("_Instance", {"generate", "empirical_profile",
                                         "closed_form_profile", "complexity_report"})):
         built = _calls_of(classes[owner], names)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cycloseq.adic import complexity_report
+from cycloseq import sequence
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, SequenceParams, as_json_dict,
@@ -115,6 +116,20 @@ def test_by_class_matches_the_pointwise_classes():
         codes = by_class(pair, 0, 1, 2, 3, 4, np.int8)
         assert codes.dtype == np.int8
         assert codes.tolist() == [_class_code(lam, pair) for lam in range(pair.n)], pair
+
+
+def test_per_pair_memos_are_read_only():
+    # _crt_index and _class_codes hand every later call for the pair the same
+    # array, so a write into one would corrupt each later crt_read, crt_grid
+    # and by_class of that pair; what those return is the caller's own copy.
+    pair = OddPrimePair(5, 7)
+    for memo in (sequence._crt_index(5, 7), sequence._class_codes(pair)):
+        with pytest.raises(ValueError):
+            memo[1] = 0
+    codes = by_class(pair, 0, 1, 2, 3, 4, np.int8)
+    codes[:] = 9
+    assert by_class(pair, 0, 1, 2, 3, 4, np.int8)[:3].tolist() == [0, 3, 4]
+    assert crt_read(pair, np.arange(pair.n).reshape(5, 7))[:3].tolist() == [0, 8, 16]
 
 
 def test_unit_character_balance():
