@@ -40,7 +40,7 @@ for name, lhs, rhs in crt_lemma1(blocks):
 # the sign polynomial of S(a, b, c) decomposes over these blocks:
 # S = e + (-1)**a gamma_p + (-1)**b gamma_q + gauss_gp * gauss_gq
 params = SequenceParams.of(3, 5, 1, 0, 0)
-_, s = crt_sign_form(params, blocks)
+s = crt_sign_form(params, blocks)
 print("e =", params.e)
 print("sign coefficients:", s.dense().tolist())
 

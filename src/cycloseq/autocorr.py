@@ -99,27 +99,25 @@ def empirical_profile(seq: BinarySequence) -> np.ndarray:
     indicator of the rows equal to R_r, the grid is the sum of e_r (x) R_r, so
     its correlation is the sum over r, s of corr_p(e_r, e_s) (x)
     corr_q(R_r, R_s), read back through ``crt_read``. That costs about
-    m^2 (p^2 + q^2) multiply-adds; a direct correlation, chosen when it is
-    no dearer, costs n^2. Every partial sum stays within n in absolute value,
-    since the e_r partition the rows.
+    m^2 (p^2 + q^2) multiply-adds; a direct correlation costs n^2 and is taken
+    unless m^2 (p^2 + q^2) + ``_CRT_OVERHEAD`` < n^2. Every partial sum stays
+    within n in absolute value, since the e_r partition the rows.
     """
     p, q, n = seq.params.p, seq.params.q, seq.n
-    per_pair = p * p + q * q
-    if per_pair + _CRT_OVERHEAD < n * n:  # else direct even at m = 1
-        grid = crt_grid(seq.params.primes, seq.bits)
-        first = {}
-        owner = np.array([first.setdefault(row.tobytes(), i)
-                          for i, row in enumerate(grid)])
-        reps = list(first.values())
-        if len(reps) ** 2 * per_pair + _CRT_OVERHEAD < n * n:
-            indicators = [(owner == i).astype(np.int64) for i in reps]
-            rows = 1 - 2 * grid[reps].astype(np.int64)
-            pairs = [(r, s) for r in range(len(reps)) for s in range(len(reps))]
-            across = np.array([_circular_correlation(indicators[r], indicators[s])
-                               for r, s in pairs])
-            along = np.array([_circular_correlation(rows[r], rows[s])
-                              for r, s in pairs])
-            return crt_read(seq.params.primes, across.T @ along)
+    grid = crt_grid(seq.params.primes, seq.bits)
+    first = {}
+    owner = np.array([first.setdefault(row.tobytes(), i)
+                      for i, row in enumerate(grid)])
+    reps = list(first.values())
+    if len(reps) ** 2 * (p * p + q * q) + _CRT_OVERHEAD < n * n:
+        indicators = [(owner == i).astype(np.int64) for i in reps]
+        rows = 1 - 2 * grid[reps].astype(np.int64)
+        pairs = [(r, s) for r in range(len(reps)) for s in range(len(reps))]
+        across = np.array([_circular_correlation(indicators[r], indicators[s])
+                           for r, s in pairs])
+        along = np.array([_circular_correlation(rows[r], rows[s])
+                          for r, s in pairs])
+        return crt_read(seq.params.primes, across.T @ along)
     s = sign_view(seq)
     return _circular_correlation(s, s)
 

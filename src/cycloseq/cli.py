@@ -245,7 +245,7 @@ def _parse_checks(values) -> tuple:
 
 def cmd_verify(args) -> int:
     primes = OddPrimePair(args.p, args.q)
-    checks = CHECK_NAMES if args.all else _parse_checks(args.check)
+    checks = _parse_checks(args.check)
     failures = {}
     for inst, results in _checked((primes,), ALL_TRIPLES, checks):
         # Each check reports its first failing triple; lemma1 has none.

@@ -223,12 +223,11 @@ def _sign_atoms(blocks: CrtBlocks) -> tuple:
     return blocks.one, blocks.gamma_p, blocks.gamma_q, blocks.unit
 
 
-def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> tuple:
-    """(h, S) with h = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q and
-    S = h + unit, the sign polynomial of S(a, b, c)."""
+def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
+    """S = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q + unit, the sign
+    polynomial of S(a, b, c)."""
     one, g_p, g_q, unit = _sign_atoms(blocks)
-    h = params.e * one + (-1) ** params.a * g_p + (-1) ** params.b * g_q
-    return h, h + unit
+    return params.e * one + (-1) ** params.a * g_p + (-1) ** params.b * g_q + unit
 
 
 def crt_sign_products(blocks: CrtBlocks) -> CrtElement:
@@ -276,7 +275,7 @@ def verify_correlation_identity(blocks: CrtBlocks, products: CrtElement,
     ``crt_sign_products(blocks)``, reweighted by S's coefficients.
     """
     params = seq.params
-    _, s = crt_sign_form(params, blocks)
+    s = crt_sign_form(params, blocks)
     _same_ring(s, products)
     coeffs = [c for c, *_ in s.terms]
     weights = [c_k * c_l for c_k in coeffs for c_l in coeffs]

@@ -6,13 +6,15 @@ more than 12 GB, so such pairs are refused up front.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 _PRIME_BOUND = 1 << 32
 
 
 def is_prime(m: int) -> bool:
-    """Primality by trial division; raises ValueError for odd m >= 2**32."""
-    if m < 2:
+    """Primality by trial division; non-integers are not prime. Raises
+    ValueError for odd m >= 2**32."""
+    if not isinstance(m, Integral) or m < 2:
         return False
     if m < 4:
         return True
@@ -76,6 +78,9 @@ class OddPrimePair:
             raise ValueError("q must be an odd prime")
         if self.p == self.q:
             raise ValueError("p and q must be distinct")
+        # numpy integers pass the checks but wrap in int64; store Python ints.
+        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "q", int(self.q))
 
     @property
     def n(self) -> int:

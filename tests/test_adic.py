@@ -291,3 +291,15 @@ def test_large_period_complexity():
     report = complexity_report(SequenceParams.of(3, 997, 0, 0, 1))
     assert report.d_exact == 7 * mersenne(997)
     assert report.complexity_float == pytest.approx(1991.1926450779424, abs=1e-2)
+
+
+def test_numpy_primes_give_the_int_report():
+    # np.int64 primes are stored as Python ints, so mersenne(p) and mersenne(q)
+    # do not wrap in int64 once p or q reaches 64.
+    for pair in odd_prime_pairs(400):
+        wide = OddPrimePair(np.int64(pair.p), np.int64(pair.q))
+        assert all(type(v) is int for v in (wide.p, wide.q, wide.n))
+        for abc in ((0, 1, 0), (1, 0, 0), (0, 0, 1)):
+            want = complexity_report(SequenceParams(pair, *abc)).as_json_dict()
+            got = complexity_report(SequenceParams(wide, *abc)).as_json_dict()
+            assert got == want, (pair, abc)

@@ -11,7 +11,8 @@ from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile,
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import BinarySequence, CheckResult, SequenceParams, generate
+from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams, crt_grid,
+                               generate)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -254,8 +255,21 @@ def test_empirical_profile_equals_direct_correlation_on_pooled_rows(pair, data):
     assert np.array_equal(empirical_profile(seq), _direct_profile(seq.bits))
 
 
+def test_family_grids_have_three_distinct_rows():
+    # Row 0 of the grid holds c and a, and every other row is b followed by
+    # chi_p(row) * chi_q, so residue and nonresidue rows give the other two.
+    # Every pair with a prime 3 therefore takes the direct route, since
+    # 9 (p^2 + q^2) >= n^2, and any other pair reads the grid once
+    # 9 (p^2 + q^2) + _CRT_OVERHEAD < n^2.
+    for pair in odd_prime_pairs(1000):
+        for primes in (pair, OddPrimePair(pair.q, pair.p)):
+            for a, b, c in ALL_TRIPLES:
+                grid = crt_grid(primes, generate(SequenceParams(primes, a, b, c)).bits)
+                assert len({row.tobytes() for row in grid}) == 3, (primes, a, b, c)
+
+
 @pytest.mark.parametrize("p,q,rows,crt", [
-    (11, 13, None, False),  # n^2 below the fixed overhead: no grid is laid out
+    (11, 13, None, False),  # n^2 below the fixed overhead: the grid is laid out but not read
     (17, 19, None, False),  # 3 family rows: 9 (p^2 + q^2) + 10^5 >= n^2
     (19, 23, None, True),   # the smallest family pair past the rule
     (3, 1021, None, False),  # m = p = 3 rows: the grid saves nothing

@@ -264,7 +264,7 @@ def test_decomposition_e_values():
     for (a, b, c), e in expected_e.items():
         params = SequenceParams.of(3, 5, a, b, c)
         assert params.e == e, (a, b, c)
-        h, _ = crt_sign_form(params, blocks)
+        h = crt_sign_form(params, blocks) - blocks.unit
         assert int(h.dense()[0]) == e + (-1) ** a + (-1) ** b
 
 
@@ -274,7 +274,8 @@ def test_decomposition_consistency(p, q):
     gg = blocks.gauss_gp * blocks.gauss_gq
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(p, q, a, b, c)
-        h, s = crt_sign_form(params, blocks)
+        s = crt_sign_form(params, blocks)
+        h = s - blocks.unit
         assert s.dense().tolist() == sign_view(generate(params)).tolist()
         assert s == h + gg
         # applying sigma flips only the character product term
@@ -286,7 +287,7 @@ def test_expanded_product_form_matches_direct_product():
     blocks = crt_blocks(OddPrimePair(5, 7))
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(5, 7, a, b, c)
-        _, s = crt_sign_form(params, blocks)
+        s = crt_sign_form(params, blocks)
         assert mul(s.sigma(), s) == crt_expanded_form(params, blocks), (a, b, c)
 
 
@@ -302,7 +303,7 @@ def test_correlation_identity_ideal_case():
     params = SequenceParams.of(3, 5, 1, 0, 0)
     check = _correlation_identity(params)
     assert check == CheckResult("correlation_identity", True)
-    _, s = crt_sign_form(params, crt_blocks(params.primes))
+    s = crt_sign_form(params, crt_blocks(params.primes))
     assert mul(s.sigma(), s).dense().tolist() == [15] + [-1] * 14
 
 
@@ -330,7 +331,7 @@ def test_crt_route_matches_dense_ring_on_every_pair():
             assert rhs.dense().tolist() == want.tolist(), (primes, name)
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams(primes, a, b, c)
-            _, s = crt_sign_form(params, blocks)
+            s = crt_sign_form(params, blocks)
             s_dense = sign_view(generate(params)).astype(np.int64)
             assert s.dense().tolist() == s_dense.tolist(), (primes, a, b, c)
             want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
@@ -350,7 +351,7 @@ def test_correlation_identity_holds_past_the_old_int64_ceiling():
     # empirical route is O(n**2), so only the closed and expanded forms run.
     params = SequenceParams.of(1447, 1451, 0, 0, 1)
     blocks = crt_blocks(params.primes)
-    _, s = crt_sign_form(params, blocks)
+    s = crt_sign_form(params, blocks)
     assert np.array_equal(s.dense(), sign_view(generate(params)))
     product = (s.sigma() * s).dense()
     assert np.array_equal(product, _autocorr.closed_form_profile(params))

@@ -169,6 +169,17 @@ def test_is_odd_prime():
     assert not is_odd_prime(-7)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.5, 7.0])
+def test_non_integers_are_not_prime(m):
+    assert not is_prime(m)
+
+
+@pytest.mark.parametrize("p", [3.5, 3.0])
+def test_odd_prime_pair_refuses_non_integer_primes(p):
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        OddPrimePair(p, 5)
+
+
 # The 2-adic layer takes every gcd with math.gcd; these pin its semantics
 # (absolute values, gcd(0, 0) == 0) against independent oracles.
 
