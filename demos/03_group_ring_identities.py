@@ -31,8 +31,9 @@ square = mul(gauss_gp(primes), gauss_gp(primes))
 print("gauss_gp squared =", dump(square).replace("\n", ", "))
 
 # the five structural identities over the pair's blocks, checked
-# coefficient by coefficient in the CRT tensor form (verify_lemma1 runs the
-# same comparison)
+# coefficient by coefficient in the CRT tensor form (verify_lemma1 checks the
+# same identities on the primes: each is a tensor product of identities on
+# Z_p and Z_q, so it never forms a length-n vector unless one fails)
 blocks = crt_blocks(primes)
 for name, lhs, rhs in crt_lemma1(blocks):
     print(f"  {name:24s} {'ok' if lhs == rhs else 'FAILED'}")
@@ -53,12 +54,12 @@ print("expanded form equals the product:", product == expanded)
 
 # one call checks all four routes at once: product, expanded form,
 # empirical shifts, and the per-class closed form, each built by the caller;
-# the product is the pair's sign products sigma(atom k) * atom l, reweighted
-# by the coefficients of S
+# the product is the pair's sign products sigma(atom k) * atom l, contracted
+# with weights from the coefficients of S
 for p, q, a, b, c in [(3, 5, 1, 0, 0), (3, 7, 0, 1, 1), (5, 11, 1, 1, 0)]:
     seq = generate(SequenceParams.of(p, q, a, b, c))
     pair_blocks = crt_blocks(seq.params.primes)
-    check = verify_correlation_identity(pair_blocks, crt_sign_products(pair_blocks),
-                                        seq, empirical_profile(seq),
+    check = verify_correlation_identity(crt_sign_products(pair_blocks), seq,
+                                        empirical_profile(seq),
                                         closed_form_profile(seq.params))
     print(f"p={p} q={q} abc={a}{b}{c}: all routes agree = {check.ok}")

@@ -7,9 +7,31 @@ congruent to -S(2) mod 2**n - 1, where S(2) is the sign polynomial evaluated
 at 2, and 2 is a unit mod 2**n - 1, the same d is gcd(S(2), 2**n - 1);
 everything here is exact big-integer arithmetic.
 
-The gcd d factors through the three pairwise-coprime-by-valuation parts of
-2**n - 1: d_p = gcd(S(2), 2**p - 1), d_q = gcd(S(2), 2**q - 1) and the
-cofactor part d_star, which is always 1. Closed forms:
+2**n - 1 = (2**p - 1)(2**q - 1) * Phi_pq(2), with Phi_pq the pq-th
+cyclotomic polynomial; the first two factors are coprime, but Phi_pq(2) may
+share a prime with one of them (q | 2**p - 1 at (11, 23)). Let d_p =
+gcd(S(2), 2**p - 1), d_q = gcd(S(2), 2**q - 1) and d_star = gcd(S(2),
+Phi_pq(2)), the cofactor part. For every S(a, b, c), d_star = 1, and so
+d = gcd(S(2), (2**p - 1)(2**q - 1)) = d_p * d_q:
+
+    Modulo Phi_pq(x) both subgroup sums vanish, so S = e + G_p * G_q with the
+    Gauss sums G_p, G_q of Lemma 1, which gives (S - e)**2 = eps * n with
+    eps = (-1/p)(-1/q). A prime l dividing S(2) and Phi_pq(2) therefore
+    divides e**2 - eps * n, which is nonzero (e**2 is 1 or 9, n >= 15) and at
+    most n + 9 in absolute value. A prime divisor l of Phi_pq(2) either has
+    ord_l(2) = pq, so l = 1 mod 2pq and l >= 2pq + 1 > n + 9, or lies in
+    {p, q}. In the second case l | n, hence l | e**2, so l = 3; but 3 divides
+    Phi_m(2) only for m = 2 * 3**k, never for the odd pq.
+
+The proof uses only that the bits are S(a, b, c) of their parameters, which
+``complexity_report`` checks first. It then folds the n-bit word T(2) onto
+the two small factors: since 2**r = 1 mod 2**r - 1, T(2) mod 2**r - 1 is a
+sum of r-bit pieces of T(2), which ``_fold`` adds up in O(n) bit operations.
+d is then a product of one p-bit and one q-bit gcd, with no n-bit gcd and no
+n-bit division. ``d_exact``, ``d_star`` and ``s2`` compute the same
+quantities the long way, with n-bit gcds; they are the oracles of the tests.
+
+Closed forms of the two small parts:
 
     d_p = gcd(q - 1 + (-1)**(a+c) - (-1)**(a+b), 2**p - 1)
     d_q = gcd(p - 1 + (-1)**(b+c) - (-1)**(a+b), 2**q - 1)
@@ -30,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import BinarySequence, CheckResult, SequenceParams, generate
+from .sequence import BinarySequence, CheckResult, SequenceParams, family_bits, generate
 
 
 def mersenne(n: int) -> int:
@@ -41,6 +63,24 @@ def mersenne(n: int) -> int:
 def bits_to_int(seq: BinarySequence) -> int:
     """T(2) = sum of s[lam] * 2**lam: the period word as one big integer."""
     return int.from_bytes(np.packbits(seq.bits, bitorder="little").tobytes(), "little")
+
+
+def _fold(word: int, r: int) -> int:
+    """word mod 2**r - 1 in O(n) bit operations for an n-bit word.
+
+    2**r - 1 divides 2**(k*r) - 1, so adding the bits above position k*r to
+    those below keeps the residue. k starts at the power of 2 that splits the
+    word in about two halves and halves down to 1.
+    """
+    k = 1
+    while 2 * k * r < word.bit_length():
+        k *= 2
+    while k:
+        width = k * r
+        while word >> width:
+            word = (word & mersenne(width)) + (word >> width)
+        k //= 2
+    return word % mersenne(r)
 
 
 def s2(seq: BinarySequence) -> int:
@@ -73,17 +113,14 @@ def dq_closed(params: SequenceParams) -> int:
 
 
 def d_star(seq: BinarySequence) -> int:
-    """gcd of S(2) with the cofactor (2**n - 1) / ((2**p - 1)(2**q - 1)).
+    """gcd of S(2) with the cofactor Phi_pq(2) = (2**n - 1) / ((2**p - 1)(2**q - 1)).
 
-    Equals 1 for every valid parameter set; the smallest admissible period is
-    n = 15, which is exactly the edge the cofactor argument needs.
-    ``complexity_report`` gets the same value from d; this is its oracle.
+    Equals 1 for every S(a, b, c) (the module docstring has the proof);
+    ``complexity_report`` reports that proved 1, and this n-bit gcd is its
+    oracle.
     """
-    return math.gcd(s2(seq), _cofactor(seq.params.primes))
-
-
-def _cofactor(primes: OddPrimePair) -> int:
-    return mersenne(primes.n) // (mersenne(primes.p) * mersenne(primes.q))
+    primes = seq.params.primes
+    return math.gcd(s2(seq), mersenne(primes.n) // (mersenne(primes.p) * mersenne(primes.q)))
 
 
 def best_value_predicate(primes: OddPrimePair) -> bool:
@@ -96,7 +133,10 @@ def best_value_predicate(primes: OddPrimePair) -> bool:
 class AdicComplexityReport:
     """Exact 2-adic complexity data for one parameter set.
 
-    ``d_exact`` is ``d_exact(seq)``.
+    ``d_exact`` is d = gcd(T(2), 2**n - 1), the value of ``d_exact(seq)``;
+    ``d_p`` and ``d_q`` are the closed forms ``dp_closed`` and ``dq_closed``;
+    ``complexity_report`` sets ``d_star`` to the proved 1 (see the module
+    docstring), and ``d_star(seq)`` is its oracle.
     The complexity is log2((2**n - 1) / d); ``complexity_float``
     approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates
@@ -155,19 +195,26 @@ class AdicComplexityReport:
 
 def complexity_report(params: SequenceParams,
                       seq: "BinarySequence | None" = None) -> AdicComplexityReport:
-    """Compute d, d_p, d_q and d_star exactly; the report derives the rest.
+    """Compute d, d_p and d_q exactly; d_star is the proved 1, and the report
+    derives the rest.
 
     A caller that already holds ``seq = generate(params)`` passes it in, so
-    it is not rebuilt. d comes from ``d_exact``, the one n-bit gcd; the
-    cofactor divides 2**n - 1, so d_star is gcd(d, cofactor).
+    it is not rebuilt; a sequence whose bits are not S(a, b, c) of ``params``
+    is refused with ValueError, since the proof that d_star = 1 covers only
+    that family. d is gcd(T(2) mod 2**p - 1, 2**p - 1) times
+    gcd(T(2) mod 2**q - 1, 2**q - 1): a p-bit and a q-bit gcd, the residues
+    folded from the n-bit word T(2).
     """
     if seq is None:
         seq = generate(params)
     elif seq.params != params:
         raise ValueError("the sequence was built from other parameters")
-    d = d_exact(seq)
-    return AdicComplexityReport(params, d, dp_closed(params), dq_closed(params),
-                                math.gcd(d, _cofactor(params.primes)))
+    elif not np.array_equal(seq.bits, family_bits(params)):
+        raise ValueError("the bits are not S(a, b, c) of their parameters")
+    word = bits_to_int(seq)
+    d = (math.gcd(_fold(word, params.p), mersenne(params.p))
+         * math.gcd(_fold(word, params.q), mersenne(params.q)))
+    return AdicComplexityReport(params, d, dp_closed(params), dq_closed(params), 1)
 
 
 def verify_theorem2(report: AdicComplexityReport) -> CheckResult:

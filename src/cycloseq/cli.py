@@ -213,7 +213,7 @@ CHECKS = {
     "lemma1": lambda inst: inst.pair.lemma1,
     "theorem2": lambda inst: adic.verify_theorem2(inst.report),
     "correlation_identity": lambda inst: gr.verify_correlation_identity(
-        inst.pair.blocks, inst.pair.sign_products, inst.seq, inst.emp, inst.closed),
+        inst.pair.sign_products, inst.seq, inst.emp, inst.closed),
 }
 
 CHECK_NAMES = tuple(CHECKS)

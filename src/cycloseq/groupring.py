@@ -8,17 +8,21 @@ at most four of them, so a product (``mul``) is a handful of cyclic
 convolutions of length p and q, and sigma, the automorphism x**k -> x**(-k),
 reverses each factor.
 ``CrtElement.dense()`` reads the coefficient vector indexed by exponent back
-out; the checks densify each result once for their comparisons. The dense
-O(n**2) ring survives only as the oracle of the differential tests in
-``tests/test_groupring.py``.
+out through a ``CrtStack`` contraction, int64 matmuls over the distinct
+factors. The dense O(n**2) ring survives only as the oracle of the
+differential tests in ``tests/test_groupring.py``.
 
 The module builds no sequence, no profile and no pair's blocks: its checks
 compare the ``crt_blocks``, sequence and profiles they are handed, which
 ``cycloseq.cli`` builds once per pair and per instance. The same holds for
 ``crt_sign_products``, the 16 products sigma(atom k) * atom l of the four
-atoms every sign form S is a combination of: ``cli`` builds them once per
-pair, and ``verify_correlation_identity`` reweights them by each triple's
-coefficients of S instead of multiplying sigma(S) by S again.
+atoms every sign form S is a combination of, stacked with the five blocks S
+and its expanded form combine: ``cli`` builds them once per pair, and
+``verify_correlation_identity`` forms each triple's sigma(S) * S, S and
+expanded form as one weighted contraction each of those stacks, building no
+``CrtElement``. ``verify_lemma1`` works on the primes: each Lemma-1 identity
+is a tensor product of identities on Z_p and Z_q, which it checks at length
+p and q, reading chi_p and chi_q from the blocks.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -103,17 +107,60 @@ class CrtElement:
 
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q)."""
-        if sum(abs(c) * bu * bv for c, _, _, bu, bv in self.terms) >= _INT64_LIMIT:
+        return crt_read(self.primes, CrtStack(self).contract((1,) * len(self.terms)))
+
+
+def _distinct_rows(rows: list, r: int) -> tuple:
+    """(the distinct rows as an int64 array in order of first use, the index
+    of each row in it as a list)."""
+    stack = np.array(rows, dtype=np.int64).reshape(-1, r)
+    position, keep, inverse = {}, [], []
+    for k, row in enumerate(stack):
+        key = row.tobytes()
+        if key not in position:
+            position[key] = len(keep)
+            keep.append(k)
+        inverse.append(position[key])
+    return stack[keep], inverse
+
+
+class CrtStack:
+    """The terms of a ``CrtElement`` stacked once for many contractions.
+
+    Each distinct factor is kept once: term k is
+    ``coeffs[k] * (us[iu[k]] (x) vs[iv[k]])``, and ``bounds[k]`` is the
+    product of its two factor bounds. The 16 sign products have only 6 or 7
+    distinct factors on each side, so a contraction multiplies that many
+    rows, not 16.
+    """
+
+    __slots__ = ("primes", "coeffs", "us", "iu", "vs", "iv", "bounds")
+
+    def __init__(self, x: CrtElement):
+        self.primes = x.primes
+        self.coeffs = [t[0] for t in x.terms]
+        self.us, self.iu = _distinct_rows([t[1] for t in x.terms], x.primes.p)
+        self.vs, self.iv = _distinct_rows([t[2] for t in x.terms], x.primes.q)
+        self.bounds = [bu * bv for _, _, _, bu, bv in x.terms]
+
+    def contract(self, weights) -> np.ndarray:
+        """The p x q grid of the sum of weights[k] * c_k * (u_k (x) v_k):
+        the weights summed into a small matrix m, then us.T @ m @ vs in
+        int64. The sum of |weights[k] * c_k| * bounds[k] bounds every
+        partial sum, so it raises OverflowError once that reaches 2**63
+        rather than let int64 wrap."""
+        scaled = [w * c for w, c in zip(weights, self.coeffs, strict=True)]
+        if sum(abs(s) * b for s, b in zip(scaled, self.bounds)) >= _INT64_LIMIT:
             raise OverflowError("dense coefficients could exceed int64")
-        p, q = self.primes.p, self.primes.q
-        coeffs = np.array([t[0] for t in self.terms], dtype=np.int64)
-        us = np.array([t[1] for t in self.terms], dtype=np.int64).reshape(-1, p)
-        vs = np.array([t[2] for t in self.terms], dtype=np.int64).reshape(-1, q)
-        grid = (coeffs[:, None] * us).T @ vs  # sum of c * outer(u, v)
-        return crt_read(self.primes, grid)
+        m = [[0] * len(self.vs) for _ in self.us]
+        for i, j, s in zip(self.iu, self.iv, scaled):
+            m[i][j] += s
+        m = np.array(m, dtype=np.int64).reshape(len(self.us), len(self.vs))
+        return (self.us.T @ m) @ self.vs
 
 
-def _same_ring(x: CrtElement, y: CrtElement) -> None:
+def _same_ring(x, y) -> None:
+    """Refuse two objects (elements, stacks or params) of different pairs."""
     if x.primes != y.primes:
         raise ValueError("elements live in different group rings")
 
@@ -223,73 +270,132 @@ def _sign_atoms(blocks: CrtBlocks) -> tuple:
     return blocks.one, blocks.gamma_p, blocks.gamma_q, blocks.unit
 
 
+def _forms(blocks: CrtBlocks) -> tuple:
+    """The five blocks that S and the expanded form of sigma(S)*S combine:
+    the four sign atoms, then total."""
+    return (*_sign_atoms(blocks), blocks.total)
+
+
+def _sign_coeffs(params: SequenceParams) -> tuple:
+    """S's coefficients over the four sign atoms."""
+    return params.e, (-1) ** params.a, (-1) ** params.b, 1
+
+
+def _expanded_coeffs(params: SequenceParams) -> tuple:
+    """The expanded form's coefficients over the five ``_forms``."""
+    p, q, e = params.p, params.q, params.e
+    chi_minus1 = legendre(-1, p) * legendre(-1, q)
+    return (p * q + e * e, q - p + 2 * e * (-1) ** params.a,
+            p - q + 2 * e * (-1) ** params.b, e * (1 + chi_minus1),
+            1 + 2 * (-1) ** (params.a + params.b))
+
+
+def _combination(elements: tuple, coeffs: tuple) -> CrtElement:
+    return sum((c * x for c, x in zip(coeffs, elements, strict=True)),
+               CrtElement(elements[0].primes))
+
+
 def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
     """S = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q + unit, the sign
     polynomial of S(a, b, c)."""
-    one, g_p, g_q, unit = _sign_atoms(blocks)
-    return params.e * one + (-1) ** params.a * g_p + (-1) ** params.b * g_q + unit
-
-
-def crt_sign_products(blocks: CrtBlocks) -> CrtElement:
-    """sigma(A) * A for A the sum of the four sign atoms: 16 rank-1 terms,
-    term 4k + l being sigma(atom k) * atom l. Only the coefficients c of a
-    sign form S = sum of c_k * atom k depend on the triple, so reweighting
-    term 4k + l by c_k * c_l gives sigma(S) * S, term for term as ``mul``
-    builds it."""
-    atoms = sum(_sign_atoms(blocks), CrtElement(blocks.one.primes))
-    return atoms.sigma() * atoms
+    return _combination(_sign_atoms(blocks), _sign_coeffs(params))
 
 
 def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
-    """The expanded form of sigma(S)*S."""
-    p, q = params.p, params.q
-    e = params.e
-    chi_minus1 = legendre(-1, p) * legendre(-1, q)
-    return ((p * q + e * e) * blocks.one
-            + (q - p + 2 * e * (-1) ** params.a) * blocks.gamma_p
-            + (p - q + 2 * e * (-1) ** params.b) * blocks.gamma_q
-            + (1 + 2 * (-1) ** (params.a + params.b)) * blocks.total
-            + (e * (1 + chi_minus1)) * blocks.unit)
+    """The expanded form of sigma(S)*S: (pq + e**2)*one
+    + (q - p + 2e(-1)**a)*gamma_p + (p - q + 2e(-1)**b)*gamma_q
+    + e(1 + (-1/p)(-1/q))*unit + (1 + 2(-1)**(a+b))*total."""
+    return _combination(_forms(blocks), _expanded_coeffs(params))
+
+
+def crt_sign_products(blocks: CrtBlocks) -> tuple:
+    """(products, forms), the pair's two ``CrtStack``s for
+    ``verify_correlation_identity``. Row 4k + l of products is
+    sigma(atom k) * atom l of the four sign atoms, term for term as ``mul``
+    builds sigma(A) * A for A their sum; forms are the five ``_forms``. Only
+    the coefficients c of a sign form S = sum of c_k * atom k depend on the
+    triple, so weighting row 4k + l by c_k * c_l contracts to sigma(S) * S,
+    and weighting forms by the coefficients of S or of the expanded form
+    contracts to that element."""
+    primes = blocks.one.primes
+    atoms = sum(_sign_atoms(blocks), CrtElement(primes))
+    return (CrtStack(atoms.sigma() * atoms),
+            CrtStack(sum(_forms(blocks), CrtElement(primes))))
+
+
+def _factors(x: CrtElement) -> tuple:
+    """(u, v) of a block, the one term 1 * (u (x) v)."""
+    ((_, u, v, _, _),) = x.terms
+    return u, v
+
+
+def _lemma1_factors(blocks: CrtBlocks) -> tuple:
+    """(name, (u, v), (s, t)) for each identity of ``crt_lemma1``, which is
+    u (x) v == s (x) t. The left factors are products on Z_p and on Z_q of
+    the factors of gauss_gp = chi_p (x) delta, gauss_gq = delta (x) chi_q,
+    gamma_p = delta (x) J_q and gamma_q = J_p (x) delta, so each identity holds
+    when its factor identities do: chi*chi = (-1/r)(r*delta - J), J*chi = 0,
+    delta*delta = delta and delta*J = J."""
+    p, q = blocks.one.primes.p, blocks.one.primes.q
+    chi_p, _ = _factors(blocks.gauss_gp)
+    _, chi_q = _factors(blocks.gauss_gq)
+    delta_p, j_q = _factors(blocks.gamma_p)
+    j_p, delta_q = _factors(blocks.gamma_q)
+    dd_p, dd_q = _cyclic_mul(delta_p, delta_p), _cyclic_mul(delta_q, delta_q)
+    return (
+        ("gauss_gp_squared", (_cyclic_mul(chi_p, chi_p), dd_q),
+         (legendre(-1, p) * (p * delta_p - j_p), delta_q)),
+        ("gauss_gq_squared", (dd_p, _cyclic_mul(chi_q, chi_q)),
+         (delta_p, legendre(-1, q) * (q * delta_q - j_q))),
+        ("gamma_p_times_gauss_gq", (dd_p, _cyclic_mul(j_q, chi_q)), (delta_p, 0 * j_q)),
+        ("gamma_q_times_gauss_gp", (_cyclic_mul(j_p, chi_p), dd_q), (0 * j_p, delta_q)),
+        ("gamma_p_times_gamma_q", (_cyclic_mul(delta_p, j_p), _cyclic_mul(j_q, delta_q)),
+         (j_p, j_q)),
+    )
 
 
 def verify_lemma1(blocks: CrtBlocks) -> CheckResult:
     """Coefficient-exact check of the five identities of ``crt_lemma1`` over the
-    pair's ``crt_blocks``; the detail names the first one that fails."""
-    for name, lhs, rhs in crt_lemma1(blocks):
-        diff = np.flatnonzero(lhs.dense() != rhs.dense())
+    pair's ``crt_blocks``, on the primes: each identity is checked through its
+    factor identities on Z_p and on Z_q (``_lemma1_factors``), length-p and
+    length-q work. Only where a factor identity fails is the p x q difference
+    u (x) v - s (x) t formed; the detail names the first identity that
+    differs there and its smallest exponent in Z_n."""
+    primes = blocks.one.primes
+    for name, (u, v), (s, t) in _lemma1_factors(blocks):
+        if np.array_equal(u, s) and np.array_equal(v, t):
+            continue
+        diff = np.flatnonzero(crt_read(primes, np.outer(u, v) - np.outer(s, t)))
         if len(diff):
             return CheckResult("lemma1", False,
                                f"{name} first differs at exponent {diff[0]}")
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(blocks: CrtBlocks, products: CrtElement,
-                                seq: BinarySequence, emp: np.ndarray,
-                                closed: np.ndarray) -> CheckResult:
+def verify_correlation_identity(products: tuple, seq: BinarySequence,
+                                emp: np.ndarray, closed: np.ndarray) -> CheckResult:
     """Check that the group-ring product sigma(S)*S, its expanded form, the
     empirical autocorrelation ``emp`` and the per-class closed form ``closed``
     of ``seq`` all agree at every shift; the detail lists each route that
     differs from the product, after ``sign_form_vs_sequence`` when the sign
-    form S built from ``blocks`` (the pair's ``crt_blocks``) is not the sign
-    vector of ``seq``. sigma(S)*S is read off ``products``, the pair's
-    ``crt_sign_products(blocks)``, reweighted by S's coefficients.
+    form S is not the sign vector of ``seq``. ``products`` is the pair's
+    ``crt_sign_products``: sigma(S)*S, S and the expanded form are one
+    contraction each of its stacks, weighted by the triple's coefficients.
     """
     params = seq.params
-    s = crt_sign_form(params, blocks)
-    _same_ring(s, products)
-    coeffs = [c for c, *_ in s.terms]
-    weights = [c_k * c_l for c_k in coeffs for c_l in coeffs]
-    product = CrtElement(s.primes, [
-        (w * c, u, v, bu, bv)
-        for w, (c, u, v, bu, bv) in zip(weights, products.terms, strict=True)
-    ]).dense()
-    expanded = crt_expanded_form(params, blocks).dense()
+    sign_products, forms = products
+    _same_ring(forms, params)
+    coeffs = _sign_coeffs(params)
+    product = sign_products.contract([c_k * c_l for c_k in coeffs for c_l in coeffs])
+    expanded = forms.contract(_expanded_coeffs(params))
+    sign = crt_read(params.primes, forms.contract(coeffs + (0,)))
 
     failures = []
-    if not np.array_equal(s.dense(), sign_view(seq)):
+    if not np.array_equal(sign, sign_view(seq)):
         failures.append("sign_form_vs_sequence")
-    if not np.array_equal(product, expanded):
+    if not np.array_equal(product, expanded):  # both p x q grids
         failures.append("product_vs_expanded")
+    product = crt_read(params.primes, product)
     if not np.array_equal(product, emp):
         failures.append("product_vs_empirical")
     if not np.array_equal(product, closed):

@@ -184,10 +184,14 @@ class BinarySequence:
                 f"abc={self.params.abc}, n={self.n}, weight={self.weight})")
 
 
+def family_bits(params: SequenceParams) -> np.ndarray:
+    """One period of S(a, b, c) as a uint8 vector of 0/1 bits."""
+    return by_class(params.primes, params.c, params.a, params.b, 0, 1, np.uint8)
+
+
 def generate(params: SequenceParams) -> BinarySequence:
     """Build one period of S(a, b, c)."""
-    return BinarySequence(params, by_class(params.primes, params.c, params.a,
-                                           params.b, 0, 1, np.uint8))
+    return BinarySequence(params, family_bits(params))
 
 
 def sign_view(seq: BinarySequence) -> np.ndarray:

@@ -178,6 +178,8 @@ def test_criterion_07_adic_closed_form_equivalence():
                 failed.append("d_p != gcd(S(2), 2^p - 1)")
             if dq != math.gcd(s, m_q):
                 failed.append("d_q != gcd(S(2), 2^q - 1)")
+            if d != d_exact(seq):
+                failed.append("d != gcd(T(2), 2^n - 1)")
             if d != dp * dq:
                 failed.append("d != d_p * d_q")
             if report.d_star != 1:

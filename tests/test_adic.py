@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycloseq.adic as adic
 from cycloseq.adic import (AdicComplexityReport, best_value_predicate,
                            bits_to_int, complexity_report, d_exact, d_star,
                            dp_closed, dq_closed, mersenne, s2, verify_theorem2)
@@ -278,8 +280,8 @@ def test_checks_take_the_callers_pieces():
 
 
 def test_report_d_star_matches_the_cofactor_gcd():
-    # Differential test: the report takes d_star = gcd(d, cofactor); the
-    # oracle d_star(seq) takes gcd(S(2), cofactor) with a second n-bit gcd.
+    # Differential test: the report takes d_star as the proved 1; the oracle
+    # d_star(seq) takes gcd(S(2), cofactor) with an n-bit gcd.
     for primes in odd_prime_pairs(1000):
         for a, b, c in ALL_TRIPLES:
             seq = generate(SequenceParams(primes, a, b, c))
@@ -303,3 +305,75 @@ def test_numpy_primes_give_the_int_report():
             want = complexity_report(SequenceParams(pair, *abc)).as_json_dict()
             got = complexity_report(SequenceParams(wide, *abc)).as_json_dict()
             assert got == want, (pair, abc)
+
+
+@settings(database=None, derandomize=True)
+@given(primes=st.sampled_from(odd_prime_pairs(3000)),
+       abc=st.sampled_from(ALL_TRIPLES))
+def test_report_d_matches_the_n_bit_oracles(primes, abc):
+    # The report folds T(2) onto 2**p - 1 and 2**q - 1 and reports the proved
+    # d_star = 1; d_exact and d_star take n-bit gcds on the whole word.
+    seq = generate(SequenceParams(primes, *abc))
+    report = complexity_report(seq.params, seq)
+    assert report.d_exact == d_exact(seq)
+    assert report.d_star == d_star(seq) == 1
+
+
+@pytest.mark.parametrize("p,q,abc", [
+    (11, 23, (0, 0, 0)), (11, 23, (1, 1, 0)), (23, 47, (0, 1, 1)), (23, 47, (1, 0, 1)),
+    (3, 1021, (0, 0, 1)), (3, 1021, (1, 1, 0)), (3, 1021, (1, 0, 0)),
+    (7, 73, (0, 1, 0)), (7, 73, (1, 1, 1)), (1009, 1013, (1, 0, 0)),
+])
+def test_report_d_on_fixed_pairs(p, q, abc):
+    # (11, 23) and (23, 47): q divides 2**p - 1, so q also divides Phi_pq(2)
+    # and 2**p - 1 and Phi_pq(2) share a prime; (3, 1021) and (7, 73) are
+    # unbalanced, and (3, 1021) with 001 or 110 has d_q = 2**q - 1.
+    seq = generate(SequenceParams.of(p, q, *abc))
+    report = complexity_report(seq.params, seq)
+    assert report.d_exact == d_exact(seq)
+    assert report.d_star == d_star(seq) == 1
+    if p in (11, 23):
+        assert mersenne(p) % q == 0
+
+
+def test_report_gcds_are_on_p_and_q_bit_numbers(monkeypatch):
+    # Every gcd complexity_report takes has operands of at most max(p, q)
+    # bits: no n-bit gcd, seen through a stand-in for adic's math module.
+    operands = []
+
+    def gcd(*args):
+        operands.extend(args)
+        return math.gcd(*args)
+
+    stand_in = types.ModuleType("math")
+    stand_in.__dict__.update(vars(math))
+    stand_in.gcd = gcd
+    monkeypatch.setattr(adic, "math", stand_in)
+    params = SequenceParams.of(1009, 1013, 0, 1, 1)
+    complexity_report(params, generate(params))
+    assert len(operands) >= 4
+    assert max(int(x).bit_length() for x in operands) <= 1013
+
+
+def test_report_refuses_bits_off_the_family():
+    # d_star = 1 and the fold are proved for S(a, b, c) alone, so a sequence
+    # with one bit flipped is refused rather than reported.
+    params = SequenceParams.of(5, 7, 1, 0, 0)
+    for k in (0, 5, 7, 12, 34):
+        bits = generate(params).bits.copy()
+        bits[k] ^= 1
+        with pytest.raises(ValueError, match="not S\\(a, b, c\\)"):
+            complexity_report(params, BinarySequence(params, bits))
+
+
+@settings(database=None, derandomize=True)
+@given(word=st.integers(0, 2 ** 3000), r=st.integers(2, 400))
+def test_fold_is_the_residue_mod_a_mersenne_number(word, r):
+    assert adic._fold(word, r) == word % mersenne(r)
+
+
+@pytest.mark.parametrize("r", [3, 5, 61, 1013])
+def test_fold_edges(r):
+    m = mersenne(r)
+    for word in (0, 1, m, m + 1, m * m, (1 << (7 * r)) - 1, 1 << (9 * r + 1)):
+        assert adic._fold(word, r) == word % m, (r, word)

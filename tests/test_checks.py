@@ -188,9 +188,12 @@ def test_lemma1_failure_is_reported_once_per_pair(monkeypatch, capsys):
 
 
 def test_int64_overflow_is_refused_as_an_error(monkeypatch, capsys):
-    # A lowered limit makes the first lemma1 product refuse to densify.
+    # A lowered limit makes the first sigma(S) * S contraction refuse. lemma1
+    # cannot reach the limit: it multiplies length-p and length-q factors,
+    # whose products are bounded by max(p, q) < 2**32.
     monkeypatch.setattr(cycloseq.groupring, "_INT64_LIMIT", 8)
-    assert cli.main(["verify", "--p", "5", "--q", "7", "--check", "lemma1"]) == 1
+    assert cli.main(["verify", "--p", "5", "--q", "7",
+                     "--check", "correlation_identity"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: dense coefficients could exceed int64\n")
 

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
@@ -294,7 +296,7 @@ def test_expanded_product_form_matches_direct_product():
 def _correlation_identity(params):
     seq = generate(params)
     blocks = crt_blocks(params.primes)
-    return verify_correlation_identity(blocks, crt_sign_products(blocks), seq,
+    return verify_correlation_identity(crt_sign_products(blocks), seq,
                                        _autocorr.empirical_profile(seq),
                                        _autocorr.closed_form_profile(params))
 
@@ -338,7 +340,7 @@ def test_crt_route_matches_dense_ring_on_every_pair():
             assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
             # handed the oracle as both profiles, the check passes only if its
             # reweighted product (and the sign form and expanded form) equal it
-            check = verify_correlation_identity(blocks, products, generate(params),
+            check = verify_correlation_identity(products, generate(params),
                                                 np.array(want), np.array(want))
             assert check == CheckResult("correlation_identity", True), (primes, a, b, c)
             assert crt_expanded_form(params, blocks).dense().tolist() == want
@@ -358,12 +360,12 @@ def test_correlation_identity_holds_past_the_old_int64_ceiling():
     assert np.array_equal(product, crt_expanded_form(params, blocks).dense())
 
 
-def _flip_character(monkeypatch, r, k):
-    """Make gr.residue_table give (k/r) the wrong sign."""
+def _flip_character(monkeypatch, r, *ks):
+    """Make gr.residue_table give (k/r) the wrong sign for each k in ks."""
     def flipped(modulus):
         table = residue_table(modulus)
         if modulus == r:
-            table[k] = -table[k]
+            table[list(ks)] *= -1
         return table
 
     monkeypatch.setattr(gr, "residue_table", flipped)
@@ -388,6 +390,59 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
         "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
 
 
+def test_lemma1_detail_is_the_smallest_pair_exponent(monkeypatch):
+    # chi_7 flipped at 1 and at 6 = -1: since 7 = 3 mod 4, entry 0 of
+    # chi * chi and the sum of chi are unchanged. On Z_7, chi * chi first
+    # differs at index 1, exponent 78 = (1, 0) in Z_91; the pair's smallest
+    # failing exponent is 13 = (6, 0), as the dense oracle says.
+    primes = OddPrimePair(7, 13)
+    _flip_character(monkeypatch, 7, 1, 6)
+    blocks = crt_blocks(primes)
+    chi = gr.residue_table(7).astype(np.int64)
+    square = np.array(_oracle_mul(chi, chi))
+    want = legendre(-1, 7) * (7 * np.eye(1, 7, dtype=np.int64)[0] - 1)
+    assert square[0] == want[0] and chi.sum() == 0
+    failing = np.flatnonzero(square != want).tolist()
+    assert failing == [1, 2, 5, 6]
+    assert [next(k for k in range(0, 91, 13) if k % 7 == i) for i in failing] == [
+        78, 65, 26, 13]
+    gp = _dense_gauss(primes, 7)
+    gp[[78, 13]] *= -1
+    dense = _dense_lemma1(primes, gp, _dense_gauss(primes, 13))
+    assert _first_diff(*dense[0][1:])[0] == 13
+    assert verify_lemma1(blocks) == CheckResult(
+        "lemma1", False, "gauss_gp_squared first differs at exponent 13")
+
+
+def _pair_lemma1(blocks):
+    # the pair-level check: every identity of crt_lemma1 densified to length n
+    for name, lhs, rhs in crt_lemma1(blocks):
+        diff = np.flatnonzero(lhs.dense() != rhs.dense())
+        if len(diff):
+            return CheckResult("lemma1", False, f"{name} first differs at exponent {diff[0]}")
+    return CheckResult("lemma1", True)
+
+
+@settings(database=None, derandomize=True, max_examples=200)
+@given(primes=st.sampled_from(odd_prime_pairs(400)), data=st.data())
+def test_lemma1_on_the_primes_matches_the_pair_check(primes, data):
+    # Differential test: characters with arbitrary entries changed to -1, 0
+    # or 1 give the same verdict and detail on the primes as on the pair.
+    blocks = crt_blocks(primes)
+    chis = []
+    for r in (primes.p, primes.q):
+        chi = residue_table(r).astype(np.int64)
+        changes = data.draw(st.dictionaries(st.integers(0, r - 1),
+                                            st.sampled_from((-1, 0, 1)), max_size=3))
+        for k, value in changes.items():
+            chi[k] = value
+        chis.append(chi)
+    delta_p, delta_q = np.eye(1, primes.p, dtype=np.int64)[0], np.eye(1, primes.q, dtype=np.int64)[0]
+    blocks = blocks._replace(gauss_gp=CrtElement(primes, [(1, chis[0], delta_q, 1, 1)]),
+                             gauss_gq=CrtElement(primes, [(1, delta_p, chis[1], 1, 1)]))
+    assert verify_lemma1(blocks) == _pair_lemma1(blocks)
+
+
 def test_sign_form_off_the_sequence_is_a_failed_route(monkeypatch, capsys):
     # The same fault puts crt_sign_form's S off the generated sequence: verify
     # names the check, the triple and the route instead of raising.
@@ -410,8 +465,16 @@ def test_correlation_identity_names_each_route_it_is_handed_wrong():
     off = emp.copy()
     off[3] += 1
     assert verify_correlation_identity(
-        blocks, products, seq, off, closed) == CheckResult(
+        products, seq, off, closed) == CheckResult(
         "correlation_identity", False, "product_vs_empirical")
-    assert verify_correlation_identity(blocks, products, seq, off, off) == CheckResult(
+    assert verify_correlation_identity(products, seq, off, off) == CheckResult(
         "correlation_identity", False,
         "product_vs_empirical; product_vs_closed_form")
+
+
+def test_correlation_identity_refuses_another_pairs_products():
+    seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
+    products = crt_sign_products(crt_blocks(OddPrimePair(5, 7)))
+    closed = _autocorr.closed_form_profile(seq.params)
+    with pytest.raises(ValueError, match="different group rings"):
+        verify_correlation_identity(products, seq, closed, closed)
