@@ -12,9 +12,13 @@ only on the residue class of tau:
     tau in U:  1 + 2*(-1)**(a + b) + e*(1 + (-1/p)(-1/q))*(tau/p)(tau/q)
 
 with e = (-1)**c - (-1)**a - (-1)**b. Every empirical value is recomputed
-from the bits alone, with no Legendre symbol and no formula of the paper, by an
-exact int64 circular correlation: on the p x q CRT grid when its few distinct
-rows make that cheaper, directly otherwise. No floating point is involved.
+from the bits alone, with no Legendre symbol and no formula of the paper, by
+exact int64 cyclic correlations through the package's one correlation kernel,
+``sequence._correlations``: on the p x q CRT grid when its few distinct rows
+make that cheaper, directly over the period otherwise. The kernel packs
+several rows into one int64 word, offset so that every field is nonnegative,
+and takes the bound that makes the packing exact from the data; no floating
+point is involved.
 """
 
 from dataclasses import dataclass
@@ -23,8 +27,8 @@ from enum import Enum
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, CheckResult, SequenceParams, by_class,
-                       crt_grid, crt_read, sign_view)
+from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
+                       _multiply_adds, by_class, crt_grid, crt_read, sign_view)
 
 
 class AutocorrelationFamily(Enum):
@@ -86,11 +90,6 @@ class AutocorrelationProfile:
 _CRT_OVERHEAD = 10 ** 5
 
 
-def _circular_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """out[u] = sum over i of x[i] * y[(i + u) mod len]; exact in int64."""
-    return np.correlate(np.concatenate([y, y[:-1]]), x, mode="valid")
-
-
 def empirical_profile(seq: BinarySequence) -> np.ndarray:
     """All n autocorrelation values, summed exactly from the bits.
 
@@ -98,10 +97,20 @@ def empirical_profile(seq: BinarySequence) -> np.ndarray:
     shift by (tau mod p, tau mod q). With m distinct rows R_r and e_r the 0/1
     indicator of the rows equal to R_r, the grid is the sum of e_r (x) R_r, so
     its correlation is the sum over r, s of corr_p(e_r, e_s) (x)
-    corr_q(R_r, R_s), read back through ``crt_read``. That costs about
-    m^2 (p^2 + q^2) multiply-adds; a direct correlation costs n^2 and is taken
-    unless m^2 (p^2 + q^2) + ``_CRT_OVERHEAD`` < n^2. Every partial sum stays
-    within n in absolute value, since the e_r partition the rows.
+    corr_q(R_r, R_s), read back through ``crt_read``. Each axis is one call
+    of the kernel ``_correlations``: it packs g = 62 // (2L).bit_length() rows
+    into one int64 word (g = 5 at L ~ 1000, so a family grid's three rows share
+    one word) and spends m * ceil(m / g) * L**2 multiply-adds on an axis of
+    length L (``_multiply_adds``). The direct route correlates the n signs in
+    n**2. The grid is read when its two axes and ``_CRT_OVERHEAD`` cost less,
+    so a pair with a prime 3 reads it once q >= 131.
+
+    Exactness: an across output is a count in [0, p] and an along output lies
+    in [-q, q]. The kernel derives these bounds (L * 1 * 1) from the rows and
+    packs only as many fields as they leave room for in 62 bits, and every
+    partial sum of the contraction across.T @ along stays within n in
+    absolute value, since the e_r partition the rows. No floating point is
+    involved.
     """
     p, q, n = seq.params.p, seq.params.q, seq.n
     grid = crt_grid(seq.params.primes, seq.bits)
@@ -109,17 +118,16 @@ def empirical_profile(seq: BinarySequence) -> np.ndarray:
     owner = np.array([first.setdefault(row.tobytes(), i)
                       for i, row in enumerate(grid)])
     reps = list(first.values())
-    if len(reps) ** 2 * (p * p + q * q) + _CRT_OVERHEAD < n * n:
-        indicators = [(owner == i).astype(np.int64) for i in reps]
+    m = len(reps)
+    if (_multiply_adds(m, m, p, p) + _multiply_adds(m, m, q, q) + _CRT_OVERHEAD
+            < _multiply_adds(1, 1, n, n)):
+        indicators = np.equal.outer(reps, owner)
         rows = 1 - 2 * grid[reps].astype(np.int64)
-        pairs = [(r, s) for r in range(len(reps)) for s in range(len(reps))]
-        across = np.array([_circular_correlation(indicators[r], indicators[s])
-                           for r, s in pairs])
-        along = np.array([_circular_correlation(rows[r], rows[s])
-                          for r, s in pairs])
+        across = _correlations(indicators, indicators).reshape(m * m, p)
+        along = _correlations(rows, rows).reshape(m * m, q)
         return crt_read(seq.params.primes, across.T @ along)
-    s = sign_view(seq)
-    return _circular_correlation(s, s)
+    s = sign_view(seq)[None]
+    return _correlations(s, s)[0, 0]
 
 
 def class_values(params: SequenceParams) -> tuple[int, int, int, int]:

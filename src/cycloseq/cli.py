@@ -47,7 +47,23 @@ SWEEP_COLUMNS = ("p", "q", "a", "b", "c", "n", "family", "ac_P", "ac_Q",
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage by default; the contract wants 1."""
+    """argparse exits 2 on bad usage by default; the contract wants 1.
+
+    ``add_args``, when given, adds this parser's arguments on its first
+    ``parse_known_args``. Each ``add_argument`` builds a help formatter that
+    asks the terminal for its size, so a call builds only the subcommand it
+    runs; help and usage text come out the same.
+    """
+
+    def __init__(self, *args, add_args=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_args = add_args
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_args is not None:
+            add_args, self._add_args = self._add_args, None
+            add_args(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -319,61 +335,73 @@ def cmd_sweep(args) -> int:
     return 0 if failing == 0 else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cycloseq",
-                     description="Two-prime cyclotomic binary sequences: "
-                                 "generation, autocorrelation, 2-adic complexity.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _generate_args(parser):
+    _pair_args(parser)
+    _bit_args(parser)
+    parser.add_argument("--format", choices=("bits", "json"), default="bits")
+    parser.add_argument("--out", help="output path (default: stdout)")
 
-    p_gen = sub.add_parser("generate", help="emit one period of S(a, b, c)")
-    _pair_args(p_gen)
-    _bit_args(p_gen)
-    p_gen.add_argument("--format", choices=("bits", "json"), default="bits")
-    p_gen.add_argument("--out", help="output path (default: stdout)")
-    p_gen.set_defaults(func=cmd_generate)
 
-    p_ac = sub.add_parser("autocorr", help="autocorrelation values and distribution")
-    _pair_args(p_ac)
-    _bit_args(p_ac)
-    route = p_ac.add_mutually_exclusive_group()
+def _autocorr_args(parser):
+    _pair_args(parser)
+    _bit_args(parser)
+    route = parser.add_mutually_exclusive_group()
     route.add_argument("--empirical", action="store_true",
                        help="recompute every shift from the sequence")
     route.add_argument("--closed", action="store_true",
                        help="evaluate the per-class closed form (default)")
     route.add_argument("--both", action="store_true",
                        help="compute both routes and compare; mismatch exits 2")
-    p_ac.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ac.add_argument("--aggregate", action="store_true",
-                      help="CSV as (value, count) rows instead of per-shift rows")
-    p_ac.add_argument("--out", help="output path (default: stdout)")
-    p_ac.set_defaults(func=cmd_autocorr)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--aggregate", action="store_true",
+                        help="CSV as (value, count) rows instead of per-shift rows")
+    parser.add_argument("--out", help="output path (default: stdout)")
 
-    p_adic = sub.add_parser("adic", help="exact 2-adic complexity report")
-    _pair_args(p_adic)
-    _bit_args(p_adic)
-    p_adic.add_argument("--format", choices=("json", "csv"), default="json")
-    p_adic.add_argument("--out", help="output path (default: stdout)")
-    p_adic.set_defaults(func=cmd_adic)
 
-    p_ver = sub.add_parser("verify", help="run theorem checks for one prime pair")
-    _pair_args(p_ver)
-    which = p_ver.add_mutually_exclusive_group()
+def _adic_args(parser):
+    _pair_args(parser)
+    _bit_args(parser)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", help="output path (default: stdout)")
+
+
+def _verify_args(parser):
+    _pair_args(parser)
+    which = parser.add_mutually_exclusive_group()
     which.add_argument("--all", action="store_true", help="run every check (default)")
     which.add_argument("--check", action="append",
                        help="check name (repeatable or comma-separated): "
                             + ", ".join(CHECK_NAMES))
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="batch table over pairs and fill bits")
-    p_sweep.add_argument("--max-n", type=int, help="include all pairs with p*q <= this")
-    p_sweep.add_argument("--pairs", action="append", help="explicit pair 'p,q' (repeatable)")
-    p_sweep.add_argument("--triples", help="comma-separated bit triples, or 'all' (default)")
-    p_sweep.add_argument("--checks", help="comma-separated subset of: "
-                                          + ", ".join(CHECK_NAMES) + " (default all)")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--out", help="output path (default: stdout; summary goes "
-                                       "to the other stream)")
-    p_sweep.set_defaults(func=cmd_sweep)
+
+def _sweep_args(parser):
+    parser.add_argument("--max-n", type=int, help="include all pairs with p*q <= this")
+    parser.add_argument("--pairs", action="append", help="explicit pair 'p,q' (repeatable)")
+    parser.add_argument("--triples", help="comma-separated bit triples, or 'all' (default)")
+    parser.add_argument("--checks", help="comma-separated subset of: "
+                                         + ", ".join(CHECK_NAMES) + " (default all)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", help="output path (default: stdout; summary goes "
+                                      "to the other stream)")
+
+
+# name -> (help, the function that adds its arguments, command)
+_COMMANDS = {
+    "generate": ("emit one period of S(a, b, c)", _generate_args, cmd_generate),
+    "autocorr": ("autocorrelation values and distribution", _autocorr_args, cmd_autocorr),
+    "adic": ("exact 2-adic complexity report", _adic_args, cmd_adic),
+    "verify": ("run theorem checks for one prime pair", _verify_args, cmd_verify),
+    "sweep": ("batch table over pairs and fill bits", _sweep_args, cmd_sweep),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="cycloseq",
+                     description="Two-prime cyclotomic binary sequences: "
+                                 "generation, autocorrelation, 2-adic complexity.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_args=add_args).set_defaults(func=func)
     return parser
 
 

@@ -4,9 +4,11 @@ One representation, the CRT tensor form: Z[Z_pq] is isomorphic to
 Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q) (the
 Good-Thomas index map, ``sequence.crt_read``). A ``CrtElement`` is a sum of
 rank-1 terms c * (u (x) v), and every object of the correlation theorem needs
-at most four of them, so a product (``mul``) is a handful of cyclic
-convolutions of length p and q, and sigma, the automorphism x**k -> x**(-k),
-reverses each factor.
+at most four of them. Sigma, the automorphism x**k -> x**(-k), reverses each
+factor, and a cyclic convolution u * s is the correlation of sigma(u) with s,
+so a product (``mul``) is one call of the package's correlation kernel
+``sequence._correlations`` per axis, which makes one length-p and one
+length-q correlation per left term and packed group of right terms.
 ``CrtElement.dense()`` reads the coefficient vector indexed by exponent back
 out through a ``CrtStack`` contraction, int64 matmuls over the distinct
 factors. The dense O(n**2) ring survives only as the oracle of the
@@ -37,23 +39,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import OddPrimePair, legendre
-from .sequence import (BinarySequence, CheckResult, SequenceParams, crt_read,
-                       residue_table, sign_view)
+from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
+                       crt_read, residue_table, sign_view)
 
 _INT64_LIMIT = 1 << 63
 
 
-def _cyclic_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of two int64 vectors of one length r."""
-    r = len(u)
-    full = np.convolve(u, v)
-    full[: r - 1] += full[r:]
-    return full[:r]
-
-
 def _reverse(u: np.ndarray) -> np.ndarray:
-    """u[-i mod r]: sigma on one tensor factor."""
-    return np.concatenate((u[:1], u[:0:-1]))
+    """u[..., -i mod r]: sigma on one tensor factor, or on each row of a stack."""
+    return np.concatenate((u[..., :1], u[..., :0:-1]), axis=-1)
+
+
+def _products(lefts: list, rights: list, r: int) -> np.ndarray:
+    """out[i, j] = lefts[i] * rights[j], the cyclic convolutions on Z_r: the
+    correlation of sigma(u) with s is u * s, so this is one ``_correlations``
+    call, one correlation per left factor and packed group of right ones."""
+    return _correlations(_reverse(np.reshape(lefts, (-1, r))), np.reshape(rights, (-1, r)))
 
 
 class CrtElement:
@@ -166,17 +167,19 @@ def _same_ring(x, y) -> None:
 
 
 def mul(x: CrtElement, y: CrtElement) -> CrtElement:
-    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise."""
+    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise. Once the
+    bounds of every term pair are checked, one ``_products`` call per axis
+    forms the factor products of all pairs."""
     _same_ring(x, y)
     p, q = x.primes.p, x.primes.q
-    terms = []
-    for c, u, v, bu, bv in x.terms:
-        for d, s, t, bs, bt in y.terms:
-            bound_u, bound_v = p * bu * bs, q * bv * bt
-            if bound_u >= _INT64_LIMIT or bound_v >= _INT64_LIMIT:
-                raise OverflowError("product factors could exceed int64")
-            terms.append((c * d, _cyclic_mul(u, s), _cyclic_mul(v, t), bound_u, bound_v))
-    return CrtElement(x.primes, terms)
+    pairs = [(c * d, p * bu * bs, q * bv * bt)
+             for c, _, _, bu, bv in x.terms for d, _, _, bs, bt in y.terms]
+    if any(max(bound_u, bound_v) >= _INT64_LIMIT for _, bound_u, bound_v in pairs):
+        raise OverflowError("product factors could exceed int64")
+    us = _products([t[1] for t in x.terms], [t[1] for t in y.terms], p).reshape(-1, p)
+    vs = _products([t[2] for t in x.terms], [t[2] for t in y.terms], q).reshape(-1, q)
+    return CrtElement(x.primes, [(c, u, v, bu, bv) for (c, bu, bv), u, v
+                                 in zip(pairs, us, vs, strict=True)])
 
 
 def dump(u: CrtElement) -> str:
@@ -341,16 +344,17 @@ def _lemma1_factors(blocks: CrtBlocks) -> tuple:
     _, chi_q = _factors(blocks.gauss_gq)
     delta_p, j_q = _factors(blocks.gamma_p)
     j_p, delta_q = _factors(blocks.gamma_q)
-    dd_p, dd_q = _cyclic_mul(delta_p, delta_p), _cyclic_mul(delta_q, delta_q)
+    # Every product of two of delta, J and chi on each prime, indexed in that order.
+    on_p = _products([delta_p, j_p, chi_p], [delta_p, j_p, chi_p], p)
+    on_q = _products([delta_q, j_q, chi_q], [delta_q, j_q, chi_q], q)
     return (
-        ("gauss_gp_squared", (_cyclic_mul(chi_p, chi_p), dd_q),
+        ("gauss_gp_squared", (on_p[2, 2], on_q[0, 0]),
          (legendre(-1, p) * (p * delta_p - j_p), delta_q)),
-        ("gauss_gq_squared", (dd_p, _cyclic_mul(chi_q, chi_q)),
+        ("gauss_gq_squared", (on_p[0, 0], on_q[2, 2]),
          (delta_p, legendre(-1, q) * (q * delta_q - j_q))),
-        ("gamma_p_times_gauss_gq", (dd_p, _cyclic_mul(j_q, chi_q)), (delta_p, 0 * j_q)),
-        ("gamma_q_times_gauss_gp", (_cyclic_mul(j_p, chi_p), dd_q), (0 * j_p, delta_q)),
-        ("gamma_p_times_gamma_q", (_cyclic_mul(delta_p, j_p), _cyclic_mul(j_q, delta_q)),
-         (j_p, j_q)),
+        ("gamma_p_times_gauss_gq", (on_p[0, 0], on_q[1, 2]), (delta_p, 0 * j_q)),
+        ("gamma_q_times_gauss_gp", (on_p[1, 2], on_q[0, 0]), (0 * j_p, delta_q)),
+        ("gamma_p_times_gamma_q", (on_p[0, 1], on_q[1, 0]), (j_p, j_q)),
     )
 
 

@@ -96,6 +96,71 @@ def residue_table(r: int) -> np.ndarray:
     return table
 
 
+def _packing(bound: int) -> tuple:
+    """(k, g) for outputs in [-bound, bound]: fields of k = (2 bound).bit_length()
+    bits, at least one, and g = 62 // k of them per int64 word, at least one."""
+    k = max((2 * bound).bit_length(), 1)
+    return k, max(62 // k, 1)
+
+
+def _multiply_adds(rows_x: int, rows_y: int, length: int, bound: int) -> int:
+    """Multiply-adds ``_correlations`` spends on rows_x by rows_y rows of one
+    length whose outputs lie in [-bound, bound]: one length**2 correlation per
+    row of ``xs`` and packed group of ``ys``."""
+    return rows_x * -(-rows_y // _packing(bound)[1]) * length * length
+
+
+def _correlations(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """out[r, s, u] = sum over i of xs[r, i] * ys[s, (i + u) mod L], every
+    cyclic correlation of a row of xs with a row of ys, exactly in int64.
+
+    B = L * max|xs| * max|ys| bounds every partial sum of every output. With
+    (k, g) = ``_packing(B)``, g rows of ys go k bits apart into one int64
+    word, so one correlation per row of xs and group returns the group's
+    outputs as fields k bits apart, and no partial sum leaves
+    (-2**61, 2**61). Adding B to every field makes each one a nonnegative
+    k-bit number that shift and mask read back. With g = 1 each pair of rows
+    takes one plain correlation. No floating point is involved.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    rows, length = xs.shape
+    if ys.shape[1] != length:
+        raise ValueError("correlated rows must have one length")
+    bound = length * _peak(xs) * _peak(ys)
+    if bound >= 1 << 63:
+        raise OverflowError("correlations could exceed int64")
+    out = np.empty((rows, len(ys), length), dtype=np.int64)
+    k, group = _packing(bound)
+    group = min(group, len(ys))
+    if group <= 1:
+        for s, y in enumerate(ys):
+            wrapped = np.concatenate((y, y[:-1]))
+            for r, x in enumerate(xs):
+                out[r, s] = np.correlate(wrapped, x, mode="valid")
+        return out
+    shifts = np.arange(0, group * k, k, dtype=np.int64)
+    bias = bound * ((1 << group * k) - 1) // ((1 << k) - 1)
+    weights, shifts = 1 << shifts, shifts[:, None]
+    words = np.empty((rows, 1, length), dtype=np.int64)
+    for start in range(0, len(ys), group):
+        block = ys[start:start + group]
+        packed = weights[:len(block)] @ block
+        wrapped = np.concatenate((packed, packed[:-1]))
+        for r, x in enumerate(xs):
+            words[r, 0] = np.correlate(wrapped, x, mode="valid")
+        words += bias
+        fields = (words >> shifts[:len(block)]) & ((1 << k) - 1)
+        np.subtract(fields, bound, out=out[:, start:start + len(block)])
+    return out
+
+
+def _peak(values: np.ndarray) -> int:
+    """max |v| over an int64 array as a Python int, 0 when it is empty; |v|
+    read as uint64, so that |-2**63| does not wrap."""
+    return int(np.abs(values).view(np.uint64).max(initial=0))
+
+
 @lru_cache(maxsize=1)
 def _crt_index(p: int, q: int) -> np.ndarray:
     """Flat grid index of each k in [0, n); callers read one pair at a time.

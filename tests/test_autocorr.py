@@ -258,9 +258,10 @@ def test_empirical_profile_equals_direct_correlation_on_pooled_rows(pair, data):
 def test_family_grids_have_three_distinct_rows():
     # Row 0 of the grid holds c and a, and every other row is b followed by
     # chi_p(row) * chi_q, so residue and nonresidue rows give the other two.
-    # Every pair with a prime 3 therefore takes the direct route, since
-    # 9 (p^2 + q^2) >= n^2, and any other pair reads the grid once
-    # 9 (p^2 + q^2) + _CRT_OVERHEAD < n^2.
+    # Three rows fit in one packed group on each axis, so a family instance
+    # reads the grid once 3 (p^2 + q^2) + _CRT_OVERHEAD < n^2. The smallest
+    # such pair is (17, 19), every pair with n > 381 is one, and a pair with a
+    # prime 3 is one once q >= 131.
     for pair in odd_prime_pairs(1000):
         for primes in (pair, OddPrimePair(pair.q, pair.p)):
             for a, b, c in ALL_TRIPLES:
@@ -268,16 +269,25 @@ def test_family_grids_have_three_distinct_rows():
                 assert len({row.tobytes() for row in grid}) == 3, (primes, a, b, c)
 
 
+# The grid costs m ceil(m / g) (p^2 + q^2) multiply-adds with g rows packed
+# per word (10 for p, q in {17, 19}, 7 for 101 and 103, 5 for 1021), the
+# direct route n^2.
 @pytest.mark.parametrize("p,q,rows,crt", [
     (11, 13, None, False),  # n^2 below the fixed overhead: the grid is laid out but not read
-    (17, 19, None, False),  # 3 family rows: 9 (p^2 + q^2) + 10^5 >= n^2
-    (19, 23, None, True),   # the smallest family pair past the rule
-    (3, 1021, None, False),  # m = p = 3 rows: the grid saves nothing
-    (31, 37, 31, False),    # every row distinct
+    (11, 29, None, False),  # 3 family rows: 3 (p^2 + q^2) + 10^5 >= n^2 ...
+    (17, 19, None, True),   # ... and the smallest family pair past the rule
+    (19, 23, None, True),
+    (3, 127, None, False),  # a p = 3 pair just below the switch ...
+    (3, 131, None, True),   # ... and the first past it
+    (3, 1021, None, True),  # 3 q^2 + 27 + 10^5 < 9 q^2
+    (17, 19, 6, True),      # 6 (p^2 + q^2) + 10^5 < n^2 ...
+    (17, 19, 7, False),     # ... and 7 (p^2 + q^2) + 10^5 >= n^2
+    (17, 19, 17, False),    # every row distinct, two groups per axis
+    (31, 37, 31, True),     # every row distinct, and still cheaper on the grid
     (31, 37, 2, True),
     (101, 103, 1, True),    # one row repeated p times
-    (101, 103, 72, True),   # 72^2 (p^2 + q^2) + 10^5 < n^2 ...
-    (101, 103, 73, False),  # ... and 73^2 (p^2 + q^2) >= n^2
+    (101, 103, 72, True),   # 72 * 11 (p^2 + q^2) + 10^5 < n^2, and ...
+    (101, 103, 73, True),   # ... 73 * 11 (p^2 + q^2) + 10^5 < n^2 as well
 ])
 def test_kernel_choice_follows_the_operation_count(monkeypatch, p, q, rows, crt):
     pair = OddPrimePair(p, q)

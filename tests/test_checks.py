@@ -5,6 +5,7 @@ import io
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import cycloseq.autocorr
@@ -213,13 +214,14 @@ def test_theorem1_holds_at_large_n_along_the_crt_grid(monkeypatch):
     # A direct correlation would take seconds at (307, 311) and minutes at
     # (1009, 1013), so every correlation here must run along one grid axis;
     # one that spans the whole period fails at once instead of running on.
-    original = cycloseq.autocorr._circular_correlation
+    original = cycloseq.autocorr._correlations
 
-    def along_one_axis(x, y):
-        assert len(x) <= 1013, f"a correlation of length {len(x)} spans the period"
-        return original(x, y)
+    def along_one_axis(xs, ys):
+        length = np.shape(xs)[1]
+        assert length <= 1013, f"a correlation of length {length} spans the period"
+        return original(xs, ys)
 
-    monkeypatch.setattr(cycloseq.autocorr, "_circular_correlation", along_one_axis)
+    monkeypatch.setattr(cycloseq.autocorr, "_correlations", along_one_axis)
     pairs = (OddPrimePair(307, 311), OddPrimePair(1009, 1013))
     results = [(inst.params.abc, check["theorem1"])
                for inst, check in cli._checked(pairs, ((1, 0, 0), (0, 1, 0)),

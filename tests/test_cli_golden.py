@@ -1,5 +1,6 @@
 """Small CLI invocations give exactly their recorded transcripts: stdout,
-stderr and exit code, byte for byte, from tests/golden/cli/<name>.txt.
+stderr and exit code, byte for byte, from tests/golden/cli/<name>.txt, and
+the help and usage-error transcripts in ``USAGE`` below.
 
 A transcript is the command line, the exit code, then stdout and stderr
 under marker lines. To record one, write ``transcript(argv)`` to its path.
@@ -52,3 +53,166 @@ def test_every_transcript_is_listed():
 def test_cli_transcript(command):
     expected = golden_path(command).read_text(encoding="utf-8")
     assert transcript(command.split()) == expected
+
+
+# Help and usage-error transcripts, as the text after each one's command line.
+# They pin that a subcommand whose arguments are added on its first parse
+# prints the same help and usage. argparse wraps help to the terminal width,
+# so the test pins COLUMNS.
+USAGE = {
+    "--help": """\
+exit 0
+--- stdout
+usage: cycloseq [-h] {generate,autocorr,adic,verify,sweep} ...
+
+Two-prime cyclotomic binary sequences: generation, autocorrelation, 2-adic
+complexity.
+
+positional arguments:
+  {generate,autocorr,adic,verify,sweep}
+    generate            emit one period of S(a, b, c)
+    autocorr            autocorrelation values and distribution
+    adic                exact 2-adic complexity report
+    verify              run theorem checks for one prime pair
+    sweep               batch table over pairs and fill bits
+
+options:
+  -h, --help            show this help message and exit
+--- stderr
+""",
+    "generate --help": """\
+exit 0
+--- stdout
+usage: cycloseq generate [-h] --p P --q Q [--abc ABC] [--a A] [--b B] [--c C]
+                         [--format {bits,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 first odd prime
+  --q Q                 second odd prime
+  --abc ABC             fill bits as a compact string, e.g. 100
+  --a A                 fill bit on nonzero multiples of p
+  --b B                 fill bit on nonzero multiples of q
+  --c C                 fill bit at position 0
+  --format {bits,json}
+  --out OUT             output path (default: stdout)
+--- stderr
+""",
+    "autocorr --help": """\
+exit 0
+--- stdout
+usage: cycloseq autocorr [-h] --p P --q Q [--abc ABC] [--a A] [--b B] [--c C]
+                         [--empirical | --closed | --both]
+                         [--format {csv,json}] [--aggregate] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --p P                first odd prime
+  --q Q                second odd prime
+  --abc ABC            fill bits as a compact string, e.g. 100
+  --a A                fill bit on nonzero multiples of p
+  --b B                fill bit on nonzero multiples of q
+  --c C                fill bit at position 0
+  --empirical          recompute every shift from the sequence
+  --closed             evaluate the per-class closed form (default)
+  --both               compute both routes and compare; mismatch exits 2
+  --format {csv,json}
+  --aggregate          CSV as (value, count) rows instead of per-shift rows
+  --out OUT            output path (default: stdout)
+--- stderr
+""",
+    "adic --help": """\
+exit 0
+--- stdout
+usage: cycloseq adic [-h] --p P --q Q [--abc ABC] [--a A] [--b B] [--c C]
+                     [--format {json,csv}] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --p P                first odd prime
+  --q Q                second odd prime
+  --abc ABC            fill bits as a compact string, e.g. 100
+  --a A                fill bit on nonzero multiples of p
+  --b B                fill bit on nonzero multiples of q
+  --c C                fill bit at position 0
+  --format {json,csv}
+  --out OUT            output path (default: stdout)
+--- stderr
+""",
+    "verify --help": """\
+exit 0
+--- stdout
+usage: cycloseq verify [-h] --p P --q Q [--all | --check CHECK]
+
+options:
+  -h, --help     show this help message and exit
+  --p P          first odd prime
+  --q Q          second odd prime
+  --all          run every check (default)
+  --check CHECK  check name (repeatable or comma-separated): theorem1, lemma1,
+                 theorem2, correlation_identity
+--- stderr
+""",
+    "sweep --help": """\
+exit 0
+--- stdout
+usage: cycloseq sweep [-h] [--max-n MAX_N] [--pairs PAIRS] [--triples TRIPLES]
+                      [--checks CHECKS] [--format {csv,json}] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --max-n MAX_N        include all pairs with p*q <= this
+  --pairs PAIRS        explicit pair 'p,q' (repeatable)
+  --triples TRIPLES    comma-separated bit triples, or 'all' (default)
+  --checks CHECKS      comma-separated subset of: theorem1, lemma1, theorem2,
+                       correlation_identity (default all)
+  --format {csv,json}
+  --out OUT            output path (default: stdout; summary goes to the other
+                       stream)
+--- stderr
+""",
+    "": """\
+exit 1
+--- stdout
+--- stderr
+usage: cycloseq [-h] {generate,autocorr,adic,verify,sweep} ...
+cycloseq: error: the following arguments are required: command
+""",
+    "frobnicate": """\
+exit 1
+--- stdout
+--- stderr
+usage: cycloseq [-h] {generate,autocorr,adic,verify,sweep} ...
+cycloseq: error: argument command: invalid choice: 'frobnicate' (choose from 'generate', 'autocorr', 'adic', 'verify', 'sweep')
+""",
+    "generate --p 3": """\
+exit 1
+--- stdout
+--- stderr
+usage: cycloseq generate [-h] --p P --q Q [--abc ABC] [--a A] [--b B] [--c C]
+                         [--format {bits,json}] [--out OUT]
+cycloseq generate: error: the following arguments are required: --q
+""",
+    "autocorr --p 3 --q 7 --format xml": """\
+exit 1
+--- stdout
+--- stderr
+usage: cycloseq autocorr [-h] --p P --q Q [--abc ABC] [--a A] [--b B] [--c C]
+                         [--empirical | --closed | --both]
+                         [--format {csv,json}] [--aggregate] [--out OUT]
+cycloseq autocorr: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')
+""",
+    "verify --p 3 --q 5 --all --check lemma1": """\
+exit 1
+--- stdout
+--- stderr
+usage: cycloseq verify [-h] --p P --q Q [--all | --check CHECK]
+cycloseq verify: error: argument --check: not allowed with argument --all
+""",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_help_and_usage_transcript(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert transcript(command.split()) == f"$ cycloseq {command}\n" + USAGE[command]

@@ -161,17 +161,30 @@ def test_cli_csv_text_is_the_one_csv_writer():
     assert calls[0][0] == "cli" and start <= calls[0][1] < start + len(lines)
 
 
-def test_crt_index_is_read_only_by_crt_read_and_crt_grid():
-    # The Good-Thomas map lives in one place in both directions: every use of
-    # sequence._crt_index sits inside crt_read (grid -> vector) or crt_grid
-    # (vector -> grid).
+def _top_level_users(names: set) -> set:
+    """module.name of every top-level statement in src/ that uses one of
+    names as a name, an attribute or an import."""
     users = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for top in tree.body:
             users |= {f"{path.stem}.{getattr(top, 'name', top.lineno)}"
                       for node in ast.walk(top)
-                      if node is not top and "_crt_index" in {
+                      if node is not top and names & {
                           getattr(node, "id", None), getattr(node, "attr", None),
                           node.name if isinstance(node, ast.alias) else None}}
-    assert users == {"sequence.crt_read", "sequence.crt_grid"}
+    return users
+
+
+def test_crt_index_is_read_only_by_crt_read_and_crt_grid():
+    # The Good-Thomas map lives in one place in both directions: every use of
+    # sequence._crt_index sits inside crt_read (grid -> vector) or crt_grid
+    # (vector -> grid).
+    assert _top_level_users({"_crt_index"}) == {"sequence.crt_read", "sequence.crt_grid"}
+
+
+def test_only_the_kernel_correlates():
+    # sequence._correlations is the one exact int64 correlation kernel, with
+    # its packing and size rule inside: np.correlate or np.convolve anywhere
+    # else in src/ would be a second kernel.
+    assert _top_level_users({"correlate", "convolve"}) == {"sequence._correlations"}

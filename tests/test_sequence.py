@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq.adic import complexity_report
 from cycloseq import sequence
@@ -233,3 +235,53 @@ def test_bitstring_matches_per_character_oracle():
     for pair, (a, b, c) in cases:
         seq = generate(SequenceParams(pair, a, b, c))
         assert bitstring(seq) == "".join("1" if bit else "0" for bit in seq.bits), pair
+
+
+def _correlations_oracle(xs, ys):
+    # np.correlate on each row of ys wrapped once, one pair of rows at a time
+    out = [[np.correlate(np.concatenate((y, y[:-1])), x, mode="valid") for y in ys]
+           for x in xs]
+    return np.array(out, dtype=np.int64).reshape(len(xs), len(ys), xs.shape[1])
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+@settings(database=None, derandomize=True, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_correlations_equal_np_correlate(k, data):
+    # k = (2B).bit_length() for the bound B = L max|xs| max|ys|, so k in 1..64
+    # takes every packing group size 62 // k from 62 (B = 0, all-zero xs) down
+    # to 1 (k > 31), as far as B < 2**63 reaches. ys has up to 2g + 1 rows,
+    # more than one group holds, and xs[0] = max|xs| * eps and
+    # ys[0] = +-max|ys| * eps, so their output at shift 0 is exactly +-B.
+    k_bits, group = sequence._packing(0 if k == 1 else 1 << (k - 2))
+    assert k_bits == k and group == max(62 // k, 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if k == 1:
+        length = data.draw(st.integers(1, 300), label="length")
+        peak_x, peak_y = 0, data.draw(st.integers(0, 2 ** 40), label="peak_y")
+    else:
+        low, high = 1 << (k - 2), (1 << (k - 1)) - 1  # B in [low, high]
+        length = data.draw(st.integers(1, min(300, low)), label="length")
+        peak_y = data.draw(st.integers(1, low // length), label="peak_y")
+        peak_x = data.draw(st.integers(-(-low // (length * peak_y)),
+                                       high // (length * peak_y)), label="peak_x")
+    bound = length * peak_x * peak_y
+    assert bound == 0 if k == 1 else (2 * bound).bit_length() == k
+    eps = rng.choice(np.array([-1, 1]), size=length)
+    xs = rng.integers(-peak_x, peak_x, size=(data.draw(st.integers(1, 3)), length),
+                      endpoint=True)
+    ys = rng.integers(-peak_y, peak_y, size=(data.draw(st.integers(1, 2 * group + 1)),
+                                             length), endpoint=True)
+    xs[0] = peak_x * eps
+    ys[0] = -peak_y * eps if data.draw(st.booleans(), label="negative") else peak_y * eps
+    want = _correlations_oracle(xs, ys)
+    got = sequence._correlations(xs, ys)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert abs(int(got[0, 0, 0])) == bound
+
+
+def test_correlations_refuse_what_int64_cannot_hold():
+    with pytest.raises(OverflowError, match="exceed int64"):
+        sequence._correlations(np.full((1, 2), 2 ** 31), np.full((1, 2), 2 ** 31))
+    with pytest.raises(ValueError, match="one length"):
+        sequence._correlations(np.ones((1, 3)), np.ones((1, 4)))
