@@ -13,8 +13,8 @@ x**(-k).
 from cycloseq import (SequenceParams, dump, gamma_p, gamma_q, gauss_gp, gauss_gq,
                       generate, mul, verify_correlation_identity)
 from cycloseq.autocorr import closed_form_profile, empirical_profile
-from cycloseq.groupring import (crt_blocks, crt_expanded_form, crt_lemma1,
-                                crt_sign_form, crt_sign_products)
+from cycloseq.groupring import (crt_blocks, crt_expanded_form, crt_factors, crt_lemma1,
+                                crt_sign_form)
 from cycloseq.numtheory import OddPrimePair
 
 primes = OddPrimePair(3, 5)
@@ -32,8 +32,9 @@ print("gauss_gp squared =", dump(square).replace("\n", ", "))
 
 # the five structural identities over the pair's blocks, checked
 # coefficient by coefficient in the CRT tensor form (verify_lemma1 checks the
-# same identities on the primes: each is a tensor product of identities on
-# Z_p and Z_q, so it never forms a length-n vector unless one fails)
+# same identities on the primes, reading them off the pair's crt_factors
+# table of products of delta, J and chi on Z_p and Z_q, so it never forms a
+# length-n vector unless one fails)
 blocks = crt_blocks(primes)
 for name, lhs, rhs in crt_lemma1(blocks):
     print(f"  {name:24s} {'ok' if lhs == rhs else 'FAILED'}")
@@ -54,12 +55,11 @@ print("expanded form equals the product:", product == expanded)
 
 # one call checks all four routes at once: product, expanded form,
 # empirical shifts, and the per-class closed form, each built by the caller;
-# the product is the pair's sign products sigma(atom k) * atom l, contracted
-# with weights from the coefficients of S
+# the product is the pair's table of products sigma(b_i) * b_k over the
+# basis (delta, J, chi) of each prime, contracted with the coefficients of S
 for p, q, a, b, c in [(3, 5, 1, 0, 0), (3, 7, 0, 1, 1), (5, 11, 1, 1, 0)]:
     seq = generate(SequenceParams.of(p, q, a, b, c))
-    pair_blocks = crt_blocks(seq.params.primes)
-    check = verify_correlation_identity(crt_sign_products(pair_blocks), seq,
+    check = verify_correlation_identity(crt_factors(seq.params.primes), seq,
                                         empirical_profile(seq),
                                         closed_form_profile(seq.params))
     print(f"p={p} q={q} abc={a}{b}{c}: all routes agree = {check.ok}")

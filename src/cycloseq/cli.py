@@ -8,17 +8,18 @@ byte-identical across reruns of the same invocation: rows are emitted in
 sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
-build through ``_Pair`` and ``_Instance``: a ``_Pair`` builds the CRT blocks
-(the package's one ``crt_blocks`` call), the ``lemma1`` result over them and
-the sign products sigma(atom k) * atom l that ``correlation_identity``
-reweights per triple, an ``_Instance`` its sequence, empirical and
-closed-form profiles and complexity report, each on first use and at most
-once, so a command builds only the pieces it prints. ``verify``, ``sweep``
-and the acceptance gate run the ``CHECKS`` registry through one pair x
-triple loop, ``_checked``. Each check is a function of one ``_Instance``
-that hands its pieces to a library check, which compares them and returns a
-``CheckResult``. Every CSV table is written by ``_csv_text`` from rows read
-out of the result types' ``as_json_dict`` mappings.
+build through ``_Pair`` and ``_Instance``: a ``_Pair`` builds the pair's
+product table over the basis (delta, J, chi) of each prime (the package's
+one ``crt_factors`` call), which ``lemma1`` reads once and
+``correlation_identity`` contracts per triple, and an ``_Instance`` its
+sequence, empirical and closed-form profiles and complexity report, each on
+first use and at most once, so a command builds only the pieces it prints.
+``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
+through one pair x triple loop, ``_checked``. Each check is a function of
+one ``_Instance`` that hands its pieces to a library check, which compares
+them and returns a ``CheckResult``. Every CSV table is written by
+``_csv_text`` from rows read out of the result types' ``as_json_dict``
+mappings.
 """
 
 import argparse
@@ -120,23 +121,19 @@ def _csv_text(columns, rows) -> str:
 
 
 class _Pair:
-    """One prime pair; its CRT blocks, lemma1 and sign products are built on
-    first use only."""
+    """One prime pair; its product table and lemma1 are built on first use
+    only."""
 
     def __init__(self, primes: OddPrimePair):
         self.primes = primes
 
     @cached_property
-    def blocks(self):
-        return gr.crt_blocks(self.primes)
+    def factors(self):
+        return gr.crt_factors(self.primes)
 
     @cached_property
     def lemma1(self):
-        return gr.verify_lemma1(self.blocks)
-
-    @cached_property
-    def sign_products(self):
-        return gr.crt_sign_products(self.blocks)
+        return gr.verify_lemma1(self.factors)
 
 
 class _Instance:
@@ -229,7 +226,7 @@ CHECKS = {
     "lemma1": lambda inst: inst.pair.lemma1,
     "theorem2": lambda inst: adic.verify_theorem2(inst.report),
     "correlation_identity": lambda inst: gr.verify_correlation_identity(
-        inst.pair.sign_products, inst.seq, inst.emp, inst.closed),
+        inst.pair.factors, inst.seq, inst.emp, inst.closed),
 }
 
 CHECK_NAMES = tuple(CHECKS)

@@ -3,28 +3,32 @@
 One representation, the CRT tensor form: Z[Z_pq] is isomorphic to
 Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q) (the
 Good-Thomas index map, ``sequence.crt_read``). A ``CrtElement`` is a sum of
-rank-1 terms c * (u (x) v), and every object of the correlation theorem needs
-at most four of them. Sigma, the automorphism x**k -> x**(-k), reverses each
-factor, and a cyclic convolution u * s is the correlation of sigma(u) with s,
-so a product (``mul``) is one call of the package's correlation kernel
-``sequence._correlations`` per axis, which makes one length-p and one
-length-q correlation per left term and packed group of right terms.
-``CrtElement.dense()`` reads the coefficient vector indexed by exponent back
-out through a ``CrtStack`` contraction, int64 matmuls over the distinct
-factors. The dense O(n**2) ring survives only as the oracle of the
-differential tests in ``tests/test_groupring.py``.
+rank-1 terms c * (u (x) v). Sigma, the automorphism x**k -> x**(-k),
+reverses each factor, and a cyclic convolution u * s is the correlation of
+sigma(u) with s, so a product (``mul``) is one call of the package's
+correlation kernel ``sequence._correlations`` per axis.
 
-The module builds no sequence, no profile and no pair's blocks: its checks
-compare the ``crt_blocks``, sequence and profiles they are handed, which
-``cycloseq.cli`` builds once per pair and per instance. The same holds for
-``crt_sign_products``, the 16 products sigma(atom k) * atom l of the four
-atoms every sign form S is a combination of, stacked with the five blocks S
-and its expanded form combine: ``cli`` builds them once per pair, and
-``verify_correlation_identity`` forms each triple's sigma(S) * S, S and
-expanded form as one weighted contraction each of those stacks, building no
-``CrtElement``. ``verify_lemma1`` works on the primes: each Lemma-1 identity
-is a tensor product of identities on Z_p and Z_q, which it checks at length
-p and q, reading chi_p and chi_q from the blocks.
+The checks work in a smaller basis. Every object of the correlation theorem
+lies in A_p (x) A_q, where A_r is spanned by delta (x**0), J (the sum of
+Z_r) and chi (the quadratic character ``residue_table(r)``). Per prime,
+``crt_factors`` stacks B_r = (delta, J, chi) and makes one kernel call with
+lefts (delta, J, chi, sigma(chi)) and rights B_r. As the correlation of x
+with y is sigma(x) * y, that call holds every b_i * b_k, the factors of the
+Lemma-1 identities, and every sigma(b_i) * b_k, of which sigma(S) * S is a
+combination. No value of sigma(chi) is assumed, so with a faulty chi the
+table holds the true products of the character it was handed.
+``cycloseq.cli`` builds the table once per pair: ``verify_lemma1`` reads its
+factor identities off it, and ``verify_correlation_identity`` forms each
+triple's sigma(S) * S, S and expanded form as one contraction each, with
+3 x 3 coefficient matrices over the basis pairs b_i (x) b_j.
+
+Every int64 contraction here is ``_contract(us, m, vs)``, the p x q grid
+us.T @ m @ vs, and its bound comes from the data: it raises OverflowError
+once the sum of |m_ij| * peak u_i * peak v_j reaches 2**63, the peak of a
+row being its largest |entry|, floored at 1. The table keeps the peaks of
+its stacks, so a pair computes them once. The kernel refuses its own
+products from the data alike, so no term carries a bound. The dense
+O(n**2) ring is only the oracle of the tests in ``tests/test_groupring.py``.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -34,6 +38,7 @@ This matches the algebraic role of each object: gauss_gp squares to
 (-1/p) * (p*one - gamma_q).
 """
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -57,18 +62,44 @@ def _products(lefts: list, rights: list, r: int) -> np.ndarray:
     return _correlations(_reverse(np.reshape(lefts, (-1, r))), np.reshape(rights, (-1, r)))
 
 
+class _Rows(NamedTuple):
+    """Int64 rows of one length and the peak of each: its largest |entry|,
+    floored at 1, as a Python int."""
+
+    rows: np.ndarray
+    peaks: list
+
+
+def _stack(vectors, r: int) -> _Rows:
+    """The vectors as one int64 stack of length-r rows, with its row peaks;
+    |entry| is read as uint64, so that |-2**63| does not wrap."""
+    rows = np.array(vectors, dtype=np.int64).reshape(-1, r)
+    return _Rows(rows, np.abs(rows).view(np.uint64).max(axis=1, initial=1).tolist())
+
+
+def _contract(us: _Rows, m: list, vs: _Rows) -> np.ndarray:
+    """The p x q grid of the sum of m[i][j] * (u_i (x) v_j), us.T @ m @ vs in
+    int64, for m a matrix of Python ints. The sum of |m[i][j]| * peak u_i *
+    peak v_j bounds every partial sum of both products (the floor of 1 on
+    the peaks covers us.T @ m), so it raises OverflowError once that reaches
+    2**63 rather than let int64 wrap."""
+    rows = [sum(map(operator.mul, map(abs, row), vs.peaks)) for row in m]
+    if sum(map(operator.mul, rows, us.peaks)) >= _INT64_LIMIT:
+        raise OverflowError("dense coefficients could exceed int64")
+    m = np.array(m, dtype=np.int64).reshape(len(us.peaks), len(vs.peaks))
+    return (us.rows.T @ m) @ vs.rows
+
+
 class CrtElement:
     """Element of Z[Z_p] (x) Z[Z_q] as a sum of rank-1 terms c * (u (x) v).
 
-    ``terms`` holds (c, u, v, bound_u, bound_v): c a Python int, u an int64
-    vector over Z_p, v one over Z_q, and two Python ints that bound the
-    absolute entries of u and of v. The builders start both bounds at 1;
-    ``mul`` multiplies the two bounds of a term pair and then by p (for u)
-    or q (for v), since a cyclic convolution of length r grows entries at
-    most r-fold. The sum of |c| * bound_u * bound_v over the terms bounds
-    every dense coefficient. Rather than let int64 wrap, ``mul`` raises
-    OverflowError once a factor bound reaches 2**63, and ``dense()`` once that
-    sum does. Two elements are equal when their dense coefficients are.
+    ``terms`` holds (c, u, v): c a Python int, u an int64 vector over Z_p
+    and v one over Z_q. No term carries a bound. ``mul`` leaves its factor
+    products to the correlation kernel, which refuses any that could leave
+    int64 from the factors' entries, and ``dense()`` is one ``_contract``,
+    which refuses from the coefficients and the factors' peaks. So a chain
+    of products is refused only when its values could overflow. Two elements
+    are equal when their dense coefficients are.
     """
 
     __slots__ = ("primes", "terms")
@@ -95,91 +126,43 @@ class CrtElement:
         return self + -1 * other
 
     def __rmul__(self, k: int) -> "CrtElement":
-        return CrtElement(self.primes, [(k * c, u, v, bu, bv)
-                                        for c, u, v, bu, bv in self.terms])
+        return CrtElement(self.primes, [(k * c, u, v) for c, u, v in self.terms])
 
     def __mul__(self, other: "CrtElement") -> "CrtElement":
         return mul(self, other)
 
     def sigma(self) -> "CrtElement":
         """x**k -> x**(-k), which reverses each factor."""
-        return CrtElement(self.primes, [(c, _reverse(u), _reverse(v), bu, bv)
-                                        for c, u, v, bu, bv in self.terms])
+        return CrtElement(self.primes, [(c, _reverse(u), _reverse(v))
+                                        for c, u, v in self.terms])
 
     def dense(self) -> np.ndarray:
-        """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q)."""
-        return crt_read(self.primes, CrtStack(self).contract((1,) * len(self.terms)))
-
-
-def _distinct_rows(rows: list, r: int) -> tuple:
-    """(the distinct rows as an int64 array in order of first use, the index
-    of each row in it as a list)."""
-    stack = np.array(rows, dtype=np.int64).reshape(-1, r)
-    position, keep, inverse = {}, [], []
-    for k, row in enumerate(stack):
-        key = row.tobytes()
-        if key not in position:
-            position[key] = len(keep)
-            keep.append(k)
-        inverse.append(position[key])
-    return stack[keep], inverse
-
-
-class CrtStack:
-    """The terms of a ``CrtElement`` stacked once for many contractions.
-
-    Each distinct factor is kept once: term k is
-    ``coeffs[k] * (us[iu[k]] (x) vs[iv[k]])``, and ``bounds[k]`` is the
-    product of its two factor bounds. The 16 sign products have only 6 or 7
-    distinct factors on each side, so a contraction multiplies that many
-    rows, not 16.
-    """
-
-    __slots__ = ("primes", "coeffs", "us", "iu", "vs", "iv", "bounds")
-
-    def __init__(self, x: CrtElement):
-        self.primes = x.primes
-        self.coeffs = [t[0] for t in x.terms]
-        self.us, self.iu = _distinct_rows([t[1] for t in x.terms], x.primes.p)
-        self.vs, self.iv = _distinct_rows([t[2] for t in x.terms], x.primes.q)
-        self.bounds = [bu * bv for _, _, _, bu, bv in x.terms]
-
-    def contract(self, weights) -> np.ndarray:
-        """The p x q grid of the sum of weights[k] * c_k * (u_k (x) v_k):
-        the weights summed into a small matrix m, then us.T @ m @ vs in
-        int64. The sum of |weights[k] * c_k| * bounds[k] bounds every
-        partial sum, so it raises OverflowError once that reaches 2**63
-        rather than let int64 wrap."""
-        scaled = [w * c for w, c in zip(weights, self.coeffs, strict=True)]
-        if sum(abs(s) * b for s, b in zip(scaled, self.bounds)) >= _INT64_LIMIT:
-            raise OverflowError("dense coefficients could exceed int64")
-        m = [[0] * len(self.vs) for _ in self.us]
-        for i, j, s in zip(self.iu, self.iv, scaled):
-            m[i][j] += s
-        m = np.array(m, dtype=np.int64).reshape(len(self.us), len(self.vs))
-        return (self.us.T @ m) @ self.vs
+        """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q): one
+        ``_contract`` with the coefficients on the diagonal of m."""
+        coeffs = [c for c, _, _ in self.terms]
+        m = [[c if i == j else 0 for j in range(len(coeffs))]
+             for i, c in enumerate(coeffs)]
+        return crt_read(self.primes, _contract(
+            _stack([u for _, u, _ in self.terms], self.primes.p), m,
+            _stack([v for _, _, v in self.terms], self.primes.q)))
 
 
 def _same_ring(x, y) -> None:
-    """Refuse two objects (elements, stacks or params) of different pairs."""
+    """Refuse two objects (elements, tables or params) of different pairs."""
     if x.primes != y.primes:
         raise ValueError("elements live in different group rings")
 
 
 def mul(x: CrtElement, y: CrtElement) -> CrtElement:
-    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise. Once the
-    bounds of every term pair are checked, one ``_products`` call per axis
-    forms the factor products of all pairs."""
+    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise. One
+    ``_products`` call per axis forms the factor products of all term pairs,
+    and the kernel refuses any that could leave int64."""
     _same_ring(x, y)
     p, q = x.primes.p, x.primes.q
-    pairs = [(c * d, p * bu * bs, q * bv * bt)
-             for c, _, _, bu, bv in x.terms for d, _, _, bs, bt in y.terms]
-    if any(max(bound_u, bound_v) >= _INT64_LIMIT for _, bound_u, bound_v in pairs):
-        raise OverflowError("product factors could exceed int64")
     us = _products([t[1] for t in x.terms], [t[1] for t in y.terms], p).reshape(-1, p)
     vs = _products([t[2] for t in x.terms], [t[2] for t in y.terms], q).reshape(-1, q)
-    return CrtElement(x.primes, [(c, u, v, bu, bv) for (c, bu, bv), u, v
-                                 in zip(pairs, us, vs, strict=True)])
+    coeffs = [c * d for c, _, _ in x.terms for d, _, _ in y.terms]
+    return CrtElement(x.primes, zip(coeffs, us, vs, strict=True))
 
 
 def dump(u: CrtElement) -> str:
@@ -190,7 +173,7 @@ def dump(u: CrtElement) -> str:
 
 def _rank1(primes: OddPrimePair, u: np.ndarray, v: np.ndarray) -> CrtElement:
     """1 * (u (x) v) for int64 factors with entries in {-1, 0, 1}."""
-    return CrtElement(primes, [(1, u, v, 1, 1)])
+    return CrtElement(primes, [(1, u, v)])
 
 
 def _delta(r: int) -> np.ndarray:
@@ -267,132 +250,138 @@ def crt_lemma1(blocks: CrtBlocks) -> tuple:
     )
 
 
-def _sign_atoms(blocks: CrtBlocks) -> tuple:
-    """The four rank-1 atoms of every sign polynomial, in the order of S's
-    terms: one, gamma_p, gamma_q, unit."""
-    return blocks.one, blocks.gamma_p, blocks.gamma_q, blocks.unit
+def _sign_matrix(params: SequenceParams) -> list:
+    """C, S's coefficients: S = sum of C[i][j] * (b_i (x) b_j) over the basis
+    (delta, J, chi) on each prime; entries (0, 0), (0, 1), (1, 0), (1, 1) and
+    (2, 2) weigh the blocks one, gamma_p, gamma_q, total and unit."""
+    return [[params.e, (-1) ** params.a, 0], [(-1) ** params.b, 0, 0], [0, 0, 1]]
 
 
-def _forms(blocks: CrtBlocks) -> tuple:
-    """The five blocks that S and the expanded form of sigma(S)*S combine:
-    the four sign atoms, then total."""
-    return (*_sign_atoms(blocks), blocks.total)
-
-
-def _sign_coeffs(params: SequenceParams) -> tuple:
-    """S's coefficients over the four sign atoms."""
-    return params.e, (-1) ** params.a, (-1) ** params.b, 1
-
-
-def _expanded_coeffs(params: SequenceParams) -> tuple:
-    """The expanded form's coefficients over the five ``_forms``."""
+def _expanded_matrix(params: SequenceParams) -> list:
+    """E, the expanded form's coefficients over the same basis pairs."""
     p, q, e = params.p, params.q, params.e
+    sign_a, sign_b = (-1) ** params.a, (-1) ** params.b
     chi_minus1 = legendre(-1, p) * legendre(-1, q)
-    return (p * q + e * e, q - p + 2 * e * (-1) ** params.a,
-            p - q + 2 * e * (-1) ** params.b, e * (1 + chi_minus1),
-            1 + 2 * (-1) ** (params.a + params.b))
+    return [[p * q + e * e, q - p + 2 * e * sign_a, 0],
+            [p - q + 2 * e * sign_b, 1 + 2 * sign_a * sign_b, 0],
+            [0, 0, e * (1 + chi_minus1)]]
 
 
-def _combination(elements: tuple, coeffs: tuple) -> CrtElement:
-    return sum((c * x for c, x in zip(coeffs, elements, strict=True)),
-               CrtElement(elements[0].primes))
+def _element(blocks: CrtBlocks, matrix: list) -> CrtElement:
+    """The sum of matrix[i][j] * (b_i (x) b_j) over (delta, J, chi) on each
+    prime, read off the rank-1 blocks."""
+    ((_, delta_p, j_q),) = blocks.gamma_p.terms
+    ((_, j_p, delta_q),) = blocks.gamma_q.terms
+    ((_, chi_p, _),) = blocks.gauss_gp.terms
+    ((_, _, chi_q),) = blocks.gauss_gq.terms
+    on_p, on_q = (delta_p, j_p, chi_p), (delta_q, j_q, chi_q)
+    return CrtElement(blocks.one.primes, [(c, on_p[i], on_q[j])
+                                          for i, row in enumerate(matrix)
+                                          for j, c in enumerate(row) if c])
 
 
 def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
     """S = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q + unit, the sign
     polynomial of S(a, b, c)."""
-    return _combination(_sign_atoms(blocks), _sign_coeffs(params))
+    return _element(blocks, _sign_matrix(params))
 
 
 def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
     """The expanded form of sigma(S)*S: (pq + e**2)*one
     + (q - p + 2e(-1)**a)*gamma_p + (p - q + 2e(-1)**b)*gamma_q
     + e(1 + (-1/p)(-1/q))*unit + (1 + 2(-1)**(a+b))*total."""
-    return _combination(_forms(blocks), _expanded_coeffs(params))
+    return _element(blocks, _expanded_matrix(params))
 
 
-def crt_sign_products(blocks: CrtBlocks) -> tuple:
-    """(products, forms), the pair's two ``CrtStack``s for
-    ``verify_correlation_identity``. Row 4k + l of products is
-    sigma(atom k) * atom l of the four sign atoms, term for term as ``mul``
-    builds sigma(A) * A for A their sum; forms are the five ``_forms``. Only
-    the coefficients c of a sign form S = sum of c_k * atom k depend on the
-    triple, so weighting row 4k + l by c_k * c_l contracts to sigma(S) * S,
-    and weighting forms by the coefficients of S or of the expanded form
-    contracts to that element."""
-    primes = blocks.one.primes
-    atoms = sum(_sign_atoms(blocks), CrtElement(primes))
-    return (CrtStack(atoms.sigma() * atoms),
-            CrtStack(sum(_forms(blocks), CrtElement(primes))))
+class PrimeFactors(NamedTuple):
+    """One prime's part of ``crt_factors``, over the basis (delta, J, chi)."""
+
+    basis: _Rows           # delta, J, chi
+    products: np.ndarray   # [i, k] = b_i * b_k
+    sigma_products: _Rows  # row 3i + k = sigma(b_i) * b_k
 
 
-def _factors(x: CrtElement) -> tuple:
-    """(u, v) of a block, the one term 1 * (u (x) v)."""
-    ((_, u, v, _, _),) = x.terms
-    return u, v
+class CrtFactors(NamedTuple):
+    """The pair's product table, one ``PrimeFactors`` per prime."""
+
+    primes: OddPrimePair
+    on_p: PrimeFactors
+    on_q: PrimeFactors
 
 
-def _lemma1_factors(blocks: CrtBlocks) -> tuple:
-    """(name, (u, v), (s, t)) for each identity of ``crt_lemma1``, which is
-    u (x) v == s (x) t. The left factors are products on Z_p and on Z_q of
-    the factors of gauss_gp = chi_p (x) delta, gauss_gq = delta (x) chi_q,
-    gamma_p = delta (x) J_q and gamma_q = J_p (x) delta, so each identity holds
-    when its factor identities do: chi*chi = (-1/r)(r*delta - J), J*chi = 0,
-    delta*delta = delta and delta*J = J."""
-    p, q = blocks.one.primes.p, blocks.one.primes.q
-    chi_p, _ = _factors(blocks.gauss_gp)
-    _, chi_q = _factors(blocks.gauss_gq)
-    delta_p, j_q = _factors(blocks.gamma_p)
-    j_p, delta_q = _factors(blocks.gamma_q)
-    # Every product of two of delta, J and chi on each prime, indexed in that order.
-    on_p = _products([delta_p, j_p, chi_p], [delta_p, j_p, chi_p], p)
-    on_q = _products([delta_q, j_q, chi_q], [delta_q, j_q, chi_q], q)
-    return (
-        ("gauss_gp_squared", (on_p[2, 2], on_q[0, 0]),
-         (legendre(-1, p) * (p * delta_p - j_p), delta_q)),
-        ("gauss_gq_squared", (on_p[0, 0], on_q[2, 2]),
-         (delta_p, legendre(-1, q) * (q * delta_q - j_q))),
-        ("gamma_p_times_gauss_gq", (on_p[0, 0], on_q[1, 2]), (delta_p, 0 * j_q)),
-        ("gamma_q_times_gauss_gp", (on_p[1, 2], on_q[0, 0]), (0 * j_p, delta_q)),
-        ("gamma_p_times_gamma_q", (on_p[0, 1], on_q[1, 0]), (j_p, j_q)),
-    )
+def _prime_factors(chi: np.ndarray) -> PrimeFactors:
+    """The table of one prime r = len(chi) for the character ``chi``: one
+    kernel call correlates (delta, J, chi, sigma(chi)) with (delta, J, chi),
+    and the correlation of x with y is sigma(x) * y."""
+    r = len(chi)
+    basis = np.stack((_delta(r), np.ones(r, dtype=np.int64), chi))
+    table = _correlations(np.vstack((basis, _reverse(chi))), basis)
+    return PrimeFactors(_stack(basis, r), table[[0, 1, 3]], _stack(table[:3], r))
 
 
-def verify_lemma1(blocks: CrtBlocks) -> CheckResult:
-    """Coefficient-exact check of the five identities of ``crt_lemma1`` over the
-    pair's ``crt_blocks``, on the primes: each identity is checked through its
-    factor identities on Z_p and on Z_q (``_lemma1_factors``), length-p and
-    length-q work. Only where a factor identity fails is the p x q difference
+def crt_factors(primes: OddPrimePair) -> CrtFactors:
+    """The pair's table for ``verify_lemma1`` and ``verify_correlation_identity``;
+    chi_r is ``residue_table(r)``."""
+    return CrtFactors(primes, _prime_factors(_chi(primes.p)),
+                      _prime_factors(_chi(primes.q)))
+
+
+def verify_lemma1(factors: CrtFactors) -> CheckResult:
+    """Coefficient-exact check of the five identities of ``crt_lemma1``, on the
+    primes. gauss_gp = chi_p (x) delta, gauss_gq = delta (x) chi_q,
+    gamma_p = delta (x) J_q and gamma_q = J_p (x) delta, so each identity
+    u (x) v == s (x) t holds when its factor identities u == s and v == t
+    do: chi*chi = (-1/r)(r*delta - J), J*chi = 0, delta*delta = delta and
+    delta*J = J, with every left side read off the pair's ``crt_factors``.
+    Only where a factor identity fails is the p x q difference
     u (x) v - s (x) t formed; the detail names the first identity that
     differs there and its smallest exponent in Z_n."""
-    primes = blocks.one.primes
-    for name, (u, v), (s, t) in _lemma1_factors(blocks):
+    primes = factors.primes
+    p, q = primes.p, primes.q
+    delta_p, j_p, _ = factors.on_p.basis.rows
+    delta_q, j_q, _ = factors.on_q.basis.rows
+    on_p, on_q = factors.on_p.products, factors.on_q.products
+    for name, (u, v), (s, t) in (
+            ("gauss_gp_squared", (on_p[2, 2], on_q[0, 0]),
+             (legendre(-1, p) * (p * delta_p - j_p), delta_q)),
+            ("gauss_gq_squared", (on_p[0, 0], on_q[2, 2]),
+             (delta_p, legendre(-1, q) * (q * delta_q - j_q))),
+            ("gamma_p_times_gauss_gq", (on_p[0, 0], on_q[1, 2]), (delta_p, 0 * j_q)),
+            ("gamma_q_times_gauss_gp", (on_p[1, 2], on_q[0, 0]), (0 * j_p, delta_q)),
+            ("gamma_p_times_gamma_q", (on_p[0, 1], on_q[1, 0]), (j_p, j_q))):
         if np.array_equal(u, s) and np.array_equal(v, t):
             continue
-        diff = np.flatnonzero(crt_read(primes, np.outer(u, v) - np.outer(s, t)))
+        grid = _contract(_stack([u, s], p), [[1, 0], [0, -1]], _stack([v, t], q))
+        diff = np.flatnonzero(crt_read(primes, grid))
         if len(diff):
             return CheckResult("lemma1", False,
                                f"{name} first differs at exponent {diff[0]}")
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(products: tuple, seq: BinarySequence,
+def verify_correlation_identity(factors: CrtFactors, seq: BinarySequence,
                                 emp: np.ndarray, closed: np.ndarray) -> CheckResult:
     """Check that the group-ring product sigma(S)*S, its expanded form, the
     empirical autocorrelation ``emp`` and the per-class closed form ``closed``
     of ``seq`` all agree at every shift; the detail lists each route that
     differs from the product, after ``sign_form_vs_sequence`` when the sign
-    form S is not the sign vector of ``seq``. ``products`` is the pair's
-    ``crt_sign_products``: sigma(S)*S, S and the expanded form are one
-    contraction each of its stacks, weighted by the triple's coefficients.
+    form S is not the sign vector of ``seq``. ``factors`` is the pair's
+    ``crt_factors``. With B_r its basis stacks, T_r its sigma-product stacks
+    and C and E the coefficient matrices of S and of the expanded form,
+    S = B_p.T C B_q, the expanded form is B_p.T E B_q and
+    sigma(S)*S = T_p.T (C (x) C) T_q: three contractions.
     """
     params = seq.params
-    sign_products, forms = products
-    _same_ring(forms, params)
-    coeffs = _sign_coeffs(params)
-    product = sign_products.contract([c_k * c_l for c_k in coeffs for c_l in coeffs])
-    expanded = forms.contract(_expanded_coeffs(params))
-    sign = crt_read(params.primes, forms.contract(coeffs + (0,)))
+    _same_ring(factors, params)
+    on_p, on_q = factors.on_p, factors.on_q
+    coeffs = _sign_matrix(params)
+    # Row 3i + k, column 3j + l: C[i][j] * C[k][l], the weight of
+    # (sigma(b_i) * b_k) (x) (sigma(b_j) * b_l) in sigma(S) * S.
+    kron = [[x * y for x in row_i for y in row_k]
+            for row_i in coeffs for row_k in coeffs]
+    product = _contract(on_p.sigma_products, kron, on_q.sigma_products)
+    expanded = _contract(on_p.basis, _expanded_matrix(params), on_q.basis)
+    sign = crt_read(params.primes, _contract(on_p.basis, coeffs, on_q.basis))
 
     failures = []
     if not np.array_equal(sign, sign_view(seq)):

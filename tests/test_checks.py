@@ -19,15 +19,15 @@ from cycloseq.sequence import CheckResult
 @pytest.fixture
 def calls(monkeypatch):
     """Count the calls of generate, empirical_profile, closed_form_profile,
-    crt_blocks, verify_lemma1 and crt_sign_products under every name the
-    package binds them to."""
+    crt_blocks, verify_lemma1 and crt_factors under every name the package
+    binds them to."""
     counts = Counter()
     for module, name in ((cycloseq.sequence, "generate"),
                          (cycloseq.autocorr, "empirical_profile"),
                          (cycloseq.autocorr, "closed_form_profile"),
                          (cycloseq.groupring, "crt_blocks"),
                          (cycloseq.groupring, "verify_lemma1"),
-                         (cycloseq.groupring, "crt_sign_products")):
+                         (cycloseq.groupring, "crt_factors")):
         original = getattr(module, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
@@ -44,13 +44,13 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
-    # crt_blocks: once for the pair, and lemma1 and the sign products read
-    # the same blocks
+    # crt_factors: once for the pair, and lemma1 and correlation_identity
+    # read the same table; the check path builds no CRT blocks, so
+    # crt_blocks is absent from the counts
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls == {"generate": 8, "empirical_profile": 8,
-                     "closed_form_profile": 8, "crt_blocks": 1, "verify_lemma1": 1,
-                     "crt_sign_products": 1}
+                     "closed_form_profile": 8, "verify_lemma1": 1, "crt_factors": 1}
 
 
 @pytest.mark.parametrize("argv,code,runs", [
@@ -69,20 +69,22 @@ def test_lemma1_runs_once_per_pair_and_only_when_selected(calls, capsys, argv,
     (["sweep", "--pairs", "5,7", "--pairs", "3,17"], 2, 2),
     (["verify", "--p", "5", "--q", "7"], 0, 1),
     (["verify", "--p", "5", "--q", "7", "--check", "theorem1"], 0, 0),
-    (["verify", "--p", "5", "--q", "7", "--check", "lemma1"], 0, 0),
+    (["verify", "--p", "5", "--q", "7", "--check", "lemma1"], 0, 1),
+    (["verify", "--p", "5", "--q", "7", "--check", "correlation_identity"], 0, 1),
 ])
-def test_sign_products_run_once_per_pair_and_only_for_correlation_identity(
+def test_factors_run_once_per_pair_and_only_for_lemma1_or_correlation_identity(
         calls, capsys, argv, code, runs):
-    # The 16 products sigma(atom k) * atom l serve all 8 triples of a pair.
+    # One product table per pair serves lemma1 and all 8 triples of
+    # correlation_identity.
     assert cli.main(argv) == code
     capsys.readouterr()
-    assert calls["crt_sign_products"] == runs
+    assert calls["crt_factors"] == runs
 
 
 def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):
-    # Four for the blocks (chi_p and chi_q of gauss_gp, gauss_gq and unit) and
-    # two for the residue-class codes that every by_class call of the pair
-    # reads; 8 generate and 8 closed_form_profile calls add none.
+    # One per prime for the product table (its chi) and one per prime for
+    # the residue-class codes that every by_class call of the pair reads;
+    # 8 generate and 8 closed_form_profile calls add none.
     runs = Counter()
     original = cycloseq.sequence.residue_table
 
@@ -97,7 +99,7 @@ def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):
     cycloseq.sequence._class_codes.cache_clear()
     assert cli.main(["verify", "--p", "5", "--q", "7"]) == 0
     capsys.readouterr()
-    assert runs == {5: 3, 7: 3}
+    assert runs == {5: 2, 7: 2}
 
 
 def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
@@ -172,8 +174,8 @@ def test_lemma1_failure_is_reported_once_per_pair(monkeypatch, capsys):
     failed = CheckResult("lemma1", False, "gauss_gp_squared first differs at exponent 5")
     runs = Counter()
 
-    def lemma1(blocks):
-        runs[blocks.one.primes] += 1
+    def lemma1(factors):
+        runs[factors.primes] += 1
         return failed
 
     monkeypatch.setattr(cli.gr, "verify_lemma1", lemma1)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
 from cycloseq import cli
-from cycloseq.groupring import (CrtElement, crt_blocks, crt_expanded_form, crt_lemma1,
-                                crt_sign_form, crt_sign_products, dump, gamma_p,
+from cycloseq.groupring import (CrtElement, CrtFactors, crt_blocks, crt_expanded_form,
+                                crt_factors, crt_lemma1, crt_sign_form, dump, gamma_p,
                                 gamma_q, gauss_gp, gauss_gq, mul,
                                 verify_correlation_identity, verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
@@ -94,7 +94,7 @@ def _monomial(primes, k, coeff=1):
     # x**k is delta at k mod p tensor delta at k mod q
     u, v = np.zeros(primes.p, dtype=np.int64), np.zeros(primes.q, dtype=np.int64)
     u[k % primes.p] = v[k % primes.q] = 1
-    return CrtElement(primes, [(coeff, u, v, 1, 1)])
+    return CrtElement(primes, [(coeff, u, v)])
 
 
 def _random_element(rng, primes):
@@ -102,7 +102,7 @@ def _random_element(rng, primes):
     return CrtElement(primes, [
         (rng.randint(-5, 5),
          _factor([rng.randint(-3, 3) for _ in range(primes.p)]),
-         _factor([rng.randint(-3, 3) for _ in range(primes.q)]), 3, 3)
+         _factor([rng.randint(-3, 3) for _ in range(primes.q)]))
         for _ in range(rng.randint(1, 4))])
 
 
@@ -119,7 +119,7 @@ def test_construction_and_equality():
     assert u.dense().tolist() == [1, 0, 0] * 5
     ones_q = np.ones(5, dtype=np.int64)
     delta_p = _factor([1, 0, 0])
-    split = CrtElement(primes, [(3, delta_p, ones_q, 1, 1), (-2, delta_p, ones_q, 1, 1)])
+    split = CrtElement(primes, [(3, delta_p, ones_q), (-2, delta_p, ones_q)])
     assert len(split.terms) == 2 and split == u
     assert 2 * u != u
     assert u != gamma_p(OddPrimePair(3, 7))
@@ -195,10 +195,29 @@ def test_int64_overflow_is_refused_not_wrapped():
     one = _monomial(primes, 0)
     with pytest.raises(OverflowError):
         (k * one + k * one).dense()  # 3 * 2**62 at exponent 0
-    big = CrtElement(primes, [(1, _factor([2 ** 61, 0, 0]), _factor([1, 0, 0, 0, 0]),
-                               2 ** 61, 1)])
+    big = CrtElement(primes, [(1, _factor([2 ** 61, 0, 0]), _factor([1, 0, 0, 0, 0]))])
     with pytest.raises(OverflowError):
         mul(big, big)  # 2**122 in the first factor
+
+
+def test_dense_refuses_a_coefficient_times_factor_past_int64():
+    # 2**30 * 2**40 = 2**70 at exponent 0: the bound reads the factor's entry,
+    # so the contraction refuses it instead of wrapping to 0.
+    primes = OddPrimePair(3, 5)
+    wide = CrtElement(primes, [(2 ** 30, [2 ** 40, 0, 0], _factor([1, 0, 0, 0, 0]))])
+    with pytest.raises(OverflowError, match="dense coefficients could exceed int64"):
+        wide.dense()
+
+
+def test_a_chain_of_products_is_refused_only_when_its_values_could_overflow():
+    # one * one * ... keeps every coefficient 0 or 1, so no product of the
+    # chain may be refused, however long it is.
+    one = crt_blocks(OddPrimePair(3, 5)).one
+    chain = one
+    for _ in range(30):
+        chain = chain * one
+    assert chain == one
+    assert chain.dense().tolist() == [1] + [0] * 14
 
 
 def test_ring_axioms_on_random_elements():
@@ -249,7 +268,7 @@ def test_gauss_gp_square_frozen():
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (3, 13), (7, 11)])
 def test_lemma1_identities(p, q):
     blocks = crt_blocks(OddPrimePair(p, q))
-    assert verify_lemma1(blocks) == CheckResult("lemma1", True)
+    assert verify_lemma1(crt_factors(OddPrimePair(p, q))) == CheckResult("lemma1", True)
     assert [name for name, _, _ in crt_lemma1(blocks)] == [
         "gauss_gp_squared", "gauss_gq_squared",
         "gamma_p_times_gauss_gq", "gamma_q_times_gauss_gp",
@@ -295,8 +314,7 @@ def test_expanded_product_form_matches_direct_product():
 
 def _correlation_identity(params):
     seq = generate(params)
-    blocks = crt_blocks(params.primes)
-    return verify_correlation_identity(crt_sign_products(blocks), seq,
+    return verify_correlation_identity(crt_factors(params.primes), seq,
                                        _autocorr.empirical_profile(seq),
                                        _autocorr.closed_form_profile(params))
 
@@ -320,13 +338,13 @@ def test_correlation_identity_samples(p, q):
 def test_crt_route_matches_dense_ring_on_every_pair():
     # Differential test: every tensor-form product the checks use equals the
     # dense O(n**2) product, coefficient by coefficient, for all pq <= 1000.
-    # The pair-level sign products, reweighted by each triple's coefficients
-    # of S, equal both sigma(S) * S built by mul and the dense product.
+    # The pair's product table, contracted with each triple's coefficients
+    # of S, equals both sigma(S) * S built by mul and the dense product.
     for primes in odd_prime_pairs(1000):
         dense = {name: (got, want) for name, got, want in _dense_lemma1(
             primes, _dense_gauss(primes, primes.p), _dense_gauss(primes, primes.q))}
         blocks = crt_blocks(primes)
-        products = crt_sign_products(blocks)
+        factors = crt_factors(primes)
         for name, lhs, rhs in crt_lemma1(blocks):
             got, want = dense[name]
             assert lhs.dense().tolist() == got.tolist(), (primes, name)
@@ -339,17 +357,16 @@ def test_crt_route_matches_dense_ring_on_every_pair():
             want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
             assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
             # handed the oracle as both profiles, the check passes only if its
-            # reweighted product (and the sign form and expanded form) equal it
-            check = verify_correlation_identity(products, generate(params),
+            # contracted product (and the sign form and expanded form) equal it
+            check = verify_correlation_identity(factors, generate(params),
                                                 np.array(want), np.array(want))
             assert check == CheckResult("correlation_identity", True), (primes, a, b, c)
             assert crt_expanded_form(params, blocks).dense().tolist() == want
 
 
 def test_correlation_identity_holds_past_the_old_int64_ceiling():
-    # S's character term is the rank-1 unit block chi_p (x) chi_q with entry
-    # bounds 1, so the dense bound of sigma(S) * S is at most 36n; built as
-    # gauss_gp * gauss_gq it was about n**3 and refused from n ~ 2.1e6. The
+    # dense() bounds sigma(S) * S from its factors' peaks, at most n + 34; a
+    # bound that grew by p or q per product refused it from n ~ 2.1e6. The
     # empirical route is O(n**2), so only the closed and expanded forms run.
     params = SequenceParams.of(1447, 1451, 0, 0, 1)
     blocks = crt_blocks(params.primes)
@@ -386,7 +403,7 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
     failing = [name for name, diff in want if diff is not None]
     assert failing and failing[0] == "gauss_gp_squared"
     k = want[0][1][0]
-    assert verify_lemma1(blocks) == CheckResult(
+    assert verify_lemma1(crt_factors(primes)) == CheckResult(
         "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
 
 
@@ -397,7 +414,6 @@ def test_lemma1_detail_is_the_smallest_pair_exponent(monkeypatch):
     # failing exponent is 13 = (6, 0), as the dense oracle says.
     primes = OddPrimePair(7, 13)
     _flip_character(monkeypatch, 7, 1, 6)
-    blocks = crt_blocks(primes)
     chi = gr.residue_table(7).astype(np.int64)
     square = np.array(_oracle_mul(chi, chi))
     want = legendre(-1, 7) * (7 * np.eye(1, 7, dtype=np.int64)[0] - 1)
@@ -410,7 +426,7 @@ def test_lemma1_detail_is_the_smallest_pair_exponent(monkeypatch):
     gp[[78, 13]] *= -1
     dense = _dense_lemma1(primes, gp, _dense_gauss(primes, 13))
     assert _first_diff(*dense[0][1:])[0] == 13
-    assert verify_lemma1(blocks) == CheckResult(
+    assert verify_lemma1(crt_factors(primes)) == CheckResult(
         "lemma1", False, "gauss_gp_squared first differs at exponent 13")
 
 
@@ -427,7 +443,8 @@ def _pair_lemma1(blocks):
 @given(primes=st.sampled_from(odd_prime_pairs(400)), data=st.data())
 def test_lemma1_on_the_primes_matches_the_pair_check(primes, data):
     # Differential test: characters with arbitrary entries changed to -1, 0
-    # or 1 give the same verdict and detail on the primes as on the pair.
+    # or 1 give the same verdict and detail on the primes as on the pair; the
+    # table and the blocks are built from the same changed characters.
     blocks = crt_blocks(primes)
     chis = []
     for r in (primes.p, primes.q):
@@ -438,9 +455,10 @@ def test_lemma1_on_the_primes_matches_the_pair_check(primes, data):
             chi[k] = value
         chis.append(chi)
     delta_p, delta_q = np.eye(1, primes.p, dtype=np.int64)[0], np.eye(1, primes.q, dtype=np.int64)[0]
-    blocks = blocks._replace(gauss_gp=CrtElement(primes, [(1, chis[0], delta_q, 1, 1)]),
-                             gauss_gq=CrtElement(primes, [(1, delta_p, chis[1], 1, 1)]))
-    assert verify_lemma1(blocks) == _pair_lemma1(blocks)
+    blocks = blocks._replace(gauss_gp=CrtElement(primes, [(1, chis[0], delta_q)]),
+                             gauss_gq=CrtElement(primes, [(1, delta_p, chis[1])]))
+    factors = CrtFactors(primes, *map(gr._prime_factors, chis))
+    assert verify_lemma1(factors) == _pair_lemma1(blocks)
 
 
 def test_sign_form_off_the_sequence_is_a_failed_route(monkeypatch, capsys):
@@ -458,23 +476,22 @@ def test_sign_form_off_the_sequence_is_a_failed_route(monkeypatch, capsys):
 def test_correlation_identity_names_each_route_it_is_handed_wrong():
     params = SequenceParams.of(5, 7, 0, 1, 1)
     seq = generate(params)
-    blocks = crt_blocks(params.primes)
     emp = _autocorr.empirical_profile(seq)
     closed = _autocorr.closed_form_profile(params)
-    products = crt_sign_products(blocks)
+    factors = crt_factors(params.primes)
     off = emp.copy()
     off[3] += 1
     assert verify_correlation_identity(
-        products, seq, off, closed) == CheckResult(
+        factors, seq, off, closed) == CheckResult(
         "correlation_identity", False, "product_vs_empirical")
-    assert verify_correlation_identity(products, seq, off, off) == CheckResult(
+    assert verify_correlation_identity(factors, seq, off, off) == CheckResult(
         "correlation_identity", False,
         "product_vs_empirical; product_vs_closed_form")
 
 
 def test_correlation_identity_refuses_another_pairs_products():
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
-    products = crt_sign_products(crt_blocks(OddPrimePair(5, 7)))
+    factors = crt_factors(OddPrimePair(5, 7))
     closed = _autocorr.closed_form_profile(seq.params)
     with pytest.raises(ValueError, match="different group rings"):
-        verify_correlation_identity(products, seq, closed, closed)
+        verify_correlation_identity(factors, seq, closed, closed)

@@ -101,24 +101,24 @@ def _calls_of(tree, names) -> list:
 
 
 def test_only_cli_builds_the_pairs_blocks():
-    # A pair's CRT blocks and sign products are built once, by cli._Pair;
-    # every library check takes them as arguments.
+    # A pair's product table is built once, by cli._Pair; every library
+    # check takes it as an argument.
     callers = {path.stem
                for path in sorted(SRC.rglob("*.py"))
                if _calls_of(ast.parse(path.read_text(), str(path)),
-                            {"crt_blocks", "crt_sign_products"})}
+                            {"crt_factors", "crt_blocks"})}
     assert callers == {"cli"}
     # Every command builds through one path: in cli, the pair's pieces are
     # built only inside _Pair and the instance's only inside _Instance.
     tree = ast.parse((SRC / "cli.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for owner, names in (("_Pair", {"crt_blocks", "verify_lemma1",
-                                    "crt_sign_products"}),
+    for owner, names in (("_Pair", {"crt_factors", "verify_lemma1"}),
                          ("_Instance", {"generate", "empirical_profile",
                                         "closed_form_profile", "complexity_report"})):
         built = _calls_of(classes[owner], names)
         assert {name for name, _ in built} == names, owner
         assert _calls_of(tree, names) == built, owner
+    assert _calls_of(tree, {"crt_blocks"}) == []
 
 
 def test_only_by_class_lays_out_the_residue_classes():
@@ -188,3 +188,18 @@ def test_only_the_kernel_correlates():
     # its packing and size rule inside: np.correlate or np.convolve anywhere
     # else in src/ would be a second kernel.
     assert _top_level_users({"correlate", "convolve"}) == {"sequence._correlations"}
+
+
+def test_only_contract_multiplies_matrices_in_groupring():
+    # groupring._contract is the one int64 contraction there, with its bound
+    # read from the data inside: a matmul, dot or einsum anywhere else in the
+    # module would skip that bound.
+    tree = ast.parse((SRC / "groupring.py").read_text())
+    users = {top.name
+             for top in tree.body
+             for node in ast.walk(top)
+             if node is not top and (
+                 isinstance(getattr(node, "op", None), ast.MatMult)
+                 or {"matmul", "dot", "einsum"} & {getattr(node, "id", None),
+                                                   getattr(node, "attr", None)})}
+    assert users == {"_contract"}
