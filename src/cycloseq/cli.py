@@ -9,11 +9,12 @@ sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
 build through ``_Pair`` and ``_Instance``: a ``_Pair`` builds the pair's
-product table over the basis (delta, J, chi) of each prime (the package's
-one ``crt_factors`` call), which ``lemma1`` reads once and
-``correlation_identity`` contracts per triple, and an ``_Instance`` its
-sequence, empirical and closed-form profiles and complexity report, each on
-first use and at most once, so a command builds only the pieces it prints.
+product table, one ``mul`` over the basis (delta, J, chi) of each prime
+(the package's one ``crt_factors`` call), which ``lemma1`` reads once and
+``correlation_identity`` contracts per triple with no product of its own,
+and an ``_Instance`` its sequence, empirical and closed-form profiles and
+complexity report, each on first use and at most once, so a command builds
+only the pieces it prints.
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
 through one pair x triple loop, ``_checked``. Each check is a function of
 one ``_Instance`` that hands its pieces to a library check, which compares
@@ -129,7 +130,7 @@ class _Pair:
 
     @cached_property
     def factors(self):
-        return gr.crt_factors(self.primes)
+        return gr.crt_factors(gr.crt_basis(self.primes))
 
     @cached_property
     def lemma1(self):

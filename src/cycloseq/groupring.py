@@ -2,33 +2,31 @@
 
 One representation, the CRT tensor form: Z[Z_pq] is isomorphic to
 Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q) (the
-Good-Thomas index map, ``sequence.crt_read``). A ``CrtElement`` is a sum of
-rank-1 terms c * (u (x) v). Sigma, the automorphism x**k -> x**(-k),
-reverses each factor, and a cyclic convolution u * s is the correlation of
-sigma(u) with s, so a product (``mul``) is one call of the package's
-correlation kernel ``sequence._correlations`` per axis.
+Good-Thomas index map, ``sequence.crt_read``). A ``CrtElement`` is a triple
+(U, M, V), the sum of M[i][j] * (u_i (x) v_j) over a stack U of rows on Z_p,
+a stack V on Z_q and an integer matrix M; a rank-1 sum has a diagonal M.
+Sigma, x**k -> x**(-k), reverses every row. A cyclic convolution u * s is
+the correlation of sigma(u) with s, so a product (``mul``) is one call of
+the correlation kernel ``sequence._correlations`` per axis, under M (x) M'.
 
-The checks work in a smaller basis. Every object of the correlation theorem
-lies in A_p (x) A_q, where A_r is spanned by delta (x**0), J (the sum of
-Z_r) and chi (the quadratic character ``residue_table(r)``). Per prime,
-``crt_factors`` stacks B_r = (delta, J, chi) and makes one kernel call with
-lefts (delta, J, chi, sigma(chi)) and rights B_r. As the correlation of x
-with y is sigma(x) * y, that call holds every b_i * b_k, the factors of the
-Lemma-1 identities, and every sigma(b_i) * b_k, of which sigma(S) * S is a
-combination. No value of sigma(chi) is assumed, so with a faulty chi the
-table holds the true products of the character it was handed.
-``cycloseq.cli`` builds the table once per pair: ``verify_lemma1`` reads its
-factor identities off it, and ``verify_correlation_identity`` forms each
-triple's sigma(S) * S, S and expanded form as one contraction each, with
-3 x 3 coefficient matrices over the basis pairs b_i (x) b_j.
+Every object of the correlation theorem lies in A_p (x) A_q, A_r spanned by
+delta (x**0), J (the sum of Z_r) and chi (``residue_table(r)``). The named
+blocks b_i (x) b_j (``gamma_p``, ``gauss_gp``, ...) are rows of the stacks
+B_r = (delta, J, chi) of ``crt_basis``, and S(a, b, c)'s sign form and the
+expanded form of sigma(S) * S are B_p and B_q under 3 x 3 matrices C and E.
+A product's stacks depend only on its factors' stacks, so the checks read
+one table per pair, ``crt_factors``: the ``mul`` of (delta, J, sigma(chi),
+chi) by B, which holds every sigma(b_i) * b_k and chi * b_k with no value of
+sigma(chi) assumed. ``verify_lemma1`` reads its factor identities off it,
+and ``verify_correlation_identity`` contracts its sigma(b_i) * b_k rows
+under C (x) C, the rows and weights of ``S.sigma() * S``.
 
 Every int64 contraction here is ``_contract(us, m, vs)``, the p x q grid
-us.T @ m @ vs, and its bound comes from the data: it raises OverflowError
-once the sum of |m_ij| * peak u_i * peak v_j reaches 2**63, the peak of a
-row being its largest |entry|, floored at 1. The table keeps the peaks of
-its stacks, so a pair computes them once. The kernel refuses its own
-products from the data alike, so no term carries a bound. The dense
-O(n**2) ring is only the oracle of the tests in ``tests/test_groupring.py``.
+us.T @ m @ vs. It raises OverflowError once the sum of |m_ij| * peak u_i *
+peak v_j reaches 2**63, the peak of a row being its largest |entry|, floored
+at 1; an element keeps the peaks of its stacks. The kernel refuses its own
+products from the data alike, so no row carries a bound. The dense O(n**2)
+ring is only the oracle of the tests in ``tests/test_groupring.py``.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -55,13 +53,6 @@ def _reverse(u: np.ndarray) -> np.ndarray:
     return np.concatenate((u[..., :1], u[..., :0:-1]), axis=-1)
 
 
-def _products(lefts: list, rights: list, r: int) -> np.ndarray:
-    """out[i, j] = lefts[i] * rights[j], the cyclic convolutions on Z_r: the
-    correlation of sigma(u) with s is u * s, so this is one ``_correlations``
-    call, one correlation per left factor and packed group of right ones."""
-    return _correlations(_reverse(np.reshape(lefts, (-1, r))), np.reshape(rights, (-1, r)))
-
-
 class _Rows(NamedTuple):
     """Int64 rows of one length and the peak of each: its largest |entry|,
     floored at 1, as a Python int."""
@@ -69,15 +60,22 @@ class _Rows(NamedTuple):
     rows: np.ndarray
     peaks: list
 
+    def take(self, start: int, stop: int) -> "_Rows":
+        """Rows start to stop - 1, with their peaks."""
+        return _Rows(self.rows[start:stop], self.peaks[start:stop])
+
 
 def _stack(vectors, r: int) -> _Rows:
-    """The vectors as one int64 stack of length-r rows, with its row peaks;
-    |entry| is read as uint64, so that |-2**63| does not wrap."""
+    """The vectors as one int64 stack of length-r rows with its row peaks, or
+    ``vectors`` itself if it is one; |entry| is read as uint64, so that
+    |-2**63| does not wrap."""
+    if isinstance(vectors, _Rows):
+        return vectors
     rows = np.array(vectors, dtype=np.int64).reshape(-1, r)
     return _Rows(rows, np.abs(rows).view(np.uint64).max(axis=1, initial=1).tolist())
 
 
-def _contract(us: _Rows, m: list, vs: _Rows) -> np.ndarray:
+def _contract(us: _Rows, m, vs: _Rows) -> np.ndarray:
     """The p x q grid of the sum of m[i][j] * (u_i (x) v_j), us.T @ m @ vs in
     int64, for m a matrix of Python ints. The sum of |m[i][j]| * peak u_i *
     peak v_j bounds every partial sum of both products (the floor of 1 on
@@ -90,23 +88,32 @@ def _contract(us: _Rows, m: list, vs: _Rows) -> np.ndarray:
     return (us.rows.T @ m) @ vs.rows
 
 
-class CrtElement:
-    """Element of Z[Z_p] (x) Z[Z_q] as a sum of rank-1 terms c * (u (x) v).
+def _kron(m, m2) -> list:
+    """m (x) m2 in Python ints: entry [i*len(m2) + k][j*len(m2[0]) + l] is
+    m[i][j] * m2[k][l]."""
+    return [[x * y for x in row for y in row2] for row in m for row2 in m2]
 
-    ``terms`` holds (c, u, v): c a Python int, u an int64 vector over Z_p
-    and v one over Z_q. No term carries a bound. ``mul`` leaves its factor
-    products to the correlation kernel, which refuses any that could leave
-    int64 from the factors' entries, and ``dense()`` is one ``_contract``,
-    which refuses from the coefficients and the factors' peaks. So a chain
-    of products is refused only when its values could overflow. Two elements
-    are equal when their dense coefficients are.
+
+class CrtElement:
+    """Element of Z[Z_p] (x) Z[Z_q]: the sum of m[i][j] * (u_i (x) v_j).
+
+    ``us`` and ``vs`` stack the rows u_i over Z_p and v_j over Z_q with their
+    peaks (vectors given are stacked); ``m`` is a matrix of Python ints, and
+    the empty default is 0. ``mul``'s kernel refuses a row product that could
+    leave int64 from the rows' entries, and ``dense()``'s ``_contract`` from
+    m and the peaks, so a chain of products is refused only when its values
+    could overflow. Two elements are equal when their dense coefficients are.
     """
 
-    __slots__ = ("primes", "terms")
+    __slots__ = ("primes", "us", "m", "vs")
 
-    def __init__(self, primes: OddPrimePair, terms=()):
+    def __init__(self, primes: OddPrimePair, us=(), m=(), vs=()):
         self.primes = primes
-        self.terms = tuple(terms)
+        self.us, self.vs = _stack(us, primes.p), _stack(vs, primes.q)
+        self.m = tuple(tuple(map(int, row)) for row in m)
+        if (len(self.m) != len(self.us.peaks)
+                or any(len(row) != len(self.vs.peaks) for row in self.m)):
+            raise ValueError("the coefficient matrix does not fit the stacks")
 
     @property
     def order(self) -> int:
@@ -119,50 +126,50 @@ class CrtElement:
                 and bool(np.array_equal(self.dense(), other.dense())))
 
     def __add__(self, other: "CrtElement") -> "CrtElement":
+        """Both stacks stacked, under the block-diagonal matrix of the two."""
         _same_ring(self, other)
-        return CrtElement(self.primes, self.terms + other.terms)
+        left, right = len(self.vs.peaks), len(other.vs.peaks)
+        m = [row + (0,) * right for row in self.m] + [(0,) * left + row for row in other.m]
+        return CrtElement(self.primes, np.vstack((self.us.rows, other.us.rows)), m,
+                          np.vstack((self.vs.rows, other.vs.rows)))
 
     def __sub__(self, other: "CrtElement") -> "CrtElement":
         return self + -1 * other
 
     def __rmul__(self, k: int) -> "CrtElement":
-        return CrtElement(self.primes, [(k * c, u, v) for c, u, v in self.terms])
+        return CrtElement(self.primes, self.us, [[k * c for c in row] for row in self.m], self.vs)
 
     def __mul__(self, other: "CrtElement") -> "CrtElement":
         return mul(self, other)
 
     def sigma(self) -> "CrtElement":
-        """x**k -> x**(-k), which reverses each factor."""
-        return CrtElement(self.primes, [(c, _reverse(u), _reverse(v))
-                                        for c, u, v in self.terms])
+        """x**k -> x**(-k), which reverses every row and keeps its peak."""
+        return CrtElement(self.primes, _Rows(_reverse(self.us.rows), self.us.peaks),
+                          self.m, _Rows(_reverse(self.vs.rows), self.vs.peaks))
 
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q): one
-        ``_contract`` with the coefficients on the diagonal of m."""
-        coeffs = [c for c, _, _ in self.terms]
-        m = [[c if i == j else 0 for j in range(len(coeffs))]
-             for i, c in enumerate(coeffs)]
-        return crt_read(self.primes, _contract(
-            _stack([u for _, u, _ in self.terms], self.primes.p), m,
-            _stack([v for _, _, v in self.terms], self.primes.q)))
+        ``_contract``."""
+        return crt_read(self.primes, _contract(self.us, self.m, self.vs))
 
 
 def _same_ring(x, y) -> None:
-    """Refuse two objects (elements, tables or params) of different pairs."""
+    """Refuse two objects (elements or params) of different pairs."""
     if x.primes != y.primes:
         raise ValueError("elements live in different group rings")
 
 
 def mul(x: CrtElement, y: CrtElement) -> CrtElement:
-    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t), termwise. One
-    ``_products`` call per axis forms the factor products of all term pairs,
-    and the kernel refuses any that could leave int64."""
+    """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t). One
+    ``_correlations`` call per axis forms the products of all row pairs, the
+    correlation of sigma(u_i) with s_k being u_i * s_k, at row
+    i * len(y.us.rows) + k, and the weights are x.m (x) y.m; the kernel
+    refuses any product that could leave int64."""
     _same_ring(x, y)
     p, q = x.primes.p, x.primes.q
-    us = _products([t[1] for t in x.terms], [t[1] for t in y.terms], p).reshape(-1, p)
-    vs = _products([t[2] for t in x.terms], [t[2] for t in y.terms], q).reshape(-1, q)
-    coeffs = [c * d for c, _, _ in x.terms for d, _, _ in y.terms]
-    return CrtElement(x.primes, zip(coeffs, us, vs, strict=True))
+    us = _correlations(_reverse(x.us.rows), y.us.rows).reshape(-1, p)
+    vs = _correlations(_reverse(x.vs.rows), y.vs.rows).reshape(-1, q)
+    return CrtElement(x.primes, us, _kron(x.m, y.m), vs)
 
 
 def dump(u: CrtElement) -> str:
@@ -171,83 +178,69 @@ def dump(u: CrtElement) -> str:
     return "\n".join(f"{k}: {coeffs[k]}" for k in np.flatnonzero(coeffs))
 
 
-def _rank1(primes: OddPrimePair, u: np.ndarray, v: np.ndarray) -> CrtElement:
-    """1 * (u (x) v) for int64 factors with entries in {-1, 0, 1}."""
-    return CrtElement(primes, [(1, u, v)])
+def crt_basis(primes: OddPrimePair) -> CrtElement:
+    """The stacks B_r = (delta, J, chi) of each prime under the identity;
+    chi_r is ``residue_table(r)``."""
+    def stack(r):
+        return [np.eye(1, r, dtype=np.int64)[0], np.ones(r, dtype=np.int64), residue_table(r)]
+
+    return CrtElement(primes, stack(primes.p), np.eye(3, dtype=np.int64), stack(primes.q))
 
 
-def _delta(r: int) -> np.ndarray:
-    """x**0 on one factor."""
-    u = np.zeros(r, dtype=np.int64)
-    u[0] = 1
-    return u
-
-
-def _chi(r: int) -> np.ndarray:
-    """The quadratic character mod r on one factor."""
-    return residue_table(r).astype(np.int64)
+def _block(basis: CrtElement, i: int, j: int) -> CrtElement:
+    """b_i (x) b_j: row i of ``basis``'s stack on Z_p, row j of its stack on
+    Z_q, under [[1]]."""
+    return CrtElement(basis.primes, basis.us.take(i, i + 1), [[1]],
+                      basis.vs.take(j, j + 1))
 
 
 def gamma_p(primes: OddPrimePair) -> CrtElement:
     """Subgroup sum over multiples of p: q terms 1 + x**p + ... + x**((q-1)p)."""
-    return _rank1(primes, _delta(primes.p), np.ones(primes.q, dtype=np.int64))
+    return _block(crt_basis(primes), 0, 1)
 
 
 def gamma_q(primes: OddPrimePair) -> CrtElement:
     """Subgroup sum over multiples of q: p terms 1 + x**q + ... + x**((p-1)q)."""
-    return _rank1(primes, np.ones(primes.p, dtype=np.int64), _delta(primes.q))
+    return _block(crt_basis(primes), 1, 0)
 
 
 def gauss_gp(primes: OddPrimePair) -> CrtElement:
     """Quadratic character sum mod p, supported on multiples of q."""
-    return _rank1(primes, _chi(primes.p), _delta(primes.q))
+    return _block(crt_basis(primes), 2, 0)
 
 
 def gauss_gq(primes: OddPrimePair) -> CrtElement:
     """Quadratic character sum mod q, supported on multiples of p."""
-    return _rank1(primes, _delta(primes.p), _chi(primes.q))
+    return _block(crt_basis(primes), 0, 2)
 
 
-class CrtBlocks(NamedTuple):
-    """The building blocks of the correlation theorem in CRT tensor form."""
-
-    one: CrtElement       # delta_0 (x) delta_0
-    gamma_p: CrtElement   # delta_0 (x) J_q
-    gamma_q: CrtElement   # J_p (x) delta_0
-    total: CrtElement     # J_p (x) J_q, the sum over the whole group
-    gauss_gp: CrtElement  # chi_p (x) delta_0
-    gauss_gq: CrtElement  # delta_0 (x) chi_q
-    unit: CrtElement      # chi_p (x) chi_q = gauss_gp * gauss_gq, entries bounded by 1
-
-
-def crt_blocks(primes: OddPrimePair) -> CrtBlocks:
-    """The seven blocks for one pair; chi_r is ``residue_table(r)``."""
-    p, q = primes.p, primes.q
-    total = _rank1(primes, np.ones(p, dtype=np.int64), np.ones(q, dtype=np.int64))
-    return CrtBlocks(_rank1(primes, _delta(p), _delta(q)), gamma_p(primes),
-                     gamma_q(primes), total, gauss_gp(primes), gauss_gq(primes),
-                     _rank1(primes, _chi(p), _chi(q)))
-
-
-def crt_lemma1(blocks: CrtBlocks) -> tuple:
-    """(name, left side, right side) of each of the five Lemma-1 identities:
+def _lemma1(stacks: CrtElement) -> list:
+    """(name, (i, j), (k, l), s, t) of each Lemma-1 identity
+    (b_i (x) b_j)(b_k (x) b_l) == s (x) t, s and t read off rows 0-2 of
+    ``stacks``, (delta, J, chi) in ``crt_basis`` and ``crt_factors`` alike:
 
     gauss_gp**2 == (-1/p) * (p*one - gamma_q)
     gauss_gq**2 == (-1/q) * (q*one - gamma_p)
     gamma_p * gauss_gq == 0,  gamma_q * gauss_gp == 0
     gamma_p * gamma_q == sum over the whole group
     """
-    p, q = blocks.one.primes.p, blocks.one.primes.q
-    zero_ = CrtElement(blocks.one.primes)
-    return (
-        ("gauss_gp_squared", blocks.gauss_gp * blocks.gauss_gp,
-         legendre(-1, p) * (p * blocks.one - blocks.gamma_q)),
-        ("gauss_gq_squared", blocks.gauss_gq * blocks.gauss_gq,
-         legendre(-1, q) * (q * blocks.one - blocks.gamma_p)),
-        ("gamma_p_times_gauss_gq", blocks.gamma_p * blocks.gauss_gq, zero_),
-        ("gamma_q_times_gauss_gp", blocks.gamma_q * blocks.gauss_gp, zero_),
-        ("gamma_p_times_gamma_q", blocks.gamma_p * blocks.gamma_q, blocks.total),
-    )
+    p, q = stacks.primes.p, stacks.primes.q
+    (delta_p, j_p, _), (delta_q, j_q, _) = stacks.us.rows[:3], stacks.vs.rows[:3]
+    return [
+        ("gauss_gp_squared", (2, 0), (2, 0), legendre(-1, p) * (p * delta_p - j_p), delta_q),
+        ("gauss_gq_squared", (0, 2), (0, 2), delta_p, legendre(-1, q) * (q * delta_q - j_q)),
+        ("gamma_p_times_gauss_gq", (0, 1), (0, 2), delta_p, 0 * j_q),
+        ("gamma_q_times_gauss_gp", (1, 0), (2, 0), 0 * j_p, delta_q),
+        ("gamma_p_times_gamma_q", (0, 1), (1, 0), j_p, j_q),
+    ]
+
+
+def crt_lemma1(basis: CrtElement) -> tuple:
+    """(name, left side, right side) of each of the five Lemma-1 identities of
+    ``_lemma1`` as elements, the named blocks read off ``basis``."""
+    return tuple((name, _block(basis, *x) * _block(basis, *y),
+                  CrtElement(basis.primes, [s], [[1]], [t]))
+                 for name, x, y, s, t in _lemma1(basis))
 
 
 def _sign_matrix(params: SequenceParams) -> list:
@@ -267,91 +260,43 @@ def _expanded_matrix(params: SequenceParams) -> list:
             [0, 0, e * (1 + chi_minus1)]]
 
 
-def _element(blocks: CrtBlocks, matrix: list) -> CrtElement:
-    """The sum of matrix[i][j] * (b_i (x) b_j) over (delta, J, chi) on each
-    prime, read off the rank-1 blocks."""
-    ((_, delta_p, j_q),) = blocks.gamma_p.terms
-    ((_, j_p, delta_q),) = blocks.gamma_q.terms
-    ((_, chi_p, _),) = blocks.gauss_gp.terms
-    ((_, _, chi_q),) = blocks.gauss_gq.terms
-    on_p, on_q = (delta_p, j_p, chi_p), (delta_q, j_q, chi_q)
-    return CrtElement(blocks.one.primes, [(c, on_p[i], on_q[j])
-                                          for i, row in enumerate(matrix)
-                                          for j, c in enumerate(row) if c])
-
-
-def crt_sign_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
+def crt_sign_form(params: SequenceParams, basis: CrtElement) -> CrtElement:
     """S = e*one + (-1)**a * gamma_p + (-1)**b * gamma_q + unit, the sign
-    polynomial of S(a, b, c)."""
-    return _element(blocks, _sign_matrix(params))
+    polynomial of S(a, b, c): ``basis``'s stacks under C."""
+    return CrtElement(basis.primes, basis.us, _sign_matrix(params), basis.vs)
 
 
-def crt_expanded_form(params: SequenceParams, blocks: CrtBlocks) -> CrtElement:
+def crt_expanded_form(params: SequenceParams, basis: CrtElement) -> CrtElement:
     """The expanded form of sigma(S)*S: (pq + e**2)*one
     + (q - p + 2e(-1)**a)*gamma_p + (p - q + 2e(-1)**b)*gamma_q
-    + e(1 + (-1/p)(-1/q))*unit + (1 + 2(-1)**(a+b))*total."""
-    return _element(blocks, _expanded_matrix(params))
+    + e(1 + (-1/p)(-1/q))*unit + (1 + 2(-1)**(a+b))*total, ``basis``'s stacks
+    under E."""
+    return CrtElement(basis.primes, basis.us, _expanded_matrix(params), basis.vs)
 
 
-class PrimeFactors(NamedTuple):
-    """One prime's part of ``crt_factors``, over the basis (delta, J, chi)."""
-
-    basis: _Rows           # delta, J, chi
-    products: np.ndarray   # [i, k] = b_i * b_k
-    sigma_products: _Rows  # row 3i + k = sigma(b_i) * b_k
-
-
-class CrtFactors(NamedTuple):
-    """The pair's product table, one ``PrimeFactors`` per prime."""
-
-    primes: OddPrimePair
-    on_p: PrimeFactors
-    on_q: PrimeFactors
+def crt_factors(basis: CrtElement) -> CrtElement:
+    """The pair's table for ``verify_lemma1`` and ``verify_correlation_identity``,
+    one ``mul`` of sigma(B) + chi (x) chi, whose stacks are the lefts
+    (delta, J, sigma(chi), chi), by B, the stacks of ``basis`` (``crt_basis``
+    or any element on stacks (delta, J, chi)). So row 3i + k of each stack is
+    sigma(b_i) * b_k for i < 3, rows 0-2 being B, and row 9 + k is chi * b_k."""
+    return mul(basis.sigma() + _block(basis, 2, 2), basis)
 
 
-def _prime_factors(chi: np.ndarray) -> PrimeFactors:
-    """The table of one prime r = len(chi) for the character ``chi``: one
-    kernel call correlates (delta, J, chi, sigma(chi)) with (delta, J, chi),
-    and the correlation of x with y is sigma(x) * y."""
-    r = len(chi)
-    basis = np.stack((_delta(r), np.ones(r, dtype=np.int64), chi))
-    table = _correlations(np.vstack((basis, _reverse(chi))), basis)
-    return PrimeFactors(_stack(basis, r), table[[0, 1, 3]], _stack(table[:3], r))
-
-
-def crt_factors(primes: OddPrimePair) -> CrtFactors:
-    """The pair's table for ``verify_lemma1`` and ``verify_correlation_identity``;
-    chi_r is ``residue_table(r)``."""
-    return CrtFactors(primes, _prime_factors(_chi(primes.p)),
-                      _prime_factors(_chi(primes.q)))
-
-
-def verify_lemma1(factors: CrtFactors) -> CheckResult:
-    """Coefficient-exact check of the five identities of ``crt_lemma1``, on the
-    primes. gauss_gp = chi_p (x) delta, gauss_gq = delta (x) chi_q,
-    gamma_p = delta (x) J_q and gamma_q = J_p (x) delta, so each identity
-    u (x) v == s (x) t holds when its factor identities u == s and v == t
-    do: chi*chi = (-1/r)(r*delta - J), J*chi = 0, delta*delta = delta and
-    delta*J = J, with every left side read off the pair's ``crt_factors``.
-    Only where a factor identity fails is the p x q difference
-    u (x) v - s (x) t formed; the detail names the first identity that
-    differs there and its smallest exponent in Z_n."""
+def verify_lemma1(factors: CrtElement) -> CheckResult:
+    """Coefficient-exact check of the identities of ``crt_lemma1`` on the
+    primes: (b_i (x) b_j)(b_k (x) b_l) == s (x) t holds when b_i * b_k == s
+    and b_j * b_l == t, each left side read off the pair's ``crt_factors``.
+    Only where one fails is the p x q difference formed; the detail names the
+    first identity that differs there and its smallest exponent in Z_n."""
     primes = factors.primes
-    p, q = primes.p, primes.q
-    delta_p, j_p, _ = factors.on_p.basis.rows
-    delta_q, j_q, _ = factors.on_q.basis.rows
-    on_p, on_q = factors.on_p.products, factors.on_q.products
-    for name, (u, v), (s, t) in (
-            ("gauss_gp_squared", (on_p[2, 2], on_q[0, 0]),
-             (legendre(-1, p) * (p * delta_p - j_p), delta_q)),
-            ("gauss_gq_squared", (on_p[0, 0], on_q[2, 2]),
-             (delta_p, legendre(-1, q) * (q * delta_q - j_q))),
-            ("gamma_p_times_gauss_gq", (on_p[0, 0], on_q[1, 2]), (delta_p, 0 * j_q)),
-            ("gamma_q_times_gauss_gp", (on_p[1, 2], on_q[0, 0]), (0 * j_p, delta_q)),
-            ("gamma_p_times_gamma_q", (on_p[0, 1], on_q[1, 0]), (j_p, j_q))):
+    left = (0, 1, 3)  # b_i is left[i] of (delta, J, sigma(chi), chi)
+    for name, (i, j), (k, l), s, t in _lemma1(factors):
+        u, v = factors.us.rows[3 * left[i] + k], factors.vs.rows[3 * left[j] + l]
         if np.array_equal(u, s) and np.array_equal(v, t):
             continue
-        grid = _contract(_stack([u, s], p), [[1, 0], [0, -1]], _stack([v, t], q))
+        grid = _contract(_stack([u, s], primes.p), [[1, 0], [0, -1]],
+                         _stack([v, t], primes.q))
         diff = np.flatnonzero(crt_read(primes, grid))
         if len(diff):
             return CheckResult("lemma1", False,
@@ -359,29 +304,26 @@ def verify_lemma1(factors: CrtFactors) -> CheckResult:
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(factors: CrtFactors, seq: BinarySequence,
+def verify_correlation_identity(factors: CrtElement, seq: BinarySequence,
                                 emp: np.ndarray, closed: np.ndarray) -> CheckResult:
     """Check that the group-ring product sigma(S)*S, its expanded form, the
     empirical autocorrelation ``emp`` and the per-class closed form ``closed``
     of ``seq`` all agree at every shift; the detail lists each route that
     differs from the product, after ``sign_form_vs_sequence`` when the sign
     form S is not the sign vector of ``seq``. ``factors`` is the pair's
-    ``crt_factors``. With B_r its basis stacks, T_r its sigma-product stacks
-    and C and E the coefficient matrices of S and of the expanded form,
-    S = B_p.T C B_q, the expanded form is B_p.T E B_q and
-    sigma(S)*S = T_p.T (C (x) C) T_q: three contractions.
+    ``crt_factors``: with B_r its rows 0-2, T_r its sigma(b_i) * b_k rows
+    0-8 and C and E the matrices of S and of the expanded form, S is
+    B_p.T C B_q, the expanded form B_p.T E B_q and sigma(S)*S
+    T_p.T (C (x) C) T_q, as ``S.sigma() * S`` forms it.
     """
     params = seq.params
     _same_ring(factors, params)
-    on_p, on_q = factors.on_p, factors.on_q
     coeffs = _sign_matrix(params)
-    # Row 3i + k, column 3j + l: C[i][j] * C[k][l], the weight of
-    # (sigma(b_i) * b_k) (x) (sigma(b_j) * b_l) in sigma(S) * S.
-    kron = [[x * y for x in row_i for y in row_k]
-            for row_i in coeffs for row_k in coeffs]
-    product = _contract(on_p.sigma_products, kron, on_q.sigma_products)
-    expanded = _contract(on_p.basis, _expanded_matrix(params), on_q.basis)
-    sign = crt_read(params.primes, _contract(on_p.basis, coeffs, on_q.basis))
+    basis_p, basis_q = factors.us.take(0, 3), factors.vs.take(0, 3)
+    product = _contract(factors.us.take(0, 9), _kron(coeffs, coeffs),
+                        factors.vs.take(0, 9))
+    expanded = _contract(basis_p, _expanded_matrix(params), basis_q)
+    sign = crt_read(params.primes, _contract(basis_p, coeffs, basis_q))
 
     failures = []
     if not np.array_equal(sign, sign_view(seq)):

@@ -19,13 +19,13 @@ from cycloseq.sequence import CheckResult
 @pytest.fixture
 def calls(monkeypatch):
     """Count the calls of generate, empirical_profile, closed_form_profile,
-    crt_blocks, verify_lemma1 and crt_factors under every name the package
+    crt_basis, verify_lemma1 and crt_factors under every name the package
     binds them to."""
     counts = Counter()
     for module, name in ((cycloseq.sequence, "generate"),
                          (cycloseq.autocorr, "empirical_profile"),
                          (cycloseq.autocorr, "closed_form_profile"),
-                         (cycloseq.groupring, "crt_blocks"),
+                         (cycloseq.groupring, "crt_basis"),
                          (cycloseq.groupring, "verify_lemma1"),
                          (cycloseq.groupring, "crt_factors")):
         original = getattr(module, name)
@@ -44,13 +44,12 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
-    # crt_factors: once for the pair, and lemma1 and correlation_identity
-    # read the same table; the check path builds no CRT blocks, so
-    # crt_blocks is absent from the counts
+    # crt_basis and crt_factors: once for the pair, and lemma1 and
+    # correlation_identity read the same table
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8, "empirical_profile": 8,
-                     "closed_form_profile": 8, "verify_lemma1": 1, "crt_factors": 1}
+    assert calls == {"generate": 8, "empirical_profile": 8, "closed_form_profile": 8,
+                     "verify_lemma1": 1, "crt_basis": 1, "crt_factors": 1}
 
 
 @pytest.mark.parametrize("argv,code,runs", [
@@ -79,6 +78,29 @@ def test_factors_run_once_per_pair_and_only_for_lemma1_or_correlation_identity(
     assert cli.main(argv) == code
     capsys.readouterr()
     assert calls["crt_factors"] == runs
+
+
+def test_the_pair_table_is_the_groupring_kernel_work(monkeypatch, capsys):
+    # The table is one mul per pair: one _correlations call per prime, 4
+    # lefts by 3 rights. Every triple's sigma(S) * S contracts the table, so
+    # no triple adds a kernel call.
+    shapes = []
+    original = cycloseq.groupring._correlations
+
+    def counted(xs, ys):
+        shapes.append((np.shape(xs), np.shape(ys)))
+        return original(xs, ys)
+
+    monkeypatch.setattr(cycloseq.groupring, "_correlations", counted)
+    assert cli.main(["verify", "--p", "5", "--q", "7", "--all"]) == 0
+    capsys.readouterr()
+    assert shapes == [((4, 5), (3, 5)), ((4, 7), (3, 7))]
+    inst = cli._Instance(cli._Pair(OddPrimePair(5, 7)), 0, 1, 1)
+    factors = inst.pair.factors
+    shapes.clear()
+    assert cycloseq.groupring.verify_correlation_identity(
+        factors, inst.seq, inst.emp, inst.closed) == CheckResult("correlation_identity", True)
+    assert shapes == []
 
 
 def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):

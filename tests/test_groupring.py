@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
 from cycloseq import cli
-from cycloseq.groupring import (CrtElement, CrtFactors, crt_blocks, crt_expanded_form,
-                                crt_factors, crt_lemma1, crt_sign_form, dump, gamma_p,
-                                gamma_q, gauss_gp, gauss_gq, mul,
-                                verify_correlation_identity, verify_lemma1)
+from cycloseq.groupring import (CrtElement, crt_basis, crt_expanded_form, crt_factors,
+                                crt_lemma1, crt_sign_form, dump, gamma_p, gamma_q,
+                                gauss_gp, gauss_gq, mul, verify_correlation_identity,
+                                verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
 from cycloseq.sequence import (CheckResult, SequenceParams, generate, residue_table,
                                sign_view)
@@ -94,16 +94,25 @@ def _monomial(primes, k, coeff=1):
     # x**k is delta at k mod p tensor delta at k mod q
     u, v = np.zeros(primes.p, dtype=np.int64), np.zeros(primes.q, dtype=np.int64)
     u[k % primes.p] = v[k % primes.q] = 1
-    return CrtElement(primes, [(coeff, u, v)])
+    return CrtElement(primes, [u], [[coeff]], [v])
 
 
 def _random_element(rng, primes):
-    # 1-4 rank-1 terms, small coefficients, factor entries in [-3, 3]
-    return CrtElement(primes, [
-        (rng.randint(-5, 5),
-         _factor([rng.randint(-3, 3) for _ in range(primes.p)]),
-         _factor([rng.randint(-3, 3) for _ in range(primes.q)]))
-        for _ in range(rng.randint(1, 4))])
+    # 1-4 rank-1 terms, small coefficients, factor entries in [-3, 3]: a
+    # diagonal coefficient matrix
+    terms = [(rng.randint(-5, 5),
+              _factor([rng.randint(-3, 3) for _ in range(primes.p)]),
+              _factor([rng.randint(-3, 3) for _ in range(primes.q)]))
+             for _ in range(rng.randint(1, 4))]
+    coeffs = np.diag([c for c, _, _ in terms])
+    return CrtElement(primes, [u for _, u, _ in terms], coeffs, [v for _, _, v in terms])
+
+
+def _unit_block(basis, i, j):
+    # b_i (x) b_j as the basis stacks under the matrix unit E_ij
+    m = np.zeros((3, 3), dtype=np.int64)
+    m[i, j] = 1
+    return CrtElement(basis.primes, basis.us, m, basis.vs)
 
 
 def _random_triples(seed, count=4):
@@ -119,12 +128,12 @@ def test_construction_and_equality():
     assert u.dense().tolist() == [1, 0, 0] * 5
     ones_q = np.ones(5, dtype=np.int64)
     delta_p = _factor([1, 0, 0])
-    split = CrtElement(primes, [(3, delta_p, ones_q), (-2, delta_p, ones_q)])
-    assert len(split.terms) == 2 and split == u
+    split = CrtElement(primes, [delta_p, delta_p], [[3, 0], [0, -2]], [ones_q, ones_q])
+    assert len(split.m) == 2 and split == u
     assert 2 * u != u
     assert u != gamma_p(OddPrimePair(3, 7))
     for _, x, y, _ in _random_triples(1414):
-        assert len((x + y - y).terms) > len(x.terms) and x + y - y == x
+        assert len((x + y - y).m) > len(x.m) and x + y - y == x
 
 
 def test_construction_errors():
@@ -195,7 +204,7 @@ def test_int64_overflow_is_refused_not_wrapped():
     one = _monomial(primes, 0)
     with pytest.raises(OverflowError):
         (k * one + k * one).dense()  # 3 * 2**62 at exponent 0
-    big = CrtElement(primes, [(1, _factor([2 ** 61, 0, 0]), _factor([1, 0, 0, 0, 0]))])
+    big = CrtElement(primes, [_factor([2 ** 61, 0, 0])], [[1]], [_factor([1, 0, 0, 0, 0])])
     with pytest.raises(OverflowError):
         mul(big, big)  # 2**122 in the first factor
 
@@ -204,7 +213,7 @@ def test_dense_refuses_a_coefficient_times_factor_past_int64():
     # 2**30 * 2**40 = 2**70 at exponent 0: the bound reads the factor's entry,
     # so the contraction refuses it instead of wrapping to 0.
     primes = OddPrimePair(3, 5)
-    wide = CrtElement(primes, [(2 ** 30, [2 ** 40, 0, 0], _factor([1, 0, 0, 0, 0]))])
+    wide = CrtElement(primes, [[2 ** 40, 0, 0]], [[2 ** 30]], [_factor([1, 0, 0, 0, 0])])
     with pytest.raises(OverflowError, match="dense coefficients could exceed int64"):
         wide.dense()
 
@@ -212,7 +221,7 @@ def test_dense_refuses_a_coefficient_times_factor_past_int64():
 def test_a_chain_of_products_is_refused_only_when_its_values_could_overflow():
     # one * one * ... keeps every coefficient 0 or 1, so no product of the
     # chain may be refused, however long it is.
-    one = crt_blocks(OddPrimePair(3, 5)).one
+    one = _monomial(OddPrimePair(3, 5), 0)
     chain = one
     for _ in range(30):
         chain = chain * one
@@ -249,7 +258,7 @@ def test_frozen_supports_for_3_5():
     gq = gauss_gq(primes).dense()
     assert [int(gq[k]) for k in (3, 6, 9, 12)] == [-1, 1, 1, -1]
     assert np.flatnonzero(gq).tolist() == [3, 6, 9, 12]
-    assert crt_blocks(primes).total.dense().tolist() == [1] * 15
+    assert _unit_block(crt_basis(primes), 1, 1).dense().tolist() == [1] * 15
 
 
 def test_dump_format():
@@ -267,9 +276,9 @@ def test_gauss_gp_square_frozen():
 
 @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (3, 13), (7, 11)])
 def test_lemma1_identities(p, q):
-    blocks = crt_blocks(OddPrimePair(p, q))
-    assert verify_lemma1(crt_factors(OddPrimePair(p, q))) == CheckResult("lemma1", True)
-    assert [name for name, _, _ in crt_lemma1(blocks)] == [
+    basis = crt_basis(OddPrimePair(p, q))
+    assert verify_lemma1(crt_factors(basis)) == CheckResult("lemma1", True)
+    assert [name for name, _, _ in crt_lemma1(basis)] == [
         "gauss_gp_squared", "gauss_gq_squared",
         "gamma_p_times_gauss_gq", "gamma_q_times_gauss_gp",
         "gamma_p_times_gamma_q",
@@ -281,22 +290,23 @@ def test_decomposition_e_values():
         (0, 0, 0): -1, (0, 0, 1): -3, (0, 1, 0): 1, (0, 1, 1): -1,
         (1, 0, 0): 1, (1, 0, 1): -1, (1, 1, 0): 3, (1, 1, 1): 1,
     }
-    blocks = crt_blocks(OddPrimePair(3, 5))
+    basis = crt_basis(OddPrimePair(3, 5))
     for (a, b, c), e in expected_e.items():
         params = SequenceParams.of(3, 5, a, b, c)
         assert params.e == e, (a, b, c)
-        h = crt_sign_form(params, blocks) - blocks.unit
+        h = crt_sign_form(params, basis) - _unit_block(basis, 2, 2)
         assert int(h.dense()[0]) == e + (-1) ** a + (-1) ** b
 
 
 @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7)])
 def test_decomposition_consistency(p, q):
-    blocks = crt_blocks(OddPrimePair(p, q))
-    gg = blocks.gauss_gp * blocks.gauss_gq
+    primes = OddPrimePair(p, q)
+    basis = crt_basis(primes)
+    gg = gauss_gp(primes) * gauss_gq(primes)
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(p, q, a, b, c)
-        s = crt_sign_form(params, blocks)
-        h = s - blocks.unit
+        s = crt_sign_form(params, basis)
+        h = s - _unit_block(basis, 2, 2)
         assert s.dense().tolist() == sign_view(generate(params)).tolist()
         assert s == h + gg
         # applying sigma flips only the character product term
@@ -305,16 +315,16 @@ def test_decomposition_consistency(p, q):
 
 
 def test_expanded_product_form_matches_direct_product():
-    blocks = crt_blocks(OddPrimePair(5, 7))
+    basis = crt_basis(OddPrimePair(5, 7))
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(5, 7, a, b, c)
-        s = crt_sign_form(params, blocks)
-        assert mul(s.sigma(), s) == crt_expanded_form(params, blocks), (a, b, c)
+        s = crt_sign_form(params, basis)
+        assert mul(s.sigma(), s) == crt_expanded_form(params, basis), (a, b, c)
 
 
 def _correlation_identity(params):
     seq = generate(params)
-    return verify_correlation_identity(crt_factors(params.primes), seq,
+    return verify_correlation_identity(crt_factors(crt_basis(params.primes)), seq,
                                        _autocorr.empirical_profile(seq),
                                        _autocorr.closed_form_profile(params))
 
@@ -323,7 +333,7 @@ def test_correlation_identity_ideal_case():
     params = SequenceParams.of(3, 5, 1, 0, 0)
     check = _correlation_identity(params)
     assert check == CheckResult("correlation_identity", True)
-    s = crt_sign_form(params, crt_blocks(params.primes))
+    s = crt_sign_form(params, crt_basis(params.primes))
     assert mul(s.sigma(), s).dense().tolist() == [15] + [-1] * 14
 
 
@@ -343,15 +353,15 @@ def test_crt_route_matches_dense_ring_on_every_pair():
     for primes in odd_prime_pairs(1000):
         dense = {name: (got, want) for name, got, want in _dense_lemma1(
             primes, _dense_gauss(primes, primes.p), _dense_gauss(primes, primes.q))}
-        blocks = crt_blocks(primes)
-        factors = crt_factors(primes)
-        for name, lhs, rhs in crt_lemma1(blocks):
+        basis = crt_basis(primes)
+        factors = crt_factors(basis)
+        for name, lhs, rhs in crt_lemma1(basis):
             got, want = dense[name]
             assert lhs.dense().tolist() == got.tolist(), (primes, name)
             assert rhs.dense().tolist() == want.tolist(), (primes, name)
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams(primes, a, b, c)
-            s = crt_sign_form(params, blocks)
+            s = crt_sign_form(params, basis)
             s_dense = sign_view(generate(params)).astype(np.int64)
             assert s.dense().tolist() == s_dense.tolist(), (primes, a, b, c)
             want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
@@ -361,7 +371,7 @@ def test_crt_route_matches_dense_ring_on_every_pair():
             check = verify_correlation_identity(factors, generate(params),
                                                 np.array(want), np.array(want))
             assert check == CheckResult("correlation_identity", True), (primes, a, b, c)
-            assert crt_expanded_form(params, blocks).dense().tolist() == want
+            assert crt_expanded_form(params, basis).dense().tolist() == want
 
 
 def test_correlation_identity_holds_past_the_old_int64_ceiling():
@@ -369,12 +379,12 @@ def test_correlation_identity_holds_past_the_old_int64_ceiling():
     # bound that grew by p or q per product refused it from n ~ 2.1e6. The
     # empirical route is O(n**2), so only the closed and expanded forms run.
     params = SequenceParams.of(1447, 1451, 0, 0, 1)
-    blocks = crt_blocks(params.primes)
-    s = crt_sign_form(params, blocks)
+    basis = crt_basis(params.primes)
+    s = crt_sign_form(params, basis)
     assert np.array_equal(s.dense(), sign_view(generate(params)))
     product = (s.sigma() * s).dense()
     assert np.array_equal(product, _autocorr.closed_form_profile(params))
-    assert np.array_equal(product, crt_expanded_form(params, blocks).dense())
+    assert np.array_equal(product, crt_expanded_form(params, basis).dense())
 
 
 def _flip_character(monkeypatch, r, *ks):
@@ -395,15 +405,15 @@ def test_flipped_character_fails_alike_on_both_routes(monkeypatch):
     exp = next(j * primes.q for j in range(1, primes.p) if j * primes.q % primes.p == k0)
     gp[exp] = -gp[exp]
     dense = _dense_lemma1(primes, gp, _dense_gauss(primes, primes.q))
-    blocks = crt_blocks(primes)
+    basis = crt_basis(primes)
     crt = [(name, _first_diff(lhs.dense(), rhs.dense()))
-           for name, lhs, rhs in crt_lemma1(blocks)]
+           for name, lhs, rhs in crt_lemma1(basis)]
     want = [(name, _first_diff(got, want)) for name, got, want in dense]
     assert crt == want
     failing = [name for name, diff in want if diff is not None]
     assert failing and failing[0] == "gauss_gp_squared"
     k = want[0][1][0]
-    assert verify_lemma1(crt_factors(primes)) == CheckResult(
+    assert verify_lemma1(crt_factors(crt_basis(primes))) == CheckResult(
         "lemma1", False, f"gauss_gp_squared first differs at exponent {k}")
 
 
@@ -426,17 +436,31 @@ def test_lemma1_detail_is_the_smallest_pair_exponent(monkeypatch):
     gp[[78, 13]] *= -1
     dense = _dense_lemma1(primes, gp, _dense_gauss(primes, 13))
     assert _first_diff(*dense[0][1:])[0] == 13
-    assert verify_lemma1(crt_factors(primes)) == CheckResult(
+    assert verify_lemma1(crt_factors(crt_basis(primes))) == CheckResult(
         "lemma1", False, "gauss_gp_squared first differs at exponent 13")
 
 
-def _pair_lemma1(blocks):
+def _pair_lemma1(basis):
     # the pair-level check: every identity of crt_lemma1 densified to length n
-    for name, lhs, rhs in crt_lemma1(blocks):
+    for name, lhs, rhs in crt_lemma1(basis):
         diff = np.flatnonzero(lhs.dense() != rhs.dense())
         if len(diff):
             return CheckResult("lemma1", False, f"{name} first differs at exponent {diff[0]}")
     return CheckResult("lemma1", True)
+
+
+def _changed_basis(primes, data):
+    # the basis element (delta, J, chi) on each prime under the identity, its
+    # characters with up to 3 entries changed to -1, 0 or 1
+    stacks = []
+    for r in (primes.p, primes.q):
+        chi = residue_table(r).astype(np.int64)
+        changes = data.draw(st.dictionaries(st.integers(0, r - 1),
+                                            st.sampled_from((-1, 0, 1)), max_size=3))
+        for k, value in changes.items():
+            chi[k] = value
+        stacks.append([np.eye(1, r, dtype=np.int64)[0], np.ones(r, dtype=np.int64), chi])
+    return CrtElement(primes, stacks[0], np.eye(3, dtype=np.int64), stacks[1])
 
 
 @settings(database=None, derandomize=True, max_examples=200)
@@ -445,20 +469,30 @@ def test_lemma1_on_the_primes_matches_the_pair_check(primes, data):
     # Differential test: characters with arbitrary entries changed to -1, 0
     # or 1 give the same verdict and detail on the primes as on the pair; the
     # table and the blocks are built from the same changed characters.
-    blocks = crt_blocks(primes)
-    chis = []
-    for r in (primes.p, primes.q):
-        chi = residue_table(r).astype(np.int64)
-        changes = data.draw(st.dictionaries(st.integers(0, r - 1),
-                                            st.sampled_from((-1, 0, 1)), max_size=3))
-        for k, value in changes.items():
-            chi[k] = value
-        chis.append(chi)
-    delta_p, delta_q = np.eye(1, primes.p, dtype=np.int64)[0], np.eye(1, primes.q, dtype=np.int64)[0]
-    blocks = blocks._replace(gauss_gp=CrtElement(primes, [(1, chis[0], delta_q)]),
-                             gauss_gq=CrtElement(primes, [(1, delta_p, chis[1])]))
-    factors = CrtFactors(primes, *map(gr._prime_factors, chis))
+    blocks = _changed_basis(primes, data)
+    factors = crt_factors(blocks)
     assert verify_lemma1(factors) == _pair_lemma1(blocks)
+
+
+@settings(database=None, derandomize=True, max_examples=100)
+@given(primes=st.sampled_from(odd_prime_pairs(400)), data=st.data())
+def test_table_product_matches_mul_and_the_dense_ring_under_changed_characters(
+        primes, data):
+    # Differential test: with the characters changed as above, the table's
+    # sigma(S) * S, S.sigma() * S from mul and the dense product agree for
+    # every triple. Handed the dense product as both profiles, the check may
+    # fail only the routes that assume the true characters, never the
+    # product's.
+    basis = _changed_basis(primes, data)
+    factors = crt_factors(basis)
+    for a, b, c in ALL_TRIPLES:
+        params = SequenceParams(primes, a, b, c)
+        s = crt_sign_form(params, basis)
+        want = _dense_mul(_dense_sigma(s.dense()), s.dense())
+        assert (s.sigma() * s).dense().tolist() == want.tolist(), (a, b, c)
+        check = verify_correlation_identity(factors, generate(params), want, want)
+        assert set(check.detail.split("; ")) <= {
+            "", "sign_form_vs_sequence", "product_vs_expanded"}, (a, b, c)
 
 
 def test_sign_form_off_the_sequence_is_a_failed_route(monkeypatch, capsys):
@@ -478,7 +512,7 @@ def test_correlation_identity_names_each_route_it_is_handed_wrong():
     seq = generate(params)
     emp = _autocorr.empirical_profile(seq)
     closed = _autocorr.closed_form_profile(params)
-    factors = crt_factors(params.primes)
+    factors = crt_factors(crt_basis(params.primes))
     off = emp.copy()
     off[3] += 1
     assert verify_correlation_identity(
@@ -491,7 +525,7 @@ def test_correlation_identity_names_each_route_it_is_handed_wrong():
 
 def test_correlation_identity_refuses_another_pairs_products():
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
-    factors = crt_factors(OddPrimePair(5, 7))
+    factors = crt_factors(crt_basis(OddPrimePair(5, 7)))
     closed = _autocorr.closed_form_profile(seq.params)
     with pytest.raises(ValueError, match="different group rings"):
         verify_correlation_identity(factors, seq, closed, closed)

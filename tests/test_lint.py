@@ -105,20 +105,18 @@ def test_only_cli_builds_the_pairs_blocks():
     # check takes it as an argument.
     callers = {path.stem
                for path in sorted(SRC.rglob("*.py"))
-               if _calls_of(ast.parse(path.read_text(), str(path)),
-                            {"crt_factors", "crt_blocks"})}
+               if _calls_of(ast.parse(path.read_text(), str(path)), {"crt_factors"})}
     assert callers == {"cli"}
     # Every command builds through one path: in cli, the pair's pieces are
     # built only inside _Pair and the instance's only inside _Instance.
     tree = ast.parse((SRC / "cli.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for owner, names in (("_Pair", {"crt_factors", "verify_lemma1"}),
+    for owner, names in (("_Pair", {"crt_basis", "crt_factors", "verify_lemma1"}),
                          ("_Instance", {"generate", "empirical_profile",
                                         "closed_form_profile", "complexity_report"})):
         built = _calls_of(classes[owner], names)
         assert {name for name, _ in built} == names, owner
         assert _calls_of(tree, names) == built, owner
-    assert _calls_of(tree, {"crt_blocks"}) == []
 
 
 def test_only_by_class_lays_out_the_residue_classes():
@@ -203,3 +201,17 @@ def test_only_contract_multiplies_matrices_in_groupring():
                  or {"matmul", "dot", "einsum"} & {getattr(node, "id", None),
                                                    getattr(node, "attr", None)})}
     assert users == {"_contract"}
+
+
+def test_only_mul_calls_the_kernel_in_groupring():
+    # groupring.mul is the one ring product: the pair's table, whose rows
+    # are those of sigma(S) * S, and every element product go through it, so
+    # every use of the correlation kernel in the module sits inside it, and
+    # no second product path can grow back.
+    tree = ast.parse((SRC / "groupring.py").read_text())
+    users = {getattr(top, "name", top.lineno)
+             for top in tree.body
+             for node in ast.walk(top)
+             if node is not top and "_correlations" in {getattr(node, "id", None),
+                                                        getattr(node, "attr", None)}}
+    assert users == {"mul"}
