@@ -8,13 +8,15 @@ byte-identical across reruns of the same invocation: rows are emitted in
 sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
-build through ``_Pair`` and ``_Instance``: a ``_Pair`` builds the pair's
-product table, one ``mul`` over the basis (delta, J, chi) of each prime
-(the package's one ``crt_factors`` call), which ``lemma1`` reads once and
-``correlation_identity`` contracts per triple with no product of its own,
-and an ``_Instance`` its sequence, empirical and closed-form profiles and
-complexity report, each on first use and at most once, so a command builds
-only the pieces it prints.
+build through ``_Pair`` and ``_Instance``. A ``_Pair`` holds the triples a
+command reads and builds their sequences, their ``RowTable`` (one kernel
+call per axis for all of them), and the product table, one ``mul`` over the
+basis (delta, J, chi) of each prime (the package's one ``crt_factors``
+call), which ``lemma1`` reads once and ``correlation_identity`` contracts
+per triple with no product of its own. An ``_Instance`` is row t of its
+pair: it reads its sequence and empirical profile off the pair's and builds
+its closed-form profile and complexity report. Each piece is built on first
+use and at most once, so a command builds only the pieces it prints.
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
 through one pair x triple loop, ``_checked``. Each check is a function of
 one ``_Instance`` that hands its pieces to a library check, which compares
@@ -95,7 +97,7 @@ def _instance_from(args) -> "_Instance":
         a, b, c = args.a, args.b, args.c
     else:
         raise ValueError("fill bits required: pass --abc or all of --a/--b/--c")
-    return _Instance(_Pair(OddPrimePair(args.p, args.q)), a, b, c)
+    return _Instance(_Pair(OddPrimePair(args.p, args.q), ((a, b, c),)), a, b, c)
 
 
 def _write_out(text: str, out) -> None:
@@ -122,11 +124,20 @@ def _csv_text(columns, rows) -> str:
 
 
 class _Pair:
-    """One prime pair; its product table and lemma1 are built on first use
-    only."""
+    """One prime pair and the triples a command reads of it. Its sequences,
+    row table, product table and lemma1 are each built on first use only."""
 
-    def __init__(self, primes: OddPrimePair):
+    def __init__(self, primes: OddPrimePair, triples=ALL_TRIPLES):
         self.primes = primes
+        self.triples = tuple(triples)
+
+    @cached_property
+    def seqs(self):
+        return tuple(generate(SequenceParams(self.primes, *abc)) for abc in self.triples)
+
+    @cached_property
+    def table(self):
+        return ac.RowTable(self.seqs)
 
     @cached_property
     def factors(self):
@@ -138,19 +149,21 @@ class _Pair:
 
 
 class _Instance:
-    """One (pair, triple) instance; each piece is built on first use only."""
+    """One (pair, triple) instance, row t of its pair; each piece is built on
+    first use only."""
 
     def __init__(self, pair: _Pair, a: int, b: int, c: int):
         self.pair = pair
         self.params = SequenceParams(pair.primes, a, b, c)
+        self.t = pair.triples.index((a, b, c))
 
-    @cached_property
+    @property
     def seq(self):
-        return generate(self.params)
+        return self.pair.seqs[self.t]
 
     @cached_property
     def emp(self):
-        return ac.empirical_profile(self.seq)
+        return self.pair.table.profile(self.t)
 
     @cached_property
     def closed(self):
@@ -236,7 +249,7 @@ CHECK_NAMES = tuple(CHECKS)
 def _checked(pairs, triples, checks):
     """Yield (instance, {name: CheckResult}) per pair x triple, built in turn."""
     for primes in pairs:
-        pair = _Pair(primes)
+        pair = _Pair(primes, triples)
         for a, b, c in triples:
             inst = _Instance(pair, a, b, c)
             yield inst, {name: CHECKS[name](inst) for name in checks}

@@ -64,6 +64,10 @@ class _Rows(NamedTuple):
         """Rows start to stop - 1, with their peaks."""
         return _Rows(self.rows[start:stop], self.peaks[start:stop])
 
+    def join(self, other: "_Rows") -> "_Rows":
+        """These rows, then other's, with their peaks as they are."""
+        return _Rows(np.vstack((self.rows, other.rows)), self.peaks + other.peaks)
+
 
 def _stack(vectors, r: int) -> _Rows:
     """The vectors as one int64 stack of length-r rows with its row peaks, or
@@ -88,10 +92,12 @@ def _contract(us: _Rows, m, vs: _Rows) -> np.ndarray:
     return (us.rows.T @ m) @ vs.rows
 
 
-def _kron(m, m2) -> list:
+def _kron(m, m2) -> tuple:
     """m (x) m2 in Python ints: entry [i*len(m2) + k][j*len(m2[0]) + l] is
     m[i][j] * m2[k][l]."""
-    return [[x * y for x in row for y in row2] for row in m for row2 in m2]
+    # Built from lists: CPython builds a tuple of a generator by resizing it,
+    # and the resized tuples, once freed, pile up on its free lists.
+    return tuple([tuple([x * y for x in row for y in row2]) for row in m for row2 in m2])
 
 
 class CrtElement:
@@ -108,12 +114,21 @@ class CrtElement:
     __slots__ = ("primes", "us", "m", "vs")
 
     def __init__(self, primes: OddPrimePair, us=(), m=(), vs=()):
-        self.primes = primes
-        self.us, self.vs = _stack(us, primes.p), _stack(vs, primes.q)
-        self.m = tuple(tuple(map(int, row)) for row in m)
-        if (len(self.m) != len(self.us.peaks)
-                or any(len(row) != len(self.vs.peaks) for row in self.m)):
+        self._fill(primes, _stack(us, primes.p), tuple([tuple(map(int, row)) for row in m]),
+                   _stack(vs, primes.q))
+
+    @classmethod
+    def _of(cls, primes: OddPrimePair, us: "_Rows", m: tuple, vs: "_Rows") -> "CrtElement":
+        """The element of stacks and a tuple matrix of Python ints that an
+        operation has formed, taken as they are."""
+        element = cls.__new__(cls)
+        element._fill(primes, us, m, vs)
+        return element
+
+    def _fill(self, primes, us, m, vs) -> None:
+        if len(m) != len(us.peaks) or any(len(row) != len(vs.peaks) for row in m):
             raise ValueError("the coefficient matrix does not fit the stacks")
+        self.primes, self.us, self.m, self.vs = primes, us, m, vs
 
     @property
     def order(self) -> int:
@@ -129,9 +144,8 @@ class CrtElement:
         """Both stacks stacked, under the block-diagonal matrix of the two."""
         _same_ring(self, other)
         left, right = len(self.vs.peaks), len(other.vs.peaks)
-        m = [row + (0,) * right for row in self.m] + [(0,) * left + row for row in other.m]
-        return CrtElement(self.primes, np.vstack((self.us.rows, other.us.rows)), m,
-                          np.vstack((self.vs.rows, other.vs.rows)))
+        m = tuple([row + (0,) * right for row in self.m] + [(0,) * left + row for row in other.m])
+        return CrtElement._of(self.primes, self.us.join(other.us), m, self.vs.join(other.vs))
 
     def __sub__(self, other: "CrtElement") -> "CrtElement":
         return self + -1 * other
@@ -144,8 +158,8 @@ class CrtElement:
 
     def sigma(self) -> "CrtElement":
         """x**k -> x**(-k), which reverses every row and keeps its peak."""
-        return CrtElement(self.primes, _Rows(_reverse(self.us.rows), self.us.peaks),
-                          self.m, _Rows(_reverse(self.vs.rows), self.vs.peaks))
+        return CrtElement._of(self.primes, _Rows(_reverse(self.us.rows), self.us.peaks),
+                              self.m, _Rows(_reverse(self.vs.rows), self.vs.peaks))
 
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q): one
@@ -169,7 +183,7 @@ def mul(x: CrtElement, y: CrtElement) -> CrtElement:
     p, q = x.primes.p, x.primes.q
     us = _correlations(_reverse(x.us.rows), y.us.rows).reshape(-1, p)
     vs = _correlations(_reverse(x.vs.rows), y.vs.rows).reshape(-1, q)
-    return CrtElement(x.primes, us, _kron(x.m, y.m), vs)
+    return CrtElement._of(x.primes, _stack(us, p), _kron(x.m, y.m), _stack(vs, q))
 
 
 def dump(u: CrtElement) -> str:
@@ -190,8 +204,8 @@ def crt_basis(primes: OddPrimePair) -> CrtElement:
 def _block(basis: CrtElement, i: int, j: int) -> CrtElement:
     """b_i (x) b_j: row i of ``basis``'s stack on Z_p, row j of its stack on
     Z_q, under [[1]]."""
-    return CrtElement(basis.primes, basis.us.take(i, i + 1), [[1]],
-                      basis.vs.take(j, j + 1))
+    return CrtElement._of(basis.primes, basis.us.take(i, i + 1), ((1,),),
+                          basis.vs.take(j, j + 1))
 
 
 def gamma_p(primes: OddPrimePair) -> CrtElement:

@@ -1,12 +1,13 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import cycloseq.autocorr
-from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile,
+from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile, RowTable,
                                class_values, closed_form_profile, distribution,
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
@@ -285,7 +286,7 @@ def test_family_grids_have_three_distinct_rows():
     (17, 19, 17, False),    # every row distinct, two groups per axis
     (31, 37, 31, True),     # every row distinct, and still cheaper on the grid
     (31, 37, 2, True),
-    (101, 103, 1, True),    # one row repeated p times
+    (101, 103, 1, True),    # one row repeated q times
     (101, 103, 72, True),   # 72 * 11 (p^2 + q^2) + 10^5 < n^2, and ...
     (101, 103, 73, True),   # ... 73 * 11 (p^2 + q^2) + 10^5 < n^2 as well
 ])
@@ -294,16 +295,106 @@ def test_kernel_choice_follows_the_operation_count(monkeypatch, p, q, rows, crt)
     if rows is None:
         seq = generate(SequenceParams(pair, 1, 0, 1))
     else:
+        # rows of length p, the shorter axis, the rows the table reads
         rng = np.random.default_rng(rows)
-        pool = rng.integers(0, 2, size=(rows, q), dtype=np.uint8)
+        pool = rng.integers(0, 2, size=(rows, p), dtype=np.uint8)
         assert len({row.tobytes() for row in pool}) == rows
-        seq = _from_grid(pair, pool[np.arange(p) % rows])
+        seq = _from_grid(pair, pool[np.arange(q) % rows].T)
     reads = []
     original = cycloseq.autocorr.crt_read
     monkeypatch.setattr(cycloseq.autocorr, "crt_read",
                         lambda *args: reads.append(args) or original(*args))
     assert np.array_equal(empirical_profile(seq), _direct_profile(seq.bits))
     assert len(reads) == crt
+
+
+def _pooled(pair, rng, axis, m, partition):
+    # Non-family bits: on axis 0 the p grid rows, of length q, are drawn from
+    # a pool of m random rows; on axis 1 the q grid columns, of length p, are.
+    # Which pool entry each line takes depends only on (axis, m, partition),
+    # so two such sequences share their line partition exactly when those
+    # agree, and their lines differ all the same.
+    lines, length = (pair.p, pair.q) if axis == 0 else (pair.q, pair.p)
+    m = 1 + m % lines
+    pool = rng.integers(0, 2, size=(m, length), dtype=np.uint8)
+    grid = pool[np.random.default_rng((axis, m, partition)).integers(0, m, size=lines)]
+    return _from_grid(pair, grid if axis == 0 else grid.T)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=120)
+@given(pair=st.sampled_from(odd_prime_pairs(400)), data=st.data())
+def test_row_table_profiles_equal_np_correlate_on_mixed_stacks(pair, data):
+    # A table's stack mixes family members, in any order and with repeats,
+    # with non-family bits whose grids have 1 to p distinct rows or 1 to q
+    # distinct columns, so the sequences of one table share some row
+    # partitions and not others. "rule" lets the table pick its route; the
+    # other two force one route on any stack.
+    pair = data.draw(st.sampled_from([pair, OddPrimePair(pair.q, pair.p)]), label="order")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    family = st.tuples(st.just("family"), st.sampled_from(ALL_TRIPLES))
+    pooled = st.tuples(st.just("pooled"), st.sampled_from((0, 1)), st.integers(0, 400),
+                       st.integers(0, 2))
+    stack = data.draw(st.lists(family | pooled, min_size=1, max_size=9), label="stack")
+    seqs = [generate(SequenceParams(pair, *spec[1])) if spec[0] == "family"
+            else _pooled(pair, rng, *spec[1:]) for spec in stack]
+    route = data.draw(st.sampled_from(("rule", "grid", "direct")), label="route")
+    overhead = {"rule": cycloseq.autocorr._CRT_OVERHEAD, "grid": -10 ** 18,
+                "direct": 10 ** 18}[route]
+    with mock.patch.object(cycloseq.autocorr, "_CRT_OVERHEAD", overhead):
+        table = RowTable(seqs)
+    event(f"{route}: {'direct' if table.along is None else 'grid'}")
+    for t, seq in enumerate(seqs):
+        assert np.array_equal(table.profile(t), _direct_profile(seq.bits)), (t, stack[t])
+
+
+def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
+    # At (67, 71) the table's rows have 67 entries and its indicators 71, so
+    # each takes two uint64 words. Two rows here differ only at entry 66,
+    # and two sequences' row partitions differ only at line 70: both pairs
+    # are equal in their first words and must stay distinct all the same.
+    pair = OddPrimePair(67, 71)
+    rng = np.random.default_rng(67)
+    pool = rng.integers(0, 2, size=(3, 67), dtype=np.uint8)
+    pool[1] = pool[0]
+    pool[1, 66] ^= 1
+    assignment = np.arange(71) % 2
+    moved = assignment.copy()
+    moved[70] = 2
+    seqs = [_from_grid(pair, pool[assignment].T), _from_grid(pair, pool[moved].T),
+            generate(SequenceParams(pair, 0, 1, 1))]
+    table = RowTable(seqs)
+    assert table.along is not None
+    for t, seq in enumerate(seqs):
+        assert np.array_equal(table.profile(t), _direct_profile(seq.bits)), t
+
+
+# A table of T sequences reads the grid when K ceil(K / g) L**2 + M ceil(M / g)
+# l**2 + _CRT_OVERHEAD < T (n**2 + _CALL_OVERHEAD), with K distinct
+# indicators along the longer axis L, M distinct rows along the shorter axis
+# l, and g = 15 for axes of 5 and 7 (12 for 13, 31 for 3).
+@pytest.mark.parametrize("p,q,count,crt", [
+    (5, 7, 8, True),    # 3 * 49 + 8 * 25 + 120000 = 120347 < 8 * 21225 = 169800
+    (5, 7, 2, False),   # 3 * 49 + 4 * 25 + 120000 >= 2 * 21225
+    (7, 5, 8, True),    # the same pair with its primes swapped
+    (3, 5, 6, True),    # 3 * 25 + 8 * 9 + 120000 = 120147 < 6 * 20225 = 121350 ...
+    (3, 5, 5, False),   # ... and >= 5 * 20225 = 101125
+    (13, 5, 3, False),  # 3 * 169 + 6 * 25 + 120000 >= 3 * 24225
+])
+def test_table_route_follows_the_operation_count(p, q, count, crt):
+    pair = OddPrimePair(p, q)
+    seqs = [generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count]]
+    table = RowTable(seqs)
+    assert (table.along is not None) == crt
+    for t, seq in enumerate(seqs):
+        assert np.array_equal(table.profile(t), _direct_profile(seq.bits))
+
+
+def test_row_table_refuses_an_empty_or_mixed_stack():
+    with pytest.raises(ValueError, match="at least one sequence"):
+        RowTable(())
+    with pytest.raises(ValueError, match="one pair"):
+        RowTable([generate(SequenceParams.of(3, 5, 1, 0, 0)),
+                  generate(SequenceParams.of(3, 7, 1, 0, 0))])
 
 
 def test_profile_is_hashable_and_derives_its_summary():

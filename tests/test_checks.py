@@ -18,12 +18,13 @@ from cycloseq.sequence import CheckResult
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the calls of generate, empirical_profile, closed_form_profile,
-    crt_basis, verify_lemma1 and crt_factors under every name the package
-    binds them to."""
+    """Count the calls of generate, empirical_profile, RowTable,
+    closed_form_profile, crt_basis, verify_lemma1 and crt_factors under every
+    name the package binds them to."""
     counts = Counter()
     for module, name in ((cycloseq.sequence, "generate"),
                          (cycloseq.autocorr, "empirical_profile"),
+                         (cycloseq.autocorr, "RowTable"),
                          (cycloseq.autocorr, "closed_form_profile"),
                          (cycloseq.groupring, "crt_basis"),
                          (cycloseq.groupring, "verify_lemma1"),
@@ -45,10 +46,11 @@ def calls(monkeypatch):
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
     # crt_basis and crt_factors: once for the pair, and lemma1 and
-    # correlation_identity read the same table
+    # correlation_identity read the same table; RowTable: once for the pair,
+    # and every triple's empirical profile is read off it
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8, "empirical_profile": 8, "closed_form_profile": 8,
+    assert calls == {"generate": 8, "RowTable": 1, "closed_form_profile": 8,
                      "verify_lemma1": 1, "crt_basis": 1, "crt_factors": 1}
 
 
@@ -103,6 +105,49 @@ def test_the_pair_table_is_the_groupring_kernel_work(monkeypatch, capsys):
     assert shapes == []
 
 
+def _count_autocorr_kernel_calls(monkeypatch) -> list:
+    """The shapes of the arguments of every autocorr._correlations call."""
+    shapes = []
+    original = cycloseq.autocorr._correlations
+
+    def counted(xs, ys):
+        shapes.append((np.shape(xs), np.shape(ys)))
+        return original(xs, ys)
+
+    monkeypatch.setattr(cycloseq.autocorr, "_correlations", counted)
+    return shapes
+
+
+def test_the_row_table_is_the_autocorr_kernel_work(monkeypatch, capsys):
+    # One table per pair: one _correlations call on each axis, the 3
+    # distinct indicators of the 8 triples along q and their 8 distinct rows
+    # along p, the shorter axis. Reading a triple's profile adds no call.
+    shapes = _count_autocorr_kernel_calls(monkeypatch)
+    assert cli.main(["verify", "--p", "5", "--q", "7", "--all"]) == 0
+    capsys.readouterr()
+    assert shapes == [((3, 7), (3, 7)), ((8, 5), (8, 5))]
+    shapes.clear()
+    pairs = [(3, 5), (5, 7), (3, 17), (17, 19), (7, 61)]
+    argv = ["sweep"] + [arg for p, q in pairs for arg in ("--pairs", f"{p},{q}")]
+    assert cli.main(argv + ["--checks", "theorem1,correlation_identity"]) == 0
+    capsys.readouterr()
+    assert len(shapes) == 2 * len(pairs)
+
+
+def test_the_row_table_holds_no_per_shift_array():
+    # At (307, 311) a profile is n = 95477 int64 values; the table of all 8
+    # triples holds its kernel outputs and block indices in fewer bytes
+    # than n, so it holds no profile, no grid and no per-shift stack.
+    pair = cli._Pair(OddPrimePair(307, 311))
+    table = pair.table
+    arrays = [table.across, table.along, table.kind_pairs, table.row_pairs]
+    assert all(isinstance(array, np.ndarray) for array in arrays)
+    assert sum(array.nbytes for array in arrays) < pair.primes.n
+    assert {name for name in table.__slots__
+            if isinstance(getattr(table, name), np.ndarray)} == {
+        "across", "along", "kind_pairs", "row_pairs"}
+
+
 def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):
     # One per prime for the product table (its chi) and one per prime for
     # the residue-class codes that every by_class call of the pair reads;
@@ -132,17 +177,18 @@ def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
 
 @pytest.mark.parametrize("argv,built", [
     (["autocorr", "--empirical", "--format", "json"],
-     {"generate": 1, "empirical_profile": 1}),
+     {"generate": 1, "RowTable": 1}),
     (["generate"], {"generate": 1}),
     (["adic"], {"generate": 1}),
     (["autocorr", "--both"],
-     {"generate": 1, "empirical_profile": 1, "closed_form_profile": 1}),
+     {"generate": 1, "RowTable": 1, "closed_form_profile": 1}),
     (["autocorr"], {"closed_form_profile": 1}),
 ], ids=["autocorr-empirical-json", "generate", "adic", "autocorr-both",
         "autocorr-per-shift"])
 def test_each_command_builds_what_it_prints_once(calls, capsys, argv, built):
     # Every command builds through one cli._Instance, which builds a piece on
-    # first use and at most once.
+    # first use and at most once; a one-triple command's pair holds one
+    # sequence and a one-row table.
     command, *flags = argv
     assert cli.main([command, "--p", "5", "--q", "7", "--abc", "100", *flags]) == 0
     capsys.readouterr()

@@ -102,21 +102,26 @@ def _calls_of(tree, names) -> list:
 
 def test_only_cli_builds_the_pairs_blocks():
     # A pair's product table is built once, by cli._Pair; every library
-    # check takes it as an argument.
+    # check takes it as an argument. Its row table is built by cli._Pair
+    # too, and by empirical_profile for one sequence.
     callers = {path.stem
                for path in sorted(SRC.rglob("*.py"))
                if _calls_of(ast.parse(path.read_text(), str(path)), {"crt_factors"})}
     assert callers == {"cli"}
-    # Every command builds through one path: in cli, the pair's pieces are
-    # built only inside _Pair and the instance's only inside _Instance.
+    assert _top_level_users({"RowTable"}) == {"autocorr.empirical_profile", "cli._Pair"}
+    # Every command builds through one path: in cli, the pair's pieces (its
+    # sequences and both tables) are built only inside _Pair and the
+    # instance's only inside _Instance, which reads its sequence and its
+    # empirical profile off the pair's.
     tree = ast.parse((SRC / "cli.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for owner, names in (("_Pair", {"crt_basis", "crt_factors", "verify_lemma1"}),
-                         ("_Instance", {"generate", "empirical_profile",
-                                        "closed_form_profile", "complexity_report"})):
+    for owner, names in (("_Pair", {"generate", "RowTable", "crt_basis", "crt_factors",
+                                    "verify_lemma1"}),
+                         ("_Instance", {"closed_form_profile", "complexity_report"})):
         built = _calls_of(classes[owner], names)
         assert {name for name, _ in built} == names, owner
         assert _calls_of(tree, names) == built, owner
+    assert _calls_of(tree, {"empirical_profile"}) == []
 
 
 def test_only_by_class_lays_out_the_residue_classes():
@@ -215,3 +220,17 @@ def test_only_mul_calls_the_kernel_in_groupring():
              if node is not top and "_correlations" in {getattr(node, "id", None),
                                                         getattr(node, "attr", None)}}
     assert users == {"mul"}
+
+
+def test_only_the_row_table_calls_the_kernel_in_autocorr():
+    # autocorr.RowTable is the one empirical route: its constructor makes
+    # the pair's one kernel call per axis and its direct route one call per
+    # sequence, so every use of the correlation kernel in the module sits
+    # inside it and no per-triple route can grow back.
+    tree = ast.parse((SRC / "autocorr.py").read_text())
+    users = {getattr(top, "name", top.lineno)
+             for top in tree.body
+             for node in ast.walk(top)
+             if node is not top and "_correlations" in {getattr(node, "id", None),
+                                                        getattr(node, "attr", None)}}
+    assert users == {"RowTable"}
