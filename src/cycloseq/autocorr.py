@@ -13,15 +13,16 @@ only on the residue class of tau:
 
 with e = (-1)**c - (-1)**a - (-1)**b. Every empirical value is recomputed
 from the bits alone, with no Legendre symbol and no formula of the paper, by
-exact int64 cyclic correlations through the package's one correlation kernel,
-``sequence._correlations``. The sequences of one pair share one
-``RowTable``: on the p x q CRT grid every triple has the same few distinct
-rows, so one kernel call per axis correlates the distinct rows and row
-indicators of all of them, and each profile is one contraction of that
-table; a table whose grids have many distinct rows correlates each sequence
-directly over the period instead. The kernel packs several rows into one
-int64 word, offset so that every field is nonnegative, and takes the bound
-that makes the packing exact from the data; no floating point is involved.
+exact int64 cyclic correlations through the package's one correlation
+kernel, ``sequence._correlations``. The sequences of one pair share one
+``RowTable``: on the p x q CRT grid each is a sum of line indicators (x)
+rows over one partition of the longer axis, so one kernel call per axis
+correlates the line indicators and distinct rows of all of them, and each
+profile is one contraction of that table; a table with many distinct rows or
+lines correlates each sequence directly over the period instead. The kernel
+packs several rows into one int64 word, offset so that every field is
+nonnegative, and takes the bound that makes the packing exact from the data;
+no floating point is involved.
 """
 
 from dataclasses import dataclass
@@ -95,17 +96,9 @@ _CRT_OVERHEAD = 12 * 10 ** 4
 _CALL_OVERHEAD = 2 * 10 ** 4
 
 
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """Rows of 0/1 entries as rows of uint64 words, 64 entries to a word."""
-    words = np.zeros((len(bits), -(-bits.shape[1] // 64)), dtype=np.uint64)
-    packed = np.packbits(bits, axis=1)
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
-    return words
-
-
 def _distinct(words: np.ndarray) -> tuple:
-    """(first, owner) for the rows of a 2-D word array: ``first[r]`` is the
-    index of the first row, in sorted order, of the r-th distinct row and
+    """(first, owner) for the rows of a 2-D integer array: ``first[r]`` is
+    the index of the first row, in sorted order, of the r-th distinct row and
     ``owner[i]`` the r of row i. One ``np.lexsort`` puts equal rows next to
     each other."""
     order = np.lexsort(words.T)
@@ -117,46 +110,29 @@ def _distinct(words: np.ndarray) -> tuple:
     return order[new], owner
 
 
-def _pairs(size: np.ndarray) -> tuple:
-    """(first, second) over blocks numbered in runs of ``size``: every pair
-    of blocks within one run, run by run and row-major in each."""
-    run = np.repeat(np.arange(len(size)), size)  # the run of each block
-    reps = size[run]  # the pairs each block opens
-    start = (np.cumsum(size) - size)[run]  # the first block of its run
-    opened = np.cumsum(reps) - reps  # its first pair
-    first = np.repeat(np.arange(len(run)), reps)
-    second = np.repeat(start - opened, reps) + np.arange(len(first))
-    return first, second
-
-
-def _narrow(out: np.ndarray, bound: int) -> np.ndarray:
-    """Kernel outputs in [-bound, bound] as a 2-D array, one output row per
-    pair, in the narrowest signed dtype that holds them."""
-    return out.reshape(-1, out.shape[-1]).astype(np.min_scalar_type(-bound))
-
-
 class RowTable:
     """The periodic autocorrelation of every sequence of one pair, held as
-    correlations of grid rows, from the bits alone.
+    correlations of grid rows and line indicators, from the bits alone.
 
     Each sequence goes on the p x q grid of ``crt_grid``, where a shift by tau
     is a shift by (tau mod p, tau mod q). The table reads the grid as rows
-    along its shorter axis, one row per index of the longer axis. With R_r
-    the distinct rows of all the grids and e_r the 0/1 indicator of the rows
-    of one grid equal to R_r, that grid is the sum of e_r (x) R_r, so its
-    correlation is the sum over r, s of corr(e_r, e_s) (x) corr(R_r, R_s).
-    The rows of all grids, and then the indicators of all grids, are packed
-    into uint64 words and made distinct with one ``np.lexsort`` each, so the
-    triples of a pair share their rows and indicators: the 8 triples of a
-    pair have 8 distinct rows and 3 distinct indicators (the line of 0, the
-    residue lines and the nonresidue lines). One call of the kernel
-    ``_correlations`` per axis then correlates every distinct indicator with
-    every other (``across``, along the longer axis, which the 3 indicators
-    and not the 8 rows pay for) and every distinct sign row with every other
-    (``along``), one output row per pair of rows. ``profile(t)`` contracts
-    the block of sequence t, across[k, k] with along[r, r] over the pairs of
-    its rows, and reads the p x q grid back through ``crt_read``, so the
-    table holds no per-shift array and a caller reads one profile at a time.
+    along its shorter axis, one row per index of the longer axis. The rows of
+    all grids, packed into uint64 words, are made distinct by ``_distinct``:
+    R_r are the distinct rows, and row i of grid t is R_owner[t, i]. One more
+    ``_distinct``, of the columns of owner, splits the longer axis into
+    lines, the sets of indices that hold one row in every sequence, and line
+    c holds R_own[t, c] in sequence t. With f_c the 0/1 indicator of line c,
+    grid t is the sum of f_c (x) R_own[t, c], so its correlation is the sum
+    over c, d of corr(f_c, f_d) (x) corr(R_own[t, c], R_own[t, d]). The 8
+    triples of a pair have 8 distinct rows and 3 lines (0, the residues and
+    the nonresidues of the longer prime). One call of the kernel
+    ``_correlations`` per axis correlates every line indicator with every
+    other (``across``, C x C x the longer prime, which the 3 lines and not
+    the 8 rows pay for) and every distinct sign row with every other
+    (``along``, R x R x the shorter prime). ``profile(t)`` contracts all of
+    across with along[own[t], own[t]] and reads the p x q grid back through
+    ``crt_read``, so the table holds no per-shift array and a caller reads
+    one profile at a time.
 
     The kernel packs g = 62 // (2L).bit_length() rows into one int64 word and
     spends m * ceil(m / g) * L**2 multiply-adds on m rows of length L
@@ -167,38 +143,41 @@ class RowTable:
     triples of a family read the grid at every pair, and a single family
     sequence (``empirical_profile``) once n > 381 or, with a prime 3, once
     the other prime is at least 131. On the direct route the table holds
-    only its sequences.
+    only its sequences and their lines.
 
     The two constants, measured on a 2-vCPU Xeon VM (numpy 2.4, best of
-    7 x 15 tables of S(1, 0, 1) alone or of the 8 triples, each route
-    forced; microseconds, grid / direct, both including the de-duplication):
+    8 x 7 x 15 tables of S(1, 0, 1) alone or of the 8 triples, each route
+    forced and each profile read once; microseconds, grid / direct, both
+    including the de-duplication):
 
         pair       one triple   8 triples
-        (3, 5)      236 / 143   195 / 198
-        (5, 7)      236 / 144   197 / 203
-        (3, 53)     146 / 101   236 / 332
-        (11, 29)    139 / 140   235 / 649
-        (5, 59)     145 / 130   247 / 596
-        (5, 67)     147 / 146   269 / 737
-        (17, 19)    142 / 143   230 / 657
+        (3, 5)      118 /  55   200 / 185
+        (5, 7)      111 /  54   206 / 194
+        (3, 53)     124 /  75   242 / 338
+        (11, 29)    115 / 117   244 / 698
+        (5, 59)     127 / 139   262 / 642
+        (5, 67)     127 / 126   273 / 764
+        (17, 19)    117 / 123   247 / 713
 
     A multiply-add costs about 1.4 ns there. For one sequence the grid
     breaks even at n**2 of about 10**5 multiply-adds, which the rule keeps
-    (_CRT_OVERHEAD - _CALL_OVERHEAD = 10**5); a table of 8 triples reads the
-    grid at least as fast as 8 direct calls at every pair, as the rule has
-    it, since a kernel call's fixed cost of about 25 us is paid 8 times on
-    the direct route and twice on the grid.
+    (_CRT_OVERHEAD - _CALL_OVERHEAD = 10**5). A table of 8 triples reads the
+    grid at every pair, as the rule has it: within about 8 % of 8 direct
+    calls at the smallest pairs, such as (3, 5) and (5, 7), and faster at the
+    larger ones above, since a kernel call's fixed cost of about 25 us is
+    paid 8 times on the direct route and twice on the grid.
 
     Exactness: an across output is a count in [0, longer prime] and an along
     output lies in [-shorter prime, shorter prime]; the kernel derives these
     bounds (L * 1 * 1) from the rows and packs only as many fields as they
     leave room for in 62 bits, and the table keeps them in the narrowest
-    dtype that holds them. Every partial sum of a contraction stays within n
-    in absolute value, since the e_r of one grid partition its rows. No
+    dtype that holds them. At every shift the across outputs of all pairs of
+    lines sum to the longer prime, since the lines partition the axis, so
+    every partial sum of a contraction stays within n in absolute value. No
     floating point is involved.
     """
 
-    __slots__ = ("primes", "seqs", "across", "along", "kind_pairs", "row_pairs", "starts")
+    __slots__ = ("primes", "seqs", "own", "across", "along")
 
     def __init__(self, seqs):
         self.seqs = tuple(seqs)
@@ -209,8 +188,7 @@ class RowTable:
             raise ValueError("a row table holds the sequences of one pair")
         p, q, count = primes.p, primes.q, len(self.seqs)
         short, long, axis = (p, q, 0) if p < q else (q, p, 1)
-        # every grid's rows along the short axis, packed as _packed packs
-        # rows, one sequence after another
+        # every grid's rows along the short axis as uint64 words, grid by grid
         words = np.zeros((count, long, -(-short // 64)), dtype=np.uint64)
         for seq, packed in zip(self.seqs, words.view(np.uint8)):
             bits = np.packbits(crt_grid(primes, seq.bits), axis=axis)
@@ -218,39 +196,29 @@ class RowTable:
         words = words.reshape(count * long, -1)
         rows, owner = _distinct(words)
         owner = owner.reshape(count, long)
-        # one block per distinct row of each sequence, sequence by sequence:
-        # held[t, r] marks row r in sequence t, and block[t, r] numbers it
-        held = np.zeros((count, len(rows)), dtype=np.intp)
-        held[np.arange(count)[:, None], owner] = 1
-        block = np.cumsum(held.ravel()).reshape(held.shape) - 1
-        indicators = np.zeros((block[-1, -1] + 1, long), dtype=bool)
-        indicators[block[np.arange(count)[:, None], owner], np.arange(long)] = True
-        kinds, kind = _distinct(_packed(indicators))
-        self.across = self.along = self.kind_pairs = self.row_pairs = self.starts = None
-        if (_multiply_adds(len(kinds), len(kinds), long, long)
+        lines, line = _distinct(owner.T)
+        self.own = owner[:, lines]
+        self.across = self.along = None
+        if (_multiply_adds(len(lines), len(lines), long, long)
                 + _multiply_adds(len(rows), len(rows), short, short) + _CRT_OVERHEAD
                 >= count * (_multiply_adds(1, 1, primes.n, primes.n) + _CALL_OVERHEAD)):
             return
-        size = held.sum(axis=1)
-        first, second = _pairs(size)
-        row = np.nonzero(held)[1]
-        self.kind_pairs = kind[first] * len(kinds) + kind[second]
-        self.row_pairs = row[first] * len(rows) + row[second]
-        self.starts = [0, *np.cumsum(size * size).tolist()]
-        indicators = indicators[kinds]
+        indicators = line == np.arange(len(lines))[:, None]
         signs = 1 - 2 * np.unpackbits(words[rows].view(np.uint8), axis=1,
                                       count=short).astype(np.int64)
-        self.across = _narrow(_correlations(indicators, indicators), long)
-        self.along = _narrow(_correlations(signs, signs), short)
+        self.across = _correlations(indicators, indicators).astype(np.min_scalar_type(-long))
+        self.along = _correlations(signs, signs).astype(np.min_scalar_type(-short))
 
     def profile(self, t: int) -> np.ndarray:
         """All n autocorrelation values of sequence t, summed exactly."""
+        if t not in range(len(self.seqs)):
+            raise ValueError(f"no sequence {t} in a row table of {len(self.seqs)}")
         if self.along is None:
             signs = sign_view(self.seqs[t])[None]
             return _correlations(signs, signs)[0, 0]
-        pairs = slice(self.starts[t], self.starts[t + 1])
-        across = self.across.take(self.kind_pairs[pairs], axis=0).astype(np.int64)
-        along = self.along.take(self.row_pairs[pairs], axis=0).astype(np.int64)
+        own = self.own[t]
+        along = self.along[own[:, None], own].reshape(len(own) ** 2, -1).astype(np.int64)
+        across = self.across.reshape(len(own) ** 2, -1).astype(np.int64)
         if self.primes.p < self.primes.q:
             return crt_read(self.primes, along.T @ across)
         return crt_read(self.primes, across.T @ along)

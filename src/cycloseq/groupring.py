@@ -71,12 +71,24 @@ class _Rows(NamedTuple):
 
 def _stack(vectors, r: int) -> _Rows:
     """The vectors as one int64 stack of length-r rows with its row peaks, or
-    ``vectors`` itself if it is one; |entry| is read as uint64, so that
-    |-2**63| does not wrap."""
+    ``vectors`` itself if it is one; an entry that is not integral is refused
+    rather than truncated, and |entry| is read as uint64, so that |-2**63|
+    does not wrap."""
     if isinstance(vectors, _Rows):
         return vectors
-    rows = np.array(vectors, dtype=np.int64).reshape(-1, r)
+    raw = np.asarray(vectors)
+    with np.errstate(invalid="ignore"):  # an entry int64 cannot hold is refused below
+        rows = raw.astype(np.int64).reshape(-1, r)
+    if raw.dtype.kind not in "biu" and np.any(rows != raw.reshape(-1, r)):
+        raise ValueError("a ring element's rows must be integers")
     return _Rows(rows, np.abs(rows).view(np.uint64).max(axis=1, initial=1).tolist())
+
+
+def _integer(x) -> int:
+    """x as a Python int, refused rather than truncated if it is not integral."""
+    if int(x) != x:
+        raise ValueError(f"a ring element's coefficients must be integers, not {x!r}")
+    return int(x)
 
 
 def _contract(us: _Rows, m, vs: _Rows) -> np.ndarray:
@@ -114,7 +126,7 @@ class CrtElement:
     __slots__ = ("primes", "us", "m", "vs")
 
     def __init__(self, primes: OddPrimePair, us=(), m=(), vs=()):
-        self._fill(primes, _stack(us, primes.p), tuple([tuple(map(int, row)) for row in m]),
+        self._fill(primes, _stack(us, primes.p), tuple([tuple(map(_integer, row)) for row in m]),
                    _stack(vs, primes.q))
 
     @classmethod

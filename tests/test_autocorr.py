@@ -268,6 +268,10 @@ def test_family_grids_have_three_distinct_rows():
             for a, b, c in ALL_TRIPLES:
                 grid = crt_grid(primes, generate(SequenceParams(primes, a, b, c)).bits)
                 assert len({row.tobytes() for row in grid}) == 3, (primes, a, b, c)
+            table = RowTable(generate(SequenceParams(primes, *abc)) for abc in ALL_TRIPLES)
+            assert table.own.shape == (8, 3), primes
+            assert table.across.shape[:2] == (3, 3), primes
+            assert table.along.shape[:2] == (8, 8), primes
 
 
 # The grid costs m ceil(m / g) (p^2 + q^2) multiply-adds with g rows packed
@@ -348,10 +352,11 @@ def test_row_table_profiles_equal_np_correlate_on_mixed_stacks(pair, data):
 
 
 def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
-    # At (67, 71) the table's rows have 67 entries and its indicators 71, so
-    # each takes two uint64 words. Two rows here differ only at entry 66,
-    # and two sequences' row partitions differ only at line 70: both pairs
-    # are equal in their first words and must stay distinct all the same.
+    # At (67, 71) the table's rows have 67 entries, so each takes two uint64
+    # words. Two rows here differ only at entry 66: they are equal in their
+    # first words and must stay distinct all the same. Two sequences' rows
+    # differ only at index 70 of the longer axis, so that index must be a
+    # line of its own.
     pair = OddPrimePair(67, 71)
     rng = np.random.default_rng(67)
     pool = rng.integers(0, 2, size=(3, 67), dtype=np.uint8)
@@ -368,10 +373,10 @@ def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
         assert np.array_equal(table.profile(t), _direct_profile(seq.bits)), t
 
 
-# A table of T sequences reads the grid when K ceil(K / g) L**2 + M ceil(M / g)
-# l**2 + _CRT_OVERHEAD < T (n**2 + _CALL_OVERHEAD), with K distinct
-# indicators along the longer axis L, M distinct rows along the shorter axis
-# l, and g = 15 for axes of 5 and 7 (12 for 13, 31 for 3).
+# A table of T sequences reads the grid when C ceil(C / g) L**2 + M ceil(M / g)
+# l**2 + _CRT_OVERHEAD < T (n**2 + _CALL_OVERHEAD), with C lines along the
+# longer axis L, M distinct rows along the shorter axis l, and g = 15 for
+# axes of 5 and 7 (12 for 13, 31 for 3).
 @pytest.mark.parametrize("p,q,count,crt", [
     (5, 7, 8, True),    # 3 * 49 + 8 * 25 + 120000 = 120347 < 8 * 21225 = 169800
     (5, 7, 2, False),   # 3 * 49 + 4 * 25 + 120000 >= 2 * 21225
@@ -395,6 +400,20 @@ def test_row_table_refuses_an_empty_or_mixed_stack():
     with pytest.raises(ValueError, match="one pair"):
         RowTable([generate(SequenceParams.of(3, 5, 1, 0, 0)),
                   generate(SequenceParams.of(3, 7, 1, 0, 0))])
+
+
+@pytest.mark.parametrize("p,q,count,crt", [
+    (17, 19, 8, True), (17, 19, 1, True), (11, 13, 1, False)])
+def test_row_table_refuses_a_sequence_index_out_of_range(p, q, count, crt):
+    # -1 would read the last own row, or no row at all, instead of a
+    # sequence of the table; both routes refuse every t outside its range
+    pair = OddPrimePair(p, q)
+    table = RowTable(generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count])
+    assert (table.along is not None) == crt
+    for t in (-1, -count, count, count + 1):
+        with pytest.raises(ValueError, match="no sequence"):
+            table.profile(t)
+    assert table.profile(count - 1)[0] == pair.n
 
 
 def test_profile_is_hashable_and_derives_its_summary():

@@ -119,9 +119,9 @@ def _count_autocorr_kernel_calls(monkeypatch) -> list:
 
 
 def test_the_row_table_is_the_autocorr_kernel_work(monkeypatch, capsys):
-    # One table per pair: one _correlations call on each axis, the 3
-    # distinct indicators of the 8 triples along q and their 8 distinct rows
-    # along p, the shorter axis. Reading a triple's profile adds no call.
+    # One table per pair: one _correlations call on each axis, the 3 line
+    # indicators of the 8 triples along q and their 8 distinct rows along
+    # p, the shorter axis. Reading a triple's profile adds no call.
     shapes = _count_autocorr_kernel_calls(monkeypatch)
     assert cli.main(["verify", "--p", "5", "--q", "7", "--all"]) == 0
     capsys.readouterr()
@@ -136,16 +136,16 @@ def test_the_row_table_is_the_autocorr_kernel_work(monkeypatch, capsys):
 
 def test_the_row_table_holds_no_per_shift_array():
     # At (307, 311) a profile is n = 95477 int64 values; the table of all 8
-    # triples holds its kernel outputs and block indices in fewer bytes
-    # than n, so it holds no profile, no grid and no per-shift stack.
+    # triples holds its kernel outputs and line-to-row indices in fewer
+    # bytes than n, so it holds no profile, no grid and no per-shift stack.
     pair = cli._Pair(OddPrimePair(307, 311))
     table = pair.table
-    arrays = [table.across, table.along, table.kind_pairs, table.row_pairs]
+    arrays = [table.across, table.along, table.own]
     assert all(isinstance(array, np.ndarray) for array in arrays)
     assert sum(array.nbytes for array in arrays) < pair.primes.n
     assert {name for name in table.__slots__
             if isinstance(getattr(table, name), np.ndarray)} == {
-        "across", "along", "kind_pairs", "row_pairs"}
+        "across", "along", "own"}
 
 
 def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):

@@ -141,6 +141,27 @@ def test_construction_errors():
         mul(_monomial(OddPrimePair(3, 5), 0), _monomial(OddPrimePair(3, 7), 0))
 
 
+def test_non_integral_input_is_refused_not_truncated():
+    # A coefficient or a row entry such as 0.5 or 2.7 would silently become
+    # 0 or 2; integral values of any type, 2.0 and numpy ints among them,
+    # are taken as the ints they equal.
+    primes = OddPrimePair(3, 5)
+    ones_p, ones_q = np.ones(3), np.ones(5)
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        0.5 * gamma_p(primes)
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        CrtElement(primes, [ones_p], [[2.7]], [ones_q])
+    for row in ([0.5, 1, 1], np.array([1, 1, 1e30]), [float("nan"), 1, 1]):
+        with pytest.raises(ValueError, match="rows must be integers"):
+            CrtElement(primes, [row], [[1]], [ones_q])
+        with pytest.raises(ValueError, match="rows must be integers"):
+            CrtElement(primes, [ones_q[:3]], [[1]], [np.resize(row, 5)])
+    assert 2.0 * gamma_p(primes) == 2 * gamma_p(primes)
+    element = CrtElement(primes, [ones_p], [[np.int64(2)]], [np.ones(5, dtype=np.uint8)])
+    assert element.m == ((2,),) and type(element.m[0][0]) is int
+    assert element.dense().tolist() == [2] * 15
+
+
 def test_sum_across_rings_is_refused():
     # (3, 5) and (5, 3) share n = 15 but not the p x q grid, so their terms
     # cannot be pooled

@@ -234,3 +234,23 @@ def test_only_the_row_table_calls_the_kernel_in_autocorr():
              if node is not top and "_correlations" in {getattr(node, "id", None),
                                                         getattr(node, "attr", None)}}
     assert users == {"RowTable"}
+
+
+def test_only_the_row_table_profile_multiplies_matrices_in_autocorr():
+    # RowTable.profile is the one contraction of the row table, with the
+    # bound of its partial sums argued in the class docstring: a matmul,
+    # dot or einsum anywhere else in the module would be a second one.
+    tree = ast.parse((SRC / "autocorr.py").read_text())
+    scopes = [(f"{top.name}.{node.name}", node)
+              for top in tree.body if isinstance(top, ast.ClassDef)
+              for node in top.body if isinstance(node, ast.FunctionDef)]
+    scopes += [(getattr(top, "name", top.lineno), top)
+               for top in tree.body if not isinstance(top, ast.ClassDef)]
+    users = {name
+             for name, scope in scopes
+             for node in ast.walk(scope)
+             if node is not scope and (
+                 isinstance(getattr(node, "op", None), ast.MatMult)
+                 or {"matmul", "dot", "einsum", "tensordot"} & {
+                     getattr(node, "id", None), getattr(node, "attr", None)})}
+    assert users == {"RowTable.profile"}
