@@ -405,8 +405,8 @@ def test_row_table_refuses_an_empty_or_mixed_stack():
 @pytest.mark.parametrize("p,q,count,crt", [
     (17, 19, 8, True), (17, 19, 1, True), (11, 13, 1, False)])
 def test_row_table_refuses_a_sequence_index_out_of_range(p, q, count, crt):
-    # -1 would read the last own row, or no row at all, instead of a
-    # sequence of the table; both routes refuse every t outside its range
+    # unchecked, -1 would read the last sequence and count would raise
+    # IndexError; both routes refuse every t outside the table's range
     pair = OddPrimePair(p, q)
     table = RowTable(generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count])
     assert (table.along is not None) == crt

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import cycloseq
-from cycloseq import cli
+from cycloseq import autocorr, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cycloseq"
@@ -241,16 +241,9 @@ def test_only_the_row_table_profile_multiplies_matrices_in_autocorr():
     # bound of its partial sums argued in the class docstring: a matmul,
     # dot or einsum anywhere else in the module would be a second one.
     tree = ast.parse((SRC / "autocorr.py").read_text())
-    scopes = [(f"{top.name}.{node.name}", node)
-              for top in tree.body if isinstance(top, ast.ClassDef)
-              for node in top.body if isinstance(node, ast.FunctionDef)]
-    scopes += [(getattr(top, "name", top.lineno), top)
-               for top in tree.body if not isinstance(top, ast.ClassDef)]
-    users = {name
-             for name, scope in scopes
-             for node in ast.walk(scope)
-             if node is not scope and (
-                 isinstance(getattr(node, "op", None), ast.MatMult)
-                 or {"matmul", "dot", "einsum", "tensordot"} & {
-                     getattr(node, "id", None), getattr(node, "attr", None)})}
-    assert users == {"RowTable.profile"}
+    products = [node.lineno for node in ast.walk(tree)
+                if isinstance(getattr(node, "op", None), ast.MatMult)
+                or {"matmul", "dot", "einsum", "tensordot"} & {getattr(node, "id", None),
+                                                               getattr(node, "attr", None)}]
+    lines, start = inspect.getsourcelines(autocorr.RowTable.profile)
+    assert products and all(start <= line < start + len(lines) for line in products)
