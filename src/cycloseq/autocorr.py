@@ -17,12 +17,12 @@ exact int64 cyclic correlations through the package's one correlation
 kernel, ``sequence._correlations``. The sequences of one pair share one
 ``RowTable``: on the p x q CRT grid each is a sum of line indicators (x)
 rows over one partition of the longer axis, so one kernel call per axis
-correlates the line indicators and distinct rows of all of them, and each
-profile is one contraction of that table; a table with many distinct rows or
-lines correlates each sequence directly over the period instead. The kernel
-packs several rows into one int64 word, offset so that every field is
-nonnegative, and takes the bound that makes the packing exact from the data;
-no floating point is involved.
+correlates the line indicators and distinct rows of all of them, and the
+profiles of any slice of them are one contraction of that table; a table
+with many distinct rows or lines correlates each sequence directly over the
+period instead. The kernel packs several rows into one int64 word, offset so
+that every field is nonnegative, and takes the bound that makes the packing
+exact from the data; no floating point is involved.
 """
 
 from dataclasses import dataclass
@@ -131,8 +131,10 @@ class RowTable:
     the 8 rows pay for) and every distinct sign row with every other
     (``along``, R x R x the shorter prime). ``profile(t)`` contracts all of
     across with along[own[t], own[t]] and reads the p x q grid back through
-    ``crt_read``, so the table holds no per-shift array and a caller reads
-    one profile at a time.
+    ``crt_read``; for a slice of the sequences, one stacked contraction does
+    so for all of them. So the table holds no per-shift array, and a caller
+    bounds what it holds by the slices it reads (the CLI's check pass reads
+    max(1, 2**13 // n) sequences at a time).
 
     The kernel packs g = 62 // (2L).bit_length() rows into one int64 word and
     spends m * ceil(m / g) * L**2 multiply-adds on m rows of length L
@@ -145,27 +147,32 @@ class RowTable:
     the other prime is at least 131. On the direct route the table holds
     only its sequences and their lines.
 
-    The two constants, measured on a 2-vCPU Xeon VM (numpy 2.4, best of
-    8 x 7 x 15 tables of S(1, 0, 1) alone or of the 8 triples, each route
-    forced and each profile read once; microseconds, grid / direct, both
-    including the de-duplication):
+    The two constants, measured on a 2-vCPU Xeon VM (numpy 2.4; a table of
+    S(1, 0, 1) alone or of the 8 triples, each route forced, built and read
+    once, the 8 as one slice; best of 40 rounds of 7 tables, every case of a
+    round in turn; microseconds, grid / direct, both including the
+    de-duplication):
 
         pair       one triple   8 triples
-        (3, 5)      118 /  55   200 / 185
-        (5, 7)      111 /  54   206 / 194
-        (3, 53)     124 /  75   242 / 338
-        (11, 29)    115 / 117   244 / 698
-        (5, 59)     127 / 139   262 / 642
-        (5, 67)     127 / 126   273 / 764
-        (17, 19)    117 / 123   247 / 713
+        (3, 5)      113 /  57   155 / 183
+        (5, 7)      112 /  58   160 / 192
+        (3, 7)      111 /  56   156 / 186
+        (3, 11)     113 /  57   159 / 192
+        (7, 11)     113 /  60   164 / 219
+        (3, 53)     124 /  75   197 / 339
+        (11, 29)    126 / 121   206 / 686
+        (5, 59)     130 / 111   214 / 619
+        (5, 67)     135 / 127   227 / 740
+        (17, 19)    121 / 122   203 / 691
 
     A multiply-add costs about 1.4 ns there. For one sequence the grid
     breaks even at n**2 of about 10**5 multiply-adds, which the rule keeps
     (_CRT_OVERHEAD - _CALL_OVERHEAD = 10**5). A table of 8 triples reads the
-    grid at every pair, as the rule has it: within about 8 % of 8 direct
-    calls at the smallest pairs, such as (3, 5) and (5, 7), and faster at the
-    larger ones above, since a kernel call's fixed cost of about 25 us is
-    paid 8 times on the direct route and twice on the grid.
+    grid at every pair, as the rule has it, and read as one slice it beats 8
+    direct calls at every pair above, by about 15 % at the smallest: a kernel
+    call's fixed cost of about 25 us is paid 8 times on the direct route and
+    twice on the grid, and the 8 profiles are one contraction and one
+    ``crt_read``.
 
     Exactness: an across output is a count in [0, longer prime] and an along
     output lies in [-shorter prime, shorter prime]; the kernel derives these
@@ -209,19 +216,29 @@ class RowTable:
         self.across = _correlations(indicators, indicators).astype(np.min_scalar_type(-long))
         self.along = _correlations(signs, signs).astype(np.min_scalar_type(-short))
 
-    def profile(self, t: int) -> np.ndarray:
-        """All n autocorrelation values of sequence t, summed exactly."""
-        if t not in range(len(self.seqs)):
+    def profile(self, t) -> np.ndarray:
+        """All n autocorrelation values of sequence t, summed exactly; for a
+        slice t of the table's sequences, their (k, n) stack, read on the
+        grid by one contraction for the whole slice."""
+        one = not isinstance(t, slice)
+        if one and t not in range(len(self.seqs)):
             raise ValueError(f"no sequence {t} in a row table of {len(self.seqs)}")
+        rows = slice(t, t + 1) if one else t
         if self.along is None:
-            signs = sign_view(self.seqs[t])[None]
-            return _correlations(signs, signs)[0, 0]
-        own = self.own[t]
-        along = self.along[own[:, None], own].reshape(len(own) ** 2, -1).astype(np.int64)
-        across = self.across.reshape(len(own) ** 2, -1).astype(np.int64)
-        if self.primes.p < self.primes.q:
-            return crt_read(self.primes, along.T @ across)
-        return crt_read(self.primes, across.T @ along)
+            profiles = np.array([_correlations(signs[None], signs[None])[0, 0]
+                                 for signs in map(sign_view, self.seqs[rows])])
+            profiles = profiles.reshape(-1, self.primes.n)
+        else:
+            own = self.own[rows]
+            pairs = own.shape[1] ** 2
+            along = self.along[own[:, :, None], own[:, None, :]].reshape(
+                len(own), pairs, self.along.shape[-1]).astype(np.int64)
+            across = self.across.reshape(pairs, -1).astype(np.int64)
+            if self.primes.p < self.primes.q:
+                profiles = crt_read(self.primes, along.transpose(0, 2, 1) @ across)
+            else:
+                profiles = crt_read(self.primes, across.T @ along)
+        return profiles[0] if one else profiles
 
 
 def empirical_profile(seq: BinarySequence) -> np.ndarray:
@@ -244,9 +261,16 @@ def class_values(params: SequenceParams) -> tuple[int, int, int, int]:
     return vp, vq, base + term, base - term
 
 
-def closed_form_profile(params: SequenceParams) -> np.ndarray:
-    """All n closed-form values as one int64 array."""
-    return by_class(params.primes, params.n, *class_values(params), np.int64)
+def closed_form_profile(params) -> np.ndarray:
+    """All n closed-form values as one int64 array; for a sequence of k
+    params of one pair, their (k, n) stack, from one ``by_class``."""
+    one = isinstance(params, SequenceParams)
+    stack = (params,) if one else tuple(params)
+    primes = stack[0].primes
+    if any(x.primes != primes for x in stack):
+        raise ValueError("a stack of closed forms holds the params of one pair")
+    profiles = by_class(primes, *zip(*[(x.n, *class_values(x)) for x in stack]), np.int64)
+    return profiles[0] if one else profiles
 
 
 def nontrivial_bound(primes: OddPrimePair) -> int:
@@ -279,15 +303,19 @@ def _constant_over(values: np.ndarray) -> int:
     return int(vals[0])
 
 
-def verify_theorem1(emp: np.ndarray, closed: np.ndarray) -> CheckResult:
+def verify_theorem1(emp: np.ndarray, closed: np.ndarray):
     """Compare the empirical and the closed-form autocorrelation of one
-    instance at every shift."""
-    bad = np.nonzero(emp != closed)[0]
-    if len(bad) == 0:
-        return CheckResult("theorem1", True)
-    tau = int(bad[0])
-    return CheckResult("theorem1", False,
-                       f"tau={tau} empirical={int(emp[tau])} closed={int(closed[tau])}")
+    instance at every shift; for (k, n) stacks, of each of k instances, one
+    ``CheckResult`` each in a list. The detail names the first differing tau."""
+    one = np.ndim(emp) == 1
+    emp, closed = (emp[None], closed[None]) if one else (emp, closed)
+    bad = emp != closed
+    results = []
+    for t, tau in enumerate(bad.argmax(axis=-1).tolist()):  # the first differing tau, or 0
+        detail = (f"tau={tau} empirical={int(emp[t, tau])} closed={int(closed[t, tau])}"
+                  if bad[t, tau] else "")
+        results.append(CheckResult("theorem1", not detail, detail))
+    return results[0] if one else results
 
 
 def profile_as_json_dict(profile: AutocorrelationProfile) -> dict:

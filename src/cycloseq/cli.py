@@ -9,18 +9,24 @@ sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
 build through ``_Pair`` and ``_Instance``. A ``_Pair`` holds the triples a
-command reads and builds their sequences, their ``RowTable`` (one kernel
-call per axis for all of them), and the product table, one ``mul`` over the
-basis (delta, J, chi) of each prime (the package's one ``crt_factors``
-call), which ``lemma1`` reads once and ``correlation_identity`` contracts
-per triple with no product of its own. An ``_Instance`` is row t of its
-pair: it reads its sequence and empirical profile off the pair's and builds
-its closed-form profile and complexity report. Each piece is built on first
-use and at most once, so a command builds only the pieces it prints.
-``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
-through one pair x triple loop, ``_checked``. Each check is a function of
-one ``_Instance`` that hands its pieces to a library check, which compares
-them and returns a ``CheckResult``. Every CSV table is written by
+command reads and the checks it runs, and builds their sequences, their
+``RowTable`` (one kernel call per axis for all of them), their closed-form
+profiles and the product table, one ``mul`` over the basis (delta, J, chi)
+of each prime (the package's one ``crt_factors`` call), which ``lemma1``
+reads once and ``correlation_identity`` contracts with no product of its
+own. theorem1 and correlation_identity run as one pass per pair, over
+chunks of max(1, 2**13 // n) triples: a chunk's empirical profiles are one
+stacked read of the row table and its closed forms one ``by_class``, and
+both checks compare the whole chunk at once. The pair keeps one
+``CheckResult`` per triple and check, not the profiles. An
+``_Instance`` is row t of its pair: it reads its sequence and its
+empirical and closed-form profiles off the pair's and builds its complexity
+report. Each piece is built on first use and at most once, so a command
+builds only the pieces it prints. ``verify``, ``sweep`` and the acceptance
+gate run the ``CHECKS`` registry through one pair x triple loop,
+``_checked``. Each check is a function of one ``_Instance`` that reads its
+row of the pair's results or hands its pieces to a library check, which
+compares them and returns a ``CheckResult``. Every CSV table is written by
 ``_csv_text`` from rows read out of the result types' ``as_json_dict``
 mappings.
 """
@@ -123,17 +129,26 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-class _Pair:
-    """One prime pair and the triples a command reads of it. Its sequences,
-    row table, product table and lemma1 are each built on first use only."""
+# A stacked pass of the checks reads at most max(1, _CHUNK_VALUES // n)
+# triples at a time, so its per-shift stacks hold about this many values.
+_CHUNK_VALUES = 1 << 13
 
-    def __init__(self, primes: OddPrimePair, triples=ALL_TRIPLES):
+
+class _Pair:
+    """One prime pair, the triples a command reads of it and the checks it
+    runs on them. Its sequences, row table, product table, lemma1 and the
+    results of the stacked pass are each built on first use only."""
+
+    def __init__(self, primes: OddPrimePair, triples=ALL_TRIPLES,
+                 checks=("theorem1", "correlation_identity")):
         self.primes = primes
         self.triples = tuple(triples)
+        self.params = tuple(SequenceParams(primes, *abc) for abc in self.triples)
+        self.checks = tuple(checks)
 
     @cached_property
     def seqs(self):
-        return tuple(generate(SequenceParams(self.primes, *abc)) for abc in self.triples)
+        return tuple(generate(params) for params in self.params)
 
     @cached_property
     def table(self):
@@ -147,6 +162,33 @@ class _Pair:
     def lemma1(self):
         return gr.verify_lemma1(self.factors)
 
+    def closed(self, rows):
+        """The closed-form profile of triple ``rows``, or the (k, n) stack of a
+        slice of triples."""
+        return ac.closed_form_profile(self.params[rows])
+
+    @cached_property
+    def results(self) -> dict:
+        """The ``CheckResult`` of every triple, in a list per check, for
+        theorem1 and correlation_identity as far as the pair runs them: one
+        pass over chunks of max(1, _CHUNK_VALUES // n) triples, in which each
+        chunk's empirical and closed-form stacks are read once and serve
+        both checks."""
+        results = {name: [] for name in ("theorem1", "correlation_identity")
+                   if name in self.checks}
+        if not results:
+            return results
+        step = max(1, _CHUNK_VALUES // self.primes.n)
+        for start in range(0, len(self.triples), step):
+            rows = slice(start, start + step)
+            emp, closed = self.table.profile(rows), self.closed(rows)
+            if "theorem1" in results:
+                results["theorem1"] += ac.verify_theorem1(emp, closed)
+            if "correlation_identity" in results:
+                results["correlation_identity"] += gr.verify_correlation_identity(
+                    self.factors, self.seqs[rows], emp, closed)
+        return results
+
 
 class _Instance:
     """One (pair, triple) instance, row t of its pair; each piece is built on
@@ -154,8 +196,8 @@ class _Instance:
 
     def __init__(self, pair: _Pair, a: int, b: int, c: int):
         self.pair = pair
-        self.params = SequenceParams(pair.primes, a, b, c)
         self.t = pair.triples.index((a, b, c))
+        self.params = pair.params[self.t]
 
     @property
     def seq(self):
@@ -167,7 +209,7 @@ class _Instance:
 
     @cached_property
     def closed(self):
-        return ac.closed_form_profile(self.params)
+        return self.pair.closed(self.t)
 
     @cached_property
     def report(self):
@@ -236,11 +278,10 @@ def cmd_adic(args) -> int:
 
 
 CHECKS = {
-    "theorem1": lambda inst: ac.verify_theorem1(inst.emp, inst.closed),
+    "theorem1": lambda inst: inst.pair.results["theorem1"][inst.t],
     "lemma1": lambda inst: inst.pair.lemma1,
     "theorem2": lambda inst: adic.verify_theorem2(inst.report),
-    "correlation_identity": lambda inst: gr.verify_correlation_identity(
-        inst.pair.factors, inst.seq, inst.emp, inst.closed),
+    "correlation_identity": lambda inst: inst.pair.results["correlation_identity"][inst.t],
 }
 
 CHECK_NAMES = tuple(CHECKS)
@@ -249,7 +290,7 @@ CHECK_NAMES = tuple(CHECKS)
 def _checked(pairs, triples, checks):
     """Yield (instance, {name: CheckResult}) per pair x triple, built in turn."""
     for primes in pairs:
-        pair = _Pair(primes, triples)
+        pair = _Pair(primes, triples, checks)
         for a, b, c in triples:
             inst = _Instance(pair, a, b, c)
             yield inst, {name: CHECKS[name](inst) for name in checks}

@@ -19,10 +19,12 @@ one table per pair, ``crt_factors``: the ``mul`` of (delta, J, sigma(chi),
 chi) by B, which holds every sigma(b_i) * b_k and chi * b_k with no value of
 sigma(chi) assumed. ``verify_lemma1`` reads its factor identities off it,
 and ``verify_correlation_identity`` contracts its sigma(b_i) * b_k rows
-under C (x) C, the rows and weights of ``S.sigma() * S``.
+under C (x) C, the rows and weights of ``S.sigma() * S``: for a stack of
+triples, under the stacked C (x) C, one contraction for the whole stack.
 
-Every int64 contraction here is ``_contract(us, m, vs)``, the p x q grid
-us.T @ m @ vs. It raises OverflowError once the sum of |m_ij| * peak u_i *
+Every int64 contraction here is ``_contract(us, ms, vs)``, the (k, p, q)
+stack of the grids us.T @ m @ vs of a stack of k matrices m. It raises
+OverflowError once, for any m of the stack, the sum of |m_ij| * peak u_i *
 peak v_j reaches 2**63, the peak of a row being its largest |entry|, floored
 at 1; an element keeps the peaks of its stacks. The kernel refuses its own
 products from the data alike, so no row carries a bound. The dense O(n**2)
@@ -43,7 +45,7 @@ import numpy as np
 
 from .numtheory import OddPrimePair, legendre
 from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
-                       crt_read, residue_table, sign_view)
+                       crt_grid, crt_read, residue_table)
 
 _INT64_LIMIT = 1 << 63
 
@@ -91,17 +93,27 @@ def _integer(x) -> int:
     return int(x)
 
 
-def _contract(us: _Rows, m, vs: _Rows) -> np.ndarray:
-    """The p x q grid of the sum of m[i][j] * (u_i (x) v_j), us.T @ m @ vs in
-    int64, for m a matrix of Python ints. The sum of |m[i][j]| * peak u_i *
-    peak v_j bounds every partial sum of both products (the floor of 1 on
-    the peaks covers us.T @ m), so it raises OverflowError once that reaches
-    2**63 rather than let int64 wrap."""
-    rows = [sum(map(operator.mul, map(abs, row), vs.peaks)) for row in m]
-    if sum(map(operator.mul, rows, us.peaks)) >= _INT64_LIMIT:
-        raise OverflowError("dense coefficients could exceed int64")
-    m = np.array(m, dtype=np.int64).reshape(len(us.peaks), len(vs.peaks))
-    return (us.rows.T @ m) @ vs.rows
+def _contract(us: _Rows, ms, vs: _Rows) -> np.ndarray:
+    """The (k, p, q) stack of the grids of the sums of m[i][j] * (u_i (x) v_j)
+    over a stack ms of k integer matrices, us.T @ m @ vs in int64 for each m.
+    For each m the sum of |m[i][j]| * peak u_i * peak v_j, in Python ints,
+    bounds every partial sum of both products (the floor of 1 on the peaks
+    covers us.T @ m), so it raises OverflowError once that reaches 2**63 for
+    any m of the stack rather than let int64 wrap. Those sums are formed only
+    when the largest |entry| of the stack times the sums of the peaks, which
+    bounds them all, reaches 2**63; an entry that int64 cannot hold is past
+    both."""
+    try:
+        ms = np.asarray(ms, dtype=np.int64).reshape(len(ms), len(us.peaks), len(vs.peaks))
+    except OverflowError:
+        raise OverflowError("dense coefficients could exceed int64") from None
+    if max(-int(ms.min(initial=0)), int(ms.max(initial=0))) * sum(us.peaks) * sum(
+            vs.peaks) >= _INT64_LIMIT:
+        for m in ms.tolist():
+            rows = [sum(map(operator.mul, map(abs, row), vs.peaks)) for row in m]
+            if sum(map(operator.mul, rows, us.peaks)) >= _INT64_LIMIT:
+                raise OverflowError("dense coefficients could exceed int64")
+    return (us.rows.T @ ms) @ vs.rows
 
 
 def _kron(m, m2) -> tuple:
@@ -176,7 +188,7 @@ class CrtElement:
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q): one
         ``_contract``."""
-        return crt_read(self.primes, _contract(self.us, self.m, self.vs))
+        return crt_read(self.primes, _contract(self.us, (self.m,), self.vs)[0])
 
 
 def _same_ring(x, y) -> None:
@@ -321,8 +333,8 @@ def verify_lemma1(factors: CrtElement) -> CheckResult:
         u, v = factors.us.rows[3 * left[i] + k], factors.vs.rows[3 * left[j] + l]
         if np.array_equal(u, s) and np.array_equal(v, t):
             continue
-        grid = _contract(_stack([u, s], primes.p), [[1, 0], [0, -1]],
-                         _stack([v, t], primes.q))
+        grid = _contract(_stack([u, s], primes.p), ([[1, 0], [0, -1]],),
+                         _stack([v, t], primes.q))[0]
         diff = np.flatnonzero(crt_read(primes, grid))
         if len(diff):
             return CheckResult("lemma1", False,
@@ -330,8 +342,8 @@ def verify_lemma1(factors: CrtElement) -> CheckResult:
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(factors: CrtElement, seq: BinarySequence,
-                                emp: np.ndarray, closed: np.ndarray) -> CheckResult:
+def verify_correlation_identity(factors: CrtElement, seq, emp: np.ndarray,
+                                closed: np.ndarray):
     """Check that the group-ring product sigma(S)*S, its expanded form, the
     empirical autocorrelation ``emp`` and the per-class closed form ``closed``
     of ``seq`` all agree at every shift; the detail lists each route that
@@ -341,24 +353,44 @@ def verify_correlation_identity(factors: CrtElement, seq: BinarySequence,
     0-8 and C and E the matrices of S and of the expanded form, S is
     B_p.T C B_q, the expanded form B_p.T E B_q and sigma(S)*S
     T_p.T (C (x) C) T_q, as ``S.sigma() * S`` forms it.
-    """
-    params = seq.params
-    _same_ring(factors, params)
-    coeffs = _sign_matrix(params)
-    basis_p, basis_q = factors.us.take(0, 3), factors.vs.take(0, 3)
-    product = _contract(factors.us.take(0, 9), _kron(coeffs, coeffs),
-                        factors.vs.take(0, 9))
-    expanded = _contract(basis_p, _expanded_matrix(params), basis_q)
-    sign = crt_read(params.primes, _contract(basis_p, coeffs, basis_q))
 
-    failures = []
-    if not np.array_equal(sign, sign_view(seq)):
-        failures.append("sign_form_vs_sequence")
-    if not np.array_equal(product, expanded):  # both p x q grids
-        failures.append("product_vs_expanded")
-    product = crt_read(params.primes, product)
-    if not np.array_equal(product, emp):
-        failures.append("product_vs_empirical")
-    if not np.array_equal(product, closed):
-        failures.append("product_vs_closed_form")
-    return CheckResult("correlation_identity", not failures, "; ".join(failures))
+    Given a sequence of k sequences of the pair as ``seq``, with ``emp`` and
+    ``closed`` their (k, n) stacks, it checks all k in one pass, one
+    ``CheckResult`` each in a list: one ``_contract`` of the stacked C (x) C
+    and one of the stacked E and C. The product, the expanded form and S are
+    compared on the p x q grid, S against the sequences' bits laid there by
+    ``crt_grid``; the product is read into Z_n order once for the profiles.
+    """
+    one = isinstance(seq, BinarySequence)
+    seqs = (seq,) if one else tuple(seq)
+    emp, closed = (emp[None], closed[None]) if one else (emp, closed)
+    primes = factors.primes
+    for x in seqs:
+        _same_ring(factors, x.params)
+    k = len(seqs)
+    coeffs = np.array([_sign_matrix(x.params) for x in seqs], dtype=np.int64)
+    kron = (coeffs[:, :, None, :, None] * coeffs[:, None, :, None, :]).reshape(k, 9, 9)
+    product = _contract(factors.us.take(0, 9), kron, factors.vs.take(0, 9))
+    forms = _contract(factors.us.take(0, 3),  # the k expanded forms, then the k S
+                      [_expanded_matrix(x.params) for x in seqs] + coeffs.tolist(),
+                      factors.vs.take(0, 3))
+    bits = crt_grid(primes, np.array([x.bits for x in seqs]))
+    routes = {"sign_form_vs_sequence": _differs(forms[k:], 1 - 2 * bits.view(np.int8)),
+              "product_vs_expanded": _differs(product, forms[:k])}
+    del forms  # so that the grids and the read below are not all held at once
+    product = crt_read(primes, product)
+    routes["product_vs_empirical"] = _differs(product, emp)
+    routes["product_vs_closed_form"] = _differs(product, closed)
+    results = []
+    for differs in zip(*routes.values()):
+        failures = [name for name, bad in zip(routes, differs) if bad]
+        results.append(CheckResult("correlation_identity", not failures, "; ".join(failures)))
+    return results[0] if one else results
+
+
+def _differs(x: np.ndarray, y: np.ndarray) -> list:
+    """Whether each array of the stack x differs from its partner in y, as a
+    list of bools; every one does when the stacks' shapes differ."""
+    if x.shape != np.shape(y):
+        return [True] * len(x)
+    return (x != y).reshape(len(x), -1).any(axis=1).tolist()

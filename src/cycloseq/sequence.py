@@ -172,16 +172,21 @@ def _crt_index(p: int, q: int) -> np.ndarray:
 
 def crt_read(primes: OddPrimePair, grid: np.ndarray) -> np.ndarray:
     """Entry k of Z_n for k in [0, n), read at (k mod p, k mod q) of a p x q
-    grid: the Good-Thomas index map, the one place this package computes it."""
-    return grid.ravel()[_crt_index(primes.p, primes.q)]
+    grid, or of each grid of a (..., p, q) stack: the Good-Thomas index map,
+    the one place this package computes it."""
+    flat = grid.reshape(grid.shape[:-2] + (primes.n,))
+    return np.take(flat, _crt_index(primes.p, primes.q), axis=-1)
 
 
 def crt_grid(primes: OddPrimePair, values: np.ndarray) -> np.ndarray:
-    """The p x q grid holding entry k of ``values`` at (k mod p, k mod q): the
-    inverse of ``crt_read``, through the same index."""
-    grid = np.empty(primes.n, dtype=values.dtype)
-    grid[_crt_index(primes.p, primes.q)] = values
-    return grid.reshape(primes.p, primes.q)
+    """The p x q grid holding entry k of ``values`` at (k mod p, k mod q), or
+    the (..., p, q) stack of grids of a (..., n) stack: the inverse of
+    ``crt_read``, through the same index."""
+    grid = np.empty(values.shape, dtype=values.dtype)
+    index = _crt_index(primes.p, primes.q)
+    for row, vector in zip(grid.reshape(-1, primes.n), values.reshape(-1, primes.n)):
+        row[index] = vector  # one flat scatter per grid, numpy's fast path
+    return grid.reshape(values.shape[:-1] + (primes.p, primes.q))
 
 
 def by_class(primes: OddPrimePair, zero, on_p, on_q, unit_plus, unit_minus,
@@ -189,9 +194,11 @@ def by_class(primes: OddPrimePair, zero, on_p, on_q, unit_plus, unit_minus,
     """A ``dtype`` vector over Z_n by residue class: ``zero`` at 0, ``on_p`` on
     P, ``on_q`` on Q, ``unit_plus``/``unit_minus`` on the units with
     (lam/p)(lam/q) = +1/-1. On the p x q grid of ``crt_read`` P is row 0, Q
-    column 0, {0} the corner and U the interior; the one class layout."""
+    column 0, {0} the corner and U the interior; the one class layout. Given
+    the five values as length-k vectors, the (k, n) stack of the k vectors,
+    from one ``np.take``."""
     values = np.array([zero, on_p, on_q, unit_plus, unit_minus], dtype=dtype)
-    return np.take(values, _class_codes(primes))
+    return np.take(values.T, _class_codes(primes), axis=-1)
 
 
 @lru_cache(maxsize=1)

@@ -394,6 +394,36 @@ def test_table_route_follows_the_operation_count(p, q, count, crt):
         assert np.array_equal(table.profile(t), _direct_profile(seq.bits))
 
 
+@pytest.mark.parametrize("p,q,count,crt", [
+    (17, 19, 8, True), (19, 17, 5, True), (5, 7, 8, True), (11, 13, 2, False),
+    (5, 7, 3, False)])
+def test_row_table_reads_a_slice_as_the_stack_of_its_profiles(p, q, count, crt):
+    # on both routes, a slice of the table's sequences, steps, negative
+    # bounds and empty slices included, reads the stack of the one-sequence
+    # profiles in the slice's order
+    pair = OddPrimePair(p, q)
+    seqs = [generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count]]
+    table = RowTable(seqs)
+    assert (table.along is not None) == crt
+    for rows in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-2, None),
+                 slice(count, None), slice(1, 2)):
+        want = [_direct_profile(seqs[t].bits) for t in range(count)[rows]]
+        assert np.array_equal(table.profile(rows),
+                              np.array(want).reshape(len(want), pair.n)), rows
+
+
+def test_closed_form_profiles_of_one_pair_stack_in_order():
+    # a list of params of one pair gives the stack of their closed forms, in
+    # the list's order; params of two pairs are refused
+    params = [SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES[::-3]]
+    stack = closed_form_profile(params)
+    assert stack.shape == (len(params), 35)
+    for row, one in zip(stack, params):
+        assert np.array_equal(row, closed_form_profile(one))
+    with pytest.raises(ValueError, match="one pair"):
+        closed_form_profile([params[0], SequenceParams.of(7, 5, 0, 0, 0)])
+
+
 def test_row_table_refuses_an_empty_or_mixed_stack():
     with pytest.raises(ValueError, match="at least one sequence"):
         RowTable(())

@@ -46,11 +46,13 @@ def calls(monkeypatch):
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
     # crt_basis and crt_factors: once for the pair, and lemma1 and
-    # correlation_identity read the same table; RowTable: once for the pair,
-    # and every triple's empirical profile is read off it
+    # correlation_identity read the same table; RowTable: once for the pair;
+    # closed_form_profile: once for the pair's one stacked pass (n = 35, so
+    # all 8 triples make one chunk), whose stacks of the 8 empirical and
+    # closed-form profiles serve theorem1 and correlation_identity alike
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8, "RowTable": 1, "closed_form_profile": 8,
+    assert calls == {"generate": 8, "RowTable": 1, "closed_form_profile": 1,
                      "verify_lemma1": 1, "crt_basis": 1, "crt_factors": 1}
 
 
@@ -75,8 +77,9 @@ def test_lemma1_runs_once_per_pair_and_only_when_selected(calls, capsys, argv,
 ])
 def test_factors_run_once_per_pair_and_only_for_lemma1_or_correlation_identity(
         calls, capsys, argv, code, runs):
-    # One product table per pair serves lemma1 and all 8 triples of
-    # correlation_identity.
+    # One product table per pair serves lemma1 and the pair's stacked pass,
+    # which checks all 8 triples of correlation_identity; a pass that runs
+    # theorem1 alone builds none.
     assert cli.main(argv) == code
     capsys.readouterr()
     assert calls["crt_factors"] == runs
@@ -103,6 +106,51 @@ def test_the_pair_table_is_the_groupring_kernel_work(monkeypatch, capsys):
     assert cycloseq.groupring.verify_correlation_identity(
         factors, inst.seq, inst.emp, inst.closed) == CheckResult("correlation_identity", True)
     assert shapes == []
+
+
+def _record_stacked_contractions(monkeypatch) -> tuple:
+    """The leading dimension of every groupring._contract output, the
+    matrices it contracts at once, and of every RowTable.profile read, the
+    sequences it reads at once (None for a one-sequence read)."""
+    contracts, reads = [], []
+    contract = cycloseq.groupring._contract
+    profile = cycloseq.autocorr.RowTable.profile
+
+    def counted_contract(us, ms, vs):
+        grids = contract(us, ms, vs)
+        contracts.append(len(grids))
+        return grids
+
+    def counted_profile(table, t):
+        values = profile(table, t)
+        reads.append(len(values) if values.ndim == 2 else None)
+        return values
+
+    monkeypatch.setattr(cycloseq.groupring, "_contract", counted_contract)
+    monkeypatch.setattr(cycloseq.autocorr.RowTable, "profile", counted_profile)
+    return contracts, reads
+
+
+def test_the_checks_run_one_stacked_pass_per_chunk_of_triples(monkeypatch, capsys):
+    # A chunk holds max(1, 2**13 // n) triples. At (5, 7) all 8 make one:
+    # one profile read of 8, one contraction of the 8 C (x) C and one of the
+    # 8 E and 8 C; lemma1 passes, so it contracts nothing. A sweep makes the
+    # same two contractions per pair, whatever its triples. At (307, 311),
+    # n = 95477 > 2**13, so every chunk is one triple.
+    contracts, reads = _record_stacked_contractions(monkeypatch)
+    assert cli.main(["verify", "--p", "5", "--q", "7", "--all"]) == 0
+    assert (contracts, reads) == ([8, 16], [8])
+    contracts.clear()
+    reads.clear()
+    assert cli.main(["sweep", "--pairs", "3,5", "--pairs", "5,7", "--pairs", "3,17",
+                     "--triples", "000,011,101", "--checks", "correlation_identity"]) == 0
+    assert (contracts, reads) == ([3, 6] * 3, [3] * 3)
+    contracts.clear()
+    reads.clear()
+    assert cli.main(["verify", "--p", "307", "--q", "311", "--check",
+                     "theorem1,correlation_identity"]) == 0
+    capsys.readouterr()
+    assert (contracts, reads) == ([1, 2] * 8, [1] * 8)
 
 
 def _count_autocorr_kernel_calls(monkeypatch) -> list:

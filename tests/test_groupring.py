@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 import cycloseq.autocorr as _autocorr
 import cycloseq.groupring as gr
 from cycloseq import cli
+from cycloseq.autocorr import verify_theorem1
 from cycloseq.groupring import (CrtElement, crt_basis, crt_expanded_form, crt_factors,
                                 crt_lemma1, crt_sign_form, dump, gamma_p, gamma_q,
                                 gauss_gp, gauss_gq, mul, verify_correlation_identity,
                                 verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import (CheckResult, SequenceParams, generate, residue_table,
-                               sign_view)
+from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams, generate,
+                               residue_table, sign_view)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 RANDOM_PAIRS = [OddPrimePair(3, 5), OddPrimePair(5, 7), OddPrimePair(3, 13)]
@@ -544,9 +546,116 @@ def test_correlation_identity_names_each_route_it_is_handed_wrong():
         "product_vs_empirical; product_vs_closed_form")
 
 
+def test_correlation_identity_fails_a_profile_of_another_length():
+    # A profile one shift short or long differs from the product: its route
+    # fails, as np.array_equal has it, alone or in a stack, and the check
+    # does not raise.
+    params = SequenceParams.of(5, 7, 1, 1, 0)
+    seq = generate(params)
+    closed = _autocorr.closed_form_profile(params)
+    factors = crt_factors(crt_basis(params.primes))
+    for emp in (closed[:-1], np.append(closed, 1)):
+        assert verify_correlation_identity(factors, seq, emp, closed) == CheckResult(
+            "correlation_identity", False, "product_vs_empirical")
+        assert verify_correlation_identity(factors, [seq, seq], np.stack([emp, emp]),
+                                           np.stack([closed, closed])) == [CheckResult(
+            "correlation_identity", False, "product_vs_empirical")] * 2
+
+
 def test_correlation_identity_refuses_another_pairs_products():
     seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
     factors = crt_factors(crt_basis(OddPrimePair(5, 7)))
     closed = _autocorr.closed_form_profile(seq.params)
     with pytest.raises(ValueError, match="different group rings"):
         verify_correlation_identity(factors, seq, closed, closed)
+
+
+def _identity_oracle(basis, seq, emp, closed):
+    # correlation_identity from elements: S of the basis, sigma(S) * S by mul
+    # and the expanded form, densified to Z_n and compared route by route
+    s = crt_sign_form(seq.params, basis)
+    product = (s.sigma() * s).dense()
+    routes = (("sign_form_vs_sequence", s.dense(), sign_view(seq)),
+              ("product_vs_expanded", product, crt_expanded_form(seq.params, basis).dense()),
+              ("product_vs_empirical", product, emp),
+              ("product_vs_closed_form", product, closed))
+    failures = [name for name, got, want in routes if not np.array_equal(got, want)]
+    return CheckResult("correlation_identity", not failures, "; ".join(failures))
+
+
+def _theorem1_oracle(emp, closed):
+    bad = np.flatnonzero(emp != closed)
+    if len(bad) == 0:
+        return CheckResult("theorem1", True)
+    tau = int(bad[0])
+    return CheckResult("theorem1", False,
+                       f"tau={tau} empirical={emp[tau]} closed={closed[tau]}")
+
+
+class _ChangedProfiles:
+    """A row table whose stacked reads add ``change[t]`` to the profile of
+    sequence t at its shift, recording the size of every read."""
+
+    def __init__(self, table, change):
+        self.table, self.change, self.reads = table, change, []
+
+    def profile(self, rows):
+        stack = self.table.profile(rows).copy()
+        self.reads.append(len(stack))
+        for i, t in enumerate(range(len(self.table.seqs))[rows]):
+            if t in self.change:
+                stack[i, self.change[t]] += 1
+        return stack
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=120)
+@given(primes=st.sampled_from(odd_prime_pairs(400)), data=st.data())
+def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
+    # Differential test: a pair's stacked pass, in chunks of one triple or of
+    # all, gives each triple of a random subset, in either prime order, the
+    # CheckResult of the one-triple verify_theorem1 and
+    # verify_correlation_identity, detail included, and both equal the
+    # element oracles above. The pieces may be corrupted: a changed
+    # empirical or closed-form entry, characters changed in the basis of the
+    # product table, or a sequence with one bit flipped off its sign form
+    # (its row table reads the flipped bits).
+    primes = data.draw(st.sampled_from([primes, OddPrimePair(primes.q, primes.p)]))
+    triples = data.draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=1, unique=True))
+    count = len(triples)
+    budget = data.draw(st.sampled_from((1, 8 * primes.n)), label="budget")
+    pair = cli._Pair(primes, triples)
+    basis = _changed_basis(primes, data)
+    pair.factors = crt_factors(basis)
+    seqs = list(pair.seqs)
+    for t, k in data.draw(st.dictionaries(st.integers(0, count - 1),
+                                          st.integers(0, primes.n - 1), max_size=2)).items():
+        bits = seqs[t].bits.copy()
+        bits[k] ^= 1
+        seqs[t] = BinarySequence(seqs[t].params, bits)
+    pair.seqs = tuple(seqs)
+    shift = st.dictionaries(st.integers(0, count - 1), st.integers(0, primes.n - 1),
+                            max_size=2)
+    table = pair.table = _ChangedProfiles(_autocorr.RowTable(pair.seqs), data.draw(shift))
+    closed_change = data.draw(shift)
+
+    def closed(rows):
+        stack = _autocorr.closed_form_profile(pair.params[rows]).copy()
+        for i, t in enumerate(range(count)[rows]):
+            if t in closed_change:
+                stack[i, closed_change[t]] -= 1
+        return stack
+
+    pair.closed = closed
+    with mock.patch.object(cli, "_CHUNK_VALUES", budget):
+        results = pair.results
+    assert table.reads == ([1] * count if budget == 1 else [count])
+    for t, seq in enumerate(pair.seqs):
+        emp, want = table.table.profile(t), closed(slice(t, t + 1))[0]
+        if t in table.change:
+            emp[table.change[t]] += 1
+        theorem1 = verify_theorem1(emp, want)
+        identity = verify_correlation_identity(pair.factors, seq, emp, want)
+        assert (results["theorem1"][t], results["correlation_identity"][t]) == (
+            theorem1, identity), (t, triples[t])
+        assert (theorem1, identity) == (_theorem1_oracle(emp, want),
+                                        _identity_oracle(basis, seq, emp, want)), t

@@ -110,14 +110,15 @@ def test_only_cli_builds_the_pairs_blocks():
     assert callers == {"cli"}
     assert _top_level_users({"RowTable"}) == {"autocorr.empirical_profile", "cli._Pair"}
     # Every command builds through one path: in cli, the pair's pieces (its
-    # sequences and both tables) are built only inside _Pair and the
-    # instance's only inside _Instance, which reads its sequence and its
-    # empirical profile off the pair's.
+    # sequences, both tables and the closed-form profiles, which its stacked
+    # pass reads a chunk of triples at a time) are built only inside _Pair
+    # and the instance's only inside _Instance, which reads its sequence and
+    # its empirical and closed-form profiles off the pair's.
     tree = ast.parse((SRC / "cli.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     for owner, names in (("_Pair", {"generate", "RowTable", "crt_basis", "crt_factors",
-                                    "verify_lemma1"}),
-                         ("_Instance", {"closed_form_profile", "complexity_report"})):
+                                    "verify_lemma1", "closed_form_profile"}),
+                         ("_Instance", {"complexity_report"})):
         built = _calls_of(classes[owner], names)
         assert {name for name, _ in built} == names, owner
         assert _calls_of(tree, names) == built, owner

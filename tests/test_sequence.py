@@ -10,7 +10,7 @@ from cycloseq import sequence
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, SequenceParams, as_json_dict,
-                               bitstring, by_class, crt_read, generate,
+                               bitstring, by_class, crt_grid, crt_read, generate,
                                residue_table, sign_view, to_json, unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -98,6 +98,26 @@ def test_crt_read_is_the_good_thomas_index_map():
         p, q, k = pair.p, pair.q, np.arange(pair.n)
         grid = np.arange(pair.n).reshape(p, q)
         assert np.array_equal(crt_read(pair, grid), grid[k % p, k % q]), (p, q)
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (7, 5), (11, 13)])
+def test_crt_read_crt_grid_and_by_class_read_stacks_row_by_row(p, q):
+    # a stack of k grids (or vectors, or of k values per class) gives the
+    # stack of the k one-grid results, in order, and crt_grid inverts
+    # crt_read on stacks as on one grid
+    pair = OddPrimePair(p, q)
+    grids = np.random.default_rng(p * q).integers(-9, 9, size=(2, 3, p, q))
+    vectors = crt_read(pair, grids)
+    assert vectors.shape == (2, 3, pair.n)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(vectors[i, j], crt_read(pair, grids[i, j]))
+        assert np.array_equal(crt_grid(pair, vectors[i, j]), grids[i, j])
+    assert np.array_equal(crt_grid(pair, vectors), grids)
+    values = [(0, 1, 2, 3, 4), (5, -6, 7, -8, 9), (1, 1, 2, 2, 3)]
+    stack = by_class(pair, *zip(*values), np.int64)
+    assert stack.shape == (3, pair.n)
+    for row, five in zip(stack, values):
+        assert np.array_equal(row, by_class(pair, *five, np.int64))
 
 
 def _class_code(lam, pair):
