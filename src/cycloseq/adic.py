@@ -24,12 +24,16 @@ d = gcd(S(2), (2**p - 1)(2**q - 1)) = d_p * d_q:
     Phi_m(2) only for m = 2 * 3**k, never for the odd pq.
 
 The proof uses only that the bits are S(a, b, c) of their parameters, which
-``complexity_report`` checks first. It then folds the n-bit word T(2) onto
-the two small factors: since 2**r = 1 mod 2**r - 1, T(2) mod 2**r - 1 is a
-sum of r-bit pieces of T(2), which ``_fold`` adds up in O(n) bit operations.
-d is then a product of one p-bit and one q-bit gcd, with no n-bit gcd and no
-n-bit division. ``d_exact``, ``d_star`` and ``s2`` compute the same
-quantities the long way, with n-bit gcds; they are the oracles of the tests.
+``complexity_report`` checks first, for a stack of one pair's sequences by
+one comparison with one ``family_bits`` stack. One ``packbits`` of the stack
+gives every word T(2), and each n-bit word is folded onto the two small
+factors: since 2**r = 1 mod 2**r - 1, T(2) mod 2**r - 1 is a sum of r-bit
+pieces of T(2), which ``_fold`` adds up in O(n) bit operations. d is then a
+product of one p-bit and one q-bit gcd, with no n-bit gcd and no n-bit
+division; the report keeps both factors, which ``verify_theorem2`` compares
+with the closed forms below. ``d_exact``, ``d_star`` and ``s2`` compute the
+same quantities the long way, with n-bit gcds; they are the oracles of the
+tests.
 
 Closed forms of the two small parts:
 
@@ -52,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import BinarySequence, CheckResult, SequenceParams, family_bits, generate
+from .sequence import (BinarySequence, CheckResult, SequenceParams, _one_pair, family_bits,
+                       generate)
 
 
 def mersenne(n: int) -> int:
@@ -136,7 +141,9 @@ class AdicComplexityReport:
     ``d_exact`` is d = gcd(T(2), 2**n - 1), the value of ``d_exact(seq)``;
     ``d_p`` and ``d_q`` are the closed forms ``dp_closed`` and ``dq_closed``;
     ``complexity_report`` sets ``d_star`` to the proved 1 (see the module
-    docstring), and ``d_star(seq)`` is its oracle.
+    docstring), and ``d_star(seq)`` is its oracle. ``fold_p`` and ``fold_q``
+    are the measured gcd(T(2), 2**p - 1) and gcd(T(2), 2**q - 1), whose
+    product is d; they are compared with ``d_p`` and ``d_q`` and not printed.
     The complexity is log2((2**n - 1) / d); ``complexity_float``
     approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates
@@ -148,6 +155,8 @@ class AdicComplexityReport:
     d_p: int
     d_q: int
     d_star: int
+    fold_p: int
+    fold_q: int
 
     @property
     def n(self) -> int:
@@ -164,6 +173,8 @@ class AdicComplexityReport:
                 ("min(d_p, d_q) != 1", min(dp, dq) != 1, True),
                 ("d != d_p * d_q", d != dp * dq, False),
                 ("d_star != 1", self.d_star != 1, True),
+                ("fold_p != d_p", self.fold_p != dp, True),
+                ("fold_q != d_q", self.fold_q != dq, True),
                 ("best_value predicted but d != 1", self.best_value and d != 1, False))
 
     @property
@@ -173,8 +184,9 @@ class AdicComplexityReport:
     @property
     def closed_form_consistent(self) -> bool:
         """The closed-form oracle equivalence alone: d == max(d_p, d_q),
-        min(d_p, d_q) == 1 and d_star == 1. The best-value prediction is
-        excluded here; it is reported via ``deviations``."""
+        min(d_p, d_q) == 1, d_star == 1 and each measured fold equal to its
+        closed form. The best-value prediction is excluded here; it is
+        reported via ``deviations``."""
         return not any(failed and gates for _, failed, gates in self._clauses())
 
     @property
@@ -193,33 +205,46 @@ class AdicComplexityReport:
         }
 
 
-def complexity_report(params: SequenceParams,
-                      seq: "BinarySequence | None" = None) -> AdicComplexityReport:
+def complexity_report(params, seq=None):
     """Compute d, d_p and d_q exactly; d_star is the proved 1, and the report
-    derives the rest.
+    derives the rest. For a sequence of params of one pair and the list of
+    their sequences, one report per triple in a list.
 
     A caller that already holds ``seq = generate(params)`` passes it in, so
-    it is not rebuilt; a sequence whose bits are not S(a, b, c) of ``params``
-    is refused with ValueError, since the proof that d_star = 1 covers only
-    that family. d is gcd(T(2) mod 2**p - 1, 2**p - 1) times
-    gcd(T(2) mod 2**q - 1, 2**q - 1): a p-bit and a q-bit gcd, the residues
-    folded from the n-bit word T(2).
+    it is not rebuilt. Bits that are not S(a, b, c) of their params are
+    refused with ValueError, since the proof that d_star = 1 covers only that
+    family: one comparison of the stacked bits with one ``family_bits``
+    stack. So is a list of sequences that does not match the params one for
+    one. One ``packbits`` of the stack gives every T(2), and d is
+    gcd(T(2) mod 2**p - 1, 2**p - 1) times gcd(T(2) mod 2**q - 1, 2**q - 1):
+    a p-bit and a q-bit gcd, the residues folded from the n-bit word T(2).
+    The report keeps both factors as ``fold_p`` and ``fold_q``, which
+    theorem2 compares with the closed forms.
     """
-    if seq is None:
-        seq = generate(params)
-    elif seq.params != params:
-        raise ValueError("the sequence was built from other parameters")
-    elif not np.array_equal(seq.bits, family_bits(params)):
+    one = isinstance(params, SequenceParams)
+    stack = _one_pair(params)
+    seqs = generate(stack) if seq is None else (seq,) if one else tuple(seq)
+    if len(seqs) != len(stack) or any(x.params != y for x, y in zip(seqs, stack)):
+        raise ValueError("the sequences were built from other parameters")
+    bits = np.array([x.bits for x in seqs])
+    if not np.array_equal(bits, family_bits(stack)):
         raise ValueError("the bits are not S(a, b, c) of their parameters")
-    word = bits_to_int(seq)
-    d = (math.gcd(_fold(word, params.p), mersenne(params.p))
-         * math.gcd(_fold(word, params.q), mersenne(params.q)))
-    return AdicComplexityReport(params, d, dp_closed(params), dq_closed(params), 1)
+    p, q = stack[0].p, stack[0].q
+    words = np.packbits(bits, axis=1, bitorder="little")
+    reports = []
+    for x, row in zip(stack, words):
+        word = int.from_bytes(row.tobytes(), "little")
+        fold_p = math.gcd(_fold(word, p), mersenne(p))
+        fold_q = math.gcd(_fold(word, q), mersenne(q))
+        reports.append(AdicComplexityReport(x, fold_p * fold_q, dp_closed(x), dq_closed(x), 1,
+                                            fold_p, fold_q))
+    return reports[0] if one else reports
 
 
 def verify_theorem2(report: AdicComplexityReport) -> CheckResult:
-    """Closed-form oracle equivalence: d == max(d_p, d_q), min(d_p, d_q) == 1
-    and d_star == 1. A failed best-value prediction alone does not fail it,
+    """Closed-form oracle equivalence: d == max(d_p, d_q), min(d_p, d_q) == 1,
+    d_star == 1, and the measured folds equal the closed forms, fold_p == d_p
+    and fold_q == d_q. A failed best-value prediction alone does not fail it,
     but is listed in the detail of a failure with every other deviation."""
     if report.closed_form_consistent:
         return CheckResult("theorem2", True)

@@ -30,9 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from .numtheory import OddPrimePair, legendre
+from .numtheory import OddPrimePair
 from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
-                       _multiply_adds, by_class, crt_grid, crt_read, sign_view)
+                       _multiply_adds, _one_pair, by_class, crt_grid, crt_read, sign_view)
 
 
 class AutocorrelationFamily(Enum):
@@ -114,10 +114,11 @@ class RowTable:
     """The periodic autocorrelation of every sequence of one pair, held as
     correlations of grid rows and line indicators, from the bits alone.
 
-    Each sequence goes on the p x q grid of ``crt_grid``, where a shift by tau
-    is a shift by (tau mod p, tau mod q). The table reads the grid as rows
-    along its shorter axis, one row per index of the longer axis. The rows of
-    all grids, packed into uint64 words, are made distinct by ``_distinct``:
+    The sequences go on the p x q grid by one ``crt_grid`` of the stack of
+    their bits, where a shift by tau is a shift by (tau mod p, tau mod q).
+    The table reads each grid as rows along its shorter axis, one row per
+    index of the longer axis. The rows of all grids, packed into uint64 words
+    by one ``packbits`` along that axis, are made distinct by ``_distinct``:
     R_r are the distinct rows, and row i of grid t is R_owner[t, i]. One more
     ``_distinct``, of the columns of owner, splits the longer axis into
     lines, the sets of indices that hold one row in every sequence, and line
@@ -195,11 +196,12 @@ class RowTable:
             raise ValueError("a row table holds the sequences of one pair")
         p, q, count = primes.p, primes.q, len(self.seqs)
         short, long, axis = (p, q, 0) if p < q else (q, p, 1)
-        # every grid's rows along the short axis as uint64 words, grid by grid
+        # every grid's rows along the short axis as uint64 words
+        bits = np.packbits(crt_grid(primes, np.array([seq.bits for seq in self.seqs])),
+                           axis=1 + axis)
         words = np.zeros((count, long, -(-short // 64)), dtype=np.uint64)
-        for seq, packed in zip(self.seqs, words.view(np.uint8)):
-            bits = np.packbits(crt_grid(primes, seq.bits), axis=axis)
-            packed[:, :bits.shape[axis]] = bits.T if axis == 0 else bits
+        words.view(np.uint8)[:, :, :bits.shape[1 + axis]] = (
+            bits.transpose(0, 2, 1) if axis == 0 else bits)
         words = words.reshape(count * long, -1)
         rows, owner = _distinct(words)
         owner = owner.reshape(count, long)
@@ -257,20 +259,18 @@ def class_values(params: SequenceParams) -> tuple[int, int, int, int]:
     vq = (p - q) + 2 * (-1) ** (params.b + params.c) - 1
     # unit-shift value is base + term * chi(tau)
     base = 1 + 2 * (-1) ** (params.a + params.b)
-    term = params.e * (1 + legendre(-1, p) * legendre(-1, q))
+    eps_p, eps_q = params.primes.epsilons
+    term = params.e * (1 + eps_p * eps_q)
     return vp, vq, base + term, base - term
 
 
 def closed_form_profile(params) -> np.ndarray:
     """All n closed-form values as one int64 array; for a sequence of k
     params of one pair, their (k, n) stack, from one ``by_class``."""
-    one = isinstance(params, SequenceParams)
-    stack = (params,) if one else tuple(params)
-    primes = stack[0].primes
-    if any(x.primes != primes for x in stack):
-        raise ValueError("a stack of closed forms holds the params of one pair")
-    profiles = by_class(primes, *zip(*[(x.n, *class_values(x)) for x in stack]), np.int64)
-    return profiles[0] if one else profiles
+    stack = _one_pair(params)
+    profiles = by_class(stack[0].primes, *zip(*[(x.n, *class_values(x)) for x in stack]),
+                        np.int64)
+    return profiles[0] if isinstance(params, SequenceParams) else profiles
 
 
 def nontrivial_bound(primes: OddPrimePair) -> int:

@@ -18,11 +18,12 @@ own. theorem1 and correlation_identity run as one pass per pair, over
 chunks of max(1, 2**13 // n) triples: a chunk's empirical profiles are one
 stacked read of the row table and its closed forms one ``by_class``, and
 both checks compare the whole chunk at once. The pair keeps one
-``CheckResult`` per triple and check, not the profiles. An
-``_Instance`` is row t of its pair: it reads its sequence and its
-empirical and closed-form profiles off the pair's and builds its complexity
-report. Each piece is built on first use and at most once, so a command
-builds only the pieces it prints. ``verify``, ``sweep`` and the acceptance
+``CheckResult`` per triple and check, not the profiles. Its sequences are
+one stacked ``generate``, and its complexity reports one stacked
+``complexity_report`` per chunk of the same size. An ``_Instance`` is row t
+of its pair: it reads its sequence, its empirical and closed-form profiles
+and its complexity report off the pair's. Each piece is built on first use
+and at most once, so a command builds only the pieces it prints. ``verify``, ``sweep`` and the acceptance
 gate run the ``CHECKS`` registry through one pair x triple loop,
 ``_checked``. Each check is a function of one ``_Instance`` that reads its
 row of the pair's results or hands its pieces to a library check, which
@@ -136,8 +137,9 @@ _CHUNK_VALUES = 1 << 13
 
 class _Pair:
     """One prime pair, the triples a command reads of it and the checks it
-    runs on them. Its sequences, row table, product table, lemma1 and the
-    results of the stacked pass are each built on first use only."""
+    runs on them. Its sequences, row table, product table, lemma1, the
+    results of the stacked pass and the complexity reports are each built on
+    first use only."""
 
     def __init__(self, primes: OddPrimePair, triples=ALL_TRIPLES,
                  checks=("theorem1", "correlation_identity")):
@@ -148,7 +150,7 @@ class _Pair:
 
     @cached_property
     def seqs(self):
-        return tuple(generate(params) for params in self.params)
+        return tuple(generate(self.params))
 
     @cached_property
     def table(self):
@@ -167,6 +169,18 @@ class _Pair:
         slice of triples."""
         return ac.closed_form_profile(self.params[rows])
 
+    def _chunks(self):
+        """Slices of max(1, _CHUNK_VALUES // n) triples that cover the pair's."""
+        step = max(1, _CHUNK_VALUES // self.primes.n)
+        return [slice(start, start + step) for start in range(0, len(self.triples), step)]
+
+    @cached_property
+    def reports(self) -> list:
+        """The complexity report of every triple: one stacked
+        ``complexity_report`` per chunk of triples."""
+        return [report for rows in self._chunks()
+                for report in adic.complexity_report(self.params[rows], self.seqs[rows])]
+
     @cached_property
     def results(self) -> dict:
         """The ``CheckResult`` of every triple, in a list per check, for
@@ -178,9 +192,7 @@ class _Pair:
                    if name in self.checks}
         if not results:
             return results
-        step = max(1, _CHUNK_VALUES // self.primes.n)
-        for start in range(0, len(self.triples), step):
-            rows = slice(start, start + step)
+        for rows in self._chunks():
             emp, closed = self.table.profile(rows), self.closed(rows)
             if "theorem1" in results:
                 results["theorem1"] += ac.verify_theorem1(emp, closed)
@@ -211,9 +223,9 @@ class _Instance:
     def closed(self):
         return self.pair.closed(self.t)
 
-    @cached_property
+    @property
     def report(self):
-        return adic.complexity_report(self.params, self.seq)
+        return self.pair.reports[self.t]
 
 
 def cmd_generate(args) -> int:

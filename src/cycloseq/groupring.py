@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numtheory import OddPrimePair, legendre
+from .numtheory import OddPrimePair
 from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
                        crt_grid, crt_read, residue_table)
 
@@ -263,10 +263,11 @@ def _lemma1(stacks: CrtElement) -> list:
     gamma_p * gamma_q == sum over the whole group
     """
     p, q = stacks.primes.p, stacks.primes.q
+    eps_p, eps_q = stacks.primes.epsilons
     (delta_p, j_p, _), (delta_q, j_q, _) = stacks.us.rows[:3], stacks.vs.rows[:3]
     return [
-        ("gauss_gp_squared", (2, 0), (2, 0), legendre(-1, p) * (p * delta_p - j_p), delta_q),
-        ("gauss_gq_squared", (0, 2), (0, 2), delta_p, legendre(-1, q) * (q * delta_q - j_q)),
+        ("gauss_gp_squared", (2, 0), (2, 0), eps_p * (p * delta_p - j_p), delta_q),
+        ("gauss_gq_squared", (0, 2), (0, 2), delta_p, eps_q * (q * delta_q - j_q)),
         ("gamma_p_times_gauss_gq", (0, 1), (0, 2), delta_p, 0 * j_q),
         ("gamma_q_times_gauss_gp", (1, 0), (2, 0), 0 * j_p, delta_q),
         ("gamma_p_times_gamma_q", (0, 1), (1, 0), j_p, j_q),
@@ -292,10 +293,10 @@ def _expanded_matrix(params: SequenceParams) -> list:
     """E, the expanded form's coefficients over the same basis pairs."""
     p, q, e = params.p, params.q, params.e
     sign_a, sign_b = (-1) ** params.a, (-1) ** params.b
-    chi_minus1 = legendre(-1, p) * legendre(-1, q)
+    eps_p, eps_q = params.primes.epsilons
     return [[p * q + e * e, q - p + 2 * e * sign_a, 0],
             [p - q + 2 * e * sign_b, 1 + 2 * sign_a * sign_b, 0],
-            [0, 0, e * (1 + chi_minus1)]]
+            [0, 0, e * (1 + eps_p * eps_q)]]
 
 
 def crt_sign_form(params: SequenceParams, basis: CrtElement) -> CrtElement:

@@ -6,6 +6,7 @@ more than 12 GB, so such pairs are refused up front.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 _PRIME_BOUND = 1 << 32
@@ -85,3 +86,9 @@ class OddPrimePair:
     @property
     def n(self) -> int:
         return self.p * self.q
+
+    @cached_property
+    def epsilons(self) -> tuple:
+        """((-1/p), (-1/q)), taken once per pair; the closed forms and the
+        Lemma-1 identities read them here, not through ``legendre``."""
+        return legendre(-1, self.p), legendre(-1, self.q)

@@ -11,6 +11,12 @@ A sequence S(a, b, c) with fill bits a, b, c in {0, 1} is defined per period by
 
 where (./p) denotes the Legendre symbol, so a unit position carries 0 exactly
 when the two quadratic characters agree.
+
+All sequences of a pair share this class layout and differ only in their
+fill values, so ``generate`` builds the sequences of a list of one pair's
+params as one (k, n) stack, from one ``by_class`` of their stacked fill
+values; each ``BinarySequence`` is one row of it. The one-triple call is the
+same code on a stack of one.
 """
 
 import json
@@ -256,14 +262,36 @@ class BinarySequence:
                 f"abc={self.params.abc}, n={self.n}, weight={self.weight})")
 
 
-def family_bits(params: SequenceParams) -> np.ndarray:
-    """One period of S(a, b, c) as a uint8 vector of 0/1 bits."""
-    return by_class(params.primes, params.c, params.a, params.b, 0, 1, np.uint8)
+def _one_pair(params) -> tuple:
+    """``params`` as a stack: a tuple of the params of one pair, ``(params,)``
+    for one ``SequenceParams``. An empty stack, or one that mixes pairs, is
+    refused with ValueError."""
+    stack = (params,) if isinstance(params, SequenceParams) else tuple(params)
+    if not stack:
+        raise ValueError("a stack of params needs at least one")
+    if any(x.primes != stack[0].primes for x in stack):
+        raise ValueError("a stack of params holds the params of one pair")
+    return stack
 
 
-def generate(params: SequenceParams) -> BinarySequence:
-    """Build one period of S(a, b, c)."""
-    return BinarySequence(params, family_bits(params))
+def family_bits(params) -> np.ndarray:
+    """One period of S(a, b, c) as a uint8 vector of 0/1 bits; for a sequence
+    of k params of one pair, their (k, n) stack, from one ``by_class`` of the
+    stacked fill values (c, a, b, 0, 1)."""
+    stack = _one_pair(params)
+    fills = [(x.c, x.a, x.b, 0, 1) for x in stack]
+    bits = by_class(stack[0].primes, *zip(*fills), np.uint8)
+    return bits[0] if isinstance(params, SequenceParams) else bits
+
+
+def generate(params):
+    """Build one period of S(a, b, c); for a sequence of params of one pair,
+    a list of their sequences, each one row of one ``family_bits`` stack."""
+    stack = _one_pair(params)
+    bits = family_bits(stack)
+    bits.flags.writeable = False  # so that no row can be made writeable again
+    seqs = [BinarySequence(x, row) for x, row in zip(stack, bits)]
+    return seqs[0] if isinstance(params, SequenceParams) else seqs
 
 
 def sign_view(seq: BinarySequence) -> np.ndarray:

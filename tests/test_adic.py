@@ -234,23 +234,25 @@ def test_verify_theorem2_semantics():
     assert bad.detail == "d != max(d_p, d_q); min(d_p, d_q) != 1"
 
 
-GATING = ("d != max(d_p, d_q)", "min(d_p, d_q) != 1", "d_star != 1")
+GATING = ("d != max(d_p, d_q)", "min(d_p, d_q) != 1", "d_star != 1", "fold_p != d_p",
+          "fold_q != d_q")
 
 
 def test_theorem2_reads_the_numbers_of_a_report():
     # Reports built directly, so clauses no real instance reaches are covered.
     params = SequenceParams.of(5, 7, 1, 0, 0)
-    cofactor_hit = AdicComplexityReport(params, 1, 1, 1, 3)
+    cofactor_hit = AdicComplexityReport(params, 1, 1, 1, 3, 1, 1)
     assert cofactor_hit.deviations == ("d_star != 1",)
     assert verify_theorem2(cofactor_hit) == CheckResult("theorem2", False, "d_star != 1")
 
-    product = AdicComplexityReport(SequenceParams.of(3, 13, 0, 0, 1), 7 * 8191, 7, 8191, 1)
+    product = AdicComplexityReport(SequenceParams.of(3, 13, 0, 0, 1), 7 * 8191, 7, 8191, 1,
+                                   7, 8191)
     assert product.best_value is False
     assert product.deviations == ("d != max(d_p, d_q)", "min(d_p, d_q) != 1")
     assert verify_theorem2(product) == CheckResult(
         "theorem2", False, "d != max(d_p, d_q); min(d_p, d_q) != 1")
 
-    best_value_only = AdicComplexityReport(params, 31, 1, 31, 1)
+    best_value_only = AdicComplexityReport(params, 31, 1, 31, 1, 1, 31)
     assert best_value_only.best_value is True
     assert best_value_only.deviations == ("best_value predicted but d != 1",)
     assert verify_theorem2(best_value_only) == CheckResult("theorem2", True)
@@ -258,7 +260,7 @@ def test_theorem2_reads_the_numbers_of_a_report():
 
 @settings(database=None, derandomize=True)
 @given(primes=st.sampled_from([(3, 5), (3, 13), (3, 17), (5, 7), (47, 61)]),
-       numbers=st.tuples(*[st.integers(1, 8) | st.integers(min_value=1)] * 4))
+       numbers=st.tuples(*[st.integers(1, 8) | st.integers(min_value=1)] * 6))
 def test_theorem2_fails_exactly_on_a_gating_deviation(primes, numbers):
     report = AdicComplexityReport(SequenceParams.of(*primes, 0, 0, 1), *numbers)
     gating = [dev for dev in report.deviations if dev in GATING]
@@ -364,6 +366,67 @@ def test_report_refuses_bits_off_the_family():
         bits[k] ^= 1
         with pytest.raises(ValueError, match="not S\\(a, b, c\\)"):
             complexity_report(params, BinarySequence(params, bits))
+
+
+@settings(database=None, derandomize=True, max_examples=120)
+@given(primes=st.sampled_from(odd_prime_pairs(400)), data=st.data())
+def test_stacked_sequences_and_reports_equal_the_one_triple_calls(primes, data):
+    # A pair's params, in either prime order and with repeats, give one stack
+    # of sequences and one report per triple; each equals the one-triple call
+    # and the n-bit oracle d_exact. The refusals hold for the stack as a whole.
+    primes = data.draw(st.sampled_from([primes, OddPrimePair(primes.q, primes.p)]))
+    triples = data.draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=1, max_size=12))
+    stack = [SequenceParams(primes, *abc) for abc in triples]
+    seqs = generate(stack)
+    assert seqs == [generate(params) for params in stack]
+    reports = complexity_report(stack, seqs)
+    assert reports == [complexity_report(params, generate(params)) for params in stack]
+    assert [report.d_exact for report in reports] == [d_exact(seq) for seq in seqs]
+    assert complexity_report(stack) == reports
+    assert complexity_report(stack[:1], seqs[:1]) == reports[:1]
+
+    row = data.draw(st.integers(0, len(stack) - 1), label="row")
+    k = data.draw(st.integers(0, primes.n - 1), label="k")
+    bits = seqs[row].bits.copy()
+    bits[k] ^= 1
+    flipped = seqs[:row] + [BinarySequence(stack[row], bits)] + seqs[row + 1:]
+    with pytest.raises(ValueError, match="not S\\(a, b, c\\)"):
+        complexity_report(stack, flipped)
+    other = SequenceParams.of(3, 5, 0, 0, 0) if primes.n != 15 else SequenceParams.of(
+        3, 7, 0, 0, 0)
+    mixed = stack + [other]
+    with pytest.raises(ValueError, match="one pair"):
+        generate(mixed)
+    with pytest.raises(ValueError, match="one pair"):
+        complexity_report(mixed, seqs + [generate(other)])
+    with pytest.raises(ValueError, match="at least one"):
+        generate([])
+    with pytest.raises(ValueError, match="at least one"):
+        complexity_report([], [])
+    for wrong in (seqs[:-1], seqs + seqs[:1]):
+        with pytest.raises(ValueError, match="other parameters"):
+            complexity_report(stack, wrong)
+
+
+def test_theorem2_fails_when_a_measured_fold_differs_from_its_closed_form(monkeypatch):
+    # At (61, 5) with 100, d = d_q = 31 and d_p = 1. A closed form d_p of 31
+    # leaves d = max(d_p, d_q); the min and product clauses and the fold_p
+    # clause see it. Both closed forms swapped leave every clause on d, d_p and d_q
+    # holding, and the two fold clauses alone fail.
+    params = SequenceParams.of(61, 5, 1, 0, 0)
+    report = complexity_report(params)
+    assert (report.d_exact, report.d_p, report.d_q) == (31, 1, 31)
+    assert (report.fold_p, report.fold_q) == (1, 31)
+    assert verify_theorem2(report) == CheckResult("theorem2", True)
+    monkeypatch.setattr(adic, "dp_closed", lambda params: 31)
+    assert verify_theorem2(complexity_report(params)) == CheckResult(
+        "theorem2", False, "min(d_p, d_q) != 1; d != d_p * d_q; fold_p != d_p")
+    monkeypatch.setattr(adic, "dp_closed", dq_closed)
+    monkeypatch.setattr(adic, "dq_closed", dp_closed)
+    swapped = complexity_report(params)
+    assert (swapped.d_exact, swapped.d_p, swapped.d_q) == (31, 31, 1)
+    assert verify_theorem2(swapped) == CheckResult(
+        "theorem2", False, "fold_p != d_p; fold_q != d_q")
 
 
 @settings(database=None, derandomize=True)

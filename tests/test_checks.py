@@ -8,9 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cycloseq.adic
 import cycloseq.autocorr
 import cycloseq.cli as cli
 import cycloseq.groupring
+import cycloseq.numtheory
 import cycloseq.sequence
 from cycloseq.numtheory import OddPrimePair
 from cycloseq.sequence import CheckResult
@@ -45,6 +47,7 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
+    # generate: once for the pair, one stack of its 8 sequences;
     # crt_basis and crt_factors: once for the pair, and lemma1 and
     # correlation_identity read the same table; RowTable: once for the pair;
     # closed_form_profile: once for the pair's one stacked pass (n = 35, so
@@ -52,7 +55,7 @@ def test_each_instance_is_built_once(calls, capsys, argv):
     # closed-form profiles serve theorem1 and correlation_identity alike
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8, "RowTable": 1, "closed_form_profile": 1,
+    assert calls == {"generate": 1, "RowTable": 1, "closed_form_profile": 1,
                      "verify_lemma1": 1, "crt_basis": 1, "crt_factors": 1}
 
 
@@ -153,6 +156,43 @@ def test_the_checks_run_one_stacked_pass_per_chunk_of_triples(monkeypatch, capsy
     assert (contracts, reads) == ([1, 2] * 8, [1] * 8)
 
 
+def test_a_pairs_reports_are_one_stacked_call_per_chunk(monkeypatch, capsys):
+    # The reports come in the chunks of the check pass: all 8 triples at
+    # (5, 7), one triple at a time at (307, 311), where n = 95477 > 2**13.
+    sizes = []
+    original = cycloseq.adic.complexity_report
+
+    def counted(params, seq=None):
+        reports = original(params, seq)
+        sizes.append(len(reports))
+        return reports
+
+    monkeypatch.setattr(cli.adic, "complexity_report", counted)
+    assert cli.main(["verify", "--p", "5", "--q", "7", "--check", "theorem2"]) == 0
+    assert sizes == [8]
+    sizes.clear()
+    assert cli.main(["verify", "--p", "307", "--q", "311", "--check", "theorem2"]) == 0
+    capsys.readouterr()
+    assert sizes == [1] * 8
+
+
+def test_the_row_table_lays_its_sequences_on_the_grid_at_once(monkeypatch):
+    # One crt_grid call of the (k, n) stack of the table's sequences, with
+    # either prime the shorter axis; test_autocorr checks the profiles.
+    shapes = []
+    original = cycloseq.autocorr.crt_grid
+
+    def counted(primes, values):
+        shapes.append(np.shape(values))
+        return original(primes, values)
+
+    monkeypatch.setattr(cycloseq.autocorr, "crt_grid", counted)
+    for primes in (OddPrimePair(5, 7), OddPrimePair(7, 5)):
+        cli._Pair(primes).table
+        assert shapes == [(8, 35)], primes
+        shapes.clear()
+
+
 def _count_autocorr_kernel_calls(monkeypatch) -> list:
     """The shapes of the arguments of every autocorr._correlations call."""
     shapes = []
@@ -217,10 +257,33 @@ def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):
     assert runs == {5: 2, 7: 2}
 
 
+def test_legendre_runs_twice_per_pair(monkeypatch, capsys):
+    # (-1/p) and (-1/q), once per pair: every triple's closed forms, its
+    # expanded form and lemma1 read them off the pair, and the residue
+    # tables are built from the squares, with no symbol evaluated.
+    moduli = Counter()
+    original = cycloseq.numtheory.legendre
+
+    def legendre(a, r):
+        moduli[a, r] += 1
+        return original(a, r)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("cycloseq")
+                and getattr(mod, "legendre", None) is original):
+            monkeypatch.setattr(mod, "legendre", legendre)
+    pairs = [(3, 5), (5, 7), (3, 17), (17, 19), (7, 61)]
+    argv = ["sweep"] + [arg for p, q in pairs for arg in ("--pairs", f"{p},{q}")]
+    assert cli.main(argv) == 2
+    capsys.readouterr()
+    assert moduli == Counter((-1, r) for pair in pairs for r in pair)
+
+
 def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
+    # theorem2 reads the reports, which read the pair's one stack of sequences
     assert cli.main(["sweep", "--pairs", "5,7", "--checks", "theorem2"]) == 0
     capsys.readouterr()
-    assert calls == {"generate": 8}
+    assert calls == {"generate": 1}
 
 
 @pytest.mark.parametrize("argv,built", [

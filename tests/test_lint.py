@@ -110,19 +110,33 @@ def test_only_cli_builds_the_pairs_blocks():
     assert callers == {"cli"}
     assert _top_level_users({"RowTable"}) == {"autocorr.empirical_profile", "cli._Pair"}
     # Every command builds through one path: in cli, the pair's pieces (its
-    # sequences, both tables and the closed-form profiles, which its stacked
-    # pass reads a chunk of triples at a time) are built only inside _Pair
-    # and the instance's only inside _Instance, which reads its sequence and
-    # its empirical and closed-form profiles off the pair's.
+    # sequences, both tables, the closed-form profiles, which its stacked
+    # pass reads a chunk of triples at a time, and the complexity reports,
+    # built in the same chunks) are built only inside _Pair; an _Instance
+    # reads its row of each off the pair's.
     tree = ast.parse((SRC / "cli.py").read_text())
-    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for owner, names in (("_Pair", {"generate", "RowTable", "crt_basis", "crt_factors",
-                                    "verify_lemma1", "closed_form_profile"}),
-                         ("_Instance", {"complexity_report"})):
-        built = _calls_of(classes[owner], names)
-        assert {name for name, _ in built} == names, owner
-        assert _calls_of(tree, names) == built, owner
+    pair = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Pair")
+    names = {"generate", "RowTable", "crt_basis", "crt_factors", "verify_lemma1",
+             "closed_form_profile", "complexity_report"}
+    built = _calls_of(pair, names)
+    assert {name for name, _ in built} == names
+    assert _calls_of(tree, names) == built
     assert _calls_of(tree, {"empirical_profile"}) == []
+
+
+def test_the_closed_forms_read_the_pairs_symbols_and_call_no_legendre():
+    # (-1/p) and (-1/q) are taken once per pair, by OddPrimePair.epsilons;
+    # the closed forms and the Lemma-1 identities of every triple read them
+    # there, so none of them calls legendre, which tests its modulus for
+    # primality on every call.
+    for module, name in (("autocorr", "class_values"), ("groupring", "_expanded_matrix"),
+                         ("groupring", "_lemma1")):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        function = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert "epsilons" in ast.dump(function), name
+        assert _calls_of(function, {"legendre"}) == [], name
 
 
 def test_only_by_class_lays_out_the_residue_classes():

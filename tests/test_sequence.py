@@ -225,6 +225,21 @@ def test_bits_are_immutable():
         seq.bits[0] = 1
 
 
+def test_generate_of_a_pairs_params_is_one_read_only_stack():
+    # Each sequence is one row of one by_class stack, and no row can be made
+    # writeable again; a stack of one is the one-triple call.
+    stack = [SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES + ALL_TRIPLES[:2]]
+    seqs = generate(stack)
+    assert seqs == [generate(params) for params in stack]
+    base = seqs[0].bits.base
+    assert base.shape == (10, 35) and not base.flags.writeable
+    assert all(seq.bits.base is base for seq in seqs)
+    with pytest.raises(ValueError):
+        seqs[3].bits.flags.writeable = True
+    assert generate(stack[:1]) == [generate(stack[0])]
+    assert generate(tuple(stack)) == seqs
+
+
 @pytest.mark.parametrize("bits", [np.zeros(14, dtype=np.uint8), [],
                                   np.zeros((3, 5), dtype=np.uint8)])
 def test_binary_sequence_length_check(bits):
