@@ -3,7 +3,7 @@
 Construction of S(a, b, c) with period n = p*q, exact periodic
 autocorrelation (empirical and closed form), symbolic verification of the
 group-ring product identities behind the correlation theorem, and exact
-2-adic complexity via big-integer gcds.
+2-adic complexity via folded p- and q-bit gcds.
 
 The names below are the ones the demos and the README use; every other
 public name is imported from its submodule.

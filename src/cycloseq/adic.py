@@ -31,9 +31,9 @@ factors: since 2**r = 1 mod 2**r - 1, T(2) mod 2**r - 1 is a sum of r-bit
 pieces of T(2), which ``_fold`` adds up in O(n) bit operations. d is then a
 product of one p-bit and one q-bit gcd, with no n-bit gcd and no n-bit
 division; the report keeps both factors, which ``verify_theorem2`` compares
-with the closed forms below. ``d_exact``, ``d_star`` and ``s2`` compute the
-same quantities the long way, with n-bit gcds; they are the oracles of the
-tests.
+with the closed forms below, and d is their product. ``d_exact``, ``d_star``
+and ``s2`` compute the same quantities the long way, with n-bit gcds; they
+are the oracles of the tests.
 
 Closed forms of the two small parts:
 
@@ -120,9 +120,8 @@ def dq_closed(params: SequenceParams) -> int:
 def d_star(seq: BinarySequence) -> int:
     """gcd of S(2) with the cofactor Phi_pq(2) = (2**n - 1) / ((2**p - 1)(2**q - 1)).
 
-    Equals 1 for every S(a, b, c) (the module docstring has the proof);
-    ``complexity_report`` reports that proved 1, and this n-bit gcd is its
-    oracle.
+    Equals 1 for every S(a, b, c) (the module docstring has the proof); a
+    report prints that proved 1, and this n-bit gcd is its oracle.
     """
     primes = seq.params.primes
     return math.gcd(s2(seq), mersenne(primes.n) // (mersenne(primes.p) * mersenne(primes.q)))
@@ -138,12 +137,12 @@ def best_value_predicate(primes: OddPrimePair) -> bool:
 class AdicComplexityReport:
     """Exact 2-adic complexity data for one parameter set.
 
-    ``d_exact`` is d = gcd(T(2), 2**n - 1), the value of ``d_exact(seq)``;
     ``d_p`` and ``d_q`` are the closed forms ``dp_closed`` and ``dq_closed``;
-    ``complexity_report`` sets ``d_star`` to the proved 1 (see the module
-    docstring), and ``d_star(seq)`` is its oracle. ``fold_p`` and ``fold_q``
-    are the measured gcd(T(2), 2**p - 1) and gcd(T(2), 2**q - 1), whose
-    product is d; they are compared with ``d_p`` and ``d_q`` and not printed.
+    ``fold_p`` and ``fold_q`` are the measured gcd(T(2), 2**p - 1) and
+    gcd(T(2), 2**q - 1), compared with ``d_p`` and ``d_q`` and not printed.
+    ``d_exact`` is their product, d = gcd(T(2), 2**n - 1) since d_star = 1
+    (see the module docstring), the value of ``d_exact(seq)``; the JSON
+    prints that proved d_star = 1, whose oracle is ``d_star(seq)``.
     The complexity is log2((2**n - 1) / d); ``complexity_float``
     approximates it as n + log2(1 - 2**-n) - log2(d).
     ``deviations`` lists any closed-form identities the instance violates
@@ -151,12 +150,14 @@ class AdicComplexityReport:
     """
 
     params: SequenceParams
-    d_exact: int
     d_p: int
     d_q: int
-    d_star: int
     fold_p: int
     fold_q: int
+
+    @property
+    def d_exact(self) -> int:
+        return self.fold_p * self.fold_q
 
     @property
     def n(self) -> int:
@@ -172,7 +173,6 @@ class AdicComplexityReport:
         return (("d != max(d_p, d_q)", d != max(dp, dq), True),
                 ("min(d_p, d_q) != 1", min(dp, dq) != 1, True),
                 ("d != d_p * d_q", d != dp * dq, False),
-                ("d_star != 1", self.d_star != 1, True),
                 ("fold_p != d_p", self.fold_p != dp, True),
                 ("fold_q != d_q", self.fold_q != dq, True),
                 ("best_value predicted but d != 1", self.best_value and d != 1, False))
@@ -184,9 +184,9 @@ class AdicComplexityReport:
     @property
     def closed_form_consistent(self) -> bool:
         """The closed-form oracle equivalence alone: d == max(d_p, d_q),
-        min(d_p, d_q) == 1, d_star == 1 and each measured fold equal to its
-        closed form. The best-value prediction is excluded here; it is
-        reported via ``deviations``."""
+        min(d_p, d_q) == 1 and each measured fold equal to its closed form.
+        The best-value prediction is excluded here; it is reported via
+        ``deviations``."""
         return not any(failed and gates for _, failed, gates in self._clauses())
 
     @property
@@ -198,7 +198,7 @@ class AdicComplexityReport:
         return {
             "p": p.p, "q": p.q, "a": p.a, "b": p.b, "c": p.c, "n": self.n,
             "d": self.d_exact, "d_p": self.d_p, "d_q": self.d_q,
-            "d_star": self.d_star, "best_value": self.best_value,
+            "d_star": 1, "best_value": self.best_value,
             "complexity_bits_exact": f"log2((2^{self.n}-1)/{self.d_exact})",
             "complexity_float": self.complexity_float,
             "deviations": list(self.deviations),
@@ -206,7 +206,8 @@ class AdicComplexityReport:
 
 
 def complexity_report(params, seq=None):
-    """Compute d, d_p and d_q exactly; d_star is the proved 1, and the report
+    """Measure fold_p and fold_q exactly, whose product is d since d_star is
+    the proved 1, and take d_p and d_q from their closed forms; the report
     derives the rest. For a sequence of params of one pair and the list of
     their sequences, one report per triple in a list.
 
@@ -236,15 +237,14 @@ def complexity_report(params, seq=None):
         word = int.from_bytes(row.tobytes(), "little")
         fold_p = math.gcd(_fold(word, p), mersenne(p))
         fold_q = math.gcd(_fold(word, q), mersenne(q))
-        reports.append(AdicComplexityReport(x, fold_p * fold_q, dp_closed(x), dq_closed(x), 1,
-                                            fold_p, fold_q))
+        reports.append(AdicComplexityReport(x, dp_closed(x), dq_closed(x), fold_p, fold_q))
     return reports[0] if one else reports
 
 
 def verify_theorem2(report: AdicComplexityReport) -> CheckResult:
     """Closed-form oracle equivalence: d == max(d_p, d_q), min(d_p, d_q) == 1,
-    d_star == 1, and the measured folds equal the closed forms, fold_p == d_p
-    and fold_q == d_q. A failed best-value prediction alone does not fail it,
+    and the measured folds equal the closed forms, fold_p == d_p and
+    fold_q == d_q. A failed best-value prediction alone does not fail it,
     but is listed in the detail of a failure with every other deviation."""
     if report.closed_form_consistent:
         return CheckResult("theorem2", True)

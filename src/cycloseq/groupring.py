@@ -26,9 +26,9 @@ Every int64 contraction here is ``_contract(us, ms, vs)``, the (k, p, q)
 stack of the grids us.T @ m @ vs of a stack of k matrices m. It raises
 OverflowError once, for any m of the stack, the sum of |m_ij| * peak u_i *
 peak v_j reaches 2**63, the peak of a row being its largest |entry|, floored
-at 1; an element keeps the peaks of its stacks. The kernel refuses its own
-products from the data alike, so no row carries a bound. The dense O(n**2)
-ring is only the oracle of the tests in ``tests/test_groupring.py``.
+at 1, read from the rows it is given. The kernel refuses its own products
+from the data alike, so no row carries a bound. The dense O(n**2) ring is
+only the oracle of the tests in ``tests/test_groupring.py``.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -39,7 +39,6 @@ This matches the algebraic role of each object: gauss_gp squares to
 """
 
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,35 +54,21 @@ def _reverse(u: np.ndarray) -> np.ndarray:
     return np.concatenate((u[..., :1], u[..., :0:-1]), axis=-1)
 
 
-class _Rows(NamedTuple):
-    """Int64 rows of one length and the peak of each: its largest |entry|,
-    floored at 1, as a Python int."""
-
-    rows: np.ndarray
-    peaks: list
-
-    def take(self, start: int, stop: int) -> "_Rows":
-        """Rows start to stop - 1, with their peaks."""
-        return _Rows(self.rows[start:stop], self.peaks[start:stop])
-
-    def join(self, other: "_Rows") -> "_Rows":
-        """These rows, then other's, with their peaks as they are."""
-        return _Rows(np.vstack((self.rows, other.rows)), self.peaks + other.peaks)
-
-
-def _stack(vectors, r: int) -> _Rows:
-    """The vectors as one int64 stack of length-r rows with its row peaks, or
-    ``vectors`` itself if it is one; an entry that is not integral is refused
-    rather than truncated, and |entry| is read as uint64, so that |-2**63|
-    does not wrap."""
-    if isinstance(vectors, _Rows):
-        return vectors
+def _stack(vectors, r: int) -> np.ndarray:
+    """The vectors as one int64 stack of length-r rows; an entry that is not
+    integral is refused rather than truncated."""
     raw = np.asarray(vectors)
     with np.errstate(invalid="ignore"):  # an entry int64 cannot hold is refused below
         rows = raw.astype(np.int64).reshape(-1, r)
     if raw.dtype.kind not in "biu" and np.any(rows != raw.reshape(-1, r)):
         raise ValueError("a ring element's rows must be integers")
-    return _Rows(rows, np.abs(rows).view(np.uint64).max(axis=1, initial=1).tolist())
+    return rows
+
+
+def _peaks(rows: np.ndarray) -> list:
+    """The peak of each row, its largest |entry| floored at 1, as Python
+    ints; |entry| is read as uint64, so that |-2**63| does not wrap."""
+    return np.abs(rows).view(np.uint64).max(axis=1, initial=1).tolist()
 
 
 def _integer(x) -> int:
@@ -93,27 +78,28 @@ def _integer(x) -> int:
     return int(x)
 
 
-def _contract(us: _Rows, ms, vs: _Rows) -> np.ndarray:
+def _contract(us: np.ndarray, ms, vs: np.ndarray) -> np.ndarray:
     """The (k, p, q) stack of the grids of the sums of m[i][j] * (u_i (x) v_j)
     over a stack ms of k integer matrices, us.T @ m @ vs in int64 for each m.
-    For each m the sum of |m[i][j]| * peak u_i * peak v_j, in Python ints,
-    bounds every partial sum of both products (the floor of 1 on the peaks
-    covers us.T @ m), so it raises OverflowError once that reaches 2**63 for
-    any m of the stack rather than let int64 wrap. Those sums are formed only
-    when the largest |entry| of the stack times the sums of the peaks, which
-    bounds them all, reaches 2**63; an entry that int64 cannot hold is past
-    both."""
+    With the peaks read from us and vs at the call, for each m the sum of
+    |m[i][j]| * peak u_i * peak v_j, in Python ints, bounds every partial sum
+    of both products (the floor of 1 on the peaks covers us.T @ m), so it
+    raises OverflowError once that reaches 2**63 for any m of the stack
+    rather than let int64 wrap. Those sums are formed only when the largest
+    |entry| of the stack times the sums of the peaks, which bounds them all,
+    reaches 2**63; an entry that int64 cannot hold is past both."""
     try:
-        ms = np.asarray(ms, dtype=np.int64).reshape(len(ms), len(us.peaks), len(vs.peaks))
+        ms = np.asarray(ms, dtype=np.int64).reshape(len(ms), len(us), len(vs))
     except OverflowError:
         raise OverflowError("dense coefficients could exceed int64") from None
-    if max(-int(ms.min(initial=0)), int(ms.max(initial=0))) * sum(us.peaks) * sum(
-            vs.peaks) >= _INT64_LIMIT:
+    u_peaks, v_peaks = _peaks(us), _peaks(vs)
+    if max(-int(ms.min(initial=0)), int(ms.max(initial=0))) * sum(u_peaks) * sum(
+            v_peaks) >= _INT64_LIMIT:
         for m in ms.tolist():
-            rows = [sum(map(operator.mul, map(abs, row), vs.peaks)) for row in m]
-            if sum(map(operator.mul, rows, us.peaks)) >= _INT64_LIMIT:
+            rows = [sum(map(operator.mul, map(abs, row), v_peaks)) for row in m]
+            if sum(map(operator.mul, rows, u_peaks)) >= _INT64_LIMIT:
                 raise OverflowError("dense coefficients could exceed int64")
-    return (us.rows.T @ ms) @ vs.rows
+    return (us.T @ ms) @ vs
 
 
 def _kron(m, m2) -> tuple:
@@ -127,12 +113,13 @@ def _kron(m, m2) -> tuple:
 class CrtElement:
     """Element of Z[Z_p] (x) Z[Z_q]: the sum of m[i][j] * (u_i (x) v_j).
 
-    ``us`` and ``vs`` stack the rows u_i over Z_p and v_j over Z_q with their
-    peaks (vectors given are stacked); ``m`` is a matrix of Python ints, and
+    ``us`` and ``vs`` are int64 arrays, the rows u_i over Z_p and v_j over
+    Z_q (vectors given are stacked); ``m`` is a matrix of Python ints, and
     the empty default is 0. ``mul``'s kernel refuses a row product that could
     leave int64 from the rows' entries, and ``dense()``'s ``_contract`` from
-    m and the peaks, so a chain of products is refused only when its values
-    could overflow. Two elements are equal when their dense coefficients are.
+    m and the rows' peaks, so a chain of products is refused only when its
+    values could overflow. Two elements are equal when their dense
+    coefficients are.
     """
 
     __slots__ = ("primes", "us", "m", "vs")
@@ -142,15 +129,16 @@ class CrtElement:
                    _stack(vs, primes.q))
 
     @classmethod
-    def _of(cls, primes: OddPrimePair, us: "_Rows", m: tuple, vs: "_Rows") -> "CrtElement":
-        """The element of stacks and a tuple matrix of Python ints that an
-        operation has formed, taken as they are."""
+    def _of(cls, primes: OddPrimePair, us: np.ndarray, m: tuple,
+            vs: np.ndarray) -> "CrtElement":
+        """The element of int64 stacks and a tuple matrix of Python ints that
+        an operation has formed, taken as they are."""
         element = cls.__new__(cls)
         element._fill(primes, us, m, vs)
         return element
 
     def _fill(self, primes, us, m, vs) -> None:
-        if len(m) != len(us.peaks) or any(len(row) != len(vs.peaks) for row in m):
+        if len(m) != len(us) or any(len(row) != len(vs) for row in m):
             raise ValueError("the coefficient matrix does not fit the stacks")
         self.primes, self.us, self.m, self.vs = primes, us, m, vs
 
@@ -167,9 +155,10 @@ class CrtElement:
     def __add__(self, other: "CrtElement") -> "CrtElement":
         """Both stacks stacked, under the block-diagonal matrix of the two."""
         _same_ring(self, other)
-        left, right = len(self.vs.peaks), len(other.vs.peaks)
+        left, right = len(self.vs), len(other.vs)
         m = tuple([row + (0,) * right for row in self.m] + [(0,) * left + row for row in other.m])
-        return CrtElement._of(self.primes, self.us.join(other.us), m, self.vs.join(other.vs))
+        return CrtElement._of(self.primes, np.vstack((self.us, other.us)), m,
+                              np.vstack((self.vs, other.vs)))
 
     def __sub__(self, other: "CrtElement") -> "CrtElement":
         return self + -1 * other
@@ -181,9 +170,8 @@ class CrtElement:
         return mul(self, other)
 
     def sigma(self) -> "CrtElement":
-        """x**k -> x**(-k), which reverses every row and keeps its peak."""
-        return CrtElement._of(self.primes, _Rows(_reverse(self.us.rows), self.us.peaks),
-                              self.m, _Rows(_reverse(self.vs.rows), self.vs.peaks))
+        """x**k -> x**(-k), which reverses every row."""
+        return CrtElement._of(self.primes, _reverse(self.us), self.m, _reverse(self.vs))
 
     def dense(self) -> np.ndarray:
         """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q): one
@@ -201,13 +189,13 @@ def mul(x: CrtElement, y: CrtElement) -> CrtElement:
     """Ring product: (u (x) v)(s (x) t) = (u*s) (x) (v*t). One
     ``_correlations`` call per axis forms the products of all row pairs, the
     correlation of sigma(u_i) with s_k being u_i * s_k, at row
-    i * len(y.us.rows) + k, and the weights are x.m (x) y.m; the kernel
+    i * len(y.us) + k, and the weights are x.m (x) y.m; the kernel
     refuses any product that could leave int64."""
     _same_ring(x, y)
     p, q = x.primes.p, x.primes.q
-    us = _correlations(_reverse(x.us.rows), y.us.rows).reshape(-1, p)
-    vs = _correlations(_reverse(x.vs.rows), y.vs.rows).reshape(-1, q)
-    return CrtElement._of(x.primes, _stack(us, p), _kron(x.m, y.m), _stack(vs, q))
+    us = _correlations(_reverse(x.us), y.us).reshape(-1, p)
+    vs = _correlations(_reverse(x.vs), y.vs).reshape(-1, q)
+    return CrtElement._of(x.primes, us, _kron(x.m, y.m), vs)
 
 
 def dump(u: CrtElement) -> str:
@@ -228,8 +216,7 @@ def crt_basis(primes: OddPrimePair) -> CrtElement:
 def _block(basis: CrtElement, i: int, j: int) -> CrtElement:
     """b_i (x) b_j: row i of ``basis``'s stack on Z_p, row j of its stack on
     Z_q, under [[1]]."""
-    return CrtElement._of(basis.primes, basis.us.take(i, i + 1), ((1,),),
-                          basis.vs.take(j, j + 1))
+    return CrtElement._of(basis.primes, basis.us[i:i + 1], ((1,),), basis.vs[j:j + 1])
 
 
 def gamma_p(primes: OddPrimePair) -> CrtElement:
@@ -264,7 +251,7 @@ def _lemma1(stacks: CrtElement) -> list:
     """
     p, q = stacks.primes.p, stacks.primes.q
     eps_p, eps_q = stacks.primes.epsilons
-    (delta_p, j_p, _), (delta_q, j_q, _) = stacks.us.rows[:3], stacks.vs.rows[:3]
+    (delta_p, j_p, _), (delta_q, j_q, _) = stacks.us[:3], stacks.vs[:3]
     return [
         ("gauss_gp_squared", (2, 0), (2, 0), eps_p * (p * delta_p - j_p), delta_q),
         ("gauss_gq_squared", (0, 2), (0, 2), delta_p, eps_q * (q * delta_q - j_q)),
@@ -331,7 +318,7 @@ def verify_lemma1(factors: CrtElement) -> CheckResult:
     primes = factors.primes
     left = (0, 1, 3)  # b_i is left[i] of (delta, J, sigma(chi), chi)
     for name, (i, j), (k, l), s, t in _lemma1(factors):
-        u, v = factors.us.rows[3 * left[i] + k], factors.vs.rows[3 * left[j] + l]
+        u, v = factors.us[3 * left[i] + k], factors.vs[3 * left[j] + l]
         if np.array_equal(u, s) and np.array_equal(v, t):
             continue
         grid = _contract(_stack([u, s], primes.p), ([[1, 0], [0, -1]],),
@@ -371,10 +358,10 @@ def verify_correlation_identity(factors: CrtElement, seq, emp: np.ndarray,
     k = len(seqs)
     coeffs = np.array([_sign_matrix(x.params) for x in seqs], dtype=np.int64)
     kron = (coeffs[:, :, None, :, None] * coeffs[:, None, :, None, :]).reshape(k, 9, 9)
-    product = _contract(factors.us.take(0, 9), kron, factors.vs.take(0, 9))
-    forms = _contract(factors.us.take(0, 3),  # the k expanded forms, then the k S
+    product = _contract(factors.us[:9], kron, factors.vs[:9])
+    forms = _contract(factors.us[:3],  # the k expanded forms, then the k S
                       [_expanded_matrix(x.params) for x in seqs] + coeffs.tolist(),
-                      factors.vs.take(0, 3))
+                      factors.vs[:3])
     bits = crt_grid(primes, np.array([x.bits for x in seqs]))
     routes = {"sign_form_vs_sequence": _differs(forms[k:], 1 - 2 * bits.view(np.int8)),
               "product_vs_expanded": _differs(product, forms[:k])}

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from cycloseq.adic import (best_value_predicate, complexity_report, d_exact,
+from cycloseq.adic import (best_value_predicate, complexity_report, d_exact, d_star,
                            bits_to_int, dp_closed, dq_closed, mersenne, s2)
 from cycloseq.autocorr import (AutocorrelationFamily, distribution,
                                nontrivial_bound)
@@ -182,7 +182,7 @@ def test_criterion_07_adic_closed_form_equivalence():
                 failed.append("d != gcd(T(2), 2^n - 1)")
             if d != dp * dq:
                 failed.append("d != d_p * d_q")
-            if report.d_star != 1:
+            if d_star(seq) != 1:
                 failed.append("d* != 1")
             expected_deviations = ()
             if pair.p == 3 and abc in DEGENERATE_TRIPLES:  # the family D

@@ -252,6 +252,36 @@ def test_a_chain_of_products_is_refused_only_when_its_values_could_overflow():
     assert chain.dense().tolist() == [1] + [0] * 14
 
 
+def test_a_write_into_an_elements_rows_is_bounded_at_the_next_contraction():
+    # The int64 bound is read from the rows at each contraction, not kept
+    # with the element, so a write after it is built cannot leave it stale:
+    # 2**40 under a weight of 2**40 is refused, not wrapped to 0, whether it
+    # is written into us, into vs or into the basis rows a block views.
+    primes = OddPrimePair(3, 5)
+    for axis in (0, 1):
+        e = CrtElement(primes, [[1, 0, 0]], [[2 ** 40]], [[1, 0, 0, 0, 0]])
+        (e.us, e.vs)[axis][0, 0] = 2 ** 40
+        with pytest.raises(OverflowError, match="dense coefficients could exceed int64"):
+            e.dense()
+    basis = crt_basis(primes)
+    block = gr._block(basis, 0, 0)  # delta (x) delta on views of the basis rows
+    basis.us[0, 0] = basis.vs[0, 0] = 2 ** 40
+    with pytest.raises(OverflowError, match="dense coefficients could exceed int64"):
+        block.dense()
+    # In range, the written values are read exactly.
+    basis.us[0, 0] = basis.vs[0, 0] = 2 ** 20
+    assert block.dense().tolist() == [2 ** 40] + [0] * 14
+    e = CrtElement(primes, [[1, 0, 0]], [[2 ** 40]], [[1, 0, 0, 0, 0]])
+    e.us[0, 1] = 2 ** 20  # 2**60 at exponent 10, which is 1 mod 3 and 0 mod 5
+    want = [0] * 15
+    want[0], want[10] = 2 ** 40, 2 ** 60
+    assert e.dense().tolist() == want
+    x = _monomial(primes, 0) + _monomial(primes, 5)  # 10 + 5 wraps onto 0
+    product = mul(e, x).dense().tolist()
+    assert product == _oracle_mul(e.dense(), x.dense())
+    assert product[0] == 2 ** 60 + 2 ** 40
+
+
 def test_ring_axioms_on_random_elements():
     for primes, u, v, w in _random_triples(161803):
         assert mul(mul(u, v), w) == mul(u, mul(v, w))

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import cycloseq
-from cycloseq import autocorr, cli
+from cycloseq import autocorr, cli, groupring
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cycloseq"
@@ -221,6 +221,20 @@ def test_only_contract_multiplies_matrices_in_groupring():
                  or {"matmul", "dot", "einsum"} & {getattr(node, "id", None),
                                                    getattr(node, "attr", None)})}
     assert users == {"_contract"}
+
+
+def test_only_contract_reads_row_peaks_in_groupring():
+    # The int64 bound of a contraction comes from the rows it is handed:
+    # groupring._peaks is used inside _contract alone, and an element holds
+    # its primes, rows and weights and nothing else, so no cached bound can
+    # come back and go stale.
+    tree = ast.parse((SRC / "groupring.py").read_text())
+    users = {getattr(top, "name", top.lineno)
+             for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id == "_peaks"}
+    assert users == {"_contract"}
+    assert groupring.CrtElement.__slots__ == ("primes", "us", "m", "vs")
 
 
 def test_only_mul_calls_the_kernel_in_groupring():
