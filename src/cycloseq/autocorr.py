@@ -304,10 +304,14 @@ def _constant_over(values: np.ndarray) -> int:
 
 
 def verify_theorem1(emp: np.ndarray, closed: np.ndarray):
-    """Compare the empirical and the closed-form autocorrelation of one
-    instance at every shift; for (k, n) stacks, of each of k instances, one
-    ``CheckResult`` each in a list. The detail names the first differing tau."""
+    """Compare the empirical and the closed-form autocorrelation of one instance
+    (or, in a list, of each of a (k, n) stack) at every shift: a detail names the
+    first differing tau, or both shapes if they differ, and then all fail."""
     one = np.ndim(emp) == 1
+    if np.shape(emp) != np.shape(closed):
+        failed = CheckResult("theorem1", False,
+                             f"empirical shape {np.shape(emp)} != closed shape {np.shape(closed)}")
+        return failed if one else [failed] * len(emp)
     emp, closed = (emp[None], closed[None]) if one else (emp, closed)
     bad = emp != closed
     results = []

@@ -28,8 +28,7 @@ gate run the ``CHECKS`` registry through one pair x triple loop,
 ``_checked``. Each check is a function of one ``_Instance`` that reads its
 row of the pair's results or hands its pieces to a library check, which
 compares them and returns a ``CheckResult``. Every CSV table is written by
-``_csv_text`` from rows read out of the result types' ``as_json_dict``
-mappings.
+``_csv_text``; a sweep row is ``SWEEP_COLUMNS`` zipped with one tuple of values.
 """
 
 import argparse
@@ -368,17 +367,20 @@ def build_sweep_spec(args) -> tuple:
 
 
 def run_sweep(pairs, triples, checks):
-    """Rows sorted by (p, q, abc-as-integer); returns (rows, failing_row_count)."""
+    """Rows sorted by (p, q, abc-as-integer), each ``SWEEP_COLUMNS`` zipped with
+    the values it prints; returns (rows, failing_row_count)."""
     rows = []
     failing = 0
     for inst, results in _checked(pairs, triples, checks):
         passed = sum(map(bool, results.values()))
         if passed < len(checks):
             failing += 1
-        row = {**ac.profile_as_json_dict(ac.distribution(inst.params)),
-               **inst.report.as_json_dict(), "checks_passed": f"{passed}/{len(checks)}"}
-        row["max_abs"] = row["max_nontrivial_abs"]
-        rows.append({col: row[col] for col in SWEEP_COLUMNS})
+        x, profile, report = inst.params, ac.distribution(inst.params), inst.report
+        rows.append(dict(zip(SWEEP_COLUMNS, (
+            x.p, x.q, x.a, x.b, x.c, x.n, profile.family.value, profile.value_class_p,
+            profile.value_class_q, profile.value_unit_plus, profile.value_unit_minus,
+            profile.max_nontrivial_abs, report.d_exact, report.d_p, report.d_q, 1,
+            report.best_value, f"{passed}/{len(checks)}"))))
     return rows, failing
 
 

@@ -15,8 +15,8 @@ when the two quadratic characters agree.
 All sequences of a pair share this class layout and differ only in their
 fill values, so ``generate`` builds the sequences of a list of one pair's
 params as one (k, n) stack, from one ``by_class`` of their stacked fill
-values; each ``BinarySequence`` is one row of it. The one-triple call is the
-same code on a stack of one.
+values, and checks its bits once; each ``BinarySequence`` is one row of it.
+The one-triple call is the same code on a stack of one.
 """
 
 import json
@@ -226,23 +226,32 @@ def unit_character(primes: OddPrimePair) -> np.ndarray:
     return by_class(primes, 0, 0, 0, 1, -1, np.int8)
 
 
-class BinarySequence:
-    """One period of S(a, b, c) as a uint8 array of 0/1 bits.
+def _checked_bits(bits: np.ndarray) -> np.ndarray:
+    """``bits`` as read-only uint8 after the package's one 0/1 check, which
+    refuses what the cast would wrap (256 -> 0) or truncate (0.5 -> 0)."""
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits must be 0 or 1")
+    bits = np.asarray(bits, dtype=np.uint8)
+    bits.flags.writeable = False
+    return bits
 
-    The constructor holds the package's one 0/1 check: any other entry is
-    refused before the cast could wrap (256 -> 0) or truncate (0.5 -> 0) it.
-    """
+
+class BinarySequence:
+    """One period of S(a, b, c) as a read-only uint8 array of 0/1 bits, from
+    ``_checked_bits``: the constructor's call, or ``generate``'s one per stack."""
 
     def __init__(self, params: SequenceParams, bits: np.ndarray):
         raw = np.asarray(bits)
         if raw.shape != (params.n,):
             raise ValueError(f"expected {params.n} bits, got {raw.shape}")
-        if np.any((raw != 0) & (raw != 1)):
-            raise ValueError("bits must be 0 or 1")
-        bits = np.asarray(raw, dtype=np.uint8)
-        bits.flags.writeable = False
-        self.params = params
-        self.bits = bits
+        self.params, self.bits = params, _checked_bits(raw)
+
+    @classmethod
+    def _of(cls, params: SequenceParams, bits: np.ndarray) -> "BinarySequence":
+        """The sequence of bits that ``generate`` has checked, as they are."""
+        seq = cls.__new__(cls)
+        seq.params, seq.bits = params, bits
+        return seq
 
     @property
     def n(self) -> int:
@@ -286,11 +295,10 @@ def family_bits(params) -> np.ndarray:
 
 def generate(params):
     """Build one period of S(a, b, c); for a sequence of params of one pair,
-    a list of their sequences, each one row of one ``family_bits`` stack."""
+    a list of their sequences, each one row of one ``family_bits`` stack, checked once."""
     stack = _one_pair(params)
-    bits = family_bits(stack)
-    bits.flags.writeable = False  # so that no row can be made writeable again
-    seqs = [BinarySequence(x, row) for x, row in zip(stack, bits)]
+    bits = _checked_bits(family_bits(stack))  # read-only, so no row can be made writeable
+    seqs = [BinarySequence._of(x, row) for x, row in zip(stack, bits)]
     return seqs[0] if isinstance(params, SequenceParams) else seqs
 
 

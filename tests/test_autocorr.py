@@ -88,6 +88,23 @@ def test_theorem1_names_the_first_differing_shift():
         "theorem1", False, "tau=4 empirical=1 closed=-1")
 
 
+def test_theorem1_fails_when_the_shapes_differ():
+    # A failed comparison is a CheckResult, not numpy's broadcast error,
+    # which cli.main would print as "error: ...".
+    result = verify_theorem1(np.zeros(15, dtype=np.int64), np.zeros(14, dtype=np.int64))
+    assert result == CheckResult("theorem1", False,
+                                 "empirical shape (15,) != closed shape (14,)")
+
+
+def test_theorem1_fails_every_row_of_a_stack_read_against_one_profile():
+    # A (2, 15) stack is not compared row by row with one broadcast (15,)
+    # profile: every instance of the stack fails.
+    closed = closed_form_profile(SequenceParams.of(3, 5, 1, 0, 0))
+    emp = np.stack([closed, closed])
+    assert verify_theorem1(emp, closed) == [CheckResult(
+        "theorem1", False, "empirical shape (2, 15) != closed shape (15,)")] * 2
+    assert verify_theorem1(emp, emp) == [CheckResult("theorem1", True)] * 2
+
 def test_closed_form_profile_matches_pointwise_form():
     params = SequenceParams.of(5, 7, 0, 1, 0)
     prof = closed_form_profile(params)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from cycloseq.cli import main
+from cycloseq.autocorr import distribution, profile_as_json_dict
+from cycloseq.cli import (ALL_TRIPLES, CHECK_NAMES, SWEEP_COLUMNS, _checked, main,
+                          render_sweep, run_sweep)
+from cycloseq.numtheory import odd_prime_pairs
 
 
 def run(capsys, *argv):
@@ -314,3 +317,22 @@ def test_verify_frozen_stdout(capsys):
                    "min(d_p, d_q) != 1)\n"
                    "correlation_identity (p=3, q=17): PASS\n"
                    "1/2 checks pass\n")
+
+
+def test_sweep_rows_hold_the_values_of_the_autocorr_and_adic_json():
+    # A sweep row is SWEEP_COLUMNS zipped with values read off the instance;
+    # the oracle picks them out of the autocorr and adic JSON mappings, so
+    # the sweep schema cannot drift from those.
+    pairs = list(odd_prime_pairs(400))
+    rows, failing = run_sweep(pairs, ALL_TRIPLES, CHECK_NAMES)
+    oracle = []
+    for inst, results in _checked(pairs, ALL_TRIPLES, CHECK_NAMES):
+        row = {**profile_as_json_dict(distribution(inst.params)), **inst.report.as_json_dict(),
+               "checks_passed": f"{sum(map(bool, results.values()))}/{len(CHECK_NAMES)}"}
+        row["max_abs"] = row.pop("max_nontrivial_abs")
+        oracle.append({col: row[col] for col in SWEEP_COLUMNS})
+    assert len(rows) == 8 * len(pairs)
+    assert json.dumps(rows) == json.dumps(oracle)  # keys, values and their types
+    assert failing == sum(row["checks_passed"] != "4/4" for row in oracle) > 0
+    keys = [list(row) for row in json.loads(render_sweep(rows, "json"))]
+    assert keys == [list(SWEEP_COLUMNS)] * len(rows)

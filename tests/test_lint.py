@@ -276,3 +276,34 @@ def test_only_the_row_table_profile_multiplies_matrices_in_autocorr():
                                                                getattr(node, "attr", None)}]
     lines, start = inspect.getsourcelines(autocorr.RowTable.profile)
     assert products and all(start <= line < start + len(lines) for line in products)
+
+
+def test_only_generate_builds_unchecked_sequences():
+    # Every BinarySequence holds bits that sequence._checked_bits passed. The
+    # constructor takes its own bits through it; generate takes its whole
+    # stack through it once and builds each row with the unchecked
+    # BinarySequence._of, which nothing else calls. Every other _of in src/
+    # is groupring's CrtElement._of.
+    assert _top_level_users({"_checked_bits"}) == {"sequence.BinarySequence",
+                                                   "sequence.generate"}
+    tree = ast.parse((SRC / "sequence.py").read_text())
+    seq_class = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "BinarySequence")
+    assert {method.name for method in seq_class.body if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+            if getattr(node, "id", None) == "_checked_bits"} == {"__init__"}
+    owners = {getattr(node.value, "id", None)
+              for path in SRC.rglob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and node.attr == "_of"}
+    assert owners == {"BinarySequence", "CrtElement"}
+    assert (_top_level_users({"_of"}) & _top_level_users({"BinarySequence"})
+            == {"sequence.generate"})
+
+
+def test_sweep_rows_build_no_json_dicts():
+    # A sweep row zips SWEEP_COLUMNS with the values it prints. The autocorr
+    # and adic JSON mappings compute fields no column prints (a sorted
+    # distribution, complexity_float, deviations), so run_sweep reads none.
+    users = _top_level_users({"profile_as_json_dict", "as_json_dict"})
+    assert {"cli.cmd_autocorr", "cli.cmd_adic"} <= users
+    assert "cli.run_sweep" not in users

@@ -240,6 +240,37 @@ def test_generate_of_a_pairs_params_is_one_read_only_stack():
     assert generate(tuple(stack)) == seqs
 
 
+def test_generate_rows_equal_the_checked_sequences_of_their_bits():
+    for pair in (OddPrimePair(3, 5), OddPrimePair(13, 67), OddPrimePair(7, 3)):
+        stack = [SequenceParams(pair, *abc) for abc in ALL_TRIPLES]
+        for params, seq in zip(stack, generate(stack)):
+            assert seq == BinarySequence(params, sequence.family_bits(params))
+            assert seq.bits.dtype == np.uint8 and not seq.bits.flags.writeable
+
+
+def test_generate_checks_its_stack_once(monkeypatch):
+    shapes = []
+    check = sequence._checked_bits
+    monkeypatch.setattr(sequence, "_checked_bits",
+                        lambda bits: shapes.append(bits.shape) or check(bits))
+    generate([SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES])
+    assert shapes == [(8, 35)]
+
+
+def test_generate_refuses_a_stack_with_a_bit_that_is_not_0_or_1(monkeypatch):
+    # the rows are built unchecked, so the one check of the stack must see
+    # every row
+    family_bits = sequence.family_bits
+
+    def with_a_two(params):
+        bits = family_bits(params)
+        bits[5, 3] = 2
+        return bits
+
+    monkeypatch.setattr(sequence, "family_bits", with_a_two)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        generate([SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES])
+
 @pytest.mark.parametrize("bits", [np.zeros(14, dtype=np.uint8), [],
                                   np.zeros((3, 5), dtype=np.uint8)])
 def test_binary_sequence_length_check(bits):
