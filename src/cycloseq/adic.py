@@ -1,11 +1,12 @@
 """Exact 2-adic complexity of the two-prime cyclotomic sequences.
 
-Every function here reads one period s[0..n-1] of a ``BinarySequence``,
-n = pq. Let T(2) = sum of s[lam] * 2**lam. The 2-adic complexity is
-log2((2**n - 1) / d) with d = gcd(T(2), 2**n - 1). Because 2*T(2) is
-congruent to -S(2) mod 2**n - 1, where S(2) is the sign polynomial evaluated
-at 2, and 2 is a unit mod 2**n - 1, the same d is gcd(S(2), 2**n - 1);
-everything here is exact big-integer arithmetic.
+The oracles here read one period s[0..n-1] of a ``BinarySequence``, n = pq,
+and ``complexity_report`` reads the params alone. Let T(2) = sum of
+s[lam] * 2**lam. The 2-adic complexity is log2((2**n - 1) / d) with
+d = gcd(T(2), 2**n - 1). Because 2*T(2) is congruent to -S(2) mod
+2**n - 1, where S(2) is the sign polynomial evaluated at 2, and 2 is a unit
+mod 2**n - 1, the same d is gcd(S(2), 2**n - 1); everything here is exact
+big-integer arithmetic.
 
 2**n - 1 = (2**p - 1)(2**q - 1) * Phi_pq(2), with Phi_pq the pq-th
 cyclotomic polynomial; the first two factors are coprime, but Phi_pq(2) may
@@ -24,16 +25,16 @@ d = gcd(S(2), (2**p - 1)(2**q - 1)) = d_p * d_q:
     Phi_m(2) only for m = 2 * 3**k, never for the odd pq.
 
 The proof uses only that the bits are S(a, b, c) of their parameters, which
-``complexity_report`` checks first, for a stack of one pair's sequences by
-one comparison with one ``family_bits`` stack. One ``packbits`` of the stack
-gives every word T(2), and each n-bit word is folded onto the two small
-factors: since 2**r = 1 mod 2**r - 1, T(2) mod 2**r - 1 is a sum of r-bit
-pieces of T(2), which ``_fold`` adds up in O(n) bit operations. d is then a
-product of one p-bit and one q-bit gcd, with no n-bit gcd and no n-bit
-division; the report keeps both factors, which ``verify_theorem2`` compares
-with the closed forms below, and d is their product. ``d_exact``, ``d_star``
-and ``s2`` compute the same quantities the long way, with n-bit gcds; they
-are the oracles of the tests.
+holds by construction: ``complexity_report`` reads only params, and builds
+the bits of one pair's triples as one ``family_bits`` stack. One
+``packbits`` of the stack gives every word T(2), and each n-bit word is
+folded onto the two small factors: since 2**r = 1 mod 2**r - 1,
+T(2) mod 2**r - 1 is a sum of r-bit pieces of T(2), which ``_fold`` adds
+up in O(n) bit operations. d is then a product of one p-bit and one q-bit
+gcd, with no n-bit gcd and no n-bit division; the report keeps both factors,
+which ``verify_theorem2`` compares with the closed forms below, and d is
+their product. ``d_exact``, ``d_star`` and ``s2`` compute the same
+quantities the long way, with n-bit gcds; they are the oracles of the tests.
 
 Closed forms of the two small parts:
 
@@ -56,8 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import (BinarySequence, CheckResult, SequenceParams, _one_pair, family_bits,
-                       generate)
+from .sequence import BinarySequence, CheckResult, SequenceParams, _one_pair, family_bits
 
 
 def mersenne(n: int) -> int:
@@ -205,40 +205,29 @@ class AdicComplexityReport:
         }
 
 
-def complexity_report(params, seq=None):
+def complexity_report(params):
     """Measure fold_p and fold_q exactly, whose product is d since d_star is
     the proved 1, and take d_p and d_q from their closed forms; the report
-    derives the rest. For a sequence of params of one pair and the list of
-    their sequences, one report per triple in a list.
+    derives the rest. For a sequence of params of one pair, one report per
+    triple in a list.
 
-    A caller that already holds ``seq = generate(params)`` passes it in, so
-    it is not rebuilt. Bits that are not S(a, b, c) of their params are
-    refused with ValueError, since the proof that d_star = 1 covers only that
-    family: one comparison of the stacked bits with one ``family_bits``
-    stack. So is a list of sequences that does not match the params one for
-    one. One ``packbits`` of the stack gives every T(2), and d is
-    gcd(T(2) mod 2**p - 1, 2**p - 1) times gcd(T(2) mod 2**q - 1, 2**q - 1):
-    a p-bit and a q-bit gcd, the residues folded from the n-bit word T(2).
-    The report keeps both factors as ``fold_p`` and ``fold_q``, which
-    theorem2 compares with the closed forms.
+    The bits are the ``family_bits`` stack of the params, the family the
+    proof that d_star = 1 covers. One ``packbits`` of the stack gives every
+    T(2), and d is gcd(T(2) mod 2**p - 1, 2**p - 1) times
+    gcd(T(2) mod 2**q - 1, 2**q - 1): a p-bit and a q-bit gcd, the residues
+    folded from the n-bit word T(2). The report keeps both factors as
+    ``fold_p`` and ``fold_q``, which theorem2 compares with the closed forms.
     """
-    one = isinstance(params, SequenceParams)
     stack = _one_pair(params)
-    seqs = generate(stack) if seq is None else (seq,) if one else tuple(seq)
-    if len(seqs) != len(stack) or any(x.params != y for x, y in zip(seqs, stack)):
-        raise ValueError("the sequences were built from other parameters")
-    bits = np.array([x.bits for x in seqs])
-    if not np.array_equal(bits, family_bits(stack)):
-        raise ValueError("the bits are not S(a, b, c) of their parameters")
     p, q = stack[0].p, stack[0].q
-    words = np.packbits(bits, axis=1, bitorder="little")
+    words = np.packbits(family_bits(stack), axis=1, bitorder="little")
     reports = []
     for x, row in zip(stack, words):
         word = int.from_bytes(row.tobytes(), "little")
         fold_p = math.gcd(_fold(word, p), mersenne(p))
         fold_q = math.gcd(_fold(word, q), mersenne(q))
         reports.append(AdicComplexityReport(x, dp_closed(x), dq_closed(x), fold_p, fold_q))
-    return reports[0] if one else reports
+    return reports[0] if isinstance(params, SequenceParams) else reports
 
 
 def verify_theorem2(report: AdicComplexityReport) -> CheckResult:

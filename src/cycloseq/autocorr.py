@@ -223,7 +223,7 @@ class RowTable:
         slice t of the table's sequences, their (k, n) stack, read on the
         grid by one contraction for the whole slice."""
         one = not isinstance(t, slice)
-        if one and t not in range(len(self.seqs)):
+        if one and not (isinstance(t, (int, np.integer)) and t in range(len(self.seqs))):
             raise ValueError(f"no sequence {t} in a row table of {len(self.seqs)}")
         rows = slice(t, t + 1) if one else t
         if self.along is None:

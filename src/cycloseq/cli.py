@@ -20,11 +20,12 @@ stacked read of the row table and its closed forms one ``by_class``, and
 both checks compare the whole chunk at once. The pair keeps one
 ``CheckResult`` per triple and check, not the profiles. Its sequences are
 one stacked ``generate``, and its complexity reports one stacked
-``complexity_report`` per chunk of the same size. An ``_Instance`` is row t
-of its pair: it reads its sequence, its empirical and closed-form profiles
-and its complexity report off the pair's. Each piece is built on first use
-and at most once, so a command builds only the pieces it prints. ``verify``, ``sweep`` and the acceptance
-gate run the ``CHECKS`` registry through one pair x triple loop,
+``complexity_report`` of the params per chunk of the same size, which
+builds no sequence. An ``_Instance`` is row t of its pair: it reads its
+sequence, its empirical and closed-form profiles and its complexity report
+off the pair's. Each piece is built on first use and at most once, so a
+command builds only the pieces it prints. ``verify``, ``sweep`` and the
+acceptance gate run the ``CHECKS`` registry through one pair x triple loop,
 ``_checked``. Each check is a function of one ``_Instance`` that reads its
 row of the pair's results or hands its pieces to a library check, which
 compares them and returns a ``CheckResult``. Every CSV table is written by
@@ -178,7 +179,7 @@ class _Pair:
         """The complexity report of every triple: one stacked
         ``complexity_report`` per chunk of triples."""
         return [report for rows in self._chunks()
-                for report in adic.complexity_report(self.params[rows], self.seqs[rows])]
+                for report in adic.complexity_report(self.params[rows])]
 
     @cached_property
     def results(self) -> dict:

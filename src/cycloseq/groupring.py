@@ -154,6 +154,8 @@ class CrtElement:
 
     def __add__(self, other: "CrtElement") -> "CrtElement":
         """Both stacks stacked, under the block-diagonal matrix of the two."""
+        if not isinstance(other, CrtElement):
+            return NotImplemented
         _same_ring(self, other)
         left, right = len(self.vs), len(other.vs)
         m = tuple([row + (0,) * right for row in self.m] + [(0,) * left + row for row in other.m])
@@ -167,6 +169,8 @@ class CrtElement:
         return CrtElement(self.primes, self.us, [[k * c for c in row] for row in self.m], self.vs)
 
     def __mul__(self, other: "CrtElement") -> "CrtElement":
+        if not isinstance(other, CrtElement):
+            return NotImplemented
         return mul(self, other)
 
     def sigma(self) -> "CrtElement":
@@ -351,6 +355,8 @@ def verify_correlation_identity(factors: CrtElement, seq, emp: np.ndarray,
     """
     one = isinstance(seq, BinarySequence)
     seqs = (seq,) if one else tuple(seq)
+    if not seqs:
+        return []
     emp, closed = (emp[None], closed[None]) if one else (emp, closed)
     primes = factors.primes
     for x in seqs:

@@ -170,7 +170,7 @@ def test_criterion_07_adic_closed_form_equivalence():
         for abc in ALL_TRIPLES:
             params = SequenceParams(pair, *abc)
             seq = generate(params)
-            report = complexity_report(params, seq)
+            report = complexity_report(params)
             d, dp, dq = report.d_exact, report.d_p, report.d_q
             s = s2(seq)
             failed = []

@@ -162,8 +162,8 @@ def test_a_pairs_reports_are_one_stacked_call_per_chunk(monkeypatch, capsys):
     sizes = []
     original = cycloseq.adic.complexity_report
 
-    def counted(params, seq=None):
-        reports = original(params, seq)
+    def counted(params):
+        reports = original(params)
         sizes.append(len(reports))
         return reports
 
@@ -280,17 +280,17 @@ def test_legendre_runs_twice_per_pair(monkeypatch, capsys):
 
 
 def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
-    # theorem2 reads the reports, which read the pair's one stack of sequences
+    # theorem2 reads the reports, which are built from the params alone
     assert cli.main(["sweep", "--pairs", "5,7", "--checks", "theorem2"]) == 0
     capsys.readouterr()
-    assert calls == {"generate": 1}
+    assert calls == {}
 
 
 @pytest.mark.parametrize("argv,built", [
     (["autocorr", "--empirical", "--format", "json"],
      {"generate": 1, "RowTable": 1}),
     (["generate"], {"generate": 1}),
-    (["adic"], {"generate": 1}),
+    (["adic"], {}),
     (["autocorr", "--both"],
      {"generate": 1, "RowTable": 1, "closed_form_profile": 1}),
     (["autocorr"], {"closed_form_profile": 1}),

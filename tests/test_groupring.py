@@ -190,6 +190,16 @@ def test_scalar_and_additive_operations():
         assert u - u == CrtElement(primes)
 
 
+def test_a_scalar_on_the_right_is_a_type_error():
+    # A scalar multiplies from the left alone; on the right of *, + or - the
+    # operators hand it back to Python, which raises TypeError.
+    u = gamma_p(OddPrimePair(3, 5))
+    for combine in (lambda: u * 3, lambda: u + 3, lambda: u - 3, lambda: 3 + u):
+        with pytest.raises(TypeError):
+            combine()
+    assert (3 * u).dense().tolist() == (3 * u.dense()).tolist()
+
+
 def test_mul_matches_convolution_oracle():
     for _, u, v, _ in _random_triples(20260817):
         want = _oracle_mul(u.dense(), v.dense())
@@ -380,6 +390,14 @@ def _correlation_identity(params):
     return verify_correlation_identity(crt_factors(crt_basis(params.primes)), seq,
                                        _autocorr.empirical_profile(seq),
                                        _autocorr.closed_form_profile(params))
+
+
+def test_correlation_identity_of_no_sequences_is_empty():
+    # As verify_theorem1 does on the same (0, n) stacks
+    factors = crt_factors(crt_basis(OddPrimePair(5, 7)))
+    empty = np.zeros((0, 35), dtype=np.int64)
+    assert verify_theorem1(empty, empty) == []
+    assert verify_correlation_identity(factors, [], empty, empty) == []
 
 
 def test_correlation_identity_ideal_case():

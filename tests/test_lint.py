@@ -194,6 +194,20 @@ def _top_level_users(names: set) -> set:
     return users
 
 
+def test_only_generate_and_the_report_build_bits_from_params():
+    # sequence.family_bits is called by sequence.generate and by
+    # adic.complexity_report, which packs the bits of its params itself; adic
+    # imports it, and builds no sequence: no top-level statement of adic,
+    # its imports among them, uses generate.
+    tree = ast.parse((SRC / "adic.py").read_text())
+    imports = {f"adic.{top.lineno}" for top in tree.body
+               if isinstance(top, (ast.Import, ast.ImportFrom))}
+    assert _top_level_users({"family_bits"}) - imports == {"sequence.generate",
+                                                          "adic.complexity_report"}
+    assert {user for user in _top_level_users({"generate"})
+            if user.startswith("adic.")} == set()
+
+
 def test_crt_index_is_read_only_by_crt_read_and_crt_grid():
     # The Good-Thomas map lives in one place in both directions: every use of
     # sequence._crt_index sits inside crt_read (grid -> vector) or crt_grid
