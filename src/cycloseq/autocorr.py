@@ -223,7 +223,8 @@ class RowTable:
         slice t of the table's sequences, their (k, n) stack, read on the
         grid by one contraction for the whole slice."""
         one = not isinstance(t, slice)
-        if one and not (isinstance(t, (int, np.integer)) and t in range(len(self.seqs))):
+        if one and (isinstance(t, bool) or not isinstance(t, (int, np.integer))
+                    or t not in range(len(self.seqs))):
             raise ValueError(f"no sequence {t} in a row table of {len(self.seqs)}")
         rows = slice(t, t + 1) if one else t
         if self.along is None:

@@ -8,28 +8,28 @@ byte-identical across reruns of the same invocation: rows are emitted in
 sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
-build through ``_Pair`` and ``_Instance``. A ``_Pair`` holds the triples a
-command reads and the checks it runs, and builds their sequences, their
-``RowTable`` (one kernel call per axis for all of them), their closed-form
-profiles and the product table, one ``mul`` over the basis (delta, J, chi)
-of each prime (the package's one ``crt_factors`` call), which ``lemma1``
-reads once and ``correlation_identity`` contracts with no product of its
-own. theorem1 and correlation_identity run as one pass per pair, over
-chunks of max(1, 2**13 // n) triples: a chunk's empirical profiles are one
-stacked read of the row table and its closed forms one ``by_class``, and
-both checks compare the whole chunk at once. The pair keeps one
-``CheckResult`` per triple and check, not the profiles. Its sequences are
-one stacked ``generate``, and its complexity reports one stacked
-``complexity_report`` of the params per chunk of the same size, which
-builds no sequence. An ``_Instance`` is row t of its pair: it reads its
-sequence, its empirical and closed-form profiles and its complexity report
-off the pair's. Each piece is built on first use and at most once, so a
-command builds only the pieces it prints. ``verify``, ``sweep`` and the
-acceptance gate run the ``CHECKS`` registry through one pair x triple loop,
-``_checked``. Each check is a function of one ``_Instance`` that reads its
-row of the pair's results or hands its pieces to a library check, which
-compares them and returns a ``CheckResult``. Every CSV table is written by
-``_csv_text``; a sweep row is ``SWEEP_COLUMNS`` zipped with one tuple of values.
+build through ``_Pair``. A ``_Pair`` holds the triples a command reads and
+the checks it runs, and builds their sequences, their ``RowTable`` (one
+kernel call per axis for all of them), their closed-form profiles and the
+product table, one ``mul`` over the basis (delta, J, chi) of each prime (the
+package's one ``crt_factors`` call), which ``lemma1`` reads once and
+``correlation_identity`` contracts with no product of its own. theorem1 and
+correlation_identity run as one pass per pair, over chunks of
+max(1, 2**13 // n) triples: a chunk's empirical profiles are one stacked
+read of the row table and its closed forms one ``by_class``, and both
+checks compare the whole chunk at once. The pair keeps one ``CheckResult``
+per triple and check, not the profiles. Its sequences are one stacked
+``generate``, and its complexity reports one stacked ``complexity_report``
+of the params per chunk of the same size, which builds no sequence. Each
+piece is built on first use and at most once, so a command builds only the
+pieces it prints; ``generate``, ``autocorr`` and ``adic`` read row 0 of a
+one-triple pair. ``verify``, ``sweep`` and the acceptance gate run the
+``CHECKS`` registry through one pair x triple loop, ``_checked``, which runs
+each check once per pair and yields row t of its results with the pair.
+Each check is a function of one ``_Pair`` that returns one ``CheckResult``
+per triple, in ``pair.triples`` order: it reads the pair's results or hands
+its pieces to a library check. Every CSV table is written by ``_csv_text``;
+a sweep row is ``SWEEP_COLUMNS`` zipped with one tuple of values.
 """
 
 import argparse
@@ -93,7 +93,7 @@ def _bit_args(parser):
     parser.add_argument("--c", type=int, help="fill bit at position 0")
 
 
-def _instance_from(args) -> "_Instance":
+def _pair_from(args) -> "_Pair":
     if args.abc is not None:
         if args.a is not None or args.b is not None or args.c is not None:
             raise ValueError("use either --abc or --a/--b/--c, not both")
@@ -104,7 +104,7 @@ def _instance_from(args) -> "_Instance":
         a, b, c = args.a, args.b, args.c
     else:
         raise ValueError("fill bits required: pass --abc or all of --a/--b/--c")
-    return _Instance(_Pair(OddPrimePair(args.p, args.q), ((a, b, c),)), a, b, c)
+    return _Pair(OddPrimePair(args.p, args.q), ((a, b, c),))
 
 
 def _write_out(text: str, out) -> None:
@@ -202,34 +202,8 @@ class _Pair:
         return results
 
 
-class _Instance:
-    """One (pair, triple) instance, row t of its pair; each piece is built on
-    first use only."""
-
-    def __init__(self, pair: _Pair, a: int, b: int, c: int):
-        self.pair = pair
-        self.t = pair.triples.index((a, b, c))
-        self.params = pair.params[self.t]
-
-    @property
-    def seq(self):
-        return self.pair.seqs[self.t]
-
-    @cached_property
-    def emp(self):
-        return self.pair.table.profile(self.t)
-
-    @cached_property
-    def closed(self):
-        return self.pair.closed(self.t)
-
-    @property
-    def report(self):
-        return self.pair.reports[self.t]
-
-
 def cmd_generate(args) -> int:
-    seq = _instance_from(args).seq
+    seq = _pair_from(args).seqs[0]
     if args.format == "bits":
         text = bitstring(seq) + "\n"
     else:
@@ -246,10 +220,13 @@ def cmd_autocorr(args) -> int:
     if args.aggregate and args.format == "json":
         raise ValueError("--aggregate shapes CSV output only; "
                          "JSON always carries the distribution")
-    inst = _instance_from(args)
-    params = inst.params
-    profile = ac.distribution(params, inst.emp if args.empirical else None)
-    all_match = ac.verify_theorem1(inst.emp, inst.closed).ok if args.both else True
+    pair = _pair_from(args)
+    params = pair.params[0]
+    per_shift = args.format == "csv" and not args.aggregate
+    emp = pair.table.profile(0) if args.empirical or args.both else None
+    closed = pair.closed(0) if args.both or (per_shift and not args.empirical) else None
+    profile = ac.distribution(params, emp if args.empirical else None)
+    all_match = ac.verify_theorem1(emp, closed).ok if args.both else True
 
     if args.format == "json":
         obj = ac.profile_as_json_dict(profile)
@@ -260,12 +237,11 @@ def cmd_autocorr(args) -> int:
         if args.aggregate:
             text = _csv_text(("value", "count"), sorted(profile.distribution.items()))
         elif args.both:
-            emp, closed = inst.emp, inst.closed
             text = _csv_text(("tau", "class", "empirical", "closed", "match"),
                              zip(range(params.n), _class_names(params), emp.tolist(),
                                  closed.tolist(), (emp == closed).tolist()))
         else:
-            single = inst.emp if args.empirical else inst.closed
+            single = emp if args.empirical else closed
             text = _csv_text(("tau", "class", "c_s"),
                              zip(range(params.n), _class_names(params), single.tolist()))
         dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
@@ -280,7 +256,7 @@ def cmd_autocorr(args) -> int:
 
 
 def cmd_adic(args) -> int:
-    obj = _instance_from(args).report.as_json_dict()
+    obj = _pair_from(args).reports[0].as_json_dict()
     if args.format == "json":
         text = json.dumps(obj) + "\n"
     else:
@@ -290,22 +266,23 @@ def cmd_adic(args) -> int:
 
 
 CHECKS = {
-    "theorem1": lambda inst: inst.pair.results["theorem1"][inst.t],
-    "lemma1": lambda inst: inst.pair.lemma1,
-    "theorem2": lambda inst: adic.verify_theorem2(inst.report),
-    "correlation_identity": lambda inst: inst.pair.results["correlation_identity"][inst.t],
+    "theorem1": lambda pair: pair.results["theorem1"],
+    "lemma1": lambda pair: [pair.lemma1] * len(pair.triples),
+    "theorem2": lambda pair: [adic.verify_theorem2(report) for report in pair.reports],
+    "correlation_identity": lambda pair: pair.results["correlation_identity"],
 }
 
 CHECK_NAMES = tuple(CHECKS)
 
 
 def _checked(pairs, triples, checks):
-    """Yield (instance, {name: CheckResult}) per pair x triple, built in turn."""
+    """Yield (pair, t, {name: CheckResult}) per pair x triple, each check run
+    once per pair and the pairs built in turn."""
     for primes in pairs:
         pair = _Pair(primes, triples, checks)
-        for a, b, c in triples:
-            inst = _Instance(pair, a, b, c)
-            yield inst, {name: CHECKS[name](inst) for name in checks}
+        results = {name: CHECKS[name](pair) for name in checks}
+        for t in range(len(pair.triples)):
+            yield pair, t, {name: results[name][t] for name in checks}
 
 
 def _parse_checks(values) -> tuple:
@@ -327,11 +304,11 @@ def cmd_verify(args) -> int:
     primes = OddPrimePair(args.p, args.q)
     checks = _parse_checks(args.check)
     failures = {}
-    for inst, results in _checked((primes,), ALL_TRIPLES, checks):
+    for pair, t, results in _checked((primes,), ALL_TRIPLES, checks):
         # Each check reports its first failing triple; lemma1 has none.
         for name, result in results.items():
             if not result and name not in failures:
-                where = "" if name == "lemma1" else f"abc={inst.params.abc} "
+                where = "" if name == "lemma1" else f"abc={pair.params[t].abc} "
                 failures[name] = where + result.detail
     for name in checks:
         verdict = f"FAIL ({failures[name]})" if name in failures else "PASS"
@@ -372,11 +349,12 @@ def run_sweep(pairs, triples, checks):
     the values it prints; returns (rows, failing_row_count)."""
     rows = []
     failing = 0
-    for inst, results in _checked(pairs, triples, checks):
+    for pair, t, results in _checked(pairs, triples, checks):
         passed = sum(map(bool, results.values()))
         if passed < len(checks):
             failing += 1
-        x, profile, report = inst.params, ac.distribution(inst.params), inst.report
+        x, report = pair.params[t], pair.reports[t]
+        profile = ac.distribution(x)
         rows.append(dict(zip(SWEEP_COLUMNS, (
             x.p, x.q, x.a, x.b, x.c, x.n, profile.family.value, profile.value_class_p,
             profile.value_class_q, profile.value_unit_plus, profile.value_unit_minus,

@@ -163,6 +163,8 @@ class CrtElement:
                               np.vstack((self.vs, other.vs)))
 
     def __sub__(self, other: "CrtElement") -> "CrtElement":
+        if not isinstance(other, CrtElement):
+            return NotImplemented
         return self + -1 * other
 
     def __rmul__(self, k: int) -> "CrtElement":
@@ -195,6 +197,9 @@ def mul(x: CrtElement, y: CrtElement) -> CrtElement:
     correlation of sigma(u_i) with s_k being u_i * s_k, at row
     i * len(y.us) + k, and the weights are x.m (x) y.m; the kernel
     refuses any product that could leave int64."""
+    if not (isinstance(x, CrtElement) and isinstance(y, CrtElement)):
+        raise ValueError(f"mul takes two group-ring elements, not "
+                         f"{type(x).__name__} and {type(y).__name__}")
     _same_ring(x, y)
     p, q = x.primes.p, x.primes.q
     us = _correlations(_reverse(x.us), y.us).reshape(-1, p)

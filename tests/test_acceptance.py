@@ -77,8 +77,8 @@ def test_criterion_01_autocorrelation_oracle_equivalence():
     start = time.perf_counter()
     pairs = odd_prime_pairs(3000)
     mismatches = []
-    for inst, results in _checked(pairs, ALL_TRIPLES, ("theorem1",)):
-        check, par = results["theorem1"], inst.params
+    for pair, t, results in _checked(pairs, ALL_TRIPLES, ("theorem1",)):
+        check, par = results["theorem1"], pair.params[t]
         if not check.ok:
             mismatches.append((par.p, par.q, par.a, par.b, par.c, check.detail))
     elapsed = time.perf_counter() - start
@@ -136,10 +136,10 @@ def test_criterion_05_group_ring_identities():
     pairs = odd_prime_pairs(1000)
     bad = []
     # lemma1 depends on the pair alone: one triple per pair suffices
-    for inst, results in _checked(pairs, ALL_TRIPLES[:1], ("lemma1",)):
+    for pair, t, results in _checked(pairs, ALL_TRIPLES[:1], ("lemma1",)):
         report = results["lemma1"]
         if not report.ok:
-            bad.append((inst.params.p, inst.params.q, report.detail))
+            bad.append((pair.params[t].p, pair.params[t].q, report.detail))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60.0
     line = _report(5, ok, f"five product identities coefficient-exact on "
@@ -150,8 +150,8 @@ def test_criterion_05_group_ring_identities():
 def test_criterion_06_correlation_identity():
     pairs = odd_prime_pairs(500)
     bad = []
-    for inst, results in _checked(pairs, ALL_TRIPLES, ("correlation_identity",)):
-        check, par = results["correlation_identity"], inst.params
+    for pair, t, results in _checked(pairs, ALL_TRIPLES, ("correlation_identity",)):
+        check, par = results["correlation_identity"], pair.params[t]
         if not check.ok:
             bad.append((par.p, par.q, par.a, par.b, par.c, check.detail))
     line = _report(6, not bad, f"sigma(S)*S matches the expanded form, the "

@@ -465,9 +465,10 @@ def test_row_table_refuses_a_sequence_index_out_of_range(p, q, count, crt):
 
 def test_row_table_refuses_a_non_integer_index():
     # 2.0 in range(8) holds, so the range check alone would pass it on to a
-    # slice; numpy ints and slices are read as before.
+    # slice, and so does True, a Python int; numpy ints and slices are read
+    # as before.
     table = RowTable(generate(SequenceParams.of(5, 7, *abc)) for abc in ALL_TRIPLES)
-    for t in (2.0, 2.5, np.float64(2), "2", None):
+    for t in (2.0, 2.5, np.float64(2), "2", None, True, False, np.True_):
         with pytest.raises(ValueError, match="no sequence .* in a row table of 8"):
             table.profile(t)
     assert np.array_equal(table.profile(np.int64(2)), table.profile(2))

@@ -103,11 +103,13 @@ def test_the_pair_table_is_the_groupring_kernel_work(monkeypatch, capsys):
     assert cli.main(["verify", "--p", "5", "--q", "7", "--all"]) == 0
     capsys.readouterr()
     assert shapes == [((4, 5), (3, 5)), ((4, 7), (3, 7))]
-    inst = cli._Instance(cli._Pair(OddPrimePair(5, 7)), 0, 1, 1)
-    factors = inst.pair.factors
+    pair = cli._Pair(OddPrimePair(5, 7))
+    t = pair.triples.index((0, 1, 1))
+    factors = pair.factors
     shapes.clear()
     assert cycloseq.groupring.verify_correlation_identity(
-        factors, inst.seq, inst.emp, inst.closed) == CheckResult("correlation_identity", True)
+        factors, pair.seqs[t], pair.table.profile(t), pair.closed(t)
+    ) == CheckResult("correlation_identity", True)
     assert shapes == []
 
 
@@ -297,7 +299,7 @@ def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
 ], ids=["autocorr-empirical-json", "generate", "adic", "autocorr-both",
         "autocorr-per-shift"])
 def test_each_command_builds_what_it_prints_once(calls, capsys, argv, built):
-    # Every command builds through one cli._Instance, which builds a piece on
+    # Every command builds through one cli._Pair, which builds a piece on
     # first use and at most once; a one-triple command's pair holds one
     # sequence and a one-row table.
     command, *flags = argv
@@ -328,13 +330,15 @@ def test_verify_refuses_all_together_with_check(calls, capsys):
 def test_registry_names_and_results():
     assert cli.CHECK_NAMES == tuple(cli.CHECKS) == (
         "theorem1", "lemma1", "theorem2", "correlation_identity")
-    inst = cli._Instance(cli._Pair(OddPrimePair(3, 17)), 0, 0, 1)
-    assert [cli.CHECKS[name](inst) for name in cli.CHECK_NAMES] == [
-        CheckResult("theorem1", True),
-        CheckResult("lemma1", True),
-        CheckResult("theorem2", False, "d != max(d_p, d_q); min(d_p, d_q) != 1"),
-        CheckResult("correlation_identity", True),
-    ]
+    # Each check takes a pair and returns one result per triple, in the
+    # pair's order; theorem2 fails where p = 3 makes the d_q argument 0.
+    pair = cli._Pair(OddPrimePair(3, 17))
+    assert pair.triples == cli.ALL_TRIPLES
+    failed = CheckResult("theorem2", False, "d != max(d_p, d_q); min(d_p, d_q) != 1")
+    for name in cli.CHECK_NAMES:
+        assert cli.CHECKS[name](pair) == [
+            failed if name == "theorem2" and abc in ((0, 0, 1), (1, 1, 0))
+            else CheckResult(name, True) for abc in cli.ALL_TRIPLES], name
 
 
 def test_sweep_rows_count_passing_check_results(capsys):
@@ -342,9 +346,9 @@ def test_sweep_rows_count_passing_check_results(capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 16
     for row in rows:
-        inst = cli._Instance(cli._Pair(OddPrimePair(int(row["p"]), int(row["q"]))),
-                             int(row["a"]), int(row["b"]), int(row["c"]))
-        passed = sum(bool(check(inst)) for check in cli.CHECKS.values())
+        pair = cli._Pair(OddPrimePair(int(row["p"]), int(row["q"])),
+                         ((int(row["a"]), int(row["b"]), int(row["c"])),))
+        passed = sum(bool(check(pair)[0]) for check in cli.CHECKS.values())
         assert row["checks_passed"] == f"{passed}/{len(cli.CHECKS)}", row
     assert {row["checks_passed"] for row in rows} == {"3/4", "4/4"}
 
@@ -404,8 +408,8 @@ def test_theorem1_holds_at_large_n_along_the_crt_grid(monkeypatch):
 
     monkeypatch.setattr(cycloseq.autocorr, "_correlations", along_one_axis)
     pairs = (OddPrimePair(307, 311), OddPrimePair(1009, 1013))
-    results = [(inst.params.abc, check["theorem1"])
-               for inst, check in cli._checked(pairs, ((1, 0, 0), (0, 1, 0)),
-                                                ("theorem1",))]
+    results = [(pair.params[t].abc, check["theorem1"])
+               for pair, t, check in cli._checked(pairs, ((1, 0, 0), (0, 1, 0)),
+                                                   ("theorem1",))]
     assert results == [(abc, CheckResult("theorem1", True))
                        for abc in ("100", "010") * 2]

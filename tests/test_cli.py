@@ -320,14 +320,15 @@ def test_verify_frozen_stdout(capsys):
 
 
 def test_sweep_rows_hold_the_values_of_the_autocorr_and_adic_json():
-    # A sweep row is SWEEP_COLUMNS zipped with values read off the instance;
+    # A sweep row is SWEEP_COLUMNS zipped with values read off its pair;
     # the oracle picks them out of the autocorr and adic JSON mappings, so
     # the sweep schema cannot drift from those.
     pairs = list(odd_prime_pairs(400))
     rows, failing = run_sweep(pairs, ALL_TRIPLES, CHECK_NAMES)
     oracle = []
-    for inst, results in _checked(pairs, ALL_TRIPLES, CHECK_NAMES):
-        row = {**profile_as_json_dict(distribution(inst.params)), **inst.report.as_json_dict(),
+    for pair, t, results in _checked(pairs, ALL_TRIPLES, CHECK_NAMES):
+        row = {**profile_as_json_dict(distribution(pair.params[t])),
+               **pair.reports[t].as_json_dict(),
                "checks_passed": f"{sum(map(bool, results.values()))}/{len(CHECK_NAMES)}"}
         row["max_abs"] = row.pop("max_nontrivial_abs")
         oracle.append({col: row[col] for col in SWEEP_COLUMNS})

@@ -192,11 +192,18 @@ def test_scalar_and_additive_operations():
 
 def test_a_scalar_on_the_right_is_a_type_error():
     # A scalar multiplies from the left alone; on the right of *, + or - the
-    # operators hand it back to Python, which raises TypeError.
+    # operators hand it back to Python, which raises TypeError naming the
+    # operator. mul, the public product, refuses it with the ValueError that
+    # the CLI reports.
     u = gamma_p(OddPrimePair(3, 5))
     for combine in (lambda: u * 3, lambda: u + 3, lambda: u - 3, lambda: 3 + u):
         with pytest.raises(TypeError):
             combine()
+    with pytest.raises(TypeError, match="for -: 'CrtElement' and 'int'"):
+        u - 3
+    for x, y in ((u, 3), (3, u), (u, u.dense())):
+        with pytest.raises(ValueError, match="mul takes two group-ring elements"):
+            mul(x, y)
     assert (3 * u).dense().tolist() == (3 * u.dense()).tolist()
 
 

@@ -112,8 +112,8 @@ def test_only_cli_builds_the_pairs_blocks():
     # Every command builds through one path: in cli, the pair's pieces (its
     # sequences, both tables, the closed-form profiles, which its stacked
     # pass reads a chunk of triples at a time, and the complexity reports,
-    # built in the same chunks) are built only inside _Pair; an _Instance
-    # reads its row of each off the pair's.
+    # built in the same chunks) are built only inside _Pair; every command
+    # and check reads its row of each off the pair's.
     tree = ast.parse((SRC / "cli.py").read_text())
     pair = next(node for node in tree.body
                 if isinstance(node, ast.ClassDef) and node.name == "_Pair")
