@@ -59,7 +59,7 @@ print("expanded form equals the product:", product == expanded)
 # mul(s.sigma(), s) above, contracted with the weights of that product
 for p, q, a, b, c in [(3, 5, 1, 0, 0), (3, 7, 0, 1, 1), (5, 11, 1, 1, 0)]:
     seq = generate(SequenceParams.of(p, q, a, b, c))
-    check = verify_correlation_identity(crt_factors(crt_basis(seq.params.primes)), seq,
-                                        empirical_profile(seq),
+    check = verify_correlation_identity(crt_factors(crt_basis(seq.params.primes)),
+                                        seq.params, seq.bits, empirical_profile(seq),
                                         closed_form_profile(seq.params))
     print(f"p={p} q={q} abc={a}{b}{c}: all routes agree = {check.ok}")

@@ -14,15 +14,16 @@ only on the residue class of tau:
 with e = (-1)**c - (-1)**a - (-1)**b. Every empirical value is recomputed
 from the bits alone, with no Legendre symbol and no formula of the paper, by
 exact int64 cyclic correlations through the package's one correlation
-kernel, ``sequence._correlations``. The sequences of one pair share one
-``RowTable``: on the p x q CRT grid each is a sum of line indicators (x)
-rows over one partition of the longer axis, so one kernel call per axis
-correlates the line indicators and distinct rows of all of them, and the
-profiles of any slice of them are one contraction of that table; a table
-with many distinct rows or lines correlates each sequence directly over the
-period instead. The kernel packs several rows into one int64 word, offset so
-that every field is nonnegative, and takes the bound that makes the packing
-exact from the data; no floating point is involved.
+kernel, ``sequence._correlations``. The (k, n) bits stack of one pair's
+sequences makes one ``RowTable``: on the p x q CRT grid each is a sum of
+line indicators (x) rows over one partition of the longer axis, so one
+kernel call per axis correlates the line indicators and distinct rows of
+all of them, and the profiles of any slice of them are one contraction of
+that table; a table with many distinct rows or lines correlates each
+sequence directly over the period instead. The kernel packs several rows
+into one int64 word, offset so that every field is nonnegative, and takes
+the bound that makes the packing exact from the data; no floating point is
+involved.
 """
 
 from dataclasses import dataclass
@@ -31,8 +32,9 @@ from enum import Enum
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
-                       _multiply_adds, _one_pair, by_class, crt_grid, crt_read, sign_view)
+from .sequence import (BinarySequence, CheckResult, SequenceParams, _checked_bits,
+                       _correlations, _multiply_adds, _one_pair, by_class, crt_grid,
+                       crt_read)
 
 
 class AutocorrelationFamily(Enum):
@@ -114,8 +116,9 @@ class RowTable:
     """The periodic autocorrelation of every sequence of one pair, held as
     correlations of grid rows and line indicators, from the bits alone.
 
-    The sequences go on the p x q grid by one ``crt_grid`` of the stack of
-    their bits, where a shift by tau is a shift by (tau mod p, tau mod q).
+    ``bits`` is a (k, n) stack of 0/1 bits, k >= 1, checked once by
+    ``_checked_bits``; it goes on the p x q grid by one ``crt_grid``, where a
+    shift by tau is a shift by (tau mod p, tau mod q).
     The table reads each grid as rows along its shorter axis, one row per
     index of the longer axis. The rows of all grids, packed into uint64 words
     by one ``packbits`` along that axis, are made distinct by ``_distinct``:
@@ -146,7 +149,7 @@ class RowTable:
     triples of a family read the grid at every pair, and a single family
     sequence (``empirical_profile``) once n > 381 or, with a prime 3, once
     the other prime is at least 131. On the direct route the table holds
-    only its sequences and their lines.
+    only its bits and their lines; on the grid it keeps no bits.
 
     The two constants, measured on a 2-vCPU Xeon VM (numpy 2.4; a table of
     S(1, 0, 1) alone or of the 8 triples, each route forced, built and read
@@ -185,23 +188,21 @@ class RowTable:
     floating point is involved.
     """
 
-    __slots__ = ("primes", "seqs", "own", "across", "along")
+    __slots__ = ("primes", "bits", "own", "across", "along")
 
-    def __init__(self, seqs):
-        self.seqs = tuple(seqs)
-        if not self.seqs:
-            raise ValueError("a row table needs at least one sequence")
-        self.primes = primes = self.seqs[0].params.primes
-        if any(seq.params.primes != primes for seq in self.seqs):
-            raise ValueError("a row table holds the sequences of one pair")
-        p, q, count = primes.p, primes.q, len(self.seqs)
+    def __init__(self, primes: OddPrimePair, bits: np.ndarray):
+        raw = np.asarray(bits)
+        if raw.ndim != 2 or raw.shape[1] != primes.n or not len(raw):
+            raise ValueError(f"a row table reads a (k, {primes.n}) stack of bits "
+                             f"with k >= 1, not {raw.shape}")
+        self.primes, self.bits = primes, _checked_bits(raw)
+        p, q, count = primes.p, primes.q, len(raw)
         short, long, axis = (p, q, 0) if p < q else (q, p, 1)
         # every grid's rows along the short axis as uint64 words
-        bits = np.packbits(crt_grid(primes, np.array([seq.bits for seq in self.seqs])),
-                           axis=1 + axis)
+        packed = np.packbits(crt_grid(primes, self.bits), axis=1 + axis)
         words = np.zeros((count, long, -(-short // 64)), dtype=np.uint64)
-        words.view(np.uint8)[:, :, :bits.shape[1 + axis]] = (
-            bits.transpose(0, 2, 1) if axis == 0 else bits)
+        words.view(np.uint8)[:, :, :packed.shape[1 + axis]] = (
+            packed.transpose(0, 2, 1) if axis == 0 else packed)
         words = words.reshape(count * long, -1)
         rows, owner = _distinct(words)
         owner = owner.reshape(count, long)
@@ -212,6 +213,7 @@ class RowTable:
                 + _multiply_adds(len(rows), len(rows), short, short) + _CRT_OVERHEAD
                 >= count * (_multiply_adds(1, 1, primes.n, primes.n) + _CALL_OVERHEAD)):
             return
+        self.bits = None
         indicators = line == np.arange(len(lines))[:, None]
         signs = 1 - 2 * np.unpackbits(words[rows].view(np.uint8), axis=1,
                                       count=short).astype(np.int64)
@@ -224,12 +226,12 @@ class RowTable:
         grid by one contraction for the whole slice."""
         one = not isinstance(t, slice)
         if one and (isinstance(t, bool) or not isinstance(t, (int, np.integer))
-                    or t not in range(len(self.seqs))):
-            raise ValueError(f"no sequence {t} in a row table of {len(self.seqs)}")
+                    or t not in range(len(self.own))):
+            raise ValueError(f"no sequence {t} in a row table of {len(self.own)}")
         rows = slice(t, t + 1) if one else t
         if self.along is None:
             profiles = np.array([_correlations(signs[None], signs[None])[0, 0]
-                                 for signs in map(sign_view, self.seqs[rows])])
+                                 for signs in 1 - 2 * self.bits[rows].astype(np.int64)])
             profiles = profiles.reshape(-1, self.primes.n)
         else:
             own = self.own[rows]
@@ -249,8 +251,8 @@ def empirical_profile(seq: BinarySequence) -> np.ndarray:
     the ``RowTable`` of ``seq`` alone, so it reads the grid once n > 381 (or
     a prime 3 pairs with one of at least 131) and correlates the n signs
     directly otherwise. A caller with several sequences of one pair builds
-    their ``RowTable`` once instead."""
-    return RowTable((seq,)).profile(0)
+    the ``RowTable`` of their stack once instead."""
+    return RowTable(seq.params.primes, seq.bits[None]).profile(0)
 
 
 def class_values(params: SequenceParams) -> tuple[int, int, int, int]:

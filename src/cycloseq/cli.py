@@ -9,27 +9,27 @@ sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
 build through ``_Pair``. A ``_Pair`` holds the triples a command reads and
-the checks it runs, and builds their sequences, their ``RowTable`` (one
-kernel call per axis for all of them), their closed-form profiles and the
-product table, one ``mul`` over the basis (delta, J, chi) of each prime (the
-package's one ``crt_factors`` call), which ``lemma1`` reads once and
-``correlation_identity`` contracts with no product of its own. theorem1 and
-correlation_identity run as one pass per pair, over chunks of
-max(1, 2**13 // n) triples: a chunk's empirical profiles are one stacked
+the checks it runs, and builds their bits, one ``family_bits`` stack, its
+``RowTable`` (one kernel call per axis for all of them), their closed-form
+profiles and the product table, one ``mul`` over the basis (delta, J, chi)
+of each prime (the package's one ``crt_factors`` call), which ``lemma1``
+reads once and ``correlation_identity`` contracts with no product of its
+own. theorem1 and correlation_identity run as one pass per pair, over chunks
+of max(1, 2**13 // n) triples: a chunk's empirical profiles are one stacked
 read of the row table and its closed forms one ``by_class``, and both
-checks compare the whole chunk at once. The pair keeps one ``CheckResult``
-per triple and check, not the profiles. Its sequences are one stacked
-``generate``, and its complexity reports one stacked ``complexity_report``
-of the params per chunk of the same size, which builds no sequence. Each
-piece is built on first use and at most once, so a command builds only the
-pieces it prints; ``generate``, ``autocorr`` and ``adic`` read row 0 of a
-one-triple pair. ``verify``, ``sweep`` and the acceptance gate run the
-``CHECKS`` registry through one pair x triple loop, ``_checked``, which runs
-each check once per pair and yields row t of its results with the pair.
-Each check is a function of one ``_Pair`` that returns one ``CheckResult``
-per triple, in ``pair.triples`` order: it reads the pair's results or hands
-its pieces to a library check. Every CSV table is written by ``_csv_text``;
-a sweep row is ``SWEEP_COLUMNS`` zipped with one tuple of values.
+checks compare the whole chunk at once, with its rows of the bits. The pair
+keeps one ``CheckResult`` per triple and check, not the profiles. Its
+complexity reports are one stacked ``complexity_report`` of the params per
+chunk of the same size, which builds no sequence. Each piece is built on
+first use and at most once, so a command builds only the pieces it prints;
+``generate``, ``autocorr`` and ``adic`` read row 0 of a one-triple pair.
+``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
+through one pair x triple loop, ``_checked``, which runs each check once per
+pair and yields row t of its results with the pair. Each check is a
+function of one ``_Pair`` that returns one ``CheckResult`` per triple, in
+``pair.triples`` order: it reads the pair's results or hands its pieces to
+a library check. Every CSV table is written by ``_csv_text``; a sweep row
+is ``SWEEP_COLUMNS`` zipped with one tuple of values.
 """
 
 import argparse
@@ -45,7 +45,8 @@ from . import adic
 from . import autocorr as ac
 from . import groupring as gr
 from .numtheory import OddPrimePair, odd_prime_pairs
-from .sequence import SequenceParams, as_json_dict, bitstring, by_class, generate
+from .sequence import (BinarySequence, SequenceParams, as_json_dict, bitstring, by_class,
+                       family_bits)
 
 ALL_TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
 
@@ -137,9 +138,9 @@ _CHUNK_VALUES = 1 << 13
 
 class _Pair:
     """One prime pair, the triples a command reads of it and the checks it
-    runs on them. Its sequences, row table, product table, lemma1, the
-    results of the stacked pass and the complexity reports are each built on
-    first use only."""
+    runs on them. Its bits (row t of the (k, n) stack is triple t), row
+    table, product table, lemma1, the results of the stacked pass and the
+    complexity reports are each built on first use only."""
 
     def __init__(self, primes: OddPrimePair, triples=ALL_TRIPLES,
                  checks=("theorem1", "correlation_identity")):
@@ -149,12 +150,12 @@ class _Pair:
         self.checks = tuple(checks)
 
     @cached_property
-    def seqs(self):
-        return tuple(generate(self.params))
+    def bits(self):
+        return family_bits(self.params)
 
     @cached_property
     def table(self):
-        return ac.RowTable(self.seqs)
+        return ac.RowTable(self.primes, self.bits)
 
     @cached_property
     def factors(self):
@@ -198,12 +199,13 @@ class _Pair:
                 results["theorem1"] += ac.verify_theorem1(emp, closed)
             if "correlation_identity" in results:
                 results["correlation_identity"] += gr.verify_correlation_identity(
-                    self.factors, self.seqs[rows], emp, closed)
+                    self.factors, self.params[rows], self.bits[rows], emp, closed)
         return results
 
 
 def cmd_generate(args) -> int:
-    seq = _pair_from(args).seqs[0]
+    pair = _pair_from(args)
+    seq = BinarySequence(pair.params[0], pair.bits[0])
     if args.format == "bits":
         text = bitstring(seq) + "\n"
     else:
@@ -323,10 +325,11 @@ def build_sweep_spec(args) -> tuple:
     if args.max_n is not None:
         pairs.extend(odd_prime_pairs(args.max_n))
     for text in args.pairs or ():
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--pairs expects 'p,q', got {text!r}")
-        pairs.append(OddPrimePair(int(parts[0]), int(parts[1])))
+        try:
+            p, q = map(int, text.split(","))
+        except ValueError:  # not two parts, or a part that is not an integer
+            raise ValueError(f"--pairs expects 'p,q', got {text!r}") from None
+        pairs.append(OddPrimePair(p, q))
     pairs = sorted(set(pairs), key=lambda pr: (pr.p, pr.q))
     if not pairs:
         raise ValueError("no prime pairs selected: pass --max-n and/or --pairs")

@@ -43,8 +43,8 @@ import operator
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import (BinarySequence, CheckResult, SequenceParams, _correlations,
-                       crt_grid, crt_read, residue_table)
+from .sequence import (CheckResult, SequenceParams, _correlations, crt_grid, crt_read,
+                       residue_table)
 
 _INT64_LIMIT = 1 << 63
 
@@ -339,42 +339,46 @@ def verify_lemma1(factors: CrtElement) -> CheckResult:
     return CheckResult("lemma1", True)
 
 
-def verify_correlation_identity(factors: CrtElement, seq, emp: np.ndarray,
+def verify_correlation_identity(factors: CrtElement, params, bits, emp: np.ndarray,
                                 closed: np.ndarray):
-    """Check that the group-ring product sigma(S)*S, its expanded form, the
-    empirical autocorrelation ``emp`` and the per-class closed form ``closed``
-    of ``seq`` all agree at every shift; the detail lists each route that
-    differs from the product, after ``sign_form_vs_sequence`` when the sign
-    form S is not the sign vector of ``seq``. ``factors`` is the pair's
+    """Check that the group-ring product sigma(S)*S of ``params``, its
+    expanded form, the empirical autocorrelation ``emp`` and the per-class
+    closed form ``closed`` all agree at every shift; the detail lists each
+    route that differs from the product, after ``sign_form_vs_sequence`` when
+    S is not the sign vector of the n ``bits``. ``factors`` is the pair's
     ``crt_factors``: with B_r its rows 0-2, T_r its sigma(b_i) * b_k rows
     0-8 and C and E the matrices of S and of the expanded form, S is
     B_p.T C B_q, the expanded form B_p.T E B_q and sigma(S)*S
     T_p.T (C (x) C) T_q, as ``S.sigma() * S`` forms it.
 
-    Given a sequence of k sequences of the pair as ``seq``, with ``emp`` and
+    Given a sequence of k params of the pair, with ``bits``, ``emp`` and
     ``closed`` their (k, n) stacks, it checks all k in one pass, one
     ``CheckResult`` each in a list: one ``_contract`` of the stacked C (x) C
     and one of the stacked E and C. The product, the expanded form and S are
-    compared on the p x q grid, S against the sequences' bits laid there by
-    ``crt_grid``; the product is read into Z_n order once for the profiles.
+    compared on the p x q grid, S against 1 - 2 * bits in a dtype that holds
+    it exactly, laid there by ``crt_grid``; the product is read into Z_n
+    order once for the profiles.
     """
-    one = isinstance(seq, BinarySequence)
-    seqs = (seq,) if one else tuple(seq)
-    if not seqs:
+    one = isinstance(params, SequenceParams)
+    stack = (params,) if one else tuple(params)
+    if not stack:
         return []
-    emp, closed = (emp[None], closed[None]) if one else (emp, closed)
+    bits = np.asarray(bits)
+    bits, emp, closed = (bits[None], emp[None], closed[None]) if one else (bits, emp, closed)
     primes = factors.primes
-    for x in seqs:
-        _same_ring(factors, x.params)
-    k = len(seqs)
-    coeffs = np.array([_sign_matrix(x.params) for x in seqs], dtype=np.int64)
+    for x in stack:
+        _same_ring(factors, x)
+    k = len(stack)
+    coeffs = np.array([_sign_matrix(x) for x in stack], dtype=np.int64)
     kron = (coeffs[:, :, None, :, None] * coeffs[:, None, :, None, :]).reshape(k, 9, 9)
     product = _contract(factors.us[:9], kron, factors.vs[:9])
     forms = _contract(factors.us[:3],  # the k expanded forms, then the k S
-                      [_expanded_matrix(x.params) for x in seqs] + coeffs.tolist(),
+                      [_expanded_matrix(x) for x in stack] + coeffs.tolist(),
                       factors.vs[:3])
-    bits = crt_grid(primes, np.array([x.bits for x in seqs]))
-    routes = {"sign_form_vs_sequence": _differs(forms[k:], 1 - 2 * bits.view(np.int8)),
+    # bits of another shape fail their route, as a misshapen profile does
+    signs = (1 - 2 * crt_grid(primes, bits.astype(np.result_type(bits, np.int8)))
+             if bits.shape == (k, primes.n) else None)
+    routes = {"sign_form_vs_sequence": _differs(forms[k:], signs),
               "product_vs_expanded": _differs(product, forms[:k])}
     del forms  # so that the grids and the read below are not all held at once
     product = crt_read(primes, product)

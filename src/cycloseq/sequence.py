@@ -13,10 +13,10 @@ where (./p) denotes the Legendre symbol, so a unit position carries 0 exactly
 when the two quadratic characters agree.
 
 All sequences of a pair share this class layout and differ only in their
-fill values, so ``generate`` builds the sequences of a list of one pair's
+fill values, so ``family_bits`` builds the bits of a list of one pair's
 params as one (k, n) stack, from one ``by_class`` of their stacked fill
-values, and checks its bits once; each ``BinarySequence`` is one row of it.
-The one-triple call is the same code on a stack of one.
+values; a pair's checks read that stack as it is. ``generate`` builds one
+``BinarySequence`` through its constructor, which checks the bits.
 """
 
 import json
@@ -238,20 +238,13 @@ def _checked_bits(bits: np.ndarray) -> np.ndarray:
 
 class BinarySequence:
     """One period of S(a, b, c) as a read-only uint8 array of 0/1 bits, from
-    ``_checked_bits``: the constructor's call, or ``generate``'s one per stack."""
+    the constructor's ``_checked_bits``."""
 
     def __init__(self, params: SequenceParams, bits: np.ndarray):
         raw = np.asarray(bits)
         if raw.shape != (params.n,):
             raise ValueError(f"expected {params.n} bits, got {raw.shape}")
         self.params, self.bits = params, _checked_bits(raw)
-
-    @classmethod
-    def _of(cls, params: SequenceParams, bits: np.ndarray) -> "BinarySequence":
-        """The sequence of bits that ``generate`` has checked, as they are."""
-        seq = cls.__new__(cls)
-        seq.params, seq.bits = params, bits
-        return seq
 
     @property
     def n(self) -> int:
@@ -293,18 +286,9 @@ def family_bits(params) -> np.ndarray:
     return bits[0] if isinstance(params, SequenceParams) else bits
 
 
-def generate(params):
-    """Build one period of S(a, b, c); for a sequence of params of one pair,
-    a list of their sequences, each one row of one ``family_bits`` stack, checked once."""
-    stack = _one_pair(params)
-    bits = _checked_bits(family_bits(stack))  # read-only, so no row can be made writeable
-    seqs = [BinarySequence._of(x, row) for x, row in zip(stack, bits)]
-    return seqs[0] if isinstance(params, SequenceParams) else seqs
-
-
-def sign_view(seq: BinarySequence) -> np.ndarray:
-    """(-1)**s[lam] per position, as an int64 array of +1/-1."""
-    return 1 - 2 * seq.bits.astype(np.int64)
+def generate(params: SequenceParams) -> BinarySequence:
+    """Build one period of S(a, b, c)."""
+    return BinarySequence(params, family_bits(params))
 
 
 def bitstring(seq: BinarySequence) -> str:

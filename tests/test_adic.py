@@ -12,7 +12,7 @@ from cycloseq.adic import (AdicComplexityReport, best_value_predicate,
                            dp_closed, dq_closed, mersenne, s2, verify_theorem2)
 from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
 from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams,
-                               bitstring, generate)
+                               bitstring, family_bits, generate)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -346,12 +346,12 @@ def test_report_gcds_are_on_p_and_q_bit_numbers(monkeypatch):
 @given(primes=st.sampled_from(odd_prime_pairs(400)), data=st.data())
 def test_stacked_sequences_and_reports_equal_the_one_triple_calls(primes, data):
     # A pair's params, in either prime order and with repeats, give one stack
-    # of sequences and one report per triple; each equals the one-triple call
+    # of bits and one report per triple; each equals the one-triple call
     # and the n-bit oracle d_exact. The refusals hold for the stack as a whole.
     primes = data.draw(st.sampled_from([primes, OddPrimePair(primes.q, primes.p)]))
     triples = data.draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=1, max_size=12))
     stack = [SequenceParams(primes, *abc) for abc in triples]
-    seqs = generate(stack)
+    seqs = [BinarySequence(params, bits) for params, bits in zip(stack, family_bits(stack))]
     assert seqs == [generate(params) for params in stack]
     reports = complexity_report(stack)
     assert reports == [complexity_report(params) for params in stack]
@@ -362,11 +362,11 @@ def test_stacked_sequences_and_reports_equal_the_one_triple_calls(primes, data):
         3, 7, 0, 0, 0)
     mixed = stack + [other]
     with pytest.raises(ValueError, match="one pair"):
-        generate(mixed)
+        family_bits(mixed)
     with pytest.raises(ValueError, match="one pair"):
         complexity_report(mixed)
     with pytest.raises(ValueError, match="at least one"):
-        generate([])
+        family_bits([])
     with pytest.raises(ValueError, match="at least one"):
         complexity_report([])
 

@@ -12,8 +12,7 @@ from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile, Ro
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams, crt_grid,
-                               generate)
+from cycloseq.sequence import CheckResult, SequenceParams, crt_grid, family_bits, generate
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -48,7 +47,12 @@ def _direct_profile(bits):
 def _from_grid(pair, grid):
     # bits whose entry k is grid[k mod p, k mod q], indexed without crt_read
     k = np.arange(pair.n)
-    return BinarySequence(SequenceParams(pair, 0, 0, 0), grid[k % pair.p, k % pair.q])
+    return grid[k % pair.p, k % pair.q]
+
+
+def _family_stack(pair, triples):
+    # the (k, n) bits stack of the triples, as a pair's table reads it
+    return family_bits([SequenceParams(pair, *abc) for abc in triples])
 
 
 def test_empirical_frozen_values():
@@ -265,12 +269,11 @@ def test_empirical_profile_equals_direct_correlation_on_pooled_rows(pair, data):
     m = data.draw(st.none() | st.integers(1, pair.p), label="m")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     if m is None:
-        seq = BinarySequence(SequenceParams(pair, 0, 0, 0),
-                             rng.integers(0, 2, size=pair.n, dtype=np.uint8))
+        bits = rng.integers(0, 2, size=pair.n, dtype=np.uint8)
     else:
         pool = rng.integers(0, 2, size=(m, pair.q), dtype=np.uint8)
-        seq = _from_grid(pair, pool[rng.integers(0, m, size=pair.p)])
-    assert np.array_equal(empirical_profile(seq), _direct_profile(seq.bits))
+        bits = _from_grid(pair, pool[rng.integers(0, m, size=pair.p)])
+    assert np.array_equal(RowTable(pair, bits[None]).profile(0), _direct_profile(bits))
 
 
 def test_family_grids_have_three_distinct_rows():
@@ -285,7 +288,7 @@ def test_family_grids_have_three_distinct_rows():
             for a, b, c in ALL_TRIPLES:
                 grid = crt_grid(primes, generate(SequenceParams(primes, a, b, c)).bits)
                 assert len({row.tobytes() for row in grid}) == 3, (primes, a, b, c)
-            table = RowTable(generate(SequenceParams(primes, *abc)) for abc in ALL_TRIPLES)
+            table = RowTable(primes, _family_stack(primes, ALL_TRIPLES))
             assert table.own.shape == (8, 3), primes
             assert table.across.shape[:2] == (3, 3), primes
             assert table.along.shape[:2] == (8, 8), primes
@@ -314,18 +317,18 @@ def test_family_grids_have_three_distinct_rows():
 def test_kernel_choice_follows_the_operation_count(monkeypatch, p, q, rows, crt):
     pair = OddPrimePair(p, q)
     if rows is None:
-        seq = generate(SequenceParams(pair, 1, 0, 1))
+        bits = family_bits(SequenceParams(pair, 1, 0, 1))
     else:
         # rows of length p, the shorter axis, the rows the table reads
         rng = np.random.default_rng(rows)
         pool = rng.integers(0, 2, size=(rows, p), dtype=np.uint8)
         assert len({row.tobytes() for row in pool}) == rows
-        seq = _from_grid(pair, pool[np.arange(q) % rows].T)
+        bits = _from_grid(pair, pool[np.arange(q) % rows].T)
     reads = []
     original = cycloseq.autocorr.crt_read
     monkeypatch.setattr(cycloseq.autocorr, "crt_read",
                         lambda *args: reads.append(args) or original(*args))
-    assert np.array_equal(empirical_profile(seq), _direct_profile(seq.bits))
+    assert np.array_equal(RowTable(pair, bits[None]).profile(0), _direct_profile(bits))
     assert len(reads) == crt
 
 
@@ -356,16 +359,16 @@ def test_row_table_profiles_equal_np_correlate_on_mixed_stacks(pair, data):
     pooled = st.tuples(st.just("pooled"), st.sampled_from((0, 1)), st.integers(0, 400),
                        st.integers(0, 2))
     stack = data.draw(st.lists(family | pooled, min_size=1, max_size=9), label="stack")
-    seqs = [generate(SequenceParams(pair, *spec[1])) if spec[0] == "family"
-            else _pooled(pair, rng, *spec[1:]) for spec in stack]
+    bits = np.array([family_bits(SequenceParams(pair, *spec[1])) if spec[0] == "family"
+                     else _pooled(pair, rng, *spec[1:]) for spec in stack])
     route = data.draw(st.sampled_from(("rule", "grid", "direct")), label="route")
     overhead = {"rule": cycloseq.autocorr._CRT_OVERHEAD, "grid": -10 ** 18,
                 "direct": 10 ** 18}[route]
     with mock.patch.object(cycloseq.autocorr, "_CRT_OVERHEAD", overhead):
-        table = RowTable(seqs)
+        table = RowTable(pair, bits)
     event(f"{route}: {'direct' if table.along is None else 'grid'}")
-    for t, seq in enumerate(seqs):
-        assert np.array_equal(table.profile(t), _direct_profile(seq.bits)), (t, stack[t])
+    for t, row in enumerate(bits):
+        assert np.array_equal(table.profile(t), _direct_profile(row)), (t, stack[t])
 
 
 def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
@@ -382,12 +385,12 @@ def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
     assignment = np.arange(71) % 2
     moved = assignment.copy()
     moved[70] = 2
-    seqs = [_from_grid(pair, pool[assignment].T), _from_grid(pair, pool[moved].T),
-            generate(SequenceParams(pair, 0, 1, 1))]
-    table = RowTable(seqs)
+    bits = np.array([_from_grid(pair, pool[assignment].T), _from_grid(pair, pool[moved].T),
+                     family_bits(SequenceParams(pair, 0, 1, 1))])
+    table = RowTable(pair, bits)
     assert table.along is not None
-    for t, seq in enumerate(seqs):
-        assert np.array_equal(table.profile(t), _direct_profile(seq.bits)), t
+    for t, row in enumerate(bits):
+        assert np.array_equal(table.profile(t), _direct_profile(row)), t
 
 
 # A table of T sequences reads the grid when C ceil(C / g) L**2 + M ceil(M / g)
@@ -404,11 +407,11 @@ def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
 ])
 def test_table_route_follows_the_operation_count(p, q, count, crt):
     pair = OddPrimePair(p, q)
-    seqs = [generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count]]
-    table = RowTable(seqs)
+    bits = _family_stack(pair, ALL_TRIPLES[:count])
+    table = RowTable(pair, bits)
     assert (table.along is not None) == crt
-    for t, seq in enumerate(seqs):
-        assert np.array_equal(table.profile(t), _direct_profile(seq.bits))
+    for t, row in enumerate(bits):
+        assert np.array_equal(table.profile(t), _direct_profile(row))
 
 
 @pytest.mark.parametrize("p,q,count,crt", [
@@ -419,12 +422,12 @@ def test_row_table_reads_a_slice_as_the_stack_of_its_profiles(p, q, count, crt):
     # bounds and empty slices included, reads the stack of the one-sequence
     # profiles in the slice's order
     pair = OddPrimePair(p, q)
-    seqs = [generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count]]
-    table = RowTable(seqs)
+    bits = _family_stack(pair, ALL_TRIPLES[:count])
+    table = RowTable(pair, bits)
     assert (table.along is not None) == crt
     for rows in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-2, None),
                  slice(count, None), slice(1, 2)):
-        want = [_direct_profile(seqs[t].bits) for t in range(count)[rows]]
+        want = [_direct_profile(bits[t]) for t in range(count)[rows]]
         assert np.array_equal(table.profile(rows),
                               np.array(want).reshape(len(want), pair.n)), rows
 
@@ -441,12 +444,21 @@ def test_closed_form_profiles_of_one_pair_stack_in_order():
         closed_form_profile([params[0], SequenceParams.of(7, 5, 0, 0, 0)])
 
 
-def test_row_table_refuses_an_empty_or_mixed_stack():
-    with pytest.raises(ValueError, match="at least one sequence"):
-        RowTable(())
-    with pytest.raises(ValueError, match="one pair"):
-        RowTable([generate(SequenceParams.of(3, 5, 1, 0, 0)),
-                  generate(SequenceParams.of(3, 7, 1, 0, 0))])
+def test_row_table_refuses_an_empty_or_misshapen_stack():
+    # A table reads a (k, n) stack, k >= 1, of 0/1 bits: a (0, n) stack, a
+    # (k, n + 1) stack, one n-bit vector, a (1, k, n) stack and a stack
+    # holding a 2 are refused, before either route is chosen.
+    primes = OddPrimePair(5, 7)
+    stack = _family_stack(primes, ALL_TRIPLES)
+    for bits in (np.zeros((0, 35), dtype=np.uint8), np.zeros((8, 36), dtype=np.uint8),
+                 stack[0], stack[None]):
+        with pytest.raises(ValueError, match=r"a row table reads a \(k, 35\) stack"):
+            RowTable(primes, bits)
+    two = stack.copy()
+    two[5, 3] = 2
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        RowTable(primes, two)
+    assert RowTable(primes, stack).profile(7)[0] == 35
 
 
 @pytest.mark.parametrize("p,q,count,crt", [
@@ -455,7 +467,7 @@ def test_row_table_refuses_a_sequence_index_out_of_range(p, q, count, crt):
     # unchecked, -1 would read the last sequence and count would raise
     # IndexError; both routes refuse every t outside the table's range
     pair = OddPrimePair(p, q)
-    table = RowTable(generate(SequenceParams(pair, *abc)) for abc in ALL_TRIPLES[:count])
+    table = RowTable(pair, _family_stack(pair, ALL_TRIPLES[:count]))
     assert (table.along is not None) == crt
     for t in (-1, -count, count, count + 1):
         with pytest.raises(ValueError, match="no sequence"):
@@ -467,7 +479,7 @@ def test_row_table_refuses_a_non_integer_index():
     # 2.0 in range(8) holds, so the range check alone would pass it on to a
     # slice, and so does True, a Python int; numpy ints and slices are read
     # as before.
-    table = RowTable(generate(SequenceParams.of(5, 7, *abc)) for abc in ALL_TRIPLES)
+    table = RowTable(OddPrimePair(5, 7), _family_stack(OddPrimePair(5, 7), ALL_TRIPLES))
     for t in (2.0, 2.5, np.float64(2), "2", None, True, False, np.True_):
         with pytest.raises(ValueError, match="no sequence .* in a row table of 8"):
             table.profile(t)

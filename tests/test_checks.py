@@ -20,10 +20,19 @@ from cycloseq.sequence import CheckResult
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count the calls of generate, empirical_profile, RowTable,
-    closed_form_profile, crt_basis, verify_lemma1 and crt_factors under every
-    name the package binds them to."""
+    """Count the calls of the pair's family_bits (as cli binds it; the
+    reports' own stack is counted by
+    test_a_pairs_reports_are_one_stacked_call_per_chunk), and of generate,
+    empirical_profile, RowTable, closed_form_profile, crt_basis,
+    verify_lemma1 and crt_factors under every name the package binds them
+    to."""
     counts = Counter()
+
+    def family_bits(params, _fn=cli.family_bits):
+        counts["family_bits"] += 1
+        return _fn(params)
+
+    monkeypatch.setattr(cli, "family_bits", family_bits)
     for module, name in ((cycloseq.sequence, "generate"),
                          (cycloseq.autocorr, "empirical_profile"),
                          (cycloseq.autocorr, "RowTable"),
@@ -47,7 +56,7 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("argv", [["verify", "--p", "5", "--q", "7"],
                                   ["sweep", "--pairs", "5,7"]])
 def test_each_instance_is_built_once(calls, capsys, argv):
-    # generate: once for the pair, one stack of its 8 sequences;
+    # family_bits: once for the pair, one stack of its 8 sequences' bits;
     # crt_basis and crt_factors: once for the pair, and lemma1 and
     # correlation_identity read the same table; RowTable: once for the pair;
     # closed_form_profile: once for the pair's one stacked pass (n = 35, so
@@ -55,7 +64,7 @@ def test_each_instance_is_built_once(calls, capsys, argv):
     # closed-form profiles serve theorem1 and correlation_identity alike
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"generate": 1, "RowTable": 1, "closed_form_profile": 1,
+    assert calls == {"family_bits": 1, "RowTable": 1, "closed_form_profile": 1,
                      "verify_lemma1": 1, "crt_basis": 1, "crt_factors": 1}
 
 
@@ -108,7 +117,7 @@ def test_the_pair_table_is_the_groupring_kernel_work(monkeypatch, capsys):
     factors = pair.factors
     shapes.clear()
     assert cycloseq.groupring.verify_correlation_identity(
-        factors, pair.seqs[t], pair.table.profile(t), pair.closed(t)
+        factors, pair.params[t], pair.bits[t], pair.table.profile(t), pair.closed(t)
     ) == CheckResult("correlation_identity", True)
     assert shapes == []
 
@@ -290,18 +299,18 @@ def test_sweep_without_profile_checks_builds_no_profile(calls, capsys):
 
 @pytest.mark.parametrize("argv,built", [
     (["autocorr", "--empirical", "--format", "json"],
-     {"generate": 1, "RowTable": 1}),
-    (["generate"], {"generate": 1}),
+     {"family_bits": 1, "RowTable": 1}),
+    (["generate"], {"family_bits": 1}),
     (["adic"], {}),
     (["autocorr", "--both"],
-     {"generate": 1, "RowTable": 1, "closed_form_profile": 1}),
+     {"family_bits": 1, "RowTable": 1, "closed_form_profile": 1}),
     (["autocorr"], {"closed_form_profile": 1}),
 ], ids=["autocorr-empirical-json", "generate", "adic", "autocorr-both",
         "autocorr-per-shift"])
 def test_each_command_builds_what_it_prints_once(calls, capsys, argv, built):
     # Every command builds through one cli._Pair, which builds a piece on
-    # first use and at most once; a one-triple command's pair holds one
-    # sequence and a one-row table.
+    # first use and at most once; a one-triple command's pair holds one row
+    # of bits and a one-row table.
     command, *flags = argv
     assert cli.main([command, "--p", "5", "--q", "7", "--abc", "100", *flags]) == 0
     capsys.readouterr()
@@ -353,6 +362,15 @@ def test_sweep_rows_count_passing_check_results(capsys):
     assert {row["checks_passed"] for row in rows} == {"3/4", "4/4"}
 
 
+@pytest.mark.parametrize("text", ["a,b", "3.5,5", "3,5,7", "3", ""])
+def test_sweep_refuses_a_pair_that_is_not_two_integers(calls, capsys, text):
+    # Every malformed --pairs gets the one message, not int()'s, and exit 1,
+    # before anything is built.
+    assert cli.main(["sweep", "--pairs", text]) == 1
+    assert capsys.readouterr() == ("", f"error: --pairs expects 'p,q', got {text!r}\n")
+    assert calls == {}
+
+
 def test_lemma1_failure_is_reported_once_per_pair(monkeypatch, capsys):
     failed = CheckResult("lemma1", False, "gauss_gp_squared first differs at exponent 5")
     runs = Counter()
@@ -386,10 +404,10 @@ def test_int64_overflow_is_refused_as_an_error(monkeypatch, capsys):
 
 def test_refused_allocation_is_reported_as_an_error(monkeypatch, capsys):
     # numpy raises MemoryError at once when the machine refuses a request.
-    def generate(params):
+    def family_bits(params):
         raise MemoryError("Unable to allocate 9.31 GiB")
 
-    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(cli, "family_bits", family_bits)
     assert cli.main(["generate", "--p", "3", "--q", "5", "--abc", "100"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: Unable to allocate 9.31 GiB\n")

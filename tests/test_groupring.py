@@ -15,8 +15,7 @@ from cycloseq.groupring import (CrtElement, crt_basis, crt_expanded_form, crt_fa
                                 gauss_gp, gauss_gq, mul, verify_correlation_identity,
                                 verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams, generate,
-                               residue_table, sign_view)
+from cycloseq.sequence import CheckResult, SequenceParams, family_bits, generate, residue_table
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 RANDOM_PAIRS = [OddPrimePair(3, 5), OddPrimePair(5, 7), OddPrimePair(3, 13)]
@@ -377,7 +376,7 @@ def test_decomposition_consistency(p, q):
         params = SequenceParams.of(p, q, a, b, c)
         s = crt_sign_form(params, basis)
         h = s - _unit_block(basis, 2, 2)
-        assert s.dense().tolist() == sign_view(generate(params)).tolist()
+        assert s.dense().tolist() == (1 - 2 * generate(params).bits.astype(int)).tolist()
         assert s == h + gg
         # applying sigma flips only the character product term
         chi_minus1 = legendre(-1, p) * legendre(-1, q)
@@ -394,8 +393,8 @@ def test_expanded_product_form_matches_direct_product():
 
 def _correlation_identity(params):
     seq = generate(params)
-    return verify_correlation_identity(crt_factors(crt_basis(params.primes)), seq,
-                                       _autocorr.empirical_profile(seq),
+    return verify_correlation_identity(crt_factors(crt_basis(params.primes)), params,
+                                       seq.bits, _autocorr.empirical_profile(seq),
                                        _autocorr.closed_form_profile(params))
 
 
@@ -404,7 +403,7 @@ def test_correlation_identity_of_no_sequences_is_empty():
     factors = crt_factors(crt_basis(OddPrimePair(5, 7)))
     empty = np.zeros((0, 35), dtype=np.int64)
     assert verify_theorem1(empty, empty) == []
-    assert verify_correlation_identity(factors, [], empty, empty) == []
+    assert verify_correlation_identity(factors, [], empty, empty, empty) == []
 
 
 def test_correlation_identity_ideal_case():
@@ -440,13 +439,14 @@ def test_crt_route_matches_dense_ring_on_every_pair():
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams(primes, a, b, c)
             s = crt_sign_form(params, basis)
-            s_dense = sign_view(generate(params)).astype(np.int64)
+            bits = family_bits(params)
+            s_dense = 1 - 2 * bits.astype(np.int64)
             assert s.dense().tolist() == s_dense.tolist(), (primes, a, b, c)
             want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
             assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
             # handed the oracle as both profiles, the check passes only if its
             # contracted product (and the sign form and expanded form) equal it
-            check = verify_correlation_identity(factors, generate(params),
+            check = verify_correlation_identity(factors, params, bits,
                                                 np.array(want), np.array(want))
             assert check == CheckResult("correlation_identity", True), (primes, a, b, c)
             assert crt_expanded_form(params, basis).dense().tolist() == want
@@ -459,7 +459,7 @@ def test_correlation_identity_holds_past_the_old_int64_ceiling():
     params = SequenceParams.of(1447, 1451, 0, 0, 1)
     basis = crt_basis(params.primes)
     s = crt_sign_form(params, basis)
-    assert np.array_equal(s.dense(), sign_view(generate(params)))
+    assert np.array_equal(s.dense(), 1 - 2 * family_bits(params).astype(np.int64))
     product = (s.sigma() * s).dense()
     assert np.array_equal(product, _autocorr.closed_form_profile(params))
     assert np.array_equal(product, crt_expanded_form(params, basis).dense())
@@ -568,7 +568,7 @@ def test_table_product_matches_mul_and_the_dense_ring_under_changed_characters(
         s = crt_sign_form(params, basis)
         want = _dense_mul(_dense_sigma(s.dense()), s.dense())
         assert (s.sigma() * s).dense().tolist() == want.tolist(), (a, b, c)
-        check = verify_correlation_identity(factors, generate(params), want, want)
+        check = verify_correlation_identity(factors, params, family_bits(params), want, want)
         assert set(check.detail.split("; ")) <= {
             "", "sign_form_vs_sequence", "product_vs_expanded"}, (a, b, c)
 
@@ -594,9 +594,9 @@ def test_correlation_identity_names_each_route_it_is_handed_wrong():
     off = emp.copy()
     off[3] += 1
     assert verify_correlation_identity(
-        factors, seq, off, closed) == CheckResult(
+        factors, params, seq.bits, off, closed) == CheckResult(
         "correlation_identity", False, "product_vs_empirical")
-    assert verify_correlation_identity(factors, seq, off, off) == CheckResult(
+    assert verify_correlation_identity(factors, params, seq.bits, off, off) == CheckResult(
         "correlation_identity", False,
         "product_vs_empirical; product_vs_closed_form")
 
@@ -606,32 +606,56 @@ def test_correlation_identity_fails_a_profile_of_another_length():
     # fails, as np.array_equal has it, alone or in a stack, and the check
     # does not raise.
     params = SequenceParams.of(5, 7, 1, 1, 0)
-    seq = generate(params)
+    bits = family_bits(params)
     closed = _autocorr.closed_form_profile(params)
     factors = crt_factors(crt_basis(params.primes))
     for emp in (closed[:-1], np.append(closed, 1)):
-        assert verify_correlation_identity(factors, seq, emp, closed) == CheckResult(
+        assert verify_correlation_identity(factors, params, bits, emp, closed) == CheckResult(
             "correlation_identity", False, "product_vs_empirical")
-        assert verify_correlation_identity(factors, [seq, seq], np.stack([emp, emp]),
+        assert verify_correlation_identity(factors, [params, params], np.stack([bits, bits]),
+                                           np.stack([emp, emp]),
                                            np.stack([closed, closed])) == [CheckResult(
             "correlation_identity", False, "product_vs_empirical")] * 2
 
 
+def test_correlation_identity_fails_bits_that_are_not_the_sign_vector():
+    # Bits one position short or long, or holding a value that is not 0 or 1
+    # (2, or 0.5, which an integer cast would truncate to 0), fail
+    # sign_form_vs_sequence alone, alone or in a stack, and the check does
+    # not raise; the pair's own bits pass in any integer dtype.
+    params = SequenceParams.of(5, 7, 1, 1, 0)
+    bits = family_bits(params)
+    closed = _autocorr.closed_form_profile(params)
+    factors = crt_factors(crt_basis(params.primes))
+    failed = CheckResult("correlation_identity", False, "sign_form_vs_sequence")
+    two, half = bits.astype(np.int64), bits.astype(np.float64)
+    two[np.flatnonzero(bits)[0]] = 2
+    half[np.flatnonzero(bits == 0)[0]] = 0.5
+    for wrong in (bits[:-1], np.append(bits, 1), two, half):
+        assert verify_correlation_identity(factors, params, wrong, closed, closed) == failed
+        assert verify_correlation_identity(factors, [params] * 2, np.stack([wrong, wrong]),
+                                           np.stack([closed, closed]),
+                                           np.stack([closed, closed])) == [failed] * 2
+    for dtype in (np.uint8, np.int8, np.int64, np.uint64, bool, np.float64):
+        assert verify_correlation_identity(factors, params, bits.astype(dtype), closed,
+                                           closed) == CheckResult("correlation_identity", True)
+
+
 def test_correlation_identity_refuses_another_pairs_products():
-    seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
+    params = SequenceParams.of(3, 5, 1, 0, 0)
     factors = crt_factors(crt_basis(OddPrimePair(5, 7)))
-    closed = _autocorr.closed_form_profile(seq.params)
+    closed = _autocorr.closed_form_profile(params)
     with pytest.raises(ValueError, match="different group rings"):
-        verify_correlation_identity(factors, seq, closed, closed)
+        verify_correlation_identity(factors, params, family_bits(params), closed, closed)
 
 
-def _identity_oracle(basis, seq, emp, closed):
+def _identity_oracle(basis, params, bits, emp, closed):
     # correlation_identity from elements: S of the basis, sigma(S) * S by mul
     # and the expanded form, densified to Z_n and compared route by route
-    s = crt_sign_form(seq.params, basis)
+    s = crt_sign_form(params, basis)
     product = (s.sigma() * s).dense()
-    routes = (("sign_form_vs_sequence", s.dense(), sign_view(seq)),
-              ("product_vs_expanded", product, crt_expanded_form(seq.params, basis).dense()),
+    routes = (("sign_form_vs_sequence", s.dense(), 1 - 2 * bits.astype(np.int64)),
+              ("product_vs_expanded", product, crt_expanded_form(params, basis).dense()),
               ("product_vs_empirical", product, emp),
               ("product_vs_closed_form", product, closed))
     failures = [name for name, got, want in routes if not np.array_equal(got, want)]
@@ -657,7 +681,7 @@ class _ChangedProfiles:
     def profile(self, rows):
         stack = self.table.profile(rows).copy()
         self.reads.append(len(stack))
-        for i, t in enumerate(range(len(self.table.seqs))[rows]):
+        for i, t in enumerate(range(len(self.table.own))[rows]):
             if t in self.change:
                 stack[i, self.change[t]] += 1
         return stack
@@ -672,8 +696,8 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
     # verify_correlation_identity, detail included, and both equal the
     # element oracles above. The pieces may be corrupted: a changed
     # empirical or closed-form entry, characters changed in the basis of the
-    # product table, or a sequence with one bit flipped off its sign form
-    # (its row table reads the flipped bits).
+    # product table, or a row of the pair's bits with one bit flipped off its
+    # sign form (its row table reads the flipped bits).
     primes = data.draw(st.sampled_from([primes, OddPrimePair(primes.q, primes.p)]))
     triples = data.draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=1, unique=True))
     count = len(triples)
@@ -681,16 +705,13 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
     pair = cli._Pair(primes, triples)
     basis = _changed_basis(primes, data)
     pair.factors = crt_factors(basis)
-    seqs = list(pair.seqs)
     for t, k in data.draw(st.dictionaries(st.integers(0, count - 1),
                                           st.integers(0, primes.n - 1), max_size=2)).items():
-        bits = seqs[t].bits.copy()
-        bits[k] ^= 1
-        seqs[t] = BinarySequence(seqs[t].params, bits)
-    pair.seqs = tuple(seqs)
+        pair.bits[t, k] ^= 1
     shift = st.dictionaries(st.integers(0, count - 1), st.integers(0, primes.n - 1),
                             max_size=2)
-    table = pair.table = _ChangedProfiles(_autocorr.RowTable(pair.seqs), data.draw(shift))
+    table = pair.table = _ChangedProfiles(_autocorr.RowTable(primes, pair.bits),
+                                          data.draw(shift))
     closed_change = data.draw(shift)
 
     def closed(rows):
@@ -704,13 +725,13 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
     with mock.patch.object(cli, "_CHUNK_VALUES", budget):
         results = pair.results
     assert table.reads == ([1] * count if budget == 1 else [count])
-    for t, seq in enumerate(pair.seqs):
+    for t, (params, bits) in enumerate(zip(pair.params, pair.bits)):
         emp, want = table.table.profile(t), closed(slice(t, t + 1))[0]
         if t in table.change:
             emp[table.change[t]] += 1
         theorem1 = verify_theorem1(emp, want)
-        identity = verify_correlation_identity(pair.factors, seq, emp, want)
+        identity = verify_correlation_identity(pair.factors, params, bits, emp, want)
         assert (results["theorem1"][t], results["correlation_identity"][t]) == (
             theorem1, identity), (t, triples[t])
         assert (theorem1, identity) == (_theorem1_oracle(emp, want),
-                                        _identity_oracle(basis, seq, emp, want)), t
+                                        _identity_oracle(basis, params, bits, emp, want)), t

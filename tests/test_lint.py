@@ -3,7 +3,11 @@
 import ast
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cycloseq
@@ -22,6 +26,29 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_golden_cli_transcripts_hold_under_python_O():
+    # python -O strips every assert, so the twelve transcripts of
+    # tests/golden/cli/, the failing verify --p 3 --q 17 among them, must
+    # come out byte for byte under it too: no check lives in an assert.
+    child = ("import json, runpy, sys\n"
+             f"golden = runpy.run_path({str(ROOT / 'tests' / 'test_cli_golden.py')!r})\n"
+             "print(json.dumps([sys.flags.optimize, [\n"
+             "    (golden['golden_path'](command).read_text(encoding='utf-8'),\n"
+             "     golden['transcript'](command.split()))\n"
+             "    for command in golden['INVOCATIONS']]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    optimize, pairs = json.loads(proc.stdout)
+    assert optimize == 1 and len(pairs) == 12
+    assert any(want.startswith("$ cycloseq verify --p 3 --q 17 --check theorem2,lemma1\n"
+                               "exit 2\n") for want, _ in pairs)
+    for want, got in pairs:
+        assert got == want
 
 
 def _exception_name(node) -> str:
@@ -110,14 +137,14 @@ def test_only_cli_builds_the_pairs_blocks():
     assert callers == {"cli"}
     assert _top_level_users({"RowTable"}) == {"autocorr.empirical_profile", "cli._Pair"}
     # Every command builds through one path: in cli, the pair's pieces (its
-    # sequences, both tables, the closed-form profiles, which its stacked
+    # family_bits stack, both tables, the closed-form profiles, which its stacked
     # pass reads a chunk of triples at a time, and the complexity reports,
     # built in the same chunks) are built only inside _Pair; every command
     # and check reads its row of each off the pair's.
     tree = ast.parse((SRC / "cli.py").read_text())
     pair = next(node for node in tree.body
                 if isinstance(node, ast.ClassDef) and node.name == "_Pair")
-    names = {"generate", "RowTable", "crt_basis", "crt_factors", "verify_lemma1",
+    names = {"family_bits", "RowTable", "crt_basis", "crt_factors", "verify_lemma1",
              "closed_form_profile", "complexity_report"}
     built = _calls_of(pair, names)
     assert {name for name, _ in built} == names
@@ -195,15 +222,16 @@ def _top_level_users(names: set) -> set:
 
 
 def test_only_generate_and_the_report_build_bits_from_params():
-    # sequence.family_bits is called by sequence.generate and by
-    # adic.complexity_report, which packs the bits of its params itself; adic
-    # imports it, and builds no sequence: no top-level statement of adic,
-    # its imports among them, uses generate.
-    tree = ast.parse((SRC / "adic.py").read_text())
-    imports = {f"adic.{top.lineno}" for top in tree.body
+    # sequence.family_bits is called by sequence.generate, by cli._Pair for
+    # its one stack of the pair's bits and by adic.complexity_report, which
+    # packs the bits of its params itself; cli and adic import it, and adic
+    # builds no sequence: no top-level statement of adic, its imports among
+    # them, uses generate.
+    imports = {f"{path.stem}.{top.lineno}" for path in sorted(SRC.rglob("*.py"))
+               for top in ast.parse(path.read_text(), str(path)).body
                if isinstance(top, (ast.Import, ast.ImportFrom))}
-    assert _top_level_users({"family_bits"}) - imports == {"sequence.generate",
-                                                          "adic.complexity_report"}
+    assert _top_level_users({"family_bits"}) - imports == {
+        "sequence.generate", "cli._Pair", "adic.complexity_report"}
     assert {user for user in _top_level_users({"generate"})
             if user.startswith("adic.")} == set()
 
@@ -292,26 +320,30 @@ def test_only_the_row_table_profile_multiplies_matrices_in_autocorr():
     assert products and all(start <= line < start + len(lines) for line in products)
 
 
-def test_only_generate_builds_unchecked_sequences():
-    # Every BinarySequence holds bits that sequence._checked_bits passed. The
-    # constructor takes its own bits through it; generate takes its whole
-    # stack through it once and builds each row with the unchecked
-    # BinarySequence._of, which nothing else calls. Every other _of in src/
-    # is groupring's CrtElement._of.
-    assert _top_level_users({"_checked_bits"}) == {"sequence.BinarySequence",
-                                                   "sequence.generate"}
-    tree = ast.parse((SRC / "sequence.py").read_text())
-    seq_class = next(node for node in tree.body
-                     if isinstance(node, ast.ClassDef) and node.name == "BinarySequence")
-    assert {method.name for method in seq_class.body if isinstance(method, ast.FunctionDef)
-            for node in ast.walk(method)
-            if getattr(node, "id", None) == "_checked_bits"} == {"__init__"}
-    owners = {getattr(node.value, "id", None)
-              for path in SRC.rglob("*.py") for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.Attribute) and node.attr == "_of"}
-    assert owners == {"BinarySequence", "CrtElement"}
-    assert (_top_level_users({"_of"}) & _top_level_users({"BinarySequence"})
-            == {"sequence.generate"})
+def _units() -> dict:
+    """module.name -> node of every top-level statement in src/ other than
+    an import, with each statement of a class body as module.Class.name."""
+    units = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                units.update({f"{path.stem}.{top.name}.{getattr(node, 'name', node.lineno)}":
+                              node for node in top.body})
+            elif not isinstance(top, (ast.Import, ast.ImportFrom)):
+                units[f"{path.stem}.{getattr(top, 'name', top.lineno)}"] = top
+    return units
+
+
+def test_only_the_sequence_and_row_table_constructors_check_bits():
+    # sequence._checked_bits is the one 0/1 check: every BinarySequence holds
+    # bits its constructor passed through it, and every RowTable a stack its
+    # constructor passed through it once; BinarySequence has no unchecked
+    # _of to build a sequence around the check.
+    units = _units()
+    users = {name for name, node in units.items()
+             if "_checked_bits" in {getattr(n, "id", None) for n in ast.walk(node)}}
+    assert (users, "sequence.BinarySequence._of" in units) == (
+        {"sequence.BinarySequence.__init__", "autocorr.RowTable.__init__"}, False)
 
 
 def test_sweep_rows_build_no_json_dicts():

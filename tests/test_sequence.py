@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq.adic import complexity_report
+from cycloseq.autocorr import RowTable
 from cycloseq import sequence
 from cycloseq.numtheory import (OddPrimePair, legendre, odd_prime_pairs,
                                 odd_primes_up_to)
 from cycloseq.sequence import (BinarySequence, SequenceParams, as_json_dict,
                                bitstring, by_class, crt_grid, crt_read, generate,
-                               residue_table, sign_view, to_json, unit_character)
+                               residue_table, to_json, unit_character)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -186,15 +187,6 @@ def test_swap_symmetry():
     assert left.bits.tolist() == right.bits.tolist()
 
 
-def test_sign_view():
-    seq = generate(SequenceParams.of(3, 5, 1, 0, 0))
-    signs = sign_view(seq)
-    assert signs.dtype == np.int64
-    assert set(signs.tolist()) == {-1, 1}
-    assert np.array_equal(signs, 1 - 2 * seq.bits.astype(np.int64))
-    assert int(signs.sum()) == -1  # weight 8 of 15: 7 - 8
-
-
 def test_params_validation():
     with pytest.raises(ValueError, match="a must be 0 or 1"):
         SequenceParams.of(3, 5, 2, 0, 0)
@@ -225,51 +217,48 @@ def test_bits_are_immutable():
         seq.bits[0] = 1
 
 
-def test_generate_of_a_pairs_params_is_one_read_only_stack():
-    # Each sequence is one row of one by_class stack, and no row can be made
-    # writeable again; a stack of one is the one-triple call.
-    stack = [SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES + ALL_TRIPLES[:2]]
-    seqs = generate(stack)
-    assert seqs == [generate(params) for params in stack]
-    base = seqs[0].bits.base
-    assert base.shape == (10, 35) and not base.flags.writeable
-    assert all(seq.bits.base is base for seq in seqs)
-    with pytest.raises(ValueError):
-        seqs[3].bits.flags.writeable = True
-    assert generate(stack[:1]) == [generate(stack[0])]
-    assert generate(tuple(stack)) == seqs
-
-
 def test_generate_rows_equal_the_checked_sequences_of_their_bits():
+    # Row t of a pair's family_bits stack is the bits of generate(params[t]),
+    # which are read-only uint8; a stack of one is the one-triple call.
     for pair in (OddPrimePair(3, 5), OddPrimePair(13, 67), OddPrimePair(7, 3)):
-        stack = [SequenceParams(pair, *abc) for abc in ALL_TRIPLES]
-        for params, seq in zip(stack, generate(stack)):
-            assert seq == BinarySequence(params, sequence.family_bits(params))
+        stack = [SequenceParams(pair, *abc) for abc in ALL_TRIPLES + ALL_TRIPLES[:2]]
+        bits = sequence.family_bits(stack)
+        assert bits.shape == (10, pair.n)
+        for params, row in zip(stack, bits):
+            seq = generate(params)
+            assert seq == BinarySequence(params, row)
+            assert np.array_equal(seq.bits, sequence.family_bits(params))
             assert seq.bits.dtype == np.uint8 and not seq.bits.flags.writeable
+        assert np.array_equal(sequence.family_bits(stack[:1]), bits[:1])
 
 
 def test_generate_checks_its_stack_once(monkeypatch):
+    # generate builds through the constructor, which checks its bits once
     shapes = []
     check = sequence._checked_bits
     monkeypatch.setattr(sequence, "_checked_bits",
                         lambda bits: shapes.append(bits.shape) or check(bits))
-    generate([SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES])
-    assert shapes == [(8, 35)]
+    generate(SequenceParams.of(5, 7, 1, 0, 1))
+    assert shapes == [(35,)]
 
 
 def test_generate_refuses_a_stack_with_a_bit_that_is_not_0_or_1(monkeypatch):
-    # the rows are built unchecked, so the one check of the stack must see
-    # every row
+    # generate's bits go through the constructor's check, and a pair's
+    # stack through its row table's, which sees every row
     family_bits = sequence.family_bits
 
     def with_a_two(params):
         bits = family_bits(params)
-        bits[5, 3] = 2
+        bits[..., 3] = 2
         return bits
 
     monkeypatch.setattr(sequence, "family_bits", with_a_two)
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        generate([SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES])
+        generate(SequenceParams.of(5, 7, 1, 0, 1))
+    stack = family_bits([SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES])
+    stack[5, 3] = 2
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        RowTable(OddPrimePair(5, 7), stack)
 
 @pytest.mark.parametrize("bits", [np.zeros(14, dtype=np.uint8), [],
                                   np.zeros((3, 5), dtype=np.uint8)])
