@@ -16,6 +16,7 @@ from cycloseq import (SequenceParams, distribution, generate, nontrivial_bound,
                       verify_theorem1)
 from cycloseq.autocorr import closed_form_profile, empirical_profile
 from cycloseq.numtheory import OddPrimePair
+from cycloseq.sequence import crt_grid
 
 # empirical computation: every shift summed exactly from the bits at once
 seq = generate(SequenceParams.of(3, 7, 1, 0, 0))
@@ -25,8 +26,9 @@ for tau in range(seq.n):
     print(f"  C({tau:2d}) = {int(emp[tau]):3d}")
 
 # the per-class closed form gives the same numbers without touching the
-# sequence; verify_theorem1 compares the two routes at every shift
-check = verify_theorem1(emp, closed_form_profile(seq.params))
+# sequence; verify_theorem1 compares the two routes at every shift, on the
+# p x q grid that holds shift tau at (tau mod p, tau mod q)
+check = verify_theorem1(crt_grid(seq.params.primes, emp), closed_form_profile(seq.params))
 print("closed form matches empirical:", check.ok)
 
 # the full profile as a value -> count table

@@ -16,6 +16,7 @@ from cycloseq.autocorr import closed_form_profile, empirical_profile
 from cycloseq.groupring import (crt_basis, crt_expanded_form, crt_factors, crt_lemma1,
                                 crt_sign_form)
 from cycloseq.numtheory import OddPrimePair
+from cycloseq.sequence import crt_grid
 
 primes = OddPrimePair(3, 5)
 
@@ -56,10 +57,14 @@ print("expanded form equals the product:", product == expanded)
 # one call checks all four routes at once: product, expanded form,
 # empirical shifts, and the per-class closed form, each built by the caller;
 # the product is the pair's table of products sigma(b_i) * b_k, the rows of
-# mul(s.sigma(), s) above, contracted with the weights of that product
+# mul(s.sigma(), s) above, contracted with the weights of that product, and
+# every route is compared on the p x q grid, where crt_grid lays the bits
+# and the empirical shifts
 for p, q, a, b, c in [(3, 5, 1, 0, 0), (3, 7, 0, 1, 1), (5, 11, 1, 1, 0)]:
     seq = generate(SequenceParams.of(p, q, a, b, c))
-    check = verify_correlation_identity(crt_factors(crt_basis(seq.params.primes)),
-                                        seq.params, seq.bits, empirical_profile(seq),
+    pair = seq.params.primes
+    check = verify_correlation_identity(crt_factors(crt_basis(pair)), seq.params,
+                                        crt_grid(pair, seq.bits),
+                                        crt_grid(pair, empirical_profile(seq)),
                                         closed_form_profile(seq.params))
     print(f"p={p} q={q} abc={a}{b}{c}: all routes agree = {check.ok}")

@@ -26,8 +26,8 @@ d = gcd(S(2), (2**p - 1)(2**q - 1)) = d_p * d_q:
 
 The proof uses only that the bits are S(a, b, c) of their parameters, which
 holds by construction: ``complexity_report`` reads only params, and builds
-the bits of one pair's triples as one ``family_bits`` stack. One
-``packbits`` of the stack gives every word T(2), and each n-bit word is
+the bits of one pair's triples as one ``family_bits`` stack, read in Z_n
+order. One ``packbits`` gives every word T(2), and each n-bit word is
 folded onto the two small factors: since 2**r = 1 mod 2**r - 1,
 T(2) mod 2**r - 1 is a sum of r-bit pieces of T(2), which ``_fold`` adds
 up in O(n) bit operations. d is then a product of one p-bit and one q-bit
@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import BinarySequence, CheckResult, SequenceParams, _one_pair, family_bits
+from .sequence import (BinarySequence, CheckResult, SequenceParams, _one_pair, crt_read,
+                       family_bits)
 
 
 def mersenne(n: int) -> int:
@@ -212,15 +213,15 @@ def complexity_report(params):
     triple in a list.
 
     The bits are the ``family_bits`` stack of the params, the family the
-    proof that d_star = 1 covers. One ``packbits`` of the stack gives every
-    T(2), and d is gcd(T(2) mod 2**p - 1, 2**p - 1) times
+    proof that d_star = 1 covers, read in Z_n order. One ``packbits`` of the
+    stack gives every T(2), and d is gcd(T(2) mod 2**p - 1, 2**p - 1) times
     gcd(T(2) mod 2**q - 1, 2**q - 1): a p-bit and a q-bit gcd, the residues
     folded from the n-bit word T(2). The report keeps both factors as
     ``fold_p`` and ``fold_q``, which theorem2 compares with the closed forms.
     """
     stack = _one_pair(params)
     p, q = stack[0].p, stack[0].q
-    words = np.packbits(family_bits(stack), axis=1, bitorder="little")
+    words = np.packbits(crt_read(stack[0].primes, family_bits(stack)), axis=1, bitorder="little")
     reports = []
     for x, row in zip(stack, words):
         word = int.from_bytes(row.tobytes(), "little")

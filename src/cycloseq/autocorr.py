@@ -14,16 +14,12 @@ only on the residue class of tau:
 with e = (-1)**c - (-1)**a - (-1)**b. Every empirical value is recomputed
 from the bits alone, with no Legendre symbol and no formula of the paper, by
 exact int64 cyclic correlations through the package's one correlation
-kernel, ``sequence._correlations``. The (k, n) bits stack of one pair's
-sequences makes one ``RowTable``: on the p x q CRT grid each is a sum of
-line indicators (x) rows over one partition of the longer axis, so one
-kernel call per axis correlates the line indicators and distinct rows of
-all of them, and the profiles of any slice of them are one contraction of
-that table; a table with many distinct rows or lines correlates each
-sequence directly over the period instead. The kernel packs several rows
-into one int64 word, offset so that every field is nonnegative, and takes
-the bound that makes the packing exact from the data; no floating point is
-involved.
+kernel, ``sequence._correlations``: the (k, p, q) grid stack of one pair's
+bits makes one ``RowTable``, one kernel call per grid axis for all of them,
+whose profile grids are contractions of that table. The kernel packs
+several rows into one int64 word, offset so that every field is
+nonnegative, and takes the bound that makes the packing exact from the
+data; no floating point is involved.
 """
 
 from dataclasses import dataclass
@@ -34,7 +30,7 @@ import numpy as np
 from .numtheory import OddPrimePair
 from .sequence import (BinarySequence, CheckResult, SequenceParams, _checked_bits,
                        _correlations, _multiply_adds, _one_pair, by_class, crt_grid,
-                       crt_read)
+                       crt_read, first_difference)
 
 
 class AutocorrelationFamily(Enum):
@@ -116,29 +112,28 @@ class RowTable:
     """The periodic autocorrelation of every sequence of one pair, held as
     correlations of grid rows and line indicators, from the bits alone.
 
-    ``bits`` is a (k, n) stack of 0/1 bits, k >= 1, checked once by
-    ``_checked_bits``; it goes on the p x q grid by one ``crt_grid``, where a
-    shift by tau is a shift by (tau mod p, tau mod q).
-    The table reads each grid as rows along its shorter axis, one row per
-    index of the longer axis. The rows of all grids, packed into uint64 words
-    by one ``packbits`` along that axis, are made distinct by ``_distinct``:
-    R_r are the distinct rows, and row i of grid t is R_owner[t, i]. One more
-    ``_distinct``, of the columns of owner, splits the longer axis into
-    lines, the sets of indices that hold one row in every sequence, and line
-    c holds R_own[t, c] in sequence t. With f_c the 0/1 indicator of line c,
-    grid t is the sum of f_c (x) R_own[t, c], so its correlation is the sum
-    over c, d of corr(f_c, f_d) (x) corr(R_own[t, c], R_own[t, d]). The 8
-    triples of a pair have 8 distinct rows and 3 lines (0, the residues and
-    the nonresidues of the longer prime). One call of the kernel
-    ``_correlations`` per axis correlates every line indicator with every
-    other (``across``, C x C x the longer prime, which the 3 lines and not
-    the 8 rows pay for) and every distinct sign row with every other
+    ``bits`` is a (k, p, q) stack of 0/1 grids, k >= 1, checked once by
+    ``_checked_bits``: on the grid a shift by tau is a shift by (tau mod p,
+    tau mod q). The table reads each grid as rows along its shorter axis, one
+    row per index of the longer axis. The rows of all grids, packed into
+    uint64 words by one ``packbits`` along that axis, are made distinct by
+    ``_distinct``: R_r are the distinct rows, and row i of grid t is
+    R_owner[t, i]. One more ``_distinct``, of the columns of owner, splits the
+    longer axis into lines, the sets of indices that hold one row in every
+    sequence, and line c holds R_own[t, c] in sequence t. With f_c the 0/1
+    indicator of line c, grid t is the sum of f_c (x) R_own[t, c], so its
+    correlation is the sum over c, d of corr(f_c, f_d) (x) corr(R_own[t, c],
+    R_own[t, d]). The 8 triples of a pair have 8 distinct rows and 3 lines (0,
+    the residues and the nonresidues of the longer prime). One call of the
+    kernel ``_correlations`` per axis correlates every line indicator with
+    every other (``across``, C x C x the longer prime, which the 3 lines and
+    not the 8 rows pay for) and every distinct sign row with every other
     (``along``, R x R x the shorter prime). ``profile(t)`` contracts all of
-    across with along[own[t], own[t]] and reads the p x q grid back through
-    ``crt_read``; for a slice of the sequences, one stacked contraction does
-    so for all of them. So the table holds no per-shift array, and a caller
-    bounds what it holds by the slices it reads (the CLI's check pass reads
-    max(1, 2**13 // n) sequences at a time).
+    across with along[own[t], own[t]] into the p x q grid of its profile; for
+    a slice of the sequences, one stacked contraction does so for all of them.
+    So the table holds no per-shift array, and a caller bounds what it holds
+    by the slices it reads (the CLI's check pass reads max(1, 2**13 // n)
+    sequences at a time).
 
     The kernel packs g = 62 // (2L).bit_length() rows into one int64 word and
     spends m * ceil(m / g) * L**2 multiply-adds on m rows of length L
@@ -149,7 +144,8 @@ class RowTable:
     triples of a family read the grid at every pair, and a single family
     sequence (``empirical_profile``) once n > 381 or, with a prime 3, once
     the other prime is at least 131. On the direct route the table holds
-    only its bits and their lines; on the grid it keeps no bits.
+    only its bits and their lines, and reads them in Z_n order to correlate;
+    on the grid it keeps no bits.
 
     The two constants, measured on a 2-vCPU Xeon VM (numpy 2.4; a table of
     S(1, 0, 1) alone or of the 8 triples, each route forced, built and read
@@ -175,8 +171,7 @@ class RowTable:
     grid at every pair, as the rule has it, and read as one slice it beats 8
     direct calls at every pair above, by about 15 % at the smallest: a kernel
     call's fixed cost of about 25 us is paid 8 times on the direct route and
-    twice on the grid, and the 8 profiles are one contraction and one
-    ``crt_read``.
+    twice on the grid, and the 8 profiles are one contraction.
 
     Exactness: an across output is a count in [0, longer prime] and an along
     output lies in [-shorter prime, shorter prime]; the kernel derives these
@@ -192,14 +187,14 @@ class RowTable:
 
     def __init__(self, primes: OddPrimePair, bits: np.ndarray):
         raw = np.asarray(bits)
-        if raw.ndim != 2 or raw.shape[1] != primes.n or not len(raw):
-            raise ValueError(f"a row table reads a (k, {primes.n}) stack of bits "
+        p, q = primes.p, primes.q
+        if raw.ndim != 3 or raw.shape[1:] != (p, q) or not len(raw):
+            raise ValueError(f"a row table reads a (k, {p}, {q}) stack of bits "
                              f"with k >= 1, not {raw.shape}")
-        self.primes, self.bits = primes, _checked_bits(raw)
-        p, q, count = primes.p, primes.q, len(raw)
+        self.primes, self.bits, count = primes, _checked_bits(raw), len(raw)
         short, long, axis = (p, q, 0) if p < q else (q, p, 1)
         # every grid's rows along the short axis as uint64 words
-        packed = np.packbits(crt_grid(primes, self.bits), axis=1 + axis)
+        packed = np.packbits(self.bits, axis=1 + axis)
         words = np.zeros((count, long, -(-short // 64)), dtype=np.uint64)
         words.view(np.uint8)[:, :, :packed.shape[1 + axis]] = (
             packed.transpose(0, 2, 1) if axis == 0 else packed)
@@ -221,18 +216,18 @@ class RowTable:
         self.along = _correlations(signs, signs).astype(np.min_scalar_type(-short))
 
     def profile(self, t) -> np.ndarray:
-        """All n autocorrelation values of sequence t, summed exactly; for a
-        slice t of the table's sequences, their (k, n) stack, read on the
-        grid by one contraction for the whole slice."""
+        """All n autocorrelation values of sequence t, summed exactly, as a
+        p x q grid; for a slice t of the table's sequences, their (k, p, q)
+        stack, one contraction for the whole slice."""
         one = not isinstance(t, slice)
         if one and (isinstance(t, bool) or not isinstance(t, (int, np.integer))
                     or t not in range(len(self.own))):
             raise ValueError(f"no sequence {t} in a row table of {len(self.own)}")
         rows = slice(t, t + 1) if one else t
         if self.along is None:
-            profiles = np.array([_correlations(signs[None], signs[None])[0, 0]
-                                 for signs in 1 - 2 * self.bits[rows].astype(np.int64)])
-            profiles = profiles.reshape(-1, self.primes.n)
+            signs = 1 - 2 * crt_read(self.primes, self.bits[rows]).astype(np.int64)
+            profiles = np.array([_correlations(x[None], x[None])[0, 0] for x in signs])
+            profiles = crt_grid(self.primes, profiles.reshape(-1, self.primes.n))
         else:
             own = self.own[rows]
             pairs = own.shape[1] ** 2
@@ -240,19 +235,19 @@ class RowTable:
                 len(own), pairs, self.along.shape[-1]).astype(np.int64)
             across = self.across.reshape(pairs, -1).astype(np.int64)
             if self.primes.p < self.primes.q:
-                profiles = crt_read(self.primes, along.transpose(0, 2, 1) @ across)
+                profiles = along.transpose(0, 2, 1) @ across
             else:
-                profiles = crt_read(self.primes, across.T @ along)
+                profiles = across.T @ along
         return profiles[0] if one else profiles
 
 
 def empirical_profile(seq: BinarySequence) -> np.ndarray:
-    """All n autocorrelation values of ``seq``, summed exactly from the bits:
-    the ``RowTable`` of ``seq`` alone, so it reads the grid once n > 381 (or
-    a prime 3 pairs with one of at least 131) and correlates the n signs
-    directly otherwise. A caller with several sequences of one pair builds
-    the ``RowTable`` of their stack once instead."""
-    return RowTable(seq.params.primes, seq.bits[None]).profile(0)
+    """All n autocorrelation values of ``seq`` in Z_n order, summed exactly
+    from the bits by the ``RowTable`` of ``seq`` alone (the grid route once
+    n > 381, or once a prime 3 pairs with one of at least 131). A caller with
+    several sequences of one pair builds the ``RowTable`` of their grids."""
+    primes = seq.params.primes
+    return crt_read(primes, RowTable(primes, crt_grid(primes, seq.bits)[None]).profile(0))
 
 
 def class_values(params: SequenceParams) -> tuple[int, int, int, int]:
@@ -268,8 +263,8 @@ def class_values(params: SequenceParams) -> tuple[int, int, int, int]:
 
 
 def closed_form_profile(params) -> np.ndarray:
-    """All n closed-form values as one int64 array; for a sequence of k
-    params of one pair, their (k, n) stack, from one ``by_class``."""
+    """All n closed-form values as one p x q int64 grid; for a sequence of k
+    params of one pair, their (k, p, q) stack, from one ``by_class``."""
     stack = _one_pair(params)
     profiles = by_class(stack[0].primes, *zip(*[(x.n, *class_values(x)) for x in stack]),
                         np.int64)
@@ -286,13 +281,13 @@ def distribution(params: SequenceParams,
     """Full autocorrelation profile.
 
     By default the class values come from the per-class closed form in O(1)
-    per class. A caller that holds ``emp = empirical_profile(generate(params))``
-    passes it in, and the values are read from it instead: the oracle path.
+    per class. A caller that holds an empirical profile grid ``emp`` passes
+    it in, and the values are read from it instead: the oracle path.
     """
     if emp is None:
         vp, vq, vplus, vminus = class_values(params)
-    elif emp.shape != (params.n,):
-        raise ValueError(f"expected {params.n} autocorrelation values, got {emp.shape}")
+    elif emp.shape != (params.p, params.q):
+        raise ValueError(f"expected a {params.p} x {params.q} profile grid, got {emp.shape}")
     else:
         codes = by_class(params.primes, 0, 1, 2, 3, 4, np.int8)
         vp, vq, vplus, vminus = (_constant_over(emp[codes == k]) for k in (1, 2, 3, 4))
@@ -307,21 +302,21 @@ def _constant_over(values: np.ndarray) -> int:
 
 
 def verify_theorem1(emp: np.ndarray, closed: np.ndarray):
-    """Compare the empirical and the closed-form autocorrelation of one instance
-    (or, in a list, of each of a (k, n) stack) at every shift: a detail names the
-    first differing tau, or both shapes if they differ, and then all fail."""
-    one = np.ndim(emp) == 1
+    """Compare the empirical and the closed-form autocorrelation grids of one
+    instance (or, in a list, of each of a (k, p, q) stack) at every shift: a
+    detail names the least differing tau (``first_difference``), or both
+    shapes if they differ, and then all fail."""
+    one = np.ndim(emp) == 2
     if np.shape(emp) != np.shape(closed):
         failed = CheckResult("theorem1", False,
                              f"empirical shape {np.shape(emp)} != closed shape {np.shape(closed)}")
         return failed if one else [failed] * len(emp)
     emp, closed = (emp[None], closed[None]) if one else (emp, closed)
-    bad = emp != closed
     results = []
-    for t, tau in enumerate(bad.argmax(axis=-1).tolist()):  # the first differing tau, or 0
-        detail = (f"tau={tau} empirical={int(emp[t, tau])} closed={int(closed[t, tau])}"
-                  if bad[t, tau] else "")
-        results.append(CheckResult("theorem1", not detail, detail))
+    for t, bad in enumerate((emp != closed).any(axis=(-2, -1)).tolist()):
+        detail = ("tau={} empirical={} closed={}".format(*first_difference(emp[t], closed[t]))
+                  if bad else "")
+        results.append(CheckResult("theorem1", not bad, detail))
     return results[0] if one else results
 
 

@@ -9,27 +9,27 @@ sorted order and no timestamps or environment details are written.
 
 This is the only module that composes the layers, and all five commands
 build through ``_Pair``. A ``_Pair`` holds the triples a command reads and
-the checks it runs, and builds their bits, one ``family_bits`` stack, its
-``RowTable`` (one kernel call per axis for all of them), their closed-form
-profiles and the product table, one ``mul`` over the basis (delta, J, chi)
-of each prime (the package's one ``crt_factors`` call), which ``lemma1``
-reads once and ``correlation_identity`` contracts with no product of its
-own. theorem1 and correlation_identity run as one pass per pair, over chunks
-of max(1, 2**13 // n) triples: a chunk's empirical profiles are one stacked
-read of the row table and its closed forms one ``by_class``, and both
-checks compare the whole chunk at once, with its rows of the bits. The pair
-keeps one ``CheckResult`` per triple and check, not the profiles. Its
+the checks it runs, and builds their bits, one ``family_bits`` stack of
+grids, its ``RowTable`` (one kernel call per axis for all of them), their
+closed-form profiles and the product table, one ``mul`` over the basis
+(delta, J, chi) of each prime (the package's one ``crt_factors`` call),
+which ``lemma1`` reads once and ``correlation_identity`` contracts with no
+product of its own. theorem1 and correlation_identity run as one pass per
+pair, over chunks of max(1, 2**13 // n) triples: a chunk's empirical
+profiles are one stacked read of the row table and its closed forms one
+``by_class``, and both checks compare the chunk's grids at once, keeping
+one ``CheckResult`` per triple and check, not the profiles. Its
 complexity reports are one stacked ``complexity_report`` of the params per
 chunk of the same size, which builds no sequence. Each piece is built on
 first use and at most once, so a command builds only the pieces it prints;
-``generate``, ``autocorr`` and ``adic`` read row 0 of a one-triple pair.
+``generate``, ``autocorr`` and ``adic`` read row 0 of a one-triple pair, in
+Z_n order (``crt_read``) only where they print it.
 ``verify``, ``sweep`` and the acceptance gate run the ``CHECKS`` registry
 through one pair x triple loop, ``_checked``, which runs each check once per
-pair and yields row t of its results with the pair. Each check is a
-function of one ``_Pair`` that returns one ``CheckResult`` per triple, in
-``pair.triples`` order: it reads the pair's results or hands its pieces to
-a library check. Every CSV table is written by ``_csv_text``; a sweep row
-is ``SWEEP_COLUMNS`` zipped with one tuple of values.
+pair and yields row t of its results with the pair; a check is a function
+of one ``_Pair`` that returns one ``CheckResult`` per triple, in
+``pair.triples`` order. Every CSV table is written by ``_csv_text``; a sweep
+row is ``SWEEP_COLUMNS`` zipped with one tuple of values.
 """
 
 import argparse
@@ -46,7 +46,7 @@ from . import autocorr as ac
 from . import groupring as gr
 from .numtheory import OddPrimePair, odd_prime_pairs
 from .sequence import (BinarySequence, SequenceParams, as_json_dict, bitstring, by_class,
-                       family_bits)
+                       crt_read, family_bits)
 
 ALL_TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
 
@@ -138,7 +138,7 @@ _CHUNK_VALUES = 1 << 13
 
 class _Pair:
     """One prime pair, the triples a command reads of it and the checks it
-    runs on them. Its bits (row t of the (k, n) stack is triple t), row
+    runs on them. Its bits (grid t of the (k, p, q) stack is triple t), row
     table, product table, lemma1, the results of the stacked pass and the
     complexity reports are each built on first use only."""
 
@@ -166,7 +166,7 @@ class _Pair:
         return gr.verify_lemma1(self.factors)
 
     def closed(self, rows):
-        """The closed-form profile of triple ``rows``, or the (k, n) stack of a
+        """The closed-form grid of triple ``rows``, or the (k, p, q) stack of a
         slice of triples."""
         return ac.closed_form_profile(self.params[rows])
 
@@ -205,7 +205,7 @@ class _Pair:
 
 def cmd_generate(args) -> int:
     pair = _pair_from(args)
-    seq = BinarySequence(pair.params[0], pair.bits[0])
+    seq = BinarySequence(pair.params[0], crt_read(pair.primes, pair.bits[0]))
     if args.format == "bits":
         text = bitstring(seq) + "\n"
     else:
@@ -214,8 +214,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _class_names(params: SequenceParams) -> np.ndarray:
-    return by_class(params.primes, "zero", "p", "q", "unit", "unit", object)
+def _class_names(primes: OddPrimePair) -> np.ndarray:
+    return crt_read(primes, by_class(primes, "zero", "p", "q", "unit", "unit", object))
 
 
 def cmd_autocorr(args) -> int:
@@ -239,13 +239,14 @@ def cmd_autocorr(args) -> int:
         if args.aggregate:
             text = _csv_text(("value", "count"), sorted(profile.distribution.items()))
         elif args.both:
+            emp, closed = crt_read(pair.primes, emp), crt_read(pair.primes, closed)
             text = _csv_text(("tau", "class", "empirical", "closed", "match"),
-                             zip(range(params.n), _class_names(params), emp.tolist(),
+                             zip(range(params.n), _class_names(pair.primes), emp.tolist(),
                                  closed.tolist(), (emp == closed).tolist()))
         else:
-            single = emp if args.empirical else closed
+            single = crt_read(pair.primes, emp if args.empirical else closed)
             text = _csv_text(("tau", "class", "c_s"),
-                             zip(range(params.n), _class_names(params), single.tolist()))
+                             zip(range(params.n), _class_names(pair.primes), single.tolist()))
         dist = " ".join(f"{v}:{c}" for v, c in sorted(profile.distribution.items()))
         text += (f"# distribution: {dist}\n"
                  f"# family: {profile.family.value}\n"

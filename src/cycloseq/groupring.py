@@ -2,9 +2,10 @@
 
 One representation, the CRT tensor form: Z[Z_pq] is isomorphic to
 Z[Z_p] (x) Z[Z_q], exponent k corresponding to (k mod p, k mod q) (the
-Good-Thomas index map, ``sequence.crt_read``). A ``CrtElement`` is a triple
-(U, M, V), the sum of M[i][j] * (u_i (x) v_j) over a stack U of rows on Z_p,
-a stack V on Z_q and an integer matrix M; a rank-1 sum has a diagonal M.
+Good-Thomas index map, ``sequence.crt_read``), so the coefficients form a
+p x q grid, which ``dense()`` reads in Z_n order. A ``CrtElement`` is a
+triple (U, M, V), the sum of M[i][j] * (u_i (x) v_j) over a stack U of rows
+on Z_p, a stack V on Z_q and an integer matrix M, diagonal for a rank-1 sum.
 Sigma, x**k -> x**(-k), reverses every row. A cyclic convolution u * s is
 the correlation of sigma(u) with s, so a product (``mul``) is one call of
 the correlation kernel ``sequence._correlations`` per axis, under M (x) M'.
@@ -23,12 +24,10 @@ under C (x) C, the rows and weights of ``S.sigma() * S``: for a stack of
 triples, under the stacked C (x) C, one contraction for the whole stack.
 
 Every int64 contraction here is ``_contract(us, ms, vs)``, the (k, p, q)
-stack of the grids us.T @ m @ vs of a stack of k matrices m. It raises
-OverflowError once, for any m of the stack, the sum of |m_ij| * peak u_i *
-peak v_j reaches 2**63, the peak of a row being its largest |entry|, floored
-at 1, read from the rows it is given. The kernel refuses its own products
-from the data alike, so no row carries a bound. The dense O(n**2) ring is
-only the oracle of the tests in ``tests/test_groupring.py``.
+stack of the grids us.T @ m @ vs of a stack of k matrices m, which raises
+OverflowError where a bound read from the rows it is given reaches 2**63;
+the kernel refuses its own products alike, so no row carries a bound. The
+dense O(n**2) ring is only the tests' oracle.
 
 Naming note for the quadratic character sums, which cross over on purpose:
 ``gamma_p`` is the subgroup sum over multiples of p (q terms), while
@@ -43,8 +42,8 @@ import operator
 import numpy as np
 
 from .numtheory import OddPrimePair
-from .sequence import (CheckResult, SequenceParams, _correlations, crt_grid, crt_read,
-                       residue_table)
+from .sequence import (CheckResult, SequenceParams, _correlations, crt_read,
+                       first_difference, residue_table)
 
 _INT64_LIMIT = 1 << 63
 
@@ -180,8 +179,8 @@ class CrtElement:
         return CrtElement._of(self.primes, _reverse(self.us), self.m, _reverse(self.vs))
 
     def dense(self) -> np.ndarray:
-        """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q): one
-        ``_contract``."""
+        """Coefficient of x**k for k in [0, n), read at (k mod p, k mod q) of
+        the grid of one ``_contract``: the element's Z_n order, for output."""
         return crt_read(self.primes, _contract(self.us, (self.m,), self.vs)[0])
 
 
@@ -322,20 +321,19 @@ def verify_lemma1(factors: CrtElement) -> CheckResult:
     """Coefficient-exact check of the identities of ``crt_lemma1`` on the
     primes: (b_i (x) b_j)(b_k (x) b_l) == s (x) t holds when b_i * b_k == s
     and b_j * b_l == t, each left side read off the pair's ``crt_factors``.
-    Only where one fails is the p x q difference formed; the detail names the
-    first identity that differs there and its smallest exponent in Z_n."""
+    Only where one fails are both sides' p x q grids formed; the detail names
+    the first identity that differs and its least exponent there."""
     primes = factors.primes
     left = (0, 1, 3)  # b_i is left[i] of (delta, J, sigma(chi), chi)
     for name, (i, j), (k, l), s, t in _lemma1(factors):
         u, v = factors.us[3 * left[i] + k], factors.vs[3 * left[j] + l]
         if np.array_equal(u, s) and np.array_equal(v, t):
             continue
-        grid = _contract(_stack([u, s], primes.p), ([[1, 0], [0, -1]],),
-                         _stack([v, t], primes.q))[0]
-        diff = np.flatnonzero(crt_read(primes, grid))
-        if len(diff):
-            return CheckResult("lemma1", False,
-                               f"{name} first differs at exponent {diff[0]}")
+        grids = _contract(_stack([u, s], primes.p), ([[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+                          _stack([v, t], primes.q))
+        if not np.array_equal(*grids):
+            return CheckResult("lemma1", False, f"{name} first differs at exponent "
+                                                f"{first_difference(*grids)[0]}")
     return CheckResult("lemma1", True)
 
 
@@ -345,19 +343,17 @@ def verify_correlation_identity(factors: CrtElement, params, bits, emp: np.ndarr
     expanded form, the empirical autocorrelation ``emp`` and the per-class
     closed form ``closed`` all agree at every shift; the detail lists each
     route that differs from the product, after ``sign_form_vs_sequence`` when
-    S is not the sign vector of the n ``bits``. ``factors`` is the pair's
+    S is not the sign grid of the p x q ``bits``. ``factors`` is the pair's
     ``crt_factors``: with B_r its rows 0-2, T_r its sigma(b_i) * b_k rows
     0-8 and C and E the matrices of S and of the expanded form, S is
     B_p.T C B_q, the expanded form B_p.T E B_q and sigma(S)*S
     T_p.T (C (x) C) T_q, as ``S.sigma() * S`` forms it.
 
-    Given a sequence of k params of the pair, with ``bits``, ``emp`` and
-    ``closed`` their (k, n) stacks, it checks all k in one pass, one
-    ``CheckResult`` each in a list: one ``_contract`` of the stacked C (x) C
-    and one of the stacked E and C. The product, the expanded form and S are
-    compared on the p x q grid, S against 1 - 2 * bits in a dtype that holds
-    it exactly, laid there by ``crt_grid``; the product is read into Z_n
-    order once for the profiles.
+    Given a sequence of k params of the pair, with the grids ``bits``,
+    ``emp`` and ``closed`` their (k, p, q) stacks, it checks all k in one
+    pass, one ``CheckResult`` each in a list: one ``_contract`` of the
+    stacked C (x) C and one of the stacked E and C. Every route is compared
+    on the grid, S against 1 - 2 * bits in a dtype that holds it exactly.
     """
     one = isinstance(params, SequenceParams)
     stack = (params,) if one else tuple(params)
@@ -376,12 +372,11 @@ def verify_correlation_identity(factors: CrtElement, params, bits, emp: np.ndarr
                       [_expanded_matrix(x) for x in stack] + coeffs.tolist(),
                       factors.vs[:3])
     # bits of another shape fail their route, as a misshapen profile does
-    signs = (1 - 2 * crt_grid(primes, bits.astype(np.result_type(bits, np.int8)))
-             if bits.shape == (k, primes.n) else None)
+    signs = (1 - 2 * bits.astype(np.result_type(bits, np.int8))
+             if bits.shape == (k, primes.p, primes.q) else None)
     routes = {"sign_form_vs_sequence": _differs(forms[k:], signs),
               "product_vs_expanded": _differs(product, forms[:k])}
-    del forms  # so that the grids and the read below are not all held at once
-    product = crt_read(primes, product)
+    del forms, signs  # so that no route's grid outlives its comparison
     routes["product_vs_empirical"] = _differs(product, emp)
     routes["product_vs_closed_form"] = _differs(product, closed)
     results = []
@@ -396,4 +391,4 @@ def _differs(x: np.ndarray, y: np.ndarray) -> list:
     list of bools; every one does when the stacks' shapes differ."""
     if x.shape != np.shape(y):
         return [True] * len(x)
-    return (x != y).reshape(len(x), -1).any(axis=1).tolist()
+    return (x != y).any(axis=(-2, -1)).tolist()

@@ -12,11 +12,11 @@ A sequence S(a, b, c) with fill bits a, b, c in {0, 1} is defined per period by
 where (./p) denotes the Legendre symbol, so a unit position carries 0 exactly
 when the two quadratic characters agree.
 
-All sequences of a pair share this class layout and differ only in their
-fill values, so ``family_bits`` builds the bits of a list of one pair's
-params as one (k, n) stack, from one ``by_class`` of their stacked fill
-values; a pair's checks read that stack as it is. ``generate`` builds one
-``BinarySequence`` through its constructor, which checks the bits.
+All sequences of a pair share one layout, the p x q grid that holds k at
+(k mod p, k mod q): P is row 0, Q column 0, {0} the corner, U the interior.
+``family_bits`` builds one pair's bits as one (k, p, q) stack from one
+``by_class`` of their fill values, and the checks compare grids; Z_n order
+(``crt_read``) is read for output, ``generate``'s bits and failures only.
 """
 
 import json
@@ -197,48 +197,56 @@ def crt_grid(primes: OddPrimePair, values: np.ndarray) -> np.ndarray:
 
 def by_class(primes: OddPrimePair, zero, on_p, on_q, unit_plus, unit_minus,
              dtype) -> np.ndarray:
-    """A ``dtype`` vector over Z_n by residue class: ``zero`` at 0, ``on_p`` on
-    P, ``on_q`` on Q, ``unit_plus``/``unit_minus`` on the units with
-    (lam/p)(lam/q) = +1/-1. On the p x q grid of ``crt_read`` P is row 0, Q
-    column 0, {0} the corner and U the interior; the one class layout. Given
-    the five values as length-k vectors, the (k, n) stack of the k vectors,
-    from one ``np.take``."""
+    """A p x q ``dtype`` grid by residue class: ``zero`` at the corner, ``on_p``
+    on P (row 0), ``on_q`` on Q (column 0), ``unit_plus``/``unit_minus`` where
+    chi_p (x) chi_q is +1/-1; for five length-k vectors, the (k, p, q) stack:
+    one q-entry take builds two rows, one p-entry take lays them by chi_p."""
     values = np.array([zero, on_p, on_q, unit_plus, unit_minus], dtype=dtype)
-    return np.take(values.T, _class_codes(primes), axis=-1)
+    rows, columns = _unit_signs(primes)
+    # (minus, plus) by chi_q where chi_p = +1, (plus, minus) where it is -1
+    pairs = np.moveaxis(values[[4, 3, 3, 4]], 0, -1).reshape(values.shape[1:] + (2, 2))
+    grid = np.take(np.take(pairs, columns, axis=-1), rows, axis=-2)
+    grid[..., 0, :] = values[1, ..., None]
+    grid[..., :, 0] = values[2, ..., None]
+    grid[..., 0, 0] = values[0]
+    return grid
 
 
 @lru_cache(maxsize=1)
-def _class_codes(primes: OddPrimePair) -> np.ndarray:
-    """Class code 0-4 of each k in [0, n), in ``by_class``'s argument order;
-    read-only, and built once per pair as ``_crt_index`` is."""
-    agree = np.equal.outer(residue_table(primes.p), residue_table(primes.q))
-    codes = 4 - agree.view(np.int8)  # 3 where chi_p[i] * chi_q[j] = +1, else 4
-    codes[0, :] = 1
-    codes[:, 0] = 2
-    codes[0, 0] = 0
-    codes = crt_read(primes, codes)
-    codes.flags.writeable = False
-    return codes
+def _unit_signs(primes: OddPrimePair) -> tuple:
+    """Read-only (rows, columns): chi_p = -1 and chi_q = +1, the sign pattern."""
+    rows, columns = residue_table(primes.p) < 0, residue_table(primes.q) > 0
+    rows.flags.writeable = columns.flags.writeable = False
+    return rows, columns
+
+
+def first_difference(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(tau, x at tau, y at tau) for the least tau whose cell differs between
+    two p x q grids that differ, the shape naming the pair; read on failure."""
+    x, y = crt_read(OddPrimePair(*x.shape), np.stack((x, y)))
+    tau = int(np.argmax(x != y))
+    return tau, int(x[tau]), int(y[tau])
 
 
 def unit_character(primes: OddPrimePair) -> np.ndarray:
-    """chi(lam) = (lam/p)(lam/q) for lam in [0, n); zero off the unit class."""
+    """chi(lam) = (lam/p)(lam/q) on the p x q grid; zero off the unit class."""
     return by_class(primes, 0, 0, 0, 1, -1, np.int8)
 
 
 def _checked_bits(bits: np.ndarray) -> np.ndarray:
-    """``bits`` as read-only uint8 after the package's one 0/1 check, which
-    refuses what the cast would wrap (256 -> 0) or truncate (0.5 -> 0)."""
+    """A read-only uint8 view of ``bits`` after the package's one 0/1 check,
+    which refuses what the cast would wrap (256 -> 0) or truncate (0.5 -> 0);
+    it aliases uint8 bits, whose buffer stays the caller's and writeable."""
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8).view()
     bits.flags.writeable = False
     return bits
 
 
 class BinarySequence:
-    """One period of S(a, b, c) as a read-only uint8 array of 0/1 bits, from
-    the constructor's ``_checked_bits``."""
+    """One period of S(a, b, c) as a read-only uint8 array of 0/1 bits in
+    Z_n order, from the constructor's ``_checked_bits``."""
 
     def __init__(self, params: SequenceParams, bits: np.ndarray):
         raw = np.asarray(bits)
@@ -277,9 +285,9 @@ def _one_pair(params) -> tuple:
 
 
 def family_bits(params) -> np.ndarray:
-    """One period of S(a, b, c) as a uint8 vector of 0/1 bits; for a sequence
-    of k params of one pair, their (k, n) stack, from one ``by_class`` of the
-    stacked fill values (c, a, b, 0, 1)."""
+    """One period of S(a, b, c) as a p x q uint8 grid of 0/1 bits; for a
+    sequence of k params of one pair, their (k, p, q) stack, from one
+    ``by_class`` of the stacked fill values (c, a, b, 0, 1)."""
     stack = _one_pair(params)
     fills = [(x.c, x.a, x.b, 0, 1) for x in stack]
     bits = by_class(stack[0].primes, *zip(*fills), np.uint8)
@@ -287,8 +295,8 @@ def family_bits(params) -> np.ndarray:
 
 
 def generate(params: SequenceParams) -> BinarySequence:
-    """Build one period of S(a, b, c)."""
-    return BinarySequence(params, family_bits(params))
+    """Build one period of S(a, b, c), its grid read in Z_n order."""
+    return BinarySequence(params, crt_read(params.primes, family_bits(params)))
 
 
 def bitstring(seq: BinarySequence) -> str:

@@ -12,7 +12,7 @@ from cycloseq.adic import (AdicComplexityReport, best_value_predicate,
                            dp_closed, dq_closed, mersenne, s2, verify_theorem2)
 from cycloseq.numtheory import OddPrimePair, odd_prime_pairs
 from cycloseq.sequence import (BinarySequence, CheckResult, SequenceParams,
-                               bitstring, family_bits, generate)
+                               bitstring, crt_read, family_bits, generate)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -351,7 +351,8 @@ def test_stacked_sequences_and_reports_equal_the_one_triple_calls(primes, data):
     primes = data.draw(st.sampled_from([primes, OddPrimePair(primes.q, primes.p)]))
     triples = data.draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=1, max_size=12))
     stack = [SequenceParams(primes, *abc) for abc in triples]
-    seqs = [BinarySequence(params, bits) for params, bits in zip(stack, family_bits(stack))]
+    seqs = [BinarySequence(params, bits)
+            for params, bits in zip(stack, crt_read(primes, family_bits(stack)))]
     assert seqs == [generate(params) for params in stack]
     reports = complexity_report(stack)
     assert reports == [complexity_report(params) for params in stack]

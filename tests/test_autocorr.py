@@ -12,7 +12,8 @@ from cycloseq.autocorr import (AutocorrelationFamily, AutocorrelationProfile, Ro
                                empirical_profile, nontrivial_bound,
                                profile_as_json_dict, verify_theorem1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import CheckResult, SequenceParams, crt_grid, family_bits, generate
+from cycloseq.sequence import (CheckResult, SequenceParams, crt_grid, crt_read, family_bits,
+                               generate)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -50,8 +51,22 @@ def _from_grid(pair, grid):
     return grid[k % pair.p, k % pair.q]
 
 
+def _on_grid(pair, values):
+    # the p x q grid holding values[k] at (k mod p, k mod q), laid without
+    # crt_grid
+    k = np.arange(pair.n)
+    grid = np.empty((pair.p, pair.q), dtype=values.dtype)
+    grid[k % pair.p, k % pair.q] = values
+    return grid
+
+
+def _direct_grid(pair, grid):
+    # the O(n^2) oracle of a grid of bits, read and laid back by index
+    return _on_grid(pair, _direct_profile(_from_grid(pair, grid)))
+
+
 def _family_stack(pair, triples):
-    # the (k, n) bits stack of the triples, as a pair's table reads it
+    # the (k, p, q) grid stack of the triples' bits, as a pair's table reads it
     return family_bits([SequenceParams(pair, *abc) for abc in triples])
 
 
@@ -78,42 +93,61 @@ def test_empirical_matches_oracle_every_shift(p, q, a, b, c):
 def test_theorem1_check_passes(p, q):
     for a, b, c in ALL_TRIPLES:
         params = SequenceParams.of(p, q, a, b, c)
-        check = verify_theorem1(empirical_profile(generate(params)),
+        check = verify_theorem1(crt_grid(params.primes, empirical_profile(generate(params))),
                                 closed_form_profile(params))
         assert check.ok and bool(check), (p, q, a, b, c, check.detail)
 
 
 def test_theorem1_names_the_first_differing_shift():
+    # tau = 4 sits at cell (1, 4) and tau = 9 at (0, 4), which row-major
+    # grid order meets first
     params = SequenceParams.of(3, 5, 1, 0, 0)
     closed = closed_form_profile(params)
-    emp = empirical_profile(generate(params))
-    emp[[4, 9]] += 2
+    emp = crt_grid(params.primes, empirical_profile(generate(params)))
+    emp[1, 4] += 2
+    emp[0, 4] += 2
     assert verify_theorem1(emp, closed) == CheckResult(
         "theorem1", False, "tau=4 empirical=1 closed=-1")
+
+
+def test_theorem1_names_the_least_differing_tau_not_the_first_cell():
+    # At (3, 5), tau = 10 sits at cell (1, 0) and tau = 12 at (0, 2).
+    # Row-major grid order meets (0, 2) first, but the detail names the least
+    # tau, in one grid and in each grid of a stack alike.
+    params = SequenceParams.of(3, 5, 1, 0, 0)
+    closed = closed_form_profile(params)
+    emp = closed.copy()
+    emp[1, 0] += 2
+    emp[0, 2] += 2
+    failed = CheckResult("theorem1", False, "tau=10 empirical=1 closed=-1")
+    assert verify_theorem1(emp, closed) == failed
+    assert verify_theorem1(np.stack([closed, emp]), np.stack([closed, closed])) == [
+        CheckResult("theorem1", True), failed]
 
 
 def test_theorem1_fails_when_the_shapes_differ():
     # A failed comparison is a CheckResult, not numpy's broadcast error,
     # which cli.main would print as "error: ...".
-    result = verify_theorem1(np.zeros(15, dtype=np.int64), np.zeros(14, dtype=np.int64))
+    result = verify_theorem1(np.zeros((3, 5), dtype=np.int64), np.zeros((3, 4), dtype=np.int64))
     assert result == CheckResult("theorem1", False,
-                                 "empirical shape (15,) != closed shape (14,)")
+                                 "empirical shape (3, 5) != closed shape (3, 4)")
 
 
 def test_theorem1_fails_every_row_of_a_stack_read_against_one_profile():
-    # A (2, 15) stack is not compared row by row with one broadcast (15,)
-    # profile: every instance of the stack fails.
+    # A (2, 3, 5) stack is not compared grid by grid with one broadcast
+    # (3, 5) profile: every instance of the stack fails.
     closed = closed_form_profile(SequenceParams.of(3, 5, 1, 0, 0))
     emp = np.stack([closed, closed])
     assert verify_theorem1(emp, closed) == [CheckResult(
-        "theorem1", False, "empirical shape (2, 15) != closed shape (15,)")] * 2
+        "theorem1", False, "empirical shape (2, 3, 5) != closed shape (3, 5)")] * 2
     assert verify_theorem1(emp, emp) == [CheckResult("theorem1", True)] * 2
 
 def test_closed_form_profile_matches_pointwise_form():
     params = SequenceParams.of(5, 7, 0, 1, 0)
     prof = closed_form_profile(params)
+    assert prof.shape == (5, 7)
     for tau in range(params.n):
-        assert int(prof[tau]) == _oracle_closed_form(params, tau), tau
+        assert int(prof[tau % 5, tau % 7]) == _oracle_closed_form(params, tau), tau
 
 
 def test_distribution_frozen_ideal():
@@ -151,7 +185,8 @@ def test_distribution_methods_agree():
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams.of(p, q, a, b, c)
             closed = distribution(params)
-            emp = distribution(params, empirical_profile(generate(params)))
+            emp = distribution(params, _on_grid(params.primes,
+                                                empirical_profile(generate(params))))
             assert closed.distribution == emp.distribution
             assert closed.family is emp.family
             assert (closed.value_class_p, closed.value_class_q,
@@ -162,11 +197,11 @@ def test_distribution_methods_agree():
 
 def test_distribution_from_profile_checks_it():
     params = SequenceParams.of(3, 5, 0, 0, 0)
-    emp = empirical_profile(generate(params))
-    with pytest.raises(ValueError, match="expected 15 autocorrelation values"):
-        distribution(params, emp[:-1])
-    emp = emp.copy()
-    emp[3] += 2  # a second value in the class of nonzero multiples of p
+    emp = _on_grid(params.primes, empirical_profile(generate(params)))
+    for wrong in (emp[:-1], emp.ravel(), crt_read(params.primes, emp)):
+        with pytest.raises(ValueError, match=r"expected a 3 x 5 profile grid, got \("):
+            distribution(params, wrong)
+    emp[0, 3] += 2  # a second value in the class of nonzero multiples of p
     with pytest.raises(ValueError, match="several autocorrelation values"):
         distribution(params, emp)
 
@@ -196,10 +231,10 @@ def test_value_at():
     # frozen closed-form values at single shifts, each equal to the definition
     params = SequenceParams.of(3, 7, 1, 0, 0)
     closed = closed_form_profile(params)
-    assert [int(closed[tau]) for tau in (0, 3, 7, 5)] == [21, 1, -3, 1]
+    assert [int(closed[tau % 3, tau % 7]) for tau in (0, 3, 7, 5)] == [21, 1, -3, 1]
     bits = generate(params).bits
     for tau in range(params.n):
-        assert int(closed[tau]) == _oracle_autocorr(bits, tau), tau
+        assert int(closed[tau % 3, tau % 7]) == _oracle_autocorr(bits, tau), tau
 
 
 def test_imbalance_identity():
@@ -269,11 +304,11 @@ def test_empirical_profile_equals_direct_correlation_on_pooled_rows(pair, data):
     m = data.draw(st.none() | st.integers(1, pair.p), label="m")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     if m is None:
-        bits = rng.integers(0, 2, size=pair.n, dtype=np.uint8)
+        grid = rng.integers(0, 2, size=(pair.p, pair.q), dtype=np.uint8)
     else:
         pool = rng.integers(0, 2, size=(m, pair.q), dtype=np.uint8)
-        bits = _from_grid(pair, pool[rng.integers(0, m, size=pair.p)])
-    assert np.array_equal(RowTable(pair, bits[None]).profile(0), _direct_profile(bits))
+        grid = pool[rng.integers(0, m, size=pair.p)]
+    assert np.array_equal(RowTable(pair, grid[None]).profile(0), _direct_grid(pair, grid))
 
 
 def test_family_grids_have_three_distinct_rows():
@@ -317,19 +352,21 @@ def test_family_grids_have_three_distinct_rows():
 def test_kernel_choice_follows_the_operation_count(monkeypatch, p, q, rows, crt):
     pair = OddPrimePair(p, q)
     if rows is None:
-        bits = family_bits(SequenceParams(pair, 1, 0, 1))
+        grid = family_bits(SequenceParams(pair, 1, 0, 1))
     else:
         # rows of length p, the shorter axis, the rows the table reads
         rng = np.random.default_rng(rows)
         pool = rng.integers(0, 2, size=(rows, p), dtype=np.uint8)
         assert len({row.tobytes() for row in pool}) == rows
-        bits = _from_grid(pair, pool[np.arange(q) % rows].T)
+        grid = pool[np.arange(q) % rows].T
+    # only the direct route reads Z_n order: its grid in, its profile out
     reads = []
     original = cycloseq.autocorr.crt_read
     monkeypatch.setattr(cycloseq.autocorr, "crt_read",
                         lambda *args: reads.append(args) or original(*args))
-    assert np.array_equal(RowTable(pair, bits[None]).profile(0), _direct_profile(bits))
-    assert len(reads) == crt
+    table = RowTable(pair, grid[None])
+    assert np.array_equal(table.profile(0), _direct_grid(pair, grid))
+    assert (table.along is not None, len(reads)) == (crt, 0 if crt else 1)
 
 
 def _pooled(pair, rng, axis, m, partition):
@@ -342,7 +379,7 @@ def _pooled(pair, rng, axis, m, partition):
     m = 1 + m % lines
     pool = rng.integers(0, 2, size=(m, length), dtype=np.uint8)
     grid = pool[np.random.default_rng((axis, m, partition)).integers(0, m, size=lines)]
-    return _from_grid(pair, grid if axis == 0 else grid.T)
+    return grid if axis == 0 else grid.T
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=120)
@@ -367,8 +404,8 @@ def test_row_table_profiles_equal_np_correlate_on_mixed_stacks(pair, data):
     with mock.patch.object(cycloseq.autocorr, "_CRT_OVERHEAD", overhead):
         table = RowTable(pair, bits)
     event(f"{route}: {'direct' if table.along is None else 'grid'}")
-    for t, row in enumerate(bits):
-        assert np.array_equal(table.profile(t), _direct_profile(row)), (t, stack[t])
+    for t, grid in enumerate(bits):
+        assert np.array_equal(table.profile(t), _direct_grid(pair, grid)), (t, stack[t])
 
 
 def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
@@ -385,12 +422,12 @@ def test_row_table_tells_apart_rows_that_differ_past_their_first_word():
     assignment = np.arange(71) % 2
     moved = assignment.copy()
     moved[70] = 2
-    bits = np.array([_from_grid(pair, pool[assignment].T), _from_grid(pair, pool[moved].T),
+    bits = np.array([pool[assignment].T, pool[moved].T,
                      family_bits(SequenceParams(pair, 0, 1, 1))])
     table = RowTable(pair, bits)
     assert table.along is not None
-    for t, row in enumerate(bits):
-        assert np.array_equal(table.profile(t), _direct_profile(row)), t
+    for t, grid in enumerate(bits):
+        assert np.array_equal(table.profile(t), _direct_grid(pair, grid)), t
 
 
 # A table of T sequences reads the grid when C ceil(C / g) L**2 + M ceil(M / g)
@@ -410,8 +447,8 @@ def test_table_route_follows_the_operation_count(p, q, count, crt):
     bits = _family_stack(pair, ALL_TRIPLES[:count])
     table = RowTable(pair, bits)
     assert (table.along is not None) == crt
-    for t, row in enumerate(bits):
-        assert np.array_equal(table.profile(t), _direct_profile(row))
+    for t, grid in enumerate(bits):
+        assert np.array_equal(table.profile(t), _direct_grid(pair, grid))
 
 
 @pytest.mark.parametrize("p,q,count,crt", [
@@ -427,9 +464,9 @@ def test_row_table_reads_a_slice_as_the_stack_of_its_profiles(p, q, count, crt):
     assert (table.along is not None) == crt
     for rows in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-2, None),
                  slice(count, None), slice(1, 2)):
-        want = [_direct_profile(bits[t]) for t in range(count)[rows]]
+        want = [_direct_grid(pair, bits[t]) for t in range(count)[rows]]
         assert np.array_equal(table.profile(rows),
-                              np.array(want).reshape(len(want), pair.n)), rows
+                              np.array(want).reshape(len(want), p, q)), rows
 
 
 def test_closed_form_profiles_of_one_pair_stack_in_order():
@@ -437,7 +474,7 @@ def test_closed_form_profiles_of_one_pair_stack_in_order():
     # the list's order; params of two pairs are refused
     params = [SequenceParams.of(5, 7, *abc) for abc in ALL_TRIPLES[::-3]]
     stack = closed_form_profile(params)
-    assert stack.shape == (len(params), 35)
+    assert stack.shape == (len(params), 5, 7)
     for row, one in zip(stack, params):
         assert np.array_equal(row, closed_form_profile(one))
     with pytest.raises(ValueError, match="one pair"):
@@ -445,20 +482,21 @@ def test_closed_form_profiles_of_one_pair_stack_in_order():
 
 
 def test_row_table_refuses_an_empty_or_misshapen_stack():
-    # A table reads a (k, n) stack, k >= 1, of 0/1 bits: a (0, n) stack, a
-    # (k, n + 1) stack, one n-bit vector, a (1, k, n) stack and a stack
-    # holding a 2 are refused, before either route is chosen.
+    # A table reads a (k, p, q) stack, k >= 1, of 0/1 grids: a (0, p, q)
+    # stack, a (k, p, q + 1) stack, the transposed (k, q, p) stack, the
+    # (k, n) stack of the bits in Z_n order, one grid, a (1, k, p, q) stack
+    # and a stack holding a 2 are refused, before either route is chosen.
     primes = OddPrimePair(5, 7)
     stack = _family_stack(primes, ALL_TRIPLES)
-    for bits in (np.zeros((0, 35), dtype=np.uint8), np.zeros((8, 36), dtype=np.uint8),
-                 stack[0], stack[None]):
-        with pytest.raises(ValueError, match=r"a row table reads a \(k, 35\) stack"):
+    for bits in (np.zeros((0, 5, 7), dtype=np.uint8), np.zeros((8, 5, 8), dtype=np.uint8),
+                 stack.transpose(0, 2, 1), crt_read(primes, stack), stack[0], stack[None]):
+        with pytest.raises(ValueError, match=r"a row table reads a \(k, 5, 7\) stack"):
             RowTable(primes, bits)
     two = stack.copy()
     two[5, 3] = 2
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
         RowTable(primes, two)
-    assert RowTable(primes, stack).profile(7)[0] == 35
+    assert RowTable(primes, stack).profile(7)[0, 0] == 35
 
 
 @pytest.mark.parametrize("p,q,count,crt", [
@@ -472,7 +510,7 @@ def test_row_table_refuses_a_sequence_index_out_of_range(p, q, count, crt):
     for t in (-1, -count, count, count + 1):
         with pytest.raises(ValueError, match="no sequence"):
             table.profile(t)
-    assert table.profile(count - 1)[0] == pair.n
+    assert table.profile(count - 1)[0, 0] == pair.n
 
 
 def test_row_table_refuses_a_non_integer_index():

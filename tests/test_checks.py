@@ -3,6 +3,7 @@
 import csv
 import io
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_the_pair_table_is_the_groupring_kernel_work(monkeypatch, capsys):
 def _record_stacked_contractions(monkeypatch) -> tuple:
     """The leading dimension of every groupring._contract output, the
     matrices it contracts at once, and of every RowTable.profile read, the
-    sequences it reads at once (None for a one-sequence read)."""
+    sequences it reads at once (None for a one-sequence read, one grid)."""
     contracts, reads = [], []
     contract = cycloseq.groupring._contract
     profile = cycloseq.autocorr.RowTable.profile
@@ -137,7 +138,7 @@ def _record_stacked_contractions(monkeypatch) -> tuple:
 
     def counted_profile(table, t):
         values = profile(table, t)
-        reads.append(len(values) if values.ndim == 2 else None)
+        reads.append(len(values) if values.ndim == 3 else None)
         return values
 
     monkeypatch.setattr(cycloseq.groupring, "_contract", counted_contract)
@@ -187,21 +188,90 @@ def test_a_pairs_reports_are_one_stacked_call_per_chunk(monkeypatch, capsys):
     assert sizes == [1] * 8
 
 
+def _count_reorderings(monkeypatch) -> list:
+    """The name of every crt_read and crt_grid call, under every name the
+    package binds them to."""
+    names = []
+    for name in ("crt_read", "crt_grid"):
+        original = getattr(cycloseq.sequence, name)
+
+        def counted(*args, _fn=original, _name=name):
+            names.append(_name)
+            return _fn(*args)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("cycloseq")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+    return names
+
+
 def test_the_row_table_lays_its_sequences_on_the_grid_at_once(monkeypatch):
-    # One crt_grid call of the (k, n) stack of the table's sequences, with
-    # either prime the shorter axis; test_autocorr checks the profiles.
-    shapes = []
-    original = cycloseq.autocorr.crt_grid
-
-    def counted(primes, values):
-        shapes.append(np.shape(values))
-        return original(primes, values)
-
-    monkeypatch.setattr(cycloseq.autocorr, "crt_grid", counted)
+    # The pair's bits are one (k, p, q) stack of grids from one family_bits
+    # call, and its row table reads that stack as it is, with no crt_grid or
+    # crt_read, with either prime the shorter axis; test_autocorr checks the
+    # profiles.
+    names = _count_reorderings(monkeypatch)
     for primes in (OddPrimePair(5, 7), OddPrimePair(7, 5)):
-        cli._Pair(primes).table
-        assert shapes == [(8, 35)], primes
-        shapes.clear()
+        pair = cli._Pair(primes)
+        assert pair.bits.shape == (8, primes.p, primes.q)
+        assert pair.table.profile(slice(None)).shape == (8, primes.p, primes.q)
+        assert names == [], primes
+
+
+@pytest.mark.parametrize("p,q", [(5, 7), (7, 5), (3, 17), (67, 71)])
+def test_the_check_pass_reads_z_n_order_only_to_name_a_failing_tau(monkeypatch, p, q):
+    # Every profile, closed form, product and sign grid of the pass is
+    # compared on the p x q grid: a passing pass makes no crt_read or
+    # crt_grid at all. A failing triple makes one crt_read, to name its
+    # least differing tau, and a failing pair no other.
+    names = _count_reorderings(monkeypatch)
+    results = cli._Pair(OddPrimePair(p, q)).results
+    assert names == [] and all(all(checks) for checks in results.values())
+    pair = cli._Pair(OddPrimePair(p, q))
+    pair.closed = lambda rows: cycloseq.autocorr.closed_form_profile(pair.params[rows]) + 1
+    failed = pair.results
+    assert not any(failed["theorem1"]) and not any(failed["correlation_identity"])
+    assert names == ["crt_read"] * 8
+
+
+def test_theorem1_names_the_least_failing_tau_through_the_cli(monkeypatch, capsys):
+    # At (3, 5), tau = 10 sits at cell (1, 0) and tau = 12 at (0, 2). With
+    # every closed form off by 2 at both cells, row-major grid order meets
+    # (0, 2) first, but verify names tau = 10 of the first triple, 000, whose
+    # value there is -1.
+    closed_form_profile = cycloseq.autocorr.closed_form_profile
+
+    def off_at_two_cells(params):
+        stack = closed_form_profile(params)
+        stack[..., 1, 0] += 2
+        stack[..., 0, 2] += 2
+        return stack
+
+    monkeypatch.setattr(cli.ac, "closed_form_profile", off_at_two_cells)
+    assert cli.main(["verify", "--p", "3", "--q", "5", "--check", "theorem1"]) == 2
+    assert capsys.readouterr().out == (
+        "theorem1 (p=3, q=5): FAIL (abc=000 tau=10 empirical=-1 closed=1)\n"
+        "0/1 checks pass\n")
+
+
+def test_the_check_pass_holds_no_route_grid_past_its_comparison():
+    # At (307, 311) every chunk is one triple. With the row table and the
+    # product table built, the pass peaks at about 5.5 n int64 words: a
+    # chunk's empirical and closed-form grids, sigma(S) * S and its two
+    # forms, held while they are compared. 6 n words fails a pass that keeps
+    # a chunk's grid past its chunk, or that holds one more n-value int64
+    # array at that peak, such as a Z_n copy of a grid.
+    pair = cli._Pair(OddPrimePair(307, 311))
+    pair.table, pair.factors
+    tracemalloc.start()
+    try:
+        results = pair.results
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(all(checks) for checks in results.values())
+    assert peak <= 6 * 8 * pair.primes.n, peak / (8 * pair.primes.n)
 
 
 def _count_autocorr_kernel_calls(monkeypatch) -> list:
@@ -249,8 +319,8 @@ def test_the_row_table_holds_no_per_shift_array():
 
 def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):
     # One per prime for the product table (its chi) and one per prime for
-    # the residue-class codes that every by_class call of the pair reads;
-    # 8 generate and 8 closed_form_profile calls add none.
+    # the sign pattern chi_p (x) chi_q that every by_class call of the pair
+    # reads; 8 generate and 8 closed_form_profile calls add none.
     runs = Counter()
     original = cycloseq.sequence.residue_table
 
@@ -262,7 +332,7 @@ def test_residue_tables_are_built_once_per_pair(monkeypatch, capsys):
         if (getattr(mod, "__name__", "").startswith("cycloseq")
                 and getattr(mod, "residue_table", None) is original):
             monkeypatch.setattr(mod, "residue_table", residue_table)
-    cycloseq.sequence._class_codes.cache_clear()
+    cycloseq.sequence._unit_signs.cache_clear()
     assert cli.main(["verify", "--p", "5", "--q", "7"]) == 0
     capsys.readouterr()
     assert runs == {5: 2, 7: 2}

@@ -15,7 +15,8 @@ from cycloseq.groupring import (CrtElement, crt_basis, crt_expanded_form, crt_fa
                                 gauss_gp, gauss_gq, mul, verify_correlation_identity,
                                 verify_lemma1)
 from cycloseq.numtheory import OddPrimePair, legendre, odd_prime_pairs
-from cycloseq.sequence import CheckResult, SequenceParams, family_bits, generate, residue_table
+from cycloseq.sequence import (CheckResult, SequenceParams, crt_grid, crt_read, family_bits,
+                               generate, residue_table)
 
 ALL_TRIPLES = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 RANDOM_PAIRS = [OddPrimePair(3, 5), OddPrimePair(5, 7), OddPrimePair(3, 13)]
@@ -392,16 +393,22 @@ def test_expanded_product_form_matches_direct_product():
 
 
 def _correlation_identity(params):
-    seq = generate(params)
-    return verify_correlation_identity(crt_factors(crt_basis(params.primes)), params,
-                                       seq.bits, _autocorr.empirical_profile(seq),
+    seq, primes = generate(params), params.primes
+    return verify_correlation_identity(crt_factors(crt_basis(primes)), params,
+                                       crt_grid(primes, seq.bits),
+                                       crt_grid(primes, _autocorr.empirical_profile(seq)),
                                        _autocorr.closed_form_profile(params))
 
 
+def _cell(primes, k):
+    # the grid cell (k mod p, k mod q) of exponent k
+    return k % primes.p, k % primes.q
+
+
 def test_correlation_identity_of_no_sequences_is_empty():
-    # As verify_theorem1 does on the same (0, n) stacks
+    # As verify_theorem1 does on the same (0, p, q) stacks
     factors = crt_factors(crt_basis(OddPrimePair(5, 7)))
-    empty = np.zeros((0, 35), dtype=np.int64)
+    empty = np.zeros((0, 5, 7), dtype=np.int64)
     assert verify_theorem1(empty, empty) == []
     assert verify_correlation_identity(factors, [], empty, empty, empty) == []
 
@@ -439,15 +446,14 @@ def test_crt_route_matches_dense_ring_on_every_pair():
         for a, b, c in ALL_TRIPLES:
             params = SequenceParams(primes, a, b, c)
             s = crt_sign_form(params, basis)
-            bits = family_bits(params)
-            s_dense = 1 - 2 * bits.astype(np.int64)
+            s_dense = 1 - 2 * generate(params).bits.astype(np.int64)
             assert s.dense().tolist() == s_dense.tolist(), (primes, a, b, c)
             want = _dense_mul(_dense_sigma(s_dense), s_dense).tolist()
             assert (s.sigma() * s).dense().tolist() == want, (primes, a, b, c)
             # handed the oracle as both profiles, the check passes only if its
             # contracted product (and the sign form and expanded form) equal it
-            check = verify_correlation_identity(factors, params, bits,
-                                                np.array(want), np.array(want))
+            grid = crt_grid(primes, np.array(want))
+            check = verify_correlation_identity(factors, params, family_bits(params), grid, grid)
             assert check == CheckResult("correlation_identity", True), (primes, a, b, c)
             assert crt_expanded_form(params, basis).dense().tolist() == want
 
@@ -459,9 +465,10 @@ def test_correlation_identity_holds_past_the_old_int64_ceiling():
     params = SequenceParams.of(1447, 1451, 0, 0, 1)
     basis = crt_basis(params.primes)
     s = crt_sign_form(params, basis)
-    assert np.array_equal(s.dense(), 1 - 2 * family_bits(params).astype(np.int64))
+    assert np.array_equal(s.dense(), 1 - 2 * generate(params).bits.astype(np.int64))
     product = (s.sigma() * s).dense()
-    assert np.array_equal(product, _autocorr.closed_form_profile(params))
+    assert np.array_equal(product,
+                          crt_read(params.primes, _autocorr.closed_form_profile(params)))
     assert np.array_equal(product, crt_expanded_form(params, basis).dense())
 
 
@@ -568,7 +575,8 @@ def test_table_product_matches_mul_and_the_dense_ring_under_changed_characters(
         s = crt_sign_form(params, basis)
         want = _dense_mul(_dense_sigma(s.dense()), s.dense())
         assert (s.sigma() * s).dense().tolist() == want.tolist(), (a, b, c)
-        check = verify_correlation_identity(factors, params, family_bits(params), want, want)
+        grid = crt_grid(primes, want)
+        check = verify_correlation_identity(factors, params, family_bits(params), grid, grid)
         assert set(check.detail.split("; ")) <= {
             "", "sign_form_vs_sequence", "product_vs_expanded"}, (a, b, c)
 
@@ -588,28 +596,30 @@ def test_sign_form_off_the_sequence_is_a_failed_route(monkeypatch, capsys):
 def test_correlation_identity_names_each_route_it_is_handed_wrong():
     params = SequenceParams.of(5, 7, 0, 1, 1)
     seq = generate(params)
-    emp = _autocorr.empirical_profile(seq)
+    bits = crt_grid(params.primes, seq.bits)
+    emp = crt_grid(params.primes, _autocorr.empirical_profile(seq))
     closed = _autocorr.closed_form_profile(params)
     factors = crt_factors(crt_basis(params.primes))
     off = emp.copy()
-    off[3] += 1
+    off[_cell(params.primes, 3)] += 1
     assert verify_correlation_identity(
-        factors, params, seq.bits, off, closed) == CheckResult(
+        factors, params, bits, off, closed) == CheckResult(
         "correlation_identity", False, "product_vs_empirical")
-    assert verify_correlation_identity(factors, params, seq.bits, off, off) == CheckResult(
+    assert verify_correlation_identity(factors, params, bits, off, off) == CheckResult(
         "correlation_identity", False,
         "product_vs_empirical; product_vs_closed_form")
 
 
 def test_correlation_identity_fails_a_profile_of_another_length():
-    # A profile one shift short or long differs from the product: its route
-    # fails, as np.array_equal has it, alone or in a stack, and the check
-    # does not raise.
+    # A profile one grid row short or long, or the n values in Z_n order,
+    # differs from the product: its route fails, as np.array_equal has it,
+    # alone or in a stack, and the check does not raise.
     params = SequenceParams.of(5, 7, 1, 1, 0)
     bits = family_bits(params)
     closed = _autocorr.closed_form_profile(params)
     factors = crt_factors(crt_basis(params.primes))
-    for emp in (closed[:-1], np.append(closed, 1)):
+    for emp in (closed[:-1], np.append(closed, closed[:1], axis=0),
+                crt_read(params.primes, closed)):
         assert verify_correlation_identity(factors, params, bits, emp, closed) == CheckResult(
             "correlation_identity", False, "product_vs_empirical")
         assert verify_correlation_identity(factors, [params, params], np.stack([bits, bits]),
@@ -619,19 +629,21 @@ def test_correlation_identity_fails_a_profile_of_another_length():
 
 
 def test_correlation_identity_fails_bits_that_are_not_the_sign_vector():
-    # Bits one position short or long, or holding a value that is not 0 or 1
-    # (2, or 0.5, which an integer cast would truncate to 0), fail
-    # sign_form_vs_sequence alone, alone or in a stack, and the check does
-    # not raise; the pair's own bits pass in any integer dtype.
+    # Bits one grid row short or long, in Z_n order, transposed, or holding a
+    # value that is not 0 or 1 (2, or 0.5, which an integer cast would
+    # truncate to 0), fail sign_form_vs_sequence alone, alone or in a stack,
+    # and the check does not raise; the pair's own bits pass in any integer
+    # dtype.
     params = SequenceParams.of(5, 7, 1, 1, 0)
     bits = family_bits(params)
     closed = _autocorr.closed_form_profile(params)
     factors = crt_factors(crt_basis(params.primes))
     failed = CheckResult("correlation_identity", False, "sign_form_vs_sequence")
     two, half = bits.astype(np.int64), bits.astype(np.float64)
-    two[np.flatnonzero(bits)[0]] = 2
-    half[np.flatnonzero(bits == 0)[0]] = 0.5
-    for wrong in (bits[:-1], np.append(bits, 1), two, half):
+    two.flat[np.flatnonzero(bits)[0]] = 2
+    half.flat[np.flatnonzero(bits == 0)[0]] = 0.5
+    for wrong in (bits[:-1], np.append(bits, bits[:1], axis=0), crt_read(params.primes, bits),
+                  bits.T, two, half):
         assert verify_correlation_identity(factors, params, wrong, closed, closed) == failed
         assert verify_correlation_identity(factors, [params] * 2, np.stack([wrong, wrong]),
                                            np.stack([closed, closed]),
@@ -652,8 +664,10 @@ def test_correlation_identity_refuses_another_pairs_products():
 def _identity_oracle(basis, params, bits, emp, closed):
     # correlation_identity from elements: S of the basis, sigma(S) * S by mul
     # and the expanded form, densified to Z_n and compared route by route
+    # with the grids read in Z_n order
     s = crt_sign_form(params, basis)
     product = (s.sigma() * s).dense()
+    bits, emp, closed = (crt_read(params.primes, grid) for grid in (bits, emp, closed))
     routes = (("sign_form_vs_sequence", s.dense(), 1 - 2 * bits.astype(np.int64)),
               ("product_vs_expanded", product, crt_expanded_form(params, basis).dense()),
               ("product_vs_empirical", product, emp),
@@ -683,7 +697,7 @@ class _ChangedProfiles:
         self.reads.append(len(stack))
         for i, t in enumerate(range(len(self.table.own))[rows]):
             if t in self.change:
-                stack[i, self.change[t]] += 1
+                stack[(i, *_cell(self.table.primes, self.change[t]))] += 1
         return stack
 
 
@@ -697,7 +711,8 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
     # element oracles above. The pieces may be corrupted: a changed
     # empirical or closed-form entry, characters changed in the basis of the
     # product table, or a row of the pair's bits with one bit flipped off its
-    # sign form (its row table reads the flipped bits).
+    # sign form (its row table reads the flipped bits). Every change is made
+    # at the grid cell of a shift k in [0, n), and the oracles read Z_n order.
     primes = data.draw(st.sampled_from([primes, OddPrimePair(primes.q, primes.p)]))
     triples = data.draw(st.lists(st.sampled_from(ALL_TRIPLES), min_size=1, unique=True))
     count = len(triples)
@@ -707,7 +722,7 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
     pair.factors = crt_factors(basis)
     for t, k in data.draw(st.dictionaries(st.integers(0, count - 1),
                                           st.integers(0, primes.n - 1), max_size=2)).items():
-        pair.bits[t, k] ^= 1
+        pair.bits[(t, *_cell(primes, k))] ^= 1
     shift = st.dictionaries(st.integers(0, count - 1), st.integers(0, primes.n - 1),
                             max_size=2)
     table = pair.table = _ChangedProfiles(_autocorr.RowTable(primes, pair.bits),
@@ -718,7 +733,7 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
         stack = _autocorr.closed_form_profile(pair.params[rows]).copy()
         for i, t in enumerate(range(count)[rows]):
             if t in closed_change:
-                stack[i, closed_change[t]] -= 1
+                stack[(i, *_cell(primes, closed_change[t]))] -= 1
         return stack
 
     pair.closed = closed
@@ -728,10 +743,11 @@ def test_the_pairs_stacked_pass_equals_the_one_triple_checks(primes, data):
     for t, (params, bits) in enumerate(zip(pair.params, pair.bits)):
         emp, want = table.table.profile(t), closed(slice(t, t + 1))[0]
         if t in table.change:
-            emp[table.change[t]] += 1
+            emp[_cell(primes, table.change[t])] += 1
         theorem1 = verify_theorem1(emp, want)
         identity = verify_correlation_identity(pair.factors, params, bits, emp, want)
         assert (results["theorem1"][t], results["correlation_identity"][t]) == (
             theorem1, identity), (t, triples[t])
-        assert (theorem1, identity) == (_theorem1_oracle(emp, want),
+        assert (theorem1, identity) == (_theorem1_oracle(crt_read(primes, emp),
+                                                         crt_read(primes, want)),
                                         _identity_oracle(basis, params, bits, emp, want)), t

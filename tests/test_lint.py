@@ -137,10 +137,12 @@ def test_only_cli_builds_the_pairs_blocks():
     assert callers == {"cli"}
     assert _top_level_users({"RowTable"}) == {"autocorr.empirical_profile", "cli._Pair"}
     # Every command builds through one path: in cli, the pair's pieces (its
-    # family_bits stack, both tables, the closed-form profiles, which its stacked
-    # pass reads a chunk of triples at a time, and the complexity reports,
-    # built in the same chunks) are built only inside _Pair; every command
-    # and check reads its row of each off the pair's.
+    # family_bits stack of grids, both tables, the closed-form grids, which
+    # its stacked pass reads a chunk of triples at a time, and the complexity
+    # reports, built in the same chunks) are built only inside _Pair; every
+    # command and check reads its row of each off the pair's. The pair
+    # reorders nothing between Z_n and the grid: only the commands that print
+    # Z_n order read it.
     tree = ast.parse((SRC / "cli.py").read_text())
     pair = next(node for node in tree.body
                 if isinstance(node, ast.ClassDef) and node.name == "_Pair")
@@ -150,6 +152,7 @@ def test_only_cli_builds_the_pairs_blocks():
     assert {name for name, _ in built} == names
     assert _calls_of(tree, names) == built
     assert _calls_of(tree, {"empirical_profile"}) == []
+    assert _calls_of(pair, {"crt_read", "crt_grid"}) == []
 
 
 def test_the_closed_forms_read_the_pairs_symbols_and_call_no_legendre():
@@ -221,19 +224,43 @@ def _top_level_users(names: set) -> set:
     return users
 
 
+def _imports() -> set:
+    """module.lineno of every top-level import statement in src/, as
+    _top_level_users names it."""
+    return {f"{path.stem}.{top.lineno}" for path in sorted(SRC.rglob("*.py"))
+            for top in ast.parse(path.read_text(), str(path)).body
+            if isinstance(top, (ast.Import, ast.ImportFrom))}
+
+
 def test_only_generate_and_the_report_build_bits_from_params():
     # sequence.family_bits is called by sequence.generate, by cli._Pair for
     # its one stack of the pair's bits and by adic.complexity_report, which
     # packs the bits of its params itself; cli and adic import it, and adic
     # builds no sequence: no top-level statement of adic, its imports among
     # them, uses generate.
-    imports = {f"{path.stem}.{top.lineno}" for path in sorted(SRC.rglob("*.py"))
-               for top in ast.parse(path.read_text(), str(path)).body
-               if isinstance(top, (ast.Import, ast.ImportFrom))}
-    assert _top_level_users({"family_bits"}) - imports == {
+    assert _top_level_users({"family_bits"}) - _imports() == {
         "sequence.generate", "cli._Pair", "adic.complexity_report"}
     assert {user for user in _top_level_users({"generate"})
             if user.startswith("adic.")} == set()
+
+
+def test_z_n_order_is_read_only_for_output_and_failure_details():
+    # The check pass compares on the p x q grid. crt_read, grid -> Z_n, is
+    # used by what prints or returns Z_n order (generate's bits, the T(2)
+    # words of the report, the oracle empirical_profile, CrtElement.dense,
+    # generate's and autocorr's output in cli), by first_difference, which
+    # names a failing tau, and by RowTable, whose direct route correlates
+    # over Z_n; crt_grid, Z_n -> grid, only by that route and the oracle.
+    assert _top_level_users({"crt_read"}) - _imports() == {
+        "sequence.first_difference", "sequence.generate", "adic.complexity_report",
+        "autocorr.RowTable", "autocorr.empirical_profile", "groupring.CrtElement",
+        "cli.cmd_generate", "cli._class_names", "cli.cmd_autocorr"}
+    assert _top_level_users({"crt_grid"}) - _imports() == {
+        "autocorr.RowTable", "autocorr.empirical_profile"}
+    # first_difference is the one failure-detail reader: the checks that
+    # name a shift call it, and nothing else does.
+    assert _top_level_users({"first_difference"}) - _imports() == {
+        "autocorr.verify_theorem1", "groupring.verify_lemma1"}
 
 
 def test_crt_index_is_read_only_by_crt_read_and_crt_grid():

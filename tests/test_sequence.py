@@ -53,7 +53,14 @@ def test_generate_matches_definition_oracle(p, q):
 
 
 def test_classify():
-    names = by_class(OddPrimePair(3, 5), "zero", "p", "q", "unit", "unit", object)
+    # on the grid P is row 0, Q column 0 and {0} the corner; read in Z_n
+    # order, the classes sit at their positions
+    pair = OddPrimePair(3, 5)
+    grid = by_class(pair, "zero", "p", "q", "unit", "unit", object)
+    assert grid.shape == (3, 5)
+    assert grid[0, 0] == "zero" and set(grid[0, 1:]) == {"p"} and set(grid[1:, 0]) == {"q"}
+    assert set(grid[1:, 1:].ravel()) == {"unit"}
+    names = crt_read(pair, grid)
     assert names[0] == "zero"
     assert names[6] == names[12] == "p"
     assert names[5] == names[10] == "q"
@@ -62,7 +69,7 @@ def test_classify():
 
 def test_partition_sizes():
     for pair in odd_prime_pairs(2000):
-        counts = np.bincount(by_class(pair, 0, 1, 2, 3, 3, np.int8))
+        counts = np.bincount(by_class(pair, 0, 1, 2, 3, 3, np.int8).ravel())
         assert counts.tolist() == [1, pair.q - 1, pair.p - 1,
                                    (pair.p - 1) * (pair.q - 1)], pair
 
@@ -116,7 +123,7 @@ def test_crt_read_crt_grid_and_by_class_read_stacks_row_by_row(p, q):
     assert np.array_equal(crt_grid(pair, vectors), grids)
     values = [(0, 1, 2, 3, 4), (5, -6, 7, -8, 9), (1, 1, 2, 2, 3)]
     stack = by_class(pair, *zip(*values), np.int64)
-    assert stack.shape == (3, pair.n)
+    assert stack.shape == (3, p, q)
     for row, five in zip(stack, values):
         assert np.array_equal(row, by_class(pair, *five, np.int64))
 
@@ -134,24 +141,26 @@ def _class_code(lam, pair):
 
 def test_by_class_matches_the_pointwise_classes():
     # differential test against the class definition and the Legendre symbol
-    # per position
+    # per position, position lam read at (lam mod p, lam mod q) of the grid
     for pair in odd_prime_pairs(300) + [OddPrimePair(3, 997), OddPrimePair(7, 3)]:
         codes = by_class(pair, 0, 1, 2, 3, 4, np.int8)
-        assert codes.dtype == np.int8
-        assert codes.tolist() == [_class_code(lam, pair) for lam in range(pair.n)], pair
+        assert codes.dtype == np.int8 and codes.shape == (pair.p, pair.q)
+        lam = np.arange(pair.n)
+        assert codes[lam % pair.p, lam % pair.q].tolist() == [
+            _class_code(k, pair) for k in range(pair.n)], pair
 
 
 def test_per_pair_memos_are_read_only():
-    # _crt_index and _class_codes hand every later call for the pair the same
+    # _crt_index and _unit_signs hand every later call for the pair the same
     # array, so a write into one would corrupt each later crt_read, crt_grid
     # and by_class of that pair; what those return is the caller's own copy.
     pair = OddPrimePair(5, 7)
-    for memo in (sequence._crt_index(5, 7), sequence._class_codes(pair)):
+    for memo in (sequence._crt_index(5, 7), *sequence._unit_signs(pair)):
         with pytest.raises(ValueError):
             memo[1] = 0
     codes = by_class(pair, 0, 1, 2, 3, 4, np.int8)
     codes[:] = 9
-    assert by_class(pair, 0, 1, 2, 3, 4, np.int8)[:3].tolist() == [0, 3, 4]
+    assert crt_read(pair, by_class(pair, 0, 1, 2, 3, 4, np.int8))[:3].tolist() == [0, 3, 4]
     assert crt_read(pair, np.arange(pair.n).reshape(5, 7))[:3].tolist() == [0, 8, 16]
 
 
@@ -165,7 +174,8 @@ def test_unit_character_balance():
 def test_unit_positions_do_not_depend_on_fill_bits():
     pair = OddPrimePair(5, 11)
     chi = unit_character(pair)
-    unit_mask = chi != 0
+    assert chi.shape == (5, 11)
+    unit_mask = crt_read(pair, chi) != 0
     reference = generate(SequenceParams(pair, 0, 0, 0)).bits[unit_mask]
     for a, b, c in ALL_TRIPLES:
         seq = generate(SequenceParams(pair, a, b, c))
@@ -217,17 +227,37 @@ def test_bits_are_immutable():
         seq.bits[0] = 1
 
 
+def test_checked_bits_freeze_a_view_not_the_callers_array():
+    # BinarySequence and a direct-route RowTable keep a read-only view of the
+    # uint8 bits they are handed: the caller's own array stays writeable, and
+    # the view aliases it, so a later write into it shows through.
+    params = SequenceParams.of(3, 5, 1, 0, 0)
+    mine = generate(params).bits.copy()
+    seq = BinarySequence(params, mine)
+    assert mine.flags.writeable and not seq.bits.flags.writeable
+    with pytest.raises(ValueError):
+        seq.bits[0] = 1
+    mine[0] ^= 1
+    assert seq.bits[0] == mine[0]
+    stack = sequence.family_bits([params, params])
+    table = RowTable(params.primes, stack)
+    assert table.along is None  # two sequences at (3, 5) take the direct route
+    assert stack.flags.writeable and not table.bits.flags.writeable
+    assert np.shares_memory(table.bits, stack)
+
+
 def test_generate_rows_equal_the_checked_sequences_of_their_bits():
-    # Row t of a pair's family_bits stack is the bits of generate(params[t]),
-    # which are read-only uint8; a stack of one is the one-triple call.
+    # Grid t of a pair's family_bits stack, read in Z_n order, is the bits of
+    # generate(params[t]), which are read-only uint8; a stack of one is the
+    # one-triple call.
     for pair in (OddPrimePair(3, 5), OddPrimePair(13, 67), OddPrimePair(7, 3)):
         stack = [SequenceParams(pair, *abc) for abc in ALL_TRIPLES + ALL_TRIPLES[:2]]
         bits = sequence.family_bits(stack)
-        assert bits.shape == (10, pair.n)
-        for params, row in zip(stack, bits):
+        assert bits.shape == (10, pair.p, pair.q)
+        for params, grid in zip(stack, bits):
             seq = generate(params)
-            assert seq == BinarySequence(params, row)
-            assert np.array_equal(seq.bits, sequence.family_bits(params))
+            assert seq == BinarySequence(params, crt_read(pair, grid))
+            assert np.array_equal(crt_grid(pair, seq.bits), sequence.family_bits(params))
             assert seq.bits.dtype == np.uint8 and not seq.bits.flags.writeable
         assert np.array_equal(sequence.family_bits(stack[:1]), bits[:1])
 
